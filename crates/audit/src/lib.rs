@@ -221,8 +221,12 @@ pub fn scan_root(root: &Path) -> io::Result<AuditReport> {
     Ok(report)
 }
 
-/// Walks `root` for scannable `.rs` files with their crate attribution.
+/// Walks the workspace at `root` for scannable `.rs` files with their
+/// crate attribution: the root package plus the packages its
+/// `[workspace] members` name. A package directory that is not a member
+/// (a separate Cargo workspace nested in the tree) is not scanned.
 fn discover(root: &Path) -> io::Result<Vec<SourceFile>> {
+    let members = workspace_members(root)?;
     let mut files = Vec::new();
     let mut stack = vec![root.to_path_buf()];
     while let Some(dir) = stack.pop() {
@@ -232,7 +236,9 @@ fn discover(root: &Path) -> io::Result<Vec<SourceFile>> {
             let path = e.path();
             let name = e.file_name().to_string_lossy().into_owned();
             if path.is_dir() {
-                if !SKIP_DIRS.contains(&name.as_str()) {
+                let foreign_package =
+                    package_name(&path.join("Cargo.toml")).is_some() && !members.contains(&path);
+                if !SKIP_DIRS.contains(&name.as_str()) && !foreign_package {
                     stack.push(path);
                 }
             } else if name.ends_with(".rs") {
@@ -255,6 +261,48 @@ fn discover(root: &Path) -> io::Result<Vec<SourceFile>> {
     }
     files.sort_by(|a, b| a.rel.cmp(&b.rel));
     Ok(files)
+}
+
+/// The member directories named by the `members` array of `root`'s
+/// `[workspace]` table. Entries are either a directory (`"dir"`) or all
+/// package directories directly under one (`"dir/*"`).
+fn workspace_members(root: &Path) -> io::Result<Vec<PathBuf>> {
+    let Ok(text) = fs::read_to_string(root.join("Cargo.toml")) else {
+        return Ok(Vec::new());
+    };
+    let mut in_workspace = false;
+    let mut array: Option<String> = None;
+    for line in text.lines() {
+        let line = line.trim();
+        if let Some(acc) = array.as_mut() {
+            acc.push_str(line);
+        } else if line.starts_with('[') {
+            in_workspace = line == "[workspace]";
+        } else if in_workspace {
+            if let Some(rest) = line.strip_prefix("members") {
+                if let Some(value) = rest.trim_start().strip_prefix('=') {
+                    array = Some(value.to_string());
+                }
+            }
+        }
+        if array.as_deref().is_some_and(|a| a.contains(']')) {
+            break;
+        }
+    }
+    let mut members = Vec::new();
+    for entry in array.unwrap_or_default().split('"').skip(1).step_by(2) {
+        match entry.strip_suffix("/*") {
+            Some(parent) => {
+                let mut dirs: Vec<PathBuf> = fs::read_dir(root.join(parent))?
+                    .map(|e| e.map(|e| e.path()))
+                    .collect::<Result<_, _>>()?;
+                dirs.retain(|d| d.join("Cargo.toml").is_file());
+                members.extend(dirs);
+            }
+            None => members.push(root.join(entry)),
+        }
+    }
+    Ok(members)
 }
 
 /// The package name of the nearest enclosing `Cargo.toml`, searching up
@@ -334,4 +382,48 @@ pub fn find_workspace_root(start: &Path) -> Option<PathBuf> {
         dir = d.parent();
     }
     None
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn discover_scans_members_and_skips_other_packages() {
+        let root = std::env::temp_dir().join(format!("vom-audit-members-{}", std::process::id()));
+        let write = |rel: &str, text: &str| {
+            let path = root.join(rel);
+            fs::create_dir_all(path.parent().unwrap()).unwrap();
+            fs::write(path, text).unwrap();
+        };
+        write(
+            "Cargo.toml",
+            "[workspace]\nmembers = [\n    \"crates/*\",\n    \"tool\",\n]\n\n[package]\nname = \"top\"\n",
+        );
+        write("src/lib.rs", "");
+        write("crates/a/Cargo.toml", "[package]\nname = \"a\"\n");
+        write("crates/a/src/lib.rs", "");
+        write("tool/Cargo.toml", "[package]\nname = \"tool\"\n");
+        write("tool/src/main.rs", "");
+        write(
+            "bench/Cargo.toml",
+            "[package]\nname = \"bench\"\n\n[workspace]\n",
+        );
+        write("bench/src/main.rs", "");
+
+        let files = discover(&root).unwrap();
+        fs::remove_dir_all(&root).unwrap();
+        let found: Vec<(&str, &str)> = files
+            .iter()
+            .map(|f| (f.rel.as_str(), f.crate_name.as_str()))
+            .collect();
+        assert_eq!(
+            found,
+            [
+                ("crates/a/src/lib.rs", "a"),
+                ("src/lib.rs", "top"),
+                ("tool/src/main.rs", "tool"),
+            ]
+        );
+    }
 }

@@ -3,6 +3,7 @@
 
 use vom_core::dm::dm_greedy;
 use vom_core::Problem;
+use vom_diffusion::SolverPool;
 use vom_graph::Node;
 use vom_voting::ScoringFunction;
 
@@ -24,7 +25,7 @@ pub fn gedt_seeds(problem: &Problem<'_>) -> Vec<Node> {
         ScoringFunction::Cumulative,
     )
     .expect("a valid problem stays valid with the cumulative score");
-    dm_greedy(&cumulative)
+    dm_greedy(&cumulative, None, &SolverPool::new(), None)
 }
 
 #[cfg(test)]
@@ -48,7 +49,10 @@ mod tests {
     fn gedt_equals_dm_on_cumulative() {
         let inst = instance();
         let p = Problem::new(&inst, 0, 2, 1, ScoringFunction::Cumulative).unwrap();
-        assert_eq!(gedt_seeds(&p), dm_greedy(&p));
+        assert_eq!(
+            gedt_seeds(&p),
+            dm_greedy(&p, None, &SolverPool::new(), None)
+        );
     }
 
     #[test]

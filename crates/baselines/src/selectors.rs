@@ -19,7 +19,7 @@ use std::time::Instant;
 use vom_core::engine::{Engine, IndexBackend, PreparedIndex, SeedSelector, SessionScratch};
 use vom_core::greedy::Competitors;
 use vom_core::registry::MethodId;
-use vom_core::{Problem, ProblemSpec, Result};
+use vom_core::{CostMeter, Problem, ProblemSpec, Result};
 use vom_graph::Node;
 
 /// One of the six compared baselines (§VIII-A), ready to prepare.
@@ -106,7 +106,7 @@ impl SeedSelector for BaselineEngine {
     }
 }
 
-/// Prepared state of every baseline: the immutable selection order
+/// The prepared state of every baseline: the immutable selection order
 /// computed at the prepared budget; a query takes the first `k`. The
 /// ranking is prefix-consistent (deterministic greedy or full sort), so
 /// concurrent sessions need no per-query state at all.
@@ -124,6 +124,7 @@ impl IndexBackend for RankedListIndex {
         problem: &Problem<'_>,
         _comp: Option<Competitors<'_>>,
         _scratch: &mut SessionScratch,
+        _meter: Option<&CostMeter>,
     ) -> Result<Vec<Node>> {
         Ok(self.order.iter().take(problem.k).copied().collect())
     }
@@ -182,6 +183,7 @@ impl SeedSelector for AnyEngine {
 mod tests {
     use super::*;
     use std::sync::Arc;
+    use vom_core::engine::{QuerySession, SelectionMode};
     use vom_diffusion::{Instance, OpinionMatrix};
     use vom_graph::builder::graph_from_edges;
     use vom_voting::ScoringFunction;
@@ -203,8 +205,7 @@ mod tests {
         for id in MethodId::all() {
             let engine = AnyEngine::with_defaults(id);
             assert_eq!(engine.id(), id);
-            let mut prepared = engine.prepare(&p).unwrap();
-            let res = prepared.select_k(2).unwrap();
+            let res = engine.select_once(&p, SelectionMode::Auto).unwrap();
             assert_eq!(res.seeds.len(), 2, "{}", id.name());
             assert!(
                 res.exact_score >= 2.55,
@@ -223,11 +224,11 @@ mod tests {
         let p3 = Problem::new(&inst, 0, 3, 1, ScoringFunction::Cumulative).unwrap();
         for id in [MethodId::Gedt, MethodId::Pr, MethodId::Rwr, MethodId::Dc] {
             let engine = AnyEngine::with_defaults(id);
-            let mut prepared = engine.prepare(&p3).unwrap();
+            let mut session = QuerySession::new(Arc::new(engine.prepare_index(&p3).unwrap()));
             for k in 1..=3usize {
-                let via_prefix = prepared.select_k(k).unwrap().seeds;
+                let via_prefix = session.select_k(k).unwrap().seeds;
                 let pk = Problem::new(&inst, 0, k, 1, ScoringFunction::Cumulative).unwrap();
-                let fresh = engine.prepare(&pk).unwrap().select_k(k).unwrap().seeds;
+                let fresh = engine.select_once(&pk, SelectionMode::Auto).unwrap().seeds;
                 assert_eq!(via_prefix, fresh, "{} k={k}", id.name());
             }
         }
@@ -237,8 +238,9 @@ mod tests {
     fn baselines_skip_sandwich_and_competitor_matrices() {
         let inst = instance();
         let p = Problem::new(&inst, 0, 1, 1, ScoringFunction::Plurality).unwrap();
-        let mut prepared = AnyEngine::with_defaults(MethodId::Dc).prepare(&p).unwrap();
-        let res = prepared.select_k(1).unwrap();
+        let res = AnyEngine::with_defaults(MethodId::Dc)
+            .select_once(&p, SelectionMode::Auto)
+            .unwrap();
         assert!(res.sandwich.is_none(), "baselines are evaluated as-is");
         assert_eq!(res.estimator_heap_bytes, 0);
     }

@@ -1,26 +1,23 @@
-//! Microbenchmarks for the exact FJ engine (the DM building block).
-
-// The deprecated per-call FjEngine surface is exactly what this bench
-// measures: it is the reference iteration the solver is compared to.
-#![allow(deprecated)]
+//! Microbenchmarks for the exact FJ solver (the DM building block):
+//! cold fixed-horizon solves, as every DM greedy iteration's baseline
+//! recording runs them.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use std::sync::Arc;
 use vom_datasets::{twitter_mask_like, ReplicaParams};
-use vom_diffusion::DiffusionBuffer;
+use vom_diffusion::{SolveOptions, Solver};
 
 fn fj_iteration(c: &mut Criterion) {
-    let mut group = c.benchmark_group("fj_opinions_at");
+    let mut group = c.benchmark_group("fj_solve");
     group.sample_size(20);
     for scale in [0.0005, 0.001, 0.002] {
         let ds = twitter_mask_like(&ReplicaParams::at_scale(scale, 3));
-        let cand = ds.instance.candidate(0);
-        let engine = cand.engine();
+        let mut solver = Solver::new(Arc::clone(ds.instance.candidate(0).system()));
         let n = ds.instance.num_nodes();
-        let mut buf = DiffusionBuffer::new(n);
         group.bench_with_input(BenchmarkId::new("t20", n), &n, |b, _| {
             b.iter(|| {
-                let row = engine.opinions_at_with(20, &[0, 1, 2], &mut buf);
-                std::hint::black_box(row[0])
+                solver.solve(&[0, 1, 2], &SolveOptions::exact(20), None);
+                std::hint::black_box(solver.opinions()[0])
             });
         });
     }
@@ -29,16 +26,14 @@ fn fj_iteration(c: &mut Criterion) {
 
 fn horizon_scaling(c: &mut Criterion) {
     let ds = twitter_mask_like(&ReplicaParams::at_scale(0.001, 3));
-    let cand = ds.instance.candidate(0);
-    let engine = cand.engine();
-    let mut buf = DiffusionBuffer::new(ds.instance.num_nodes());
+    let mut solver = Solver::new(Arc::clone(ds.instance.candidate(0).system()));
     let mut group = c.benchmark_group("fj_horizon_scaling");
     group.sample_size(20);
     for t in [5usize, 10, 20, 40] {
         group.bench_with_input(BenchmarkId::from_parameter(t), &t, |b, &t| {
             b.iter(|| {
-                let row = engine.opinions_at_with(t, &[7], &mut buf);
-                std::hint::black_box(row[0])
+                solver.solve(&[7], &SolveOptions::exact(t), None);
+                std::hint::black_box(solver.opinions()[0])
             });
         });
     }

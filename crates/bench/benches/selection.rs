@@ -4,7 +4,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use vom_core::rs::RsConfig;
 use vom_core::rw::RwConfig;
-use vom_core::{select_seeds_plain, Method, Problem};
+use vom_core::{Engine, Problem, SeedSelector, SelectionMode};
 use vom_datasets::{twitter_mask_like, yelp_like, ReplicaParams};
 use vom_sketch::SketchSet;
 use vom_voting::ScoringFunction;
@@ -15,18 +15,25 @@ fn engines_cumulative(c: &mut Criterion) {
     let mut group = c.benchmark_group("select_cumulative_k10");
     group.sample_size(10);
     group.bench_function("DM", |b| {
-        b.iter(|| std::hint::black_box(select_seeds_plain(&problem, &Method::Dm).unwrap().seeds))
+        b.iter(|| {
+            std::hint::black_box(
+                Engine::Dm
+                    .select_once(&problem, SelectionMode::Plain)
+                    .unwrap()
+                    .seeds,
+            )
+        })
     });
     group.bench_function("RW", |b| {
         b.iter(|| {
-            let m = Method::Rw(RwConfig::default());
-            std::hint::black_box(select_seeds_plain(&problem, &m).unwrap().seeds)
+            let m = Engine::Rw(RwConfig::default());
+            std::hint::black_box(m.select_once(&problem, SelectionMode::Plain).unwrap().seeds)
         })
     });
     group.bench_function("RS", |b| {
         b.iter(|| {
-            let m = Method::Rs(RsConfig::default());
-            std::hint::black_box(select_seeds_plain(&problem, &m).unwrap().seeds)
+            let m = Engine::Rs(RsConfig::default());
+            std::hint::black_box(m.select_once(&problem, SelectionMode::Plain).unwrap().seeds)
         })
     });
     group.finish();
@@ -39,18 +46,18 @@ fn engines_plurality(c: &mut Criterion) {
     group.sample_size(10);
     group.bench_function("RW", |b| {
         b.iter(|| {
-            let m = Method::Rw(RwConfig {
+            let m = Engine::Rw(RwConfig {
                 max_lambda: 150,
                 gamma_floor: 0.1,
                 ..RwConfig::default()
             });
-            std::hint::black_box(select_seeds_plain(&problem, &m).unwrap().seeds)
+            std::hint::black_box(m.select_once(&problem, SelectionMode::Plain).unwrap().seeds)
         })
     });
     group.bench_function("RS", |b| {
         b.iter(|| {
-            let m = Method::Rs(RsConfig::default());
-            std::hint::black_box(select_seeds_plain(&problem, &m).unwrap().seeds)
+            let m = Engine::Rs(RsConfig::default());
+            std::hint::black_box(m.select_once(&problem, SelectionMode::Plain).unwrap().seeds)
         })
     });
     group.finish();

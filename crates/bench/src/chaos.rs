@@ -15,7 +15,7 @@
 //! * every **non-faulted, non-budgeted slot is bit-identical** to the
 //!   fault-free baseline selections;
 //! * every **budgeted slot that degrades returns a verified prefix** of
-//!   its baseline selection ([`vom_core::Outcome::Degraded`]);
+//!   its baseline selection ([`vom_service::ServiceError::Degraded`]);
 //! * the whole faulted batch — panic placement, degraded prefix
 //!   lengths, completed selections — is **identical at widths 1, 2,
 //!   and the parallel target** (one digest per width, all equal);
@@ -34,7 +34,6 @@ use crate::experiments::sweep_k;
 use crate::ExpConfig;
 use std::path::PathBuf;
 use std::sync::Arc;
-use vom_core::engine::Outcome;
 use vom_graph::Node;
 use vom_service::{
     FaultPlan, NoopScheduler, RetryPolicy, ServiceError, ServiceRequest, VomService,
@@ -134,7 +133,7 @@ struct ChaosPass {
     /// Injected faults that surfaced as `ServiceError::Panicked` in
     /// their own slot (expected: 1 build + every query-panic slot).
     faults_surfaced: usize,
-    /// Budgeted slots that came back `Outcome::Degraded` with a
+    /// Budgeted slots that came back `ServiceError::Degraded` with a
     /// verified baseline prefix.
     degraded: usize,
     /// Digest over every slot — outcome kind and seeds — so equal
@@ -154,16 +153,11 @@ fn baseline_pass(
     base: &[ServiceRequest],
 ) -> Result<Selections> {
     let _ = cfg;
-    let results = service.run_batch_full(base);
+    let results = service.run_batch(base);
     let mut selections: Selections = Vec::with_capacity(results.len());
     for (i, slot) in results.into_iter().enumerate() {
         match slot {
-            Ok(Outcome::Complete(res)) => selections.push((format!("slot{i}"), res.seeds)),
-            Ok(Outcome::Degraded { .. }) => {
-                return Err(BenchError::InvalidConfig(format!(
-                    "baseline slot {i} degraded without a budget"
-                )))
-            }
+            Ok(res) => selections.push((format!("slot{i}"), res.seeds)),
             Err(e) => {
                 return Err(BenchError::InvalidConfig(format!(
                     "fault-free baseline slot {i} failed: {e}"
@@ -185,7 +179,7 @@ fn chaos_pass(
     requests: &[ServiceRequest],
     baseline: &Selections,
 ) -> Result<ChaosPass> {
-    let results = service.run_batch_full(requests);
+    let results = service.run_batch(requests);
     let mut faults_surfaced = 0usize;
     let mut degraded = 0usize;
     let mut slot_marks: Selections = Vec::with_capacity(results.len());
@@ -220,7 +214,7 @@ fn chaos_pass(
             }
         } else if let Some(&(_, ticks)) = budget {
             match slot {
-                Ok(Outcome::Degraded {
+                Err(ServiceError::Degraded {
                     seeds_prefix,
                     budget_spent,
                     budget_limit,
@@ -241,7 +235,7 @@ fn chaos_pass(
                     degraded += 1;
                     slot_marks.push((format!("slot{i}/degraded"), seeds_prefix));
                 }
-                Ok(Outcome::Complete(res)) if res.seeds == baseline[i].1 => {
+                Ok(res) if res.seeds == baseline[i].1 => {
                     slot_marks.push((format!("slot{i}/complete"), res.seeds));
                 }
                 other => {
@@ -252,7 +246,7 @@ fn chaos_pass(
             }
         } else {
             match slot {
-                Ok(Outcome::Complete(res)) if res.seeds == baseline[i].1 => {
+                Ok(res) if res.seeds == baseline[i].1 => {
                     clean.push((format!("slot{i}"), res.seeds.clone()));
                     slot_marks.push((format!("slot{i}/complete"), res.seeds));
                 }

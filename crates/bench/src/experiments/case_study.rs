@@ -2,7 +2,7 @@
 
 use crate::{ExpConfig, Result, Table};
 use vom_core::rs::RsConfig;
-use vom_core::{select_seeds, Method, Problem};
+use vom_core::{Engine, Problem, SeedSelector, SelectionMode};
 use vom_datasets::case_study::DOMAINS;
 use vom_datasets::{acm_case_study, ReplicaParams};
 use vom_voting::ScoringFunction;
@@ -22,11 +22,11 @@ pub fn run(cfg: &ExpConfig) -> Result<()> {
     let k = cfg.default_k().min(n / 10).max(1);
     let t = cfg.default_t();
     let problem = Problem::new(inst, 0, k, t, ScoringFunction::Plurality)?;
-    let method = Method::Rs(RsConfig {
+    let method = Engine::Rs(RsConfig {
         seed: cfg.seed,
         ..RsConfig::default()
     });
-    let res = select_seeds(&problem, &method)?;
+    let res = method.select_once(&problem, SelectionMode::Auto)?;
 
     let before = inst.opinions_at(t, 0, &[]);
     let after = inst.opinions_at(t, 0, &res.seeds);

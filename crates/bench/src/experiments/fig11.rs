@@ -4,7 +4,7 @@
 use crate::{ExpConfig, Result, Table};
 use std::sync::Arc;
 use vom_baselines::{expected_spread, imm_seeds, CascadeModel, ImmConfig};
-use vom_core::engine::{PreparedIndex, SeedSelector};
+use vom_core::engine::{QuerySession, SeedSelector};
 use vom_core::rw::RwConfig;
 use vom_core::{Engine, Problem, Query};
 use vom_datasets::{twitter_mask_like, ReplicaParams};
@@ -50,8 +50,7 @@ pub fn run(cfg: &ExpConfig) -> Result<()> {
         seed: cfg.seed,
         ..RwConfig::default()
     });
-    let index = Arc::new(engine.prepare_index(&spec)?);
-    let mut session = PreparedIndex::session(&index);
+    let mut session = QuerySession::new(Arc::new(engine.prepare_index(&spec)?));
     for (label, score) in [
         ("RW (cumulative)", ScoringFunction::Cumulative),
         ("RW (plurality)", ScoringFunction::Plurality),

@@ -1,8 +1,9 @@
 //! Figure 12: cumulative score and seed-finding time vs the time
 //! horizon `t`.
 
-use crate::{secs, AnyMethod, ExpConfig, Result, Table};
-use vom_core::Problem;
+use crate::{harness_engine, secs, ExpConfig, Result, Table};
+use vom_core::engine::{SeedSelector, SelectionMode};
+use vom_core::{MethodId, Problem};
 use vom_datasets::{yelp_like, ReplicaParams};
 use vom_voting::ScoringFunction;
 
@@ -39,12 +40,12 @@ pub fn run(cfg: &ExpConfig) -> Result<()> {
         )?;
         // The artifacts depend on the horizon, so each t needs its own
         // build; the one-shot evaluation is the honest cost here.
-        for m in [AnyMethod::Dm, AnyMethod::Rw, AnyMethod::Rs] {
-            let out = crate::evaluate_baseline(&problem, m, cfg.seed)?;
+        for m in [MethodId::Dm, MethodId::Rw, MethodId::Rs] {
+            let out = harness_engine(m, cfg.seed).select_once(&problem, SelectionMode::Auto)?;
             table.row(vec![
                 t.to_string(),
                 m.name().to_string(),
-                format!("{:.2}", out.score),
+                format!("{:.2}", out.exact_score),
                 secs(out.elapsed),
             ]);
         }

@@ -1,8 +1,9 @@
 //! Figure 17: scalability — seed-finding time and estimator memory vs
 //! graph size.
 
-use crate::{secs, AnyMethod, ExpConfig, Result, Table};
-use vom_core::Problem;
+use crate::{harness_engine, secs, ExpConfig, Result, Table};
+use vom_core::engine::{SeedSelector, SelectionMode};
+use vom_core::{MethodId, Problem};
 use vom_datasets::{twitter_distancing_like, ReplicaParams};
 use vom_voting::ScoringFunction;
 
@@ -37,20 +38,20 @@ pub fn run(cfg: &ExpConfig) -> Result<()> {
             cfg.default_t(),
             ScoringFunction::Cumulative,
         )?;
-        let mut methods = vec![AnyMethod::Rw, AnyMethod::Rs];
+        let mut methods = vec![MethodId::Rw, MethodId::Rs];
         if n <= 10_000 {
-            methods.insert(0, AnyMethod::Dm);
+            methods.insert(0, MethodId::Dm);
         }
         // Each fraction is a different replica, so the build cost is part
         // of the scalability story — one-shot evaluation per cell.
         for m in methods {
-            let out = crate::evaluate_baseline(&problem, m, cfg.seed)?;
+            let out = harness_engine(m, cfg.seed).select_once(&problem, SelectionMode::Auto)?;
             table.row(vec![
                 n.to_string(),
                 ds.instance.graph_of(0).num_edges().to_string(),
                 m.name().to_string(),
                 secs(out.elapsed),
-                format!("{:.1}", out.memory as f64 / 1e6),
+                format!("{:.1}", out.estimator_heap_bytes as f64 / 1e6),
             ]);
         }
     }

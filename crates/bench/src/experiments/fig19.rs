@@ -3,7 +3,7 @@
 
 use crate::{ExpConfig, Result, Table};
 use vom_core::rs::RsConfig;
-use vom_core::{select_seeds_plain, Method, Problem};
+use vom_core::{Engine, Problem, SeedSelector, SelectionMode};
 use vom_datasets::{twitter_election_like, yelp_like, Dataset, ReplicaParams};
 use vom_voting::ScoringFunction;
 
@@ -28,13 +28,11 @@ fn series(
             cfg.default_t(),
             score.clone(),
         )?;
-        let res = select_seeds_plain(
-            &problem,
-            &Method::Rs(RsConfig {
-                seed: cfg.seed,
-                ..RsConfig::default()
-            }),
-        )?;
+        let res = Engine::Rs(RsConfig {
+            seed: cfg.seed,
+            ..RsConfig::default()
+        })
+        .select_once(&problem, SelectionMode::Plain)?;
         table.row(vec![
             ds.name.to_string(),
             score.to_string(),

@@ -1,13 +1,13 @@
 //! Figure 2: empirical sandwich approximation factor `F(S_U)/UB(S_U)`.
 //!
-//! Prepared lifecycle: the RS engine builds its sketch artifacts **once
+//! Build-once lifecycle: the RS engine builds its sketch artifacts **once
 //! per dataset** and every budget `k` queries the same prepared engine —
 //! the one-shot path would rebuild them per trial (O(|ks|) builds
 //! instead of 1; `tests/build_counter.rs` pins the count).
 
 use crate::{ExpConfig, Result, Table};
 use std::sync::Arc;
-use vom_core::engine::{PreparedIndex, SeedSelector};
+use vom_core::engine::{QuerySession, SeedSelector};
 use vom_core::rs::RsConfig;
 use vom_core::{Engine, Problem};
 use vom_datasets::{twitter_distancing_like, yelp_like, ReplicaParams};
@@ -50,8 +50,7 @@ pub fn run(cfg: &ExpConfig) -> Result<()> {
             seed: cfg.seed,
             ..RsConfig::default()
         });
-        let index = Arc::new(engine.prepare_index(&spec)?);
-        let mut session = PreparedIndex::session(&index);
+        let mut session = QuerySession::new(Arc::new(engine.prepare_index(&spec)?));
         for &k in &ks {
             let res = session.select_k(k)?;
             let ratio = res.sandwich.expect("non-submodular score").ratio;

@@ -4,7 +4,7 @@
 use crate::{secs, ExpConfig, Result, Table};
 use vom_core::rs::RsConfig;
 use vom_core::rw::RwConfig;
-use vom_core::{select_seeds_plain, Method, Problem};
+use vom_core::{Engine, Problem, SeedSelector, SelectionMode};
 use vom_datasets::{twitter_distancing_like, twitter_election_like, ReplicaParams};
 use vom_voting::ScoringFunction;
 
@@ -38,7 +38,7 @@ pub fn run_epsilon(cfg: &ExpConfig) -> Result<()> {
             ..RsConfig::default()
         };
         let theta = vom_core::rs::choose_theta(&problem, &rs_cfg);
-        let res = select_seeds_plain(&problem, &Method::Rs(rs_cfg))?;
+        let res = Engine::Rs(rs_cfg).select_once(&problem, SelectionMode::Plain)?;
         table.row(vec![
             format!("{epsilon}"),
             theta.to_string(),
@@ -79,7 +79,7 @@ pub fn run_rho(cfg: &ExpConfig) -> Result<()> {
             seed: cfg.seed,
             ..RwConfig::default()
         };
-        let res = select_seeds_plain(&problem, &Method::Rw(rw_cfg))?;
+        let res = Engine::Rw(rw_cfg).select_once(&problem, SelectionMode::Plain)?;
         table.row(vec![
             format!("{rho}"),
             format!("{:.2}", res.exact_score),

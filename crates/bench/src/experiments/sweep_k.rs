@@ -1,14 +1,14 @@
 //! Figures 6–8: voting score and seed-finding time vs seed budget `k`,
 //! for all nine methods on three dataset replicas.
 //!
-//! Prepared lifecycle: each method builds its artifacts **once per
+//! Build-once lifecycle: each method builds its artifacts **once per
 //! dataset** (at the largest swept budget) and every `k` queries the same
 //! prepared engine, so the sweep pays O(methods) builds instead of
 //! O(methods × |ks|). `build_s` reports the one-time build, `select_s`
 //! the per-query greedy.
 
-use crate::{secs, AnyMethod, ExpConfig, PreparedMethod, Result, Table};
-use vom_core::Problem;
+use crate::{secs, ExpConfig, PreparedMethod, Result, Table};
+use vom_core::{MethodId, Problem};
 use vom_datasets::{twitter_election_like, twitter_mask_like, yelp_like, Dataset, ReplicaParams};
 use vom_voting::ScoringFunction;
 
@@ -29,15 +29,15 @@ pub(crate) fn datasets(cfg: &ExpConfig) -> Vec<Dataset> {
 /// enough for its `O(k·t·m·n)` rank-score greedy (the paper ran DM on a
 /// 512 GB server for days; the shape comparison survives without it on
 /// the larger replicas).
-pub(crate) fn sweep_methods(n: usize, score: &ScoringFunction) -> Vec<AnyMethod> {
+pub(crate) fn sweep_methods(n: usize, score: &ScoringFunction) -> Vec<MethodId> {
     let dm_ok = match score {
         ScoringFunction::Cumulative => n <= 5_000,
         _ => n <= 1_500,
     };
     if dm_ok {
-        AnyMethod::all().to_vec()
+        MethodId::all().to_vec()
     } else {
-        AnyMethod::without_exact().to_vec()
+        MethodId::without_exact().to_vec()
     }
 }
 

@@ -1,14 +1,14 @@
 //! Table VI: minimum seed-set sizes for the target to win the plurality
 //! vote, per method.
 //!
-//! Prepared lifecycle: the budget search probes many `k` values; each
+//! Build-once lifecycle: the budget search probes many `k` values; each
 //! engine prepares its artifacts once (for the whole search) and every
 //! probe is a cheap query against them.
 
 use crate::error::Result;
 use crate::{ExpConfig, Table};
 use std::sync::Arc;
-use vom_core::engine::{PreparedIndex, SeedSelector};
+use vom_core::engine::{QuerySession, SeedSelector};
 use vom_core::rs::RsConfig;
 use vom_core::rw::RwConfig;
 use vom_core::win::try_min_seeds_to_win;
@@ -55,8 +55,8 @@ pub fn run(cfg: &ExpConfig) -> Result<()> {
         for engine in methods {
             // Prepare at the search's maximum probe budget (n); probes
             // query the shared index through one session.
-            let index = Arc::new(engine.prepare_index(&base.with_budget(n))?);
-            let mut session = PreparedIndex::session(&index);
+            let mut session =
+                QuerySession::new(Arc::new(engine.prepare_index(&base.with_budget(n))?));
             let result: std::result::Result<_, CoreError> =
                 try_min_seeds_to_win(&base, |p: &Problem<'_>| {
                     let query = Query::plain(p.k, p.score.clone(), p.target);

@@ -1,14 +1,14 @@
 //! Figures 13–14: score vs the sketch count θ, varying `k` and `t` —
 //! the §VI-E heuristic calibration.
 //!
-//! Prepared lifecycle: one sketch set is built per (horizon, θ) and every
+//! Build-once lifecycle: one sketch set is built per (horizon, θ) and every
 //! budget variant queries it — the artifact depends on `t` and θ but not
 //! on `k`, so the k-variants ride along for free (the one-shot path paid
 //! one build per table cell).
 
 use crate::{ExpConfig, Result, Table};
 use std::sync::Arc;
-use vom_core::engine::{PreparedIndex, SeedSelector};
+use vom_core::engine::{QuerySession, SeedSelector};
 use vom_core::rs::RsConfig;
 use vom_core::{Engine, Problem, Query};
 use vom_datasets::{twitter_mask_like, yelp_like, Dataset, ReplicaParams};
@@ -76,8 +76,7 @@ fn run_theta(cfg: &ExpConfig, id: &str, ds: Dataset, score: ScoringFunction) -> 
                 seed: cfg.seed,
                 ..RsConfig::default()
             });
-            let index = Arc::new(engine.prepare_index(&spec)?);
-            let mut session = PreparedIndex::session(&index);
+            let mut session = QuerySession::new(Arc::new(engine.prepare_index(&spec)?));
             for (label, k, _) in group.iter().copied() {
                 let query = Query::plain((*k).max(1), score.clone(), ds.default_target);
                 let res = session.select(&query)?;

@@ -1,14 +1,14 @@
 //! Figures 9–10: comparison among the plurality score variants.
 //!
-//! Prepared lifecycle: all compared rules are competitive, so they share
+//! Build-once lifecycle: all compared rules are competitive, so they share
 //! one sketch set — the RS engine prepares **once per dataset** and every
 //! rule variant is just a different [`Query`].
 
 use crate::{ExpConfig, Result, Table};
 use std::sync::Arc;
-use vom_core::engine::{PreparedIndex, SeedSelector};
+use vom_core::engine::{QuerySession, SeedSelector};
 use vom_core::rs::RsConfig;
-use vom_core::{Engine, Problem, Query, QuerySession};
+use vom_core::{Engine, Problem, Query};
 use vom_datasets::{yelp_like, Dataset, ReplicaParams};
 use vom_graph::Node;
 use vom_voting::rank::position_histogram;
@@ -35,8 +35,7 @@ fn prepare_rs(ds: &Dataset, k: usize, t: usize, seed: u64) -> Result<QuerySessio
         seed,
         ..RsConfig::default()
     });
-    let index = Arc::new(engine.prepare_index(&spec)?);
-    Ok(PreparedIndex::session(&index))
+    Ok(QuerySession::new(Arc::new(engine.prepare_index(&spec)?)))
 }
 
 fn select_rule(session: &mut QuerySession, k: usize, rule: ScoringFunction) -> Result<Vec<Node>> {

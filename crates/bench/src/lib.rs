@@ -21,7 +21,7 @@ pub mod scale_stress;
 pub mod table;
 
 pub use error::{BenchError, Result};
-pub use methods::{evaluate_baseline, harness_engine, AnyMethod, MethodOutcome, PreparedMethod};
+pub use methods::{harness_engine, MethodOutcome, PreparedMethod};
 pub use table::Table;
 
 use std::time::{Duration, Instant};

@@ -1,8 +1,8 @@
 //! The nine compared methods of §VIII-A, driven through the registry and
 //! the prepared-engine lifecycle.
 //!
-//! [`AnyMethod`] is the core registry's [`vom_core::MethodId`] — legend
-//! names, ours/baseline flags, and ordering all come from
+//! Methods are the core registry's [`MethodId`] — legend names,
+//! ours/baseline flags, and ordering all come from
 //! [`vom_core::registry`]; this module only adds the harness-wide engine
 //! configurations (§VIII-B parameter settings) and the
 //! [`MethodOutcome`] row format the experiments emit.
@@ -14,46 +14,40 @@ use vom_baselines::{AnyEngine, BaselineEngine, ImmConfig};
 use vom_core::engine::{Engine, PreparedIndex, QuerySession, SeedSelector};
 use vom_core::rs::RsConfig;
 use vom_core::rw::RwConfig;
-use vom_core::Problem;
+use vom_core::{MethodId, Problem};
 use vom_graph::Node;
-
-/// Every method of the paper's comparison: our DM / RW / RS plus the six
-/// baselines. This *is* the registry id type — see
-/// [`vom_core::registry::MethodId`] for `all()`, `without_exact()`,
-/// `name()`, and `is_ours()`.
-pub type AnyMethod = vom_core::MethodId;
 
 /// The engine for a method under the harness-wide parameter settings
 /// (§VIII-B): RW caps per-node walk counts and floors γ for the wide
 /// sweeps; IMM gets a bounded RR-set arena.
-pub fn harness_engine(method: AnyMethod, seed: u64) -> AnyEngine {
+pub fn harness_engine(method: MethodId, seed: u64) -> AnyEngine {
     let imm_cfg = ImmConfig {
         seed,
         max_rr_sets: 400_000,
         ..ImmConfig::default()
     };
     match method {
-        AnyMethod::Dm => AnyEngine::Core(Engine::Dm),
+        MethodId::Dm => AnyEngine::Core(Engine::Dm),
         // Harness-wide RW setting: cap per-node walk counts and floor γ a
         // bit higher than the library default — the sweeps run many
         // (dataset, k, method) cells and the replicas' opinion gaps are
         // wide enough for λ = 150.
-        AnyMethod::Rw => AnyEngine::Core(Engine::Rw(RwConfig {
+        MethodId::Rw => AnyEngine::Core(Engine::Rw(RwConfig {
             seed,
             max_lambda: 150,
             gamma_floor: 0.1,
             ..RwConfig::default()
         })),
-        AnyMethod::Rs => AnyEngine::Core(Engine::Rs(RsConfig {
+        MethodId::Rs => AnyEngine::Core(Engine::Rs(RsConfig {
             seed,
             ..RsConfig::default()
         })),
-        AnyMethod::Ic => AnyEngine::Baseline(BaselineEngine::Ic(imm_cfg)),
-        AnyMethod::Lt => AnyEngine::Baseline(BaselineEngine::Lt(imm_cfg)),
-        AnyMethod::Gedt => AnyEngine::Baseline(BaselineEngine::Gedt),
-        AnyMethod::Pr => AnyEngine::Baseline(BaselineEngine::PageRank),
-        AnyMethod::Rwr => AnyEngine::Baseline(BaselineEngine::Rwr),
-        AnyMethod::Dc => AnyEngine::Baseline(BaselineEngine::Degree),
+        MethodId::Ic => AnyEngine::Baseline(BaselineEngine::Ic(imm_cfg)),
+        MethodId::Lt => AnyEngine::Baseline(BaselineEngine::Lt(imm_cfg)),
+        MethodId::Gedt => AnyEngine::Baseline(BaselineEngine::Gedt),
+        MethodId::Pr => AnyEngine::Baseline(BaselineEngine::PageRank),
+        MethodId::Rwr => AnyEngine::Baseline(BaselineEngine::Rwr),
+        MethodId::Dc => AnyEngine::Baseline(BaselineEngine::Degree),
     }
 }
 
@@ -77,44 +71,36 @@ pub struct MethodOutcome {
 /// through the bundled [`QuerySession`]. The index is `Arc`-shared:
 /// [`PreparedMethod::index`] hands it to further sessions or threads.
 pub struct PreparedMethod {
-    method: AnyMethod,
-    index: Arc<PreparedIndex>,
+    method: MethodId,
     session: QuerySession,
 }
 
 impl PreparedMethod {
     /// Prepares `method` for `problem` (whose `k` becomes the budget and
     /// whose score is the rule queries default to).
-    pub fn new(problem: &Problem<'_>, method: AnyMethod, seed: u64) -> Result<PreparedMethod> {
-        let index = Arc::new(harness_engine(method, seed).prepare_index(problem)?);
-        let session = PreparedIndex::session(&index);
-        Ok(PreparedMethod {
-            method,
-            index,
-            session,
-        })
+    pub fn new(problem: &Problem<'_>, method: MethodId, seed: u64) -> Result<PreparedMethod> {
+        let index = harness_engine(method, seed).prepare_index(problem)?;
+        Ok(PreparedMethod::from_index(method, Arc::new(index)))
     }
 
     /// Wraps an already-available index — e.g. one loaded from a
     /// `vom-persist` snapshot — in the prepared-method harness shape.
     /// Loaded and freshly built indexes are interchangeable here.
-    pub fn from_index(method: AnyMethod, index: Arc<PreparedIndex>) -> PreparedMethod {
-        let session = PreparedIndex::session(&index);
+    pub fn from_index(method: MethodId, index: Arc<PreparedIndex>) -> PreparedMethod {
         PreparedMethod {
             method,
-            index,
-            session,
+            session: QuerySession::new(index),
         }
     }
 
     /// The method's registry id.
-    pub fn method(&self) -> AnyMethod {
+    pub fn method(&self) -> MethodId {
         self.method
     }
 
     /// One-time artifact build wall time.
     pub fn build_time(&self) -> Duration {
-        self.index.build_stats().build_time
+        self.index().build_stats().build_time
     }
 
     /// Selects `k` seeds under the prepared rule and evaluates them
@@ -134,7 +120,7 @@ impl PreparedMethod {
     /// The shared prepared index (for opening sessions on other threads
     /// or reading build stats).
     pub fn index(&self) -> &Arc<PreparedIndex> {
-        &self.index
+        self.session.index()
     }
 
     /// The bundled query session, for queries beyond the default rule
@@ -144,24 +130,11 @@ impl PreparedMethod {
     }
 }
 
-/// One-shot evaluation: prepare, run a single query, and fold the build
-/// time into [`MethodOutcome::elapsed`] (the historical per-cell cost).
-pub fn evaluate_baseline(
-    problem: &Problem<'_>,
-    method: AnyMethod,
-    seed: u64,
-) -> Result<MethodOutcome> {
-    let mut prepared = PreparedMethod::new(problem, method, seed)?;
-    let build = prepared.build_time();
-    let mut out = prepared.evaluate(problem.k)?;
-    out.elapsed += build;
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::sync::Arc;
+    use vom_core::engine::SelectionMode;
     use vom_diffusion::{Instance, OpinionMatrix};
     use vom_graph::builder::graph_from_edges;
     use vom_voting::ScoringFunction;
@@ -176,11 +149,13 @@ mod tests {
         .unwrap();
         let inst = Instance::shared(g, b, vec![0.0, 0.0, 0.5, 0.5]).unwrap();
         let p = Problem::new(&inst, 0, 2, 1, ScoringFunction::Cumulative).unwrap();
-        for m in AnyMethod::all() {
-            let out = evaluate_baseline(&p, m, 5).unwrap();
+        for m in MethodId::all() {
+            let out = harness_engine(m, 5)
+                .select_once(&p, SelectionMode::Auto)
+                .unwrap();
             assert_eq!(out.seeds.len(), 2, "{}", m.name());
             assert!(
-                out.score >= 2.55,
+                out.exact_score >= 2.55,
                 "{} cannot lose to the empty set",
                 m.name()
             );
@@ -190,7 +165,7 @@ mod tests {
     #[test]
     fn names_are_unique() {
         // Derived from the registry — the single source of legend names.
-        let mut names: Vec<&str> = AnyMethod::all().iter().map(|m| m.name()).collect();
+        let mut names: Vec<&str> = MethodId::all().iter().map(|m| m.name()).collect();
         names.sort_unstable();
         names.dedup();
         assert_eq!(names.len(), 9);
@@ -206,7 +181,7 @@ mod tests {
         .unwrap();
         let inst = Instance::shared(g, b, vec![0.0, 0.0, 0.5, 0.5]).unwrap();
         let p = Problem::new(&inst, 0, 2, 1, ScoringFunction::Cumulative).unwrap();
-        let mut prepared = PreparedMethod::new(&p, AnyMethod::Rs, 5).unwrap();
+        let mut prepared = PreparedMethod::new(&p, MethodId::Rs, 5).unwrap();
         // Use the backend-local build count (the process-global counters
         // race with sibling tests on parallel test threads).
         let builds_before = prepared.index().build_stats().artifact_builds;

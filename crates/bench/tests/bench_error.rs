@@ -5,10 +5,8 @@
 
 use std::process::Command;
 use std::sync::Arc;
-use vom_bench::{
-    bench_parallel, evaluate_baseline, AnyMethod, BenchError, ExpConfig, PreparedMethod,
-};
-use vom_core::{CoreError, Problem};
+use vom_bench::{bench_parallel, BenchError, ExpConfig, PreparedMethod};
+use vom_core::{CoreError, MethodId, Problem};
 use vom_diffusion::{Instance, OpinionMatrix};
 use vom_graph::builder::graph_from_edges;
 use vom_voting::ScoringFunction;
@@ -24,7 +22,7 @@ fn running_example() -> Instance {
 }
 
 #[test]
-fn evaluate_baseline_propagates_invalid_rules_as_err() {
+fn prepared_method_propagates_invalid_rules_as_err() {
     let inst = running_example();
     // An approval depth no 2-candidate instance can satisfy; built via
     // the struct literal because `Problem::new` (rightly) rejects it.
@@ -35,7 +33,9 @@ fn evaluate_baseline_propagates_invalid_rules_as_err() {
         horizon: 1,
         score: ScoringFunction::PApproval { p: 9 },
     };
-    let err = evaluate_baseline(&spec, AnyMethod::Dm, 1).expect_err("p=9 of r=2 cannot select");
+    let err = PreparedMethod::new(&spec, MethodId::Dm, 1)
+        .and_then(|mut dm| dm.evaluate(1))
+        .expect_err("p=9 of r=2 cannot select");
     let msg = err.to_string();
     assert!(matches!(err, BenchError::Core(_)), "{msg}");
     assert!(msg.contains("selection failed"), "{msg}");
@@ -45,7 +45,7 @@ fn evaluate_baseline_propagates_invalid_rules_as_err() {
 fn over_budget_queries_return_err_not_panic() {
     let inst = running_example();
     let spec = Problem::new(&inst, 0, 1, 1, ScoringFunction::Cumulative).unwrap();
-    let mut prepared = PreparedMethod::new(&spec, AnyMethod::Rs, 5).unwrap();
+    let mut prepared = PreparedMethod::new(&spec, MethodId::Rs, 5).unwrap();
     let err = prepared
         .evaluate(3)
         .expect_err("budget 3 exceeds prepared 1");

@@ -67,6 +67,7 @@ pub fn greedy_upper_bound(problem: &Problem<'_>, base: &[Node]) -> Vec<Node> {
     celf_greedy(
         n,
         problem.k,
+        None,
         |v| cov.borrow_mut().marginal(g, v) as f64,
         |v| {
             cov.borrow_mut().commit(g, v);

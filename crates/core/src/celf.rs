@@ -51,20 +51,13 @@ impl Ord for Entry {
 ///
 /// Returns the selected nodes in order. Stops early if every remaining
 /// gain is zero (adding more seeds cannot help a non-decreasing score).
-pub fn celf_greedy<FM, FC>(n: usize, k: usize, marginal: FM, commit: FC) -> Vec<Node>
-where
-    FM: FnMut(Node) -> f64,
-    FC: FnMut(Node),
-{
-    lazy_greedy(0..n as Node, k, true, None, marginal, commit)
-}
-
-/// [`celf_greedy`] with an optional [`CostMeter`]: one tick per marginal
-/// evaluation, exhaustion checked at the (sequential) pop boundary. A
-/// run stopped by the meter returns a bit-identical **prefix** of the
-/// unmetered selection — the heap evolves through the same deterministic
-/// state sequence and the meter only decides how far along it we stop.
-pub fn celf_greedy_metered<FM, FC>(
+///
+/// A `meter` is charged one tick per marginal evaluation and checked
+/// for exhaustion at the (sequential) pop boundary. A run stopped by the
+/// meter returns a bit-identical **prefix** of the unmetered selection —
+/// the heap evolves through the same deterministic state sequence and
+/// the meter only decides how far along it we stop.
+pub fn celf_greedy<FM, FC>(
     n: usize,
     k: usize,
     meter: Option<&CostMeter>,
@@ -184,6 +177,7 @@ mod tests {
         let selected = celf_greedy(
             sets.len(),
             2,
+            None,
             |v| {
                 let c = covered.borrow();
                 sets[v as usize].iter().filter(|i| !c.contains(i)).count() as f64
@@ -209,6 +203,7 @@ mod tests {
         let selected = celf_greedy(
             5,
             3,
+            None,
             |v| {
                 *evals.borrow_mut() += 1;
                 weights[v as usize]
@@ -222,13 +217,13 @@ mod tests {
 
     #[test]
     fn stops_when_gains_vanish() {
-        let selected = celf_greedy(4, 4, |v| if v == 0 { 1.0 } else { 0.0 }, |_| {});
+        let selected = celf_greedy(4, 4, None, |v| if v == 0 { 1.0 } else { 0.0 }, |_| {});
         assert_eq!(selected, vec![0], "zero-gain nodes are not selected");
     }
 
     #[test]
     fn ties_break_toward_smaller_ids() {
-        let selected = celf_greedy(4, 2, |_| 1.0, |_| {});
+        let selected = celf_greedy(4, 2, None, |_| 1.0, |_| {});
         assert_eq!(selected, vec![0, 1]);
     }
 
@@ -236,11 +231,11 @@ mod tests {
     fn metered_runs_return_prefixes_of_the_full_selection() {
         use vom_diffusion::CostBudget;
         let weights = [5.0, 4.0, 3.0, 2.0, 1.0];
-        let full = celf_greedy(5, 4, |v| weights[v as usize], |_| {});
+        let full = celf_greedy(5, 4, None, |v| weights[v as usize], |_| {});
         assert_eq!(full, vec![0, 1, 2, 3]);
         for budget in 0..20u64 {
             let m = CostMeter::new(CostBudget::ticks(budget));
-            let got = celf_greedy_metered(5, 4, Some(&m), |v| weights[v as usize], |_| {});
+            let got = celf_greedy(5, 4, Some(&m), |v| weights[v as usize], |_| {});
             assert!(
                 full.starts_with(&got),
                 "budget {budget}: {got:?} is not a prefix of {full:?}"
@@ -248,7 +243,7 @@ mod tests {
         }
         // An unlimited meter reproduces the unmetered selection exactly.
         let m = CostMeter::new(CostBudget::ticks(u64::MAX));
-        let got = celf_greedy_metered(5, 4, Some(&m), |v| weights[v as usize], |_| {});
+        let got = celf_greedy(5, 4, Some(&m), |v| weights[v as usize], |_| {});
         assert_eq!(got, full);
         assert!(m.spent() > 0);
     }
@@ -258,9 +253,9 @@ mod tests {
         // A degenerate objective: node 2's "gain" is NaN. total_cmp
         // sorts positive NaN above everything, so it is selected first —
         // deterministically — and the run completes.
-        let selected = celf_greedy(4, 2, |v| if v == 2 { f64::NAN } else { 1.0 }, |_| {});
+        let selected = celf_greedy(4, 2, None, |v| if v == 2 { f64::NAN } else { 1.0 }, |_| {});
         assert_eq!(selected, vec![2, 0]);
-        let again = celf_greedy(4, 2, |v| if v == 2 { f64::NAN } else { 1.0 }, |_| {});
+        let again = celf_greedy(4, 2, None, |v| if v == 2 { f64::NAN } else { 1.0 }, |_| {});
         assert_eq!(selected, again, "NaN ordering is stable");
     }
 }

@@ -1,14 +1,14 @@
 //! **DM** — exact greedy seed selection by direct matrix–vector
 //! iteration (Algorithm 1 with exact opinions, §III-C).
 
-use crate::celf::{celf_greedy, celf_greedy_metered};
+use crate::celf::celf_greedy;
 use crate::greedy::Competitors;
 use crate::phases::{self, CostMeter, Phase};
 use crate::problem::Problem;
 use rayon::prelude::*;
 use std::sync::Arc;
 use std::time::Instant;
-use vom_diffusion::{OpinionMatrix, SolveOptions, SolverPool};
+use vom_diffusion::{SolveOptions, SolverPool};
 use vom_graph::Node;
 use vom_voting::{
     CopelandAccumulator, CopelandScratch, PositionalAccumulator, RankIndex, ScoringFunction,
@@ -36,116 +36,102 @@ use vom_voting::{
 /// selections and scores are unchanged while the per-trial cost drops
 /// from `O(t·m)` to `O(frontier)`.
 ///
+/// `comp` carries the exact competitor opinions and their rank index;
+/// it must be `Some` for the competitive scores (the prepared index
+/// caches both) and is ignored for the cumulative score. `pool` is the
+/// caller's solver scratch: the prepared index threads its session's
+/// [`SolverPool`] here so solver buffers and warm-start baselines
+/// survive across the `(k, trial)` loop and across queries.
+///
+/// A `meter` is charged one tick per solver iteration step / warm
+/// frontier state (inside [`vom_diffusion::Solver::solve`], possibly
+/// from parallel trial workers — commutative, so schedule-independent)
+/// plus one tick per scored candidate. Exhaustion is checked only at
+/// sequential seed boundaries (the CELF pop loop / the per-iteration
+/// head), so a metered run stopped early returns a bit-identical prefix
+/// of the unmetered selection; individual solves always run to
+/// completion.
+///
 /// Returns exactly `min(k, n - |fixed|)` seeds, in selection order.
-pub fn dm_greedy(problem: &Problem<'_>) -> Vec<Node> {
-    let others = problem
-        .is_competitive()
-        .then(|| problem.non_target_opinions());
-    dm_greedy_with_others(problem, others.as_ref())
-}
-
-/// [`dm_greedy`] with the exact competitor opinions supplied by the
-/// caller. `others` is ignored for the cumulative score and computed on
-/// the fly when `None` for a competitive score; the rank index is built
-/// locally (the prepared engine path caches it instead — see
-/// [`dm_greedy_prepared`]).
-pub fn dm_greedy_with_others(problem: &Problem<'_>, others: Option<&OpinionMatrix>) -> Vec<Node> {
-    if !problem.is_competitive() {
-        return dm_greedy_prepared(problem, None);
-    }
-    let owned;
-    let others = match others {
-        Some(o) => o,
-        None => {
-            owned = problem.non_target_opinions();
-            &owned
-        }
-    };
-    let ranks = RankIndex::build(others, problem.target);
-    dm_greedy_prepared(
-        problem,
-        Some(Competitors {
-            matrix: others,
-            ranks: &ranks,
-        }),
-    )
-}
-
-/// The prepared-engine entry point: competitor opinions *and* their rank
-/// index come from the caller's cache. `comp` must be `Some` for the
-/// competitive scores.
-pub fn dm_greedy_prepared(problem: &Problem<'_>, comp: Option<Competitors<'_>>) -> Vec<Node> {
-    dm_greedy_prepared_with(problem, comp, &SolverPool::new())
-}
-
-/// [`dm_greedy_prepared`] with caller-owned solver scratch: the prepared
-/// engine threads its session's [`SolverPool`] here so solver buffers
-/// and warm-start baselines survive across the `(k, trial)` loop and
-/// across queries.
-pub fn dm_greedy_prepared_with(
-    problem: &Problem<'_>,
-    comp: Option<Competitors<'_>>,
-    pool: &SolverPool,
-) -> Vec<Node> {
-    dm_greedy_prepared_metered(problem, comp, pool, None)
-}
-
-/// [`dm_greedy_prepared_with`] with an optional [`CostMeter`]: one tick
-/// per solver iteration step / warm frontier state (charged inside
-/// [`vom_diffusion::Solver::solve_metered`], possibly from parallel
-/// trial workers — commutative, so schedule-independent) plus one tick
-/// per scored candidate. Exhaustion is checked only at sequential seed
-/// boundaries (the CELF pop loop / the per-iteration head), so a
-/// metered run stopped early returns a bit-identical prefix of the
-/// unmetered selection; individual solves always run to completion.
-pub fn dm_greedy_prepared_metered(
+pub fn dm_greedy(
     problem: &Problem<'_>,
     comp: Option<Competitors<'_>>,
     pool: &SolverPool,
     meter: Option<&CostMeter>,
 ) -> Vec<Node> {
-    let q = problem.target;
-    let cand = problem.instance.candidate(q);
+    if matches!(problem.score, ScoringFunction::Cumulative) {
+        return dm_greedy_masked_cumulative(problem, None, pool, meter);
+    }
+    let score = &problem.score;
+    let comp = comp.expect("competitive DM greedy needs competitor opinions");
+    let cand = problem.instance.candidate(problem.target);
     let system = Arc::clone(cand.system());
     let n = problem.num_nodes();
     let opts = SolveOptions::exact(problem.horizon);
 
     // The target's pre-committed seeds participate in every evaluation.
-    let fixed = cand.fixed_seeds.clone();
-    let mut seeds = fixed.clone();
+    let mut seeds = cand.fixed_seeds.clone();
     let mut is_seed = vec![false; n];
     for &s in &seeds {
         is_seed[s as usize] = true;
     }
-
-    match &problem.score {
-        ScoringFunction::Cumulative => {
-            // CELF closures share the growing seed list, the pooled
-            // solver (whose recorded baseline makes trial evaluations
-            // warm), and the cached current score.
-            let state = std::cell::RefCell::new({
-                let mut solver = pool.checkout(&system);
-                let current: f64 = phases::timed(Phase::Diffusion, || {
-                    solver.solve_metered(&seeds, &opts.recording(), meter);
-                    solver.opinions().iter().sum()
-                });
-                (seeds, solver, current)
+    let index = comp.ranks;
+    let mut picked = Vec::with_capacity(problem.k);
+    let mut base_row: Vec<f64> = Vec::with_capacity(n);
+    for _ in 0..problem.k {
+        // Sequential checkpoint: every parallel trial charge from
+        // the previous iteration has been joined at the collect,
+        // so stopping here is schedule-independent and leaves
+        // `picked` a prefix of the full-budget selection.
+        if meter.is_some_and(|m| m.exhausted()) {
+            break;
+        }
+        // Fix this iteration's baseline: the committed seeds'
+        // exact opinions (recorded as the warm-start trajectory
+        // all workers share) and their per-user score state.
+        let base = {
+            let mut solver = pool.checkout(&system);
+            phases::timed(Phase::Diffusion, || {
+                solver.solve(&seeds, &opts.recording(), meter);
             });
-            celf_greedy_metered(
-                n,
-                problem.k,
-                meter,
-                |v| {
-                    if is_seed[v as usize] {
-                        return f64::NEG_INFINITY;
+            base_row.clear();
+            base_row.extend_from_slice(solver.opinions());
+            Arc::clone(solver.baseline().expect("recording solve installs one"))
+        };
+        let baseline = phases::timed(Phase::Scoring, || {
+            DmBaseline::build(score, index, &base_row)
+        });
+        let evals: Vec<(Node, f64, f64)> = (0..n as Node)
+            .into_par_iter()
+            .filter(|&v| !is_seed[v as usize])
+            .map_init(
+                || {
+                    let mut solver = pool.checkout(&system);
+                    solver.set_baseline(Arc::clone(&base));
+                    (
+                        solver,
+                        seeds.clone(),
+                        CopelandScratch::default(),
+                        // Phase times batch locally and flush to
+                        // the shared counters once per worker.
+                        phases::PhaseLocal::default(),
+                    )
+                },
+                // Per-worker scratch (determinism contract: the
+                // solver row is fully determined by the trial
+                // seeds, the trial list push/pops per item, and
+                // the Copeland scratch is epoch-reset, so results
+                // are independent of which worker evaluates which
+                // candidate).
+                |(solver, trial, cscratch, local), v| {
+                    trial.push(v);
+                    if let Some(m) = meter {
+                        m.charge(1); // one tick per scored candidate
                     }
-                    let (ref mut s, ref mut solver, cur) = *state.borrow_mut();
-                    s.push(v);
                     // audit:allow(d-wall-clock, "phase timer: elapsed feeds reported timings, never selection order")
                     let start = Instant::now();
-                    let report = solver.solve_metered(s, &opts.warm(), meter);
-                    let total: f64 = solver.opinions().iter().sum();
-                    phases::record(
+                    let report = solver.solve(trial, &opts.warm(), meter);
+                    local.add(
                         if report.warm {
                             Phase::DiffusionWarm
                         } else {
@@ -153,118 +139,35 @@ pub fn dm_greedy_prepared_metered(
                         },
                         start.elapsed(),
                     );
-                    s.pop();
-                    total - cur
-                },
-                |v| {
-                    // Committing a seed re-records the baseline (one cold
-                    // solve), re-arming warm starts for the next round.
-                    let (ref mut s, ref mut solver, ref mut cur) = *state.borrow_mut();
-                    s.push(v);
-                    *cur = phases::timed(Phase::Diffusion, || {
-                        solver.solve_metered(s, &opts.recording(), meter);
-                        solver.opinions().iter().sum()
-                    });
+                    let row = solver.opinions();
+                    // audit:allow(d-wall-clock, "phase timer: elapsed feeds reported timings, never selection order")
+                    let start = Instant::now();
+                    let s = baseline.score_row(index, &base_row, row, cscratch);
+                    // Secondary tie-break criterion: the discrete
+                    // rank scores are flat almost everywhere.
+                    let cum: f64 = row.iter().sum();
+                    local.add(Phase::Scoring, start.elapsed());
+                    trial.pop();
+                    (v, s, cum)
                 },
             )
-        }
-        score => {
-            let comp = comp.expect("competitive DM greedy needs competitor opinions");
-            let index = comp.ranks;
-            let mut picked = Vec::with_capacity(problem.k);
-            let mut base_row: Vec<f64> = Vec::with_capacity(n);
-            for _ in 0..problem.k {
-                // Sequential checkpoint: every parallel trial charge from
-                // the previous iteration has been joined at the collect,
-                // so stopping here is schedule-independent and leaves
-                // `picked` a prefix of the full-budget selection.
-                if meter.is_some_and(|m| m.exhausted()) {
-                    break;
-                }
-                // Fix this iteration's baseline: the committed seeds'
-                // exact opinions (recorded as the warm-start trajectory
-                // all workers share) and their per-user score state.
-                let base = {
-                    let mut solver = pool.checkout(&system);
-                    phases::timed(Phase::Diffusion, || {
-                        solver.solve_metered(&seeds, &opts.recording(), meter);
-                    });
-                    base_row.clear();
-                    base_row.extend_from_slice(solver.opinions());
-                    Arc::clone(solver.baseline().expect("recording solve installs one"))
-                };
-                let baseline = phases::timed(Phase::Scoring, || {
-                    DmBaseline::build(score, index, &base_row)
-                });
-                let evals: Vec<(Node, f64, f64)> = (0..n as Node)
-                    .into_par_iter()
-                    .filter(|&v| !is_seed[v as usize])
-                    .map_init(
-                        || {
-                            let mut solver = pool.checkout(&system);
-                            solver.set_baseline(Arc::clone(&base));
-                            (
-                                solver,
-                                seeds.clone(),
-                                CopelandScratch::default(),
-                                // Phase times batch locally and flush to
-                                // the shared counters once per worker.
-                                phases::PhaseLocal::default(),
-                            )
-                        },
-                        // Per-worker scratch (determinism contract: the
-                        // solver row is fully determined by the trial
-                        // seeds, the trial list push/pops per item, and
-                        // the Copeland scratch is epoch-reset, so results
-                        // are independent of which worker evaluates which
-                        // candidate).
-                        |(solver, trial, cscratch, local), v| {
-                            trial.push(v);
-                            if let Some(m) = meter {
-                                m.charge(1); // one tick per scored candidate
-                            }
-                            // audit:allow(d-wall-clock, "phase timer: elapsed feeds reported timings, never selection order")
-                            let start = Instant::now();
-                            let report = solver.solve_metered(trial, &opts.warm(), meter);
-                            local.add(
-                                if report.warm {
-                                    Phase::DiffusionWarm
-                                } else {
-                                    Phase::Diffusion
-                                },
-                                start.elapsed(),
-                            );
-                            let row = solver.opinions();
-                            // audit:allow(d-wall-clock, "phase timer: elapsed feeds reported timings, never selection order")
-                            let start = Instant::now();
-                            let s = baseline.score_row(index, &base_row, row, cscratch);
-                            // Secondary tie-break criterion: the discrete
-                            // rank scores are flat almost everywhere.
-                            let cum: f64 = row.iter().sum();
-                            local.add(Phase::Scoring, start.elapsed());
-                            trial.pop();
-                            (v, s, cum)
-                        },
-                    )
-                    .collect();
-                let Some(&(best, _, _)) = evals.iter().max_by(|a, b| {
-                    // `total_cmp` keeps the argmax total (a NaN score
-                    // orders deterministically instead of panicking);
-                    // identical to the tuple `partial_cmp` on every
-                    // finite trajectory — digest pins unchanged.
-                    a.1.total_cmp(&b.1)
-                        .then_with(|| a.2.total_cmp(&b.2))
-                        .then_with(|| b.0.cmp(&a.0))
-                }) else {
-                    break;
-                };
-                is_seed[best as usize] = true;
-                seeds.push(best);
-                picked.push(best);
-            }
-            picked
-        }
+            .collect();
+        let Some(&(best, _, _)) = evals.iter().max_by(|a, b| {
+            // `total_cmp` keeps the argmax total (a NaN score
+            // orders deterministically instead of panicking);
+            // identical to the tuple `partial_cmp` on every
+            // finite trajectory — digest pins unchanged.
+            a.1.total_cmp(&b.1)
+                .then_with(|| a.2.total_cmp(&b.2))
+                .then_with(|| b.0.cmp(&a.0))
+        }) else {
+            break;
+        };
+        is_seed[best as usize] = true;
+        seeds.push(best);
+        picked.push(best);
     }
+    picked
 }
 
 /// One DM greedy iteration's frozen scoring baseline: the committed
@@ -359,48 +262,55 @@ impl DmBaseline {
     }
 }
 
-/// Exact CELF greedy maximization of the restricted cumulative sum
-/// `Σ_{v ∈ mask} b_qv^{(t)}[S]` — DM's engine for the sandwich lower
-/// bound `LB(S)` (Definition 3). Submodular by Theorem 3 (a sum of
-/// submodular per-user opinions), so CELF applies.
-pub fn dm_greedy_masked_cumulative(problem: &Problem<'_>, mask: &[bool]) -> Vec<Node> {
-    dm_greedy_masked_cumulative_with(problem, mask, &SolverPool::new())
-}
-
-/// [`dm_greedy_masked_cumulative`] with caller-owned solver scratch (the
-/// prepared engine's session pool).
-pub fn dm_greedy_masked_cumulative_with(
+/// Exact CELF greedy maximization of the cumulative sum
+/// `Σ_v b_qv^{(t)}[S]`, restricted to the users in `mask` when one is
+/// given — DM's engine for the cumulative score (no mask, Theorem 3)
+/// and for the sandwich lower bound `LB(S)` (Definition 3). Either sum
+/// is submodular by Theorem 3 (a sum of submodular per-user opinions),
+/// so CELF applies. Each evaluation is one exact FJ solve, warm-started
+/// from the committed set's recorded trajectory; `pool` and `meter` are
+/// as in [`dm_greedy`].
+pub fn dm_greedy_masked_cumulative(
     problem: &Problem<'_>,
-    mask: &[bool],
+    mask: Option<&[bool]>,
     pool: &SolverPool,
+    meter: Option<&CostMeter>,
 ) -> Vec<Node> {
     let cand = problem.instance.candidate(problem.target);
     let system = Arc::clone(cand.system());
     let n = problem.num_nodes();
     let opts = SolveOptions::exact(problem.horizon);
-    let masked_sum = |row: &[f64]| -> f64 {
-        row.iter()
-            .zip(mask)
-            .filter(|(_, &m)| m)
-            .map(|(b, _)| b)
-            .sum()
+    let objective = |row: &[f64]| -> f64 {
+        match mask {
+            None => row.iter().sum(),
+            Some(mask) => row
+                .iter()
+                .zip(mask)
+                .filter(|(_, &m)| m)
+                .map(|(b, _)| b)
+                .sum(),
+        }
     };
     let mut is_seed = vec![false; n];
     for &s in &cand.fixed_seeds {
         is_seed[s as usize] = true;
     }
+    // CELF closures share the growing seed list, the pooled solver
+    // (whose recorded baseline makes trial evaluations warm), and the
+    // cached current objective.
     let state = std::cell::RefCell::new({
         let mut solver = pool.checkout(&system);
         let seeds = cand.fixed_seeds.clone();
         let cur = phases::timed(Phase::Diffusion, || {
-            solver.solve(&seeds, &opts.recording());
-            masked_sum(solver.opinions())
+            solver.solve(&seeds, &opts.recording(), meter);
+            objective(solver.opinions())
         });
         (seeds, solver, cur)
     });
     celf_greedy(
         n,
         problem.k,
+        meter,
         |v| {
             if is_seed[v as usize] {
                 return f64::NEG_INFINITY;
@@ -409,8 +319,8 @@ pub fn dm_greedy_masked_cumulative_with(
             s.push(v);
             // audit:allow(d-wall-clock, "phase timer: elapsed feeds reported timings, never selection order")
             let start = Instant::now();
-            let report = solver.solve(s, &opts.warm());
-            let total = masked_sum(solver.opinions());
+            let report = solver.solve(s, &opts.warm(), meter);
+            let total = objective(solver.opinions());
             phases::record(
                 if report.warm {
                     Phase::DiffusionWarm
@@ -423,14 +333,29 @@ pub fn dm_greedy_masked_cumulative_with(
             total - cur
         },
         |v| {
+            // Committing a seed re-records the baseline (one cold
+            // solve), re-arming warm starts for the next round.
             let (ref mut s, ref mut solver, ref mut cur) = *state.borrow_mut();
             s.push(v);
             *cur = phases::timed(Phase::Diffusion, || {
-                solver.solve(s, &opts.recording());
-                masked_sum(solver.opinions())
+                solver.solve(s, &opts.recording(), meter);
+                objective(solver.opinions())
             });
         },
     )
+}
+
+/// [`dm_greedy`] with locally built competitor artifacts and fresh
+/// solver scratch: the unit tests' stand-in for a prepared index.
+#[cfg(test)]
+pub(crate) fn dm_greedy_unprepared(problem: &Problem<'_>) -> Vec<Node> {
+    let others = problem.non_target_opinions();
+    let ranks = RankIndex::build(&others, problem.target);
+    let comp = Competitors {
+        matrix: &others,
+        ranks: &ranks,
+    };
+    dm_greedy(problem, Some(comp), &SolverPool::new(), None)
 }
 
 #[cfg(test)]
@@ -458,13 +383,13 @@ mod tests {
     fn dm_cumulative_matches_table1_best() {
         let inst = instance();
         let p = Problem::new(&inst, 0, 1, 1, ScoringFunction::Cumulative).unwrap();
-        let seeds = dm_greedy(&p);
+        let seeds = dm_greedy_unprepared(&p);
         assert_eq!(seeds, vec![0], "node 0 gives cumulative 3.30");
         // Second seed: node 2 (paper user 3) has marginal gain 0.45
         // (score 3.75), beating node 1's 0.25 ({1,2} in Table I: 3.55 —
         // the table does not enumerate all pairs).
         let p2 = Problem::new(&inst, 0, 2, 1, ScoringFunction::Cumulative).unwrap();
-        let seeds2 = dm_greedy(&p2);
+        let seeds2 = dm_greedy_unprepared(&p2);
         assert_eq!(seeds2, vec![0, 2]);
         assert!((p2.exact_score(&seeds2) - 3.75).abs() < 1e-12);
     }
@@ -473,7 +398,7 @@ mod tests {
     fn dm_plurality_matches_table1_best() {
         let inst = instance();
         let p = Problem::new(&inst, 0, 1, 1, ScoringFunction::Plurality).unwrap();
-        let seeds = dm_greedy(&p);
+        let seeds = dm_greedy_unprepared(&p);
         assert_eq!(seeds, vec![2], "node 2 lifts plurality to 4");
         assert_eq!(p.exact_score(&seeds), 4.0);
     }
@@ -482,7 +407,7 @@ mod tests {
     fn dm_copeland_finds_condorcet_seed() {
         let inst = instance();
         let p = Problem::new(&inst, 0, 1, 1, ScoringFunction::Copeland).unwrap();
-        let seeds = dm_greedy(&p);
+        let seeds = dm_greedy_unprepared(&p);
         assert_eq!(p.exact_score(&seeds), 1.0);
     }
 
@@ -491,7 +416,7 @@ mod tests {
         let mut inst = instance();
         inst.candidate_mut(0).fixed_seeds = vec![0];
         let p = Problem::new(&inst, 0, 1, 1, ScoringFunction::Cumulative).unwrap();
-        let seeds = dm_greedy(&p);
+        let seeds = dm_greedy_unprepared(&p);
         assert_eq!(seeds.len(), 1);
         assert_ne!(seeds[0], 0, "fixed seeds are not re-selected");
     }
@@ -506,7 +431,7 @@ mod tests {
             ScoringFunction::Copeland,
         ] {
             let p = Problem::new(&inst, 0, 1, 1, score.clone()).unwrap();
-            let greedy_score = p.exact_score(&dm_greedy(&p));
+            let greedy_score = p.exact_score(&dm_greedy_unprepared(&p));
             let best = (0..4)
                 .map(|v| p.exact_score(&[v]))
                 .fold(f64::NEG_INFINITY, f64::max);

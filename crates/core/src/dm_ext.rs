@@ -12,7 +12,7 @@
 use crate::{CoreError, Result};
 use rayon::prelude::*;
 use std::sync::Arc;
-use vom_diffusion::{CostMeter, Instance, OpinionMatrix, SolveOptions, SolverPool};
+use vom_diffusion::{Instance, OpinionMatrix, SolveOptions, SolverPool};
 use vom_graph::{Candidate, Node};
 use vom_voting::OpinionScore;
 
@@ -77,23 +77,6 @@ pub fn generic_greedy<S: OpinionScore + ?Sized>(
     horizon: usize,
     rule: &S,
 ) -> Result<Vec<Node>> {
-    generic_greedy_metered(instance, target, k, horizon, rule, None)
-}
-
-/// [`generic_greedy`] with an optional [`CostMeter`]: one tick per
-/// solver step / warm frontier state plus one per scored candidate,
-/// exhaustion checked at the sequential per-iteration head (after all
-/// parallel trial charges joined at the collect), so a metered run
-/// stopped early returns a bit-identical prefix of the unmetered
-/// selection.
-pub fn generic_greedy_metered<S: OpinionScore + ?Sized>(
-    instance: &Instance,
-    target: Candidate,
-    k: usize,
-    horizon: usize,
-    rule: &S,
-    meter: Option<&CostMeter>,
-) -> Result<Vec<Node>> {
     let r = instance.num_candidates();
     if target >= r {
         return Err(CoreError::BadTarget { target, r });
@@ -117,16 +100,11 @@ pub fn generic_greedy_metered<S: OpinionScore + ?Sized>(
 
     let mut picked = Vec::with_capacity(k);
     for _ in 0..k {
-        // Sequential checkpoint: stopping here leaves `picked` a prefix
-        // of the full-budget selection.
-        if meter.is_some_and(|m| m.exhausted()) {
-            break;
-        }
         // One cold recording solve per iteration; trial evaluations
         // warm-start from it (bit-identical — see vom_diffusion::solver).
         let base = {
             let mut solver = pool.checkout(&system);
-            solver.solve_metered(&seeds, &opts.recording(), meter);
+            solver.solve(&seeds, &opts.recording(), None);
             Arc::clone(solver.baseline().expect("recording solve installs one"))
         };
         let evals: Vec<(Node, f64, f64)> = (0..n as Node)
@@ -140,10 +118,7 @@ pub fn generic_greedy_metered<S: OpinionScore + ?Sized>(
                 },
                 |(solver, trial, snapshot), v| {
                     trial.push(v);
-                    if let Some(m) = meter {
-                        m.charge(1); // one tick per scored candidate
-                    }
-                    solver.solve_metered(trial, &opts.warm(), meter);
+                    solver.solve(trial, &opts.warm(), None);
                     let row = solver.opinions();
                     let cum: f64 = row.iter().sum();
                     snapshot.set_row(target, row);
@@ -230,7 +205,7 @@ pub fn baseline_snapshot(instance: &Instance, target: Candidate, horizon: usize)
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dm::dm_greedy;
+    use crate::dm::dm_greedy_unprepared as dm_greedy;
     use crate::problem::Problem;
     use std::sync::Arc;
     use vom_diffusion::CandidateData;

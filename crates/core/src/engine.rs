@@ -24,12 +24,9 @@
 //! exactly once each, even when the first users are concurrent sessions
 //! (the caches are `OnceLock`/lock-guarded).
 //!
-//! [`Prepared`] is the source-compatible single-caller wrapper (an index
-//! plus one private session) behind the historical `prepare`/`select`
-//! pair, and the one-shot conveniences
-//! [`crate::select_seeds`]/[`crate::select_seeds_plain`] are thin
-//! wrappers over the full lifecycle. The `vom-service` crate serves
-//! whole query batches over registered graphs on top of this API.
+//! [`SeedSelector::select_once`] runs the whole lifecycle for a single
+//! query, and the `vom-service` crate serves whole query batches over
+//! registered graphs on top of this API.
 //!
 //! External crates plug their own methods in by implementing
 //! [`SeedSelector`] + [`IndexBackend`] (the §VIII baselines in
@@ -42,7 +39,7 @@
 //!
 //! ```
 //! use std::sync::Arc;
-//! use vom_core::engine::{Engine, PreparedIndex, Query, SeedSelector};
+//! use vom_core::engine::{Engine, QuerySession, SeedSelector};
 //! use vom_core::Problem;
 //! use vom_diffusion::{Instance, OpinionMatrix};
 //! use vom_graph::builder::graph_from_edges;
@@ -63,7 +60,7 @@
 //!         .map(|_| {
 //!             let index = Arc::clone(&index);
 //!             s.spawn(move || {
-//!                 let mut session = PreparedIndex::session(&index);
+//!                 let mut session = QuerySession::new(index);
 //!                 session.select_k(1).map(|r| r.seeds)
 //!             })
 //!         })
@@ -77,16 +74,15 @@
 //! ```
 
 use crate::bounds::{favorable_users, greedy_upper_bound, upper_bound_parts};
-use crate::dm::{dm_greedy_masked_cumulative_with, dm_greedy_prepared_metered};
+use crate::dm::{dm_greedy, dm_greedy_masked_cumulative};
 use crate::greedy::Competitors;
-use crate::phases::{self, CostBudget, CostMeter, Phase};
+use crate::phases::{self, CostMeter, Phase};
 use crate::problem::{Problem, ProblemSpec};
 use crate::registry::MethodId;
 use crate::rs::{sketch_theta, RsConfig};
 use crate::rw::{competitive_arena, competitive_gammas, uniform_arena, RwConfig};
 use crate::sandwich::{sandwich_select_with_su, SandwichInfo};
 use crate::{CoreError, Result};
-use std::marker::PhantomData;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
@@ -97,8 +93,7 @@ use vom_voting::{RankIndex, ScoringFunction};
 use vom_walks::{OpinionEstimator, WalkArena};
 
 /// The three proposed selection engines behind the prepared lifecycle
-/// (§VIII compares them as DM, RW, RS). This is the type the one-shot
-/// [`crate::Method`] alias points at.
+/// (§VIII compares them as DM, RW, RS).
 #[derive(Debug, Clone)]
 pub enum Engine {
     /// Exact direct matrix–vector greedy.
@@ -237,8 +232,9 @@ pub struct SelectionResult {
     /// Exact objective value `F(B^{(t)}[S], c_q)` of the returned set.
     pub exact_score: f64,
     /// Wall-clock selection time (excludes the final exact evaluation;
-    /// the one-shot wrappers fold artifact build time in, a session
-    /// [`QuerySession::select`] does not — see [`BuildStats::build_time`]).
+    /// [`SeedSelector::select_once`] folds artifact build time in, a
+    /// session [`QuerySession::select`] does not — see
+    /// [`BuildStats::build_time`]).
     pub elapsed: Duration,
     /// Heap bytes held by the estimator (walk arena / sketch set); 0 for
     /// DM. The Figure 17(b) series.
@@ -247,9 +243,10 @@ pub struct SelectionResult {
     pub sandwich: Option<SandwichInfo>,
 }
 
-/// Result of a budgeted selection ([`PreparedIndex::select_budgeted`]):
-/// either the full selection, or — when the [`CostBudget`] ran out at a
-/// sequential checkpoint — a *valid prefix* of it. CELF and the
+/// Result of a budgeted selection ([`QuerySession::select_with_meter`]):
+/// either the full selection, or — when the meter's
+/// [`CostBudget`](crate::CostBudget) ran out at a sequential checkpoint
+/// — a *valid prefix* of it. CELF and the
 /// per-iteration greedy loops commit seeds one at a time against
 /// deterministic state, so the first `p` seeds of the full-budget run
 /// and a run cancelled after `p` commits are bit-identical; degraded
@@ -299,7 +296,7 @@ pub trait SeedSelector {
     /// Builds the method's immutable index for `spec`'s instance, target,
     /// horizon, and budget (`spec.k`); `spec.score` hints which rule
     /// class to build eagerly. This is the implementor hook; most callers
-    /// use [`SeedSelector::prepare_index`] or [`SeedSelector::prepare`].
+    /// use [`SeedSelector::prepare_index`].
     fn prepare_spec(&self, spec: ProblemSpec) -> Result<PreparedIndex>;
 
     /// Builds the immutable index from a borrowed problem (clones the
@@ -308,44 +305,24 @@ pub trait SeedSelector {
         self.prepare_spec(ProblemSpec::from_problem(problem))
     }
 
-    /// Source-compatible single-caller lifecycle: the index plus one
-    /// private session, behind the historical [`Prepared`] API.
-    fn prepare<'a>(&self, problem: &Problem<'a>) -> Result<Prepared<'a>> {
-        Ok(Prepared::from_index(self.prepare_index(problem)?))
+    /// One-shot selection: prepare for exactly this problem, run one
+    /// query for `problem.k` seeds under `problem.score` in `mode`, and
+    /// fold the build time into [`SelectionResult::elapsed`]. Callers
+    /// that select more than once per `(instance, target, horizon)` —
+    /// sweeping `k`, comparing rules, binary-searching a winning budget
+    /// — should prepare once and query a [`QuerySession`] instead.
+    fn select_once(&self, problem: &Problem<'_>, mode: SelectionMode) -> Result<SelectionResult> {
+        let mut session = QuerySession::new(Arc::new(self.prepare_index(problem)?));
+        let query = Query {
+            k: problem.k,
+            rule: problem.score.clone(),
+            target: problem.target,
+            mode,
+        };
+        let mut res = session.select(&query)?;
+        res.elapsed += session.index().build_stats().build_time;
+        Ok(res)
     }
-
-    /// Opens a query session on a shared index (sugar for
-    /// [`PreparedIndex::session`]).
-    fn session(&self, index: &Arc<PreparedIndex>) -> QuerySession {
-        PreparedIndex::session(index)
-    }
-
-    /// One-shot convenience: prepare for exactly this problem, run one
-    /// auto-mode query, and fold the build time into
-    /// [`SelectionResult::elapsed`].
-    fn select_once(&self, problem: &Problem<'_>) -> Result<SelectionResult> {
-        select_once_with(self, problem, SelectionMode::Auto)
-    }
-}
-
-/// Shared body of the one-shot wrappers (`select_seeds`,
-/// `select_seeds_plain`, [`SeedSelector::select_once`]).
-pub fn select_once_with<S: SeedSelector + ?Sized>(
-    selector: &S,
-    problem: &Problem<'_>,
-    mode: SelectionMode,
-) -> Result<SelectionResult> {
-    let index = selector.prepare_index(problem)?;
-    let query = Query {
-        k: problem.k,
-        rule: problem.score.clone(),
-        target: problem.target,
-        mode,
-    };
-    let mut scratch = SessionScratch::default();
-    let mut res = index.select_with(&query, &mut scratch)?;
-    res.elapsed += index.build_stats().build_time;
-    Ok(res)
 }
 
 /// The per-engine greedy primitives a [`PreparedIndex`] drives.
@@ -370,12 +347,16 @@ pub trait IndexBackend: Send + Sync {
     /// the exact competitor opinions *and their rank index* whenever the
     /// score is competitive and
     /// [`IndexBackend::needs_exact_competitors`] is true — both are
-    /// shared prepared artifacts, computed once per index.
+    /// shared prepared artifacts, computed once per index. A budgeted
+    /// query passes its `meter`: the greedy charges it and stops at a
+    /// sequential seed-commit boundary once it is exhausted, returning
+    /// a prefix of the unmetered selection.
     fn greedy(
         &self,
         problem: &Problem<'_>,
         comp: Option<Competitors<'_>>,
         scratch: &mut SessionScratch,
+        meter: Option<&CostMeter>,
     ) -> Result<Vec<Node>>;
 
     /// Greedy maximization of the masked cumulative estimate — the
@@ -389,7 +370,7 @@ pub trait IndexBackend: Send + Sync {
         scratch: &mut SessionScratch,
     ) -> Result<Vec<Node>> {
         let _ = mask;
-        self.greedy(problem, comp, scratch)
+        self.greedy(problem, comp, scratch, None)
     }
 
     /// Whether auto-mode queries on rank-based scores should run the
@@ -418,21 +399,13 @@ pub trait IndexBackend: Send + Sync {
 /// Reusable per-session buffers the query paths fill on every select:
 /// sandwich masks and the RS working sketch. Contents are pure scratch —
 /// they never influence results, only allocation traffic — so a fresh
-/// default scratch and a warm one answer queries identically. The one
-/// exception is the [`CostMeter`] slot, installed by
-/// [`PreparedIndex::select_budgeted`] for exactly the duration of one
-/// budgeted query (and always cleared afterwards): it bounds how *far*
-/// the greedy runs, never *which* seeds a given prefix contains.
+/// default scratch and a warm one answer queries identically.
 #[derive(Debug, Default)]
 pub struct SessionScratch {
     /// Favorable-user mask for the sandwich lower bound.
     mask_lower: Vec<bool>,
     /// All-users mask for the cumulative feasible solution.
     mask_all: Vec<bool>,
-    /// Cost meter for the in-flight budgeted query; `None` on every
-    /// unmetered path (the carrier keeps [`IndexBackend::greedy`]
-    /// signatures unchanged for external backend implementors).
-    meter: Option<Arc<CostMeter>>,
     /// RS working sketch from the previous query, keyed by its θ.
     rs_sketch: Option<(usize, SketchSet)>,
     /// Pooled exact-diffusion solvers (iteration buffers + warm-start
@@ -613,33 +586,6 @@ impl PreparedIndex {
             .collect()
     }
 
-    /// Opens a query session on a shared index.
-    ///
-    /// ```
-    /// use std::sync::Arc;
-    /// use vom_core::engine::{Engine, PreparedIndex, SeedSelector};
-    /// use vom_core::Problem;
-    /// # use vom_diffusion::{Instance, OpinionMatrix};
-    /// # use vom_graph::builder::graph_from_edges;
-    /// use vom_voting::ScoringFunction;
-    ///
-    /// # let g = Arc::new(graph_from_edges(4, &[(0, 2, 1.0), (1, 2, 1.0), (2, 3, 1.0)])?);
-    /// # let b = OpinionMatrix::from_rows(vec![
-    /// #     vec![0.40, 0.80, 0.60, 0.90],
-    /// #     vec![0.35, 0.75, 1.00, 0.80],
-    /// # ])?;
-    /// # let inst = Instance::shared(g, b, vec![0.0, 0.0, 0.5, 0.5])?;
-    /// let spec = Problem::new(&inst, 0, 2, 1, ScoringFunction::Cumulative)?;
-    /// let index = Arc::new(Engine::Dm.prepare_index(&spec)?);
-    /// // Each caller gets its own cheap session on the shared artifacts.
-    /// let mut session = PreparedIndex::session(&index);
-    /// assert_eq!(session.select_k(1)?.seeds, vec![0]);
-    /// # Ok::<(), Box<dyn std::error::Error>>(())
-    /// ```
-    pub fn session(index: &Arc<PreparedIndex>) -> QuerySession {
-        QuerySession::new(Arc::clone(index))
-    }
-
     /// The registry identity of the prepared method.
     pub fn method_id(&self) -> MethodId {
         self.id
@@ -755,7 +701,27 @@ impl PreparedIndex {
     /// for the same budget and seeds (the equivalence suite in
     /// `tests/prepared_equivalence.rs` asserts this), and independent of
     /// which or how many sessions share the index.
-    fn select_with(&self, query: &Query, scratch: &mut SessionScratch) -> Result<SelectionResult> {
+    ///
+    /// With a `meter` the greedy charges it (one tick per solver step /
+    /// warm frontier state / scored candidate) and checks exhaustion only
+    /// at sequential seed-commit boundaries. If the budget runs out the
+    /// query returns [`Outcome::Degraded`] carrying a bit-identical
+    /// **prefix** of the full-budget selection. Metered queries always
+    /// run **plain** greedy: the sandwich arbitration (Algorithm 3) picks
+    /// the best of three full candidate sets under the exact objective,
+    /// which is not prefix-consistent — a truncated arbitration could
+    /// return seeds that are a prefix of nothing. Degraded results also
+    /// skip the exact-score evaluation (it would spend the very work the
+    /// budget was protecting). The charge schedule counts work units that
+    /// are identical at every thread width, so the degradation point —
+    /// and therefore the returned prefix — is bit-identical at widths
+    /// 1/2/8.
+    fn select_with(
+        &self,
+        query: &Query,
+        scratch: &mut SessionScratch,
+        meter: Option<&CostMeter>,
+    ) -> Result<Outcome> {
         self.validate_query(query)?;
         let problem = self.spec.query_problem(query.k, query.rule.clone());
 
@@ -763,7 +729,9 @@ impl PreparedIndex {
         // section (computed at most once per index, whichever session
         // gets there first). The rank index over the competitor matrix
         // is an artifact like the matrices: built once, shared by every
-        // session.
+        // session. They build unmetered: they are amortized over every
+        // future query on this index, and metering them would make the
+        // first budgeted query's degradation point depend on cache state.
         let competitive = problem.is_competitive() && self.backend.needs_exact_competitors();
         let comp = if competitive {
             let matrix = self.others.get_or_init(|| problem.non_target_opinions());
@@ -774,7 +742,8 @@ impl PreparedIndex {
         } else {
             None
         };
-        let sandwich = matches!(query.mode, SelectionMode::Auto)
+        let sandwich = meter.is_none()
+            && matches!(query.mode, SelectionMode::Auto)
             && problem.is_competitive()
             && self.backend.supports_sandwich();
         let seedless = if sandwich {
@@ -786,7 +755,7 @@ impl PreparedIndex {
         // audit:allow(d-wall-clock, "phase timer: elapsed feeds reported timings, never selection order")
         let start = Instant::now();
         let (seeds, info) = if !sandwich {
-            (self.backend.greedy(&problem, comp, scratch)?, None)
+            (self.backend.greedy(&problem, comp, scratch, meter)?, None)
         } else {
             let seedless = seedless.expect("cached above");
             let n = problem.num_nodes();
@@ -803,7 +772,7 @@ impl PreparedIndex {
             let mut all_mask = std::mem::take(&mut scratch.mask_all);
             all_mask.clear();
             all_mask.resize(n, true);
-            let s_rank = self.backend.greedy(&problem, comp, scratch)?;
+            let s_rank = self.backend.greedy(&problem, comp, scratch, None)?;
             let s_cum = self
                 .backend
                 .greedy_masked_cumulative(&problem, &all_mask, comp, scratch)?;
@@ -829,76 +798,11 @@ impl PreparedIndex {
             (seeds, Some(info))
         };
         let elapsed = start.elapsed();
-        let exact_score = problem.exact_score(&seeds);
-        Ok(SelectionResult {
-            seeds,
-            exact_score,
-            elapsed,
-            estimator_heap_bytes: self.backend.heap_bytes(),
-            sandwich: info,
-        })
-    }
-
-    /// Answers one query under a deterministic cost budget: the greedy
-    /// charges the caller's meter (one tick per solver step / warm
-    /// frontier state / scored candidate) and checks exhaustion only at
-    /// sequential seed-commit boundaries. If the budget runs out the
-    /// query returns [`Outcome::Degraded`] carrying a bit-identical
-    /// **prefix** of the full-budget selection.
-    ///
-    /// Budgeted queries always run **plain** greedy: the sandwich
-    /// arbitration (Algorithm 3) picks the best of three full candidate
-    /// sets under the exact objective, which is not prefix-consistent —
-    /// a truncated arbitration could return seeds that are a prefix of
-    /// nothing. Degraded results also skip the exact-score evaluation
-    /// (it would spend the very work the budget was protecting).
-    ///
-    /// Determinism: the charge schedule counts work units that are
-    /// identical at every thread width, so the degradation point — and
-    /// therefore the returned prefix — is bit-identical at widths 1/2/8.
-    pub fn select_budgeted(
-        &self,
-        query: &Query,
-        scratch: &mut SessionScratch,
-        meter: &Arc<CostMeter>,
-    ) -> Result<Outcome> {
-        self.validate_query(query)?;
-        let plain = Query {
-            k: query.k,
-            rule: query.rule.clone(),
-            target: query.target,
-            mode: SelectionMode::Plain,
-        };
-        let problem = self.spec.query_problem(plain.k, plain.rule.clone());
-
-        // Shared one-time index artifacts (competitor matrix, rank
-        // index) build unmetered: they are amortized over every future
-        // query on this index, and metering them would make the first
-        // budgeted query's degradation point depend on cache state.
-        let competitive = problem.is_competitive() && self.backend.needs_exact_competitors();
-        let comp = if competitive {
-            let matrix = self.others.get_or_init(|| problem.non_target_opinions());
-            let ranks = self.ranks.get_or_init(|| {
-                phases::timed(Phase::Scoring, || RankIndex::build(matrix, problem.target))
-            });
-            Some(Competitors { matrix, ranks })
-        } else {
-            None
-        };
-
-        // audit:allow(d-wall-clock, "phase timer: elapsed feeds reported timings, never selection order")
-        let start = Instant::now();
-        scratch.meter = Some(Arc::clone(meter));
-        let greedy_result = self.backend.greedy(&problem, comp, scratch);
-        scratch.meter = None;
-        let seeds = greedy_result?;
-        let elapsed = start.elapsed();
-
-        if meter.exhausted() && seeds.len() < plain.k {
+        if let Some(m) = meter.filter(|m| m.exhausted() && seeds.len() < query.k) {
             return Ok(Outcome::Degraded {
                 seeds_prefix: seeds,
-                budget_spent: meter.spent(),
-                budget_limit: meter.limit(),
+                budget_spent: m.spent(),
+                budget_limit: m.limit(),
             });
         }
         let exact_score = problem.exact_score(&seeds);
@@ -907,7 +811,7 @@ impl PreparedIndex {
             exact_score,
             elapsed,
             estimator_heap_bytes: self.backend.heap_bytes(),
-            sandwich: None,
+            sandwich: info,
         }))
     }
 }
@@ -958,7 +862,7 @@ impl QuerySession {
     ///
     /// ```
     /// use std::sync::Arc;
-    /// use vom_core::engine::{Engine, PreparedIndex, Query, SeedSelector};
+    /// use vom_core::engine::{Engine, Query, QuerySession, SeedSelector};
     /// use vom_core::{CoreError, Problem};
     /// # use vom_diffusion::{Instance, OpinionMatrix};
     /// # use vom_graph::builder::graph_from_edges;
@@ -971,8 +875,7 @@ impl QuerySession {
     /// # ])?;
     /// # let inst = Instance::shared(g, b, vec![0.0, 0.0, 0.5, 0.5])?;
     /// let spec = Problem::new(&inst, 0, 2, 1, ScoringFunction::Cumulative)?;
-    /// let index = Arc::new(Engine::Dm.prepare_index(&spec)?);
-    /// let mut session = PreparedIndex::session(&index);
+    /// let mut session = QuerySession::new(Arc::new(Engine::Dm.prepare_index(&spec)?));
     /// // Any rule within the prepared budget; artifacts are shared.
     /// let plurality = session.select(&Query::new(1, ScoringFunction::Plurality, 0))?;
     /// assert_eq!(plurality.exact_score, 4.0);
@@ -983,7 +886,10 @@ impl QuerySession {
     /// ```
     pub fn select(&mut self, query: &Query) -> Result<SelectionResult> {
         self.queries += 1;
-        self.index.select_with(query, &mut self.scratch)
+        match self.index.select_with(query, &mut self.scratch, None)? {
+            Outcome::Complete(res) => Ok(res),
+            Outcome::Degraded { .. } => unreachable!("an unmetered query runs to completion"),
+        }
     }
 
     /// Convenience: auto-mode selection of `k` seeds under the prepared
@@ -993,89 +899,16 @@ impl QuerySession {
         self.select(&query)
     }
 
-    /// Answers one query under a deterministic tick budget; a spent
-    /// budget yields [`Outcome::Degraded`] with a valid prefix. See
-    /// [`PreparedIndex::select_budgeted`].
-    pub fn select_budgeted(&mut self, query: &Query, budget: CostBudget) -> Result<Outcome> {
-        let meter = Arc::new(CostMeter::new(budget));
-        self.select_with_meter(query, &meter)
-    }
-
-    /// [`QuerySession::select_budgeted`] with a caller-owned meter, for
-    /// callers that inspect `spent()` afterwards or inflate charges
-    /// ([`CostMeter::with_scale`], the fault-injection harness).
+    /// Answers one query under the deterministic tick budget of a
+    /// caller-owned meter (inspect [`CostMeter::spent`] afterwards, or
+    /// inflate charges with [`CostMeter::with_scale`] as the
+    /// fault-injection harness does). A spent budget yields
+    /// [`Outcome::Degraded`] with a valid prefix; metered queries always
+    /// run plain greedy (see [`PreparedIndex`]'s query path).
     pub fn select_with_meter(&mut self, query: &Query, meter: &Arc<CostMeter>) -> Result<Outcome> {
         self.queries += 1;
-        self.index.select_budgeted(query, &mut self.scratch, meter)
-    }
-}
-
-/// Source-compatible single-caller wrapper over the split lifecycle: a
-/// [`PreparedIndex`] plus one private [`QuerySession`], exposing the
-/// historical `prepare`/`select` API (`select` takes `&mut self` because
-/// the inner session does). The lifetime parameter is vestigial — the
-/// index owns its instance — and kept so existing signatures compile
-/// unchanged. Use [`Prepared::index`] to share the artifacts with more
-/// sessions.
-pub struct Prepared<'a> {
-    session: QuerySession,
-    _instance: PhantomData<&'a ()>,
-}
-
-impl<'a> Prepared<'a> {
-    /// Wraps an index (with a fresh private session).
-    pub fn from_index(index: PreparedIndex) -> Prepared<'a> {
-        Prepared {
-            session: QuerySession::new(Arc::new(index)),
-            _instance: PhantomData,
-        }
-    }
-
-    /// The shared index, for opening further sessions on other threads.
-    pub fn index(&self) -> &Arc<PreparedIndex> {
-        self.session.index()
-    }
-
-    /// The registry identity of the prepared method.
-    pub fn method_id(&self) -> MethodId {
-        self.session.index.method_id()
-    }
-
-    /// The maximum budget queries may request.
-    pub fn budget(&self) -> usize {
-        self.session.index.budget()
-    }
-
-    /// The prepared target candidate.
-    pub fn target(&self) -> Candidate {
-        self.session.index.target()
-    }
-
-    /// The scoring rule the engine was prepared with (queries may use any
-    /// other rule; its artifacts are then built on first use).
-    pub fn rule(&self) -> &ScoringFunction {
-        self.session.index.rule()
-    }
-
-    /// Build-side diagnostics.
-    pub fn build_stats(&self) -> BuildStats {
-        self.session.index.build_stats()
-    }
-
-    /// An auto-mode query for `k` seeds under the prepared rule.
-    pub fn query(&self, k: usize) -> Query {
-        self.session.query(k)
-    }
-
-    /// Convenience: auto-mode selection of `k` seeds under the prepared
-    /// rule.
-    pub fn select_k(&mut self, k: usize) -> Result<SelectionResult> {
-        self.session.select_k(k)
-    }
-
-    /// Answers one query against the prepared artifacts.
-    pub fn select(&mut self, query: &Query) -> Result<SelectionResult> {
-        self.session.select(query)
+        self.index
+            .select_with(query, &mut self.scratch, Some(meter.as_ref()))
     }
 }
 
@@ -1209,6 +1042,7 @@ impl IndexBackend for DmIndex {
         problem: &Problem<'_>,
         comp: Option<Competitors<'_>>,
         scratch: &mut SessionScratch,
+        meter: Option<&CostMeter>,
     ) -> Result<Vec<Node>> {
         // Queries must hit the exact system the index pinned at prepare
         // time — if this fails, something invalidated the instance's
@@ -1217,9 +1051,8 @@ impl IndexBackend for DmIndex {
             &self.system,
             problem.instance.candidate(problem.target).system()
         ));
-        let meter = scratch.meter.clone();
         if matches!(problem.score, ScoringFunction::Cumulative) {
-            if let Some(m) = &meter {
+            if meter.is_some() {
                 // A metered run may stop early, so it must neither read
                 // nor seed the shared cum_order cache: reading would skip
                 // the charges the budget is supposed to see, and writing
@@ -1227,8 +1060,7 @@ impl IndexBackend for DmIndex {
                 // The fresh run uses the prepared budget so its charge
                 // trajectory prefixes the cached run's exactly.
                 let budget_problem = problem.with_budget(self.budget);
-                let order =
-                    dm_greedy_prepared_metered(&budget_problem, comp, &scratch.dm_pool, Some(m));
+                let order = dm_greedy(&budget_problem, comp, &scratch.dm_pool, meter);
                 return Ok(order.iter().take(problem.k).copied().collect());
             }
             // One cumulative CELF run at the prepared budget serves every
@@ -1236,21 +1068,11 @@ impl IndexBackend for DmIndex {
             // one-shot path by tests/prepared_equivalence.rs).
             let order = self.cum_order.get_or_init(|| {
                 let budget_problem = problem.with_budget(self.budget);
-                Arc::new(dm_greedy_prepared_metered(
-                    &budget_problem,
-                    comp,
-                    &scratch.dm_pool,
-                    None,
-                ))
+                Arc::new(dm_greedy(&budget_problem, comp, &scratch.dm_pool, None))
             });
             return Ok(order.iter().take(problem.k).copied().collect());
         }
-        Ok(dm_greedy_prepared_metered(
-            problem,
-            comp,
-            &scratch.dm_pool,
-            meter.as_deref(),
-        ))
+        Ok(dm_greedy(problem, comp, &scratch.dm_pool, meter))
     }
 
     fn greedy_masked_cumulative(
@@ -1260,10 +1082,11 @@ impl IndexBackend for DmIndex {
         _comp: Option<Competitors<'_>>,
         scratch: &mut SessionScratch,
     ) -> Result<Vec<Node>> {
-        Ok(dm_greedy_masked_cumulative_with(
+        Ok(dm_greedy_masked_cumulative(
             problem,
-            mask,
+            Some(mask),
             &scratch.dm_pool,
+            None,
         ))
     }
 
@@ -1362,17 +1185,18 @@ impl IndexBackend for RwIndex {
         &self,
         problem: &Problem<'_>,
         comp: Option<Competitors<'_>>,
-        scratch: &mut SessionScratch,
+        _scratch: &mut SessionScratch,
+        meter: Option<&CostMeter>,
     ) -> Result<Vec<Node>> {
         let arena = self.ensure_arena(problem, comp.map(|c| c.matrix));
         let mut est = self.estimator(arena, problem);
-        Ok(crate::greedy::greedy_on_estimate_metered(
+        Ok(crate::greedy::greedy_on_estimate(
             &mut est,
             problem.k,
             &problem.score,
             comp,
             problem.target,
-            scratch.meter.as_deref(),
+            meter,
         ))
     }
 
@@ -1472,21 +1296,21 @@ impl IndexBackend for RsIndex {
         problem: &Problem<'_>,
         comp: Option<Competitors<'_>>,
         scratch: &mut SessionScratch,
+        meter: Option<&CostMeter>,
     ) -> Result<Vec<Node>> {
         let (theta, pristine) = self.ensure_sketch(problem);
         let cand = problem.instance.candidate(problem.target);
-        let meter = scratch.meter.clone();
         let mut sketch = scratch.checkout_sketch(theta, &pristine);
         for &s in &cand.fixed_seeds {
             sketch.add_seed(s);
         }
-        let seeds = crate::greedy::greedy_on_estimate_metered(
+        let seeds = crate::greedy::greedy_on_estimate(
             &mut sketch,
             problem.k,
             &problem.score,
             comp,
             problem.target,
-            meter.as_deref(),
+            meter,
         );
         scratch.return_sketch(theta, sketch);
         Ok(seeds)
@@ -1522,6 +1346,7 @@ impl IndexBackend for RsIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::phases::CostBudget;
     use vom_diffusion::Instance;
     use vom_graph::builder::graph_from_edges;
 
@@ -1539,37 +1364,38 @@ mod tests {
     fn prepare_once_serves_every_budget_and_rule() {
         let inst = instance();
         let spec = Problem::new(&inst, 0, 2, 1, ScoringFunction::Cumulative).unwrap();
-        let mut prepared = Engine::rs_default().prepare(&spec).unwrap();
+        let mut session =
+            QuerySession::new(Arc::new(Engine::rs_default().prepare_index(&spec).unwrap()));
         // Budget 1, cumulative: node 0 (Table I).
-        let r1 = prepared.select_k(1).unwrap();
+        let r1 = session.select_k(1).unwrap();
         assert_eq!(r1.seeds, vec![0]);
         // Same prepared engine, plurality rule: node 2 wins.
         let q = Query::new(1, ScoringFunction::Plurality, 0);
-        let r2 = prepared.select(&q).unwrap();
+        let r2 = session.select(&q).unwrap();
         assert_eq!(r2.exact_score, 4.0);
         assert!(r2.sandwich.is_some());
         // Budget 2 still within the prepared budget.
-        assert_eq!(prepared.select_k(2).unwrap().seeds.len(), 2);
+        assert_eq!(session.select_k(2).unwrap().seeds.len(), 2);
     }
 
     #[test]
     fn select_rejects_invalid_queries_readably() {
         let inst = instance();
         let spec = Problem::new(&inst, 0, 1, 1, ScoringFunction::Cumulative).unwrap();
-        let mut prepared = Engine::Dm.prepare(&spec).unwrap();
+        let mut session = QuerySession::new(Arc::new(Engine::Dm.prepare_index(&spec).unwrap()));
         // k over the prepared budget.
         assert!(matches!(
-            prepared.select_k(2),
+            session.select_k(2),
             Err(CoreError::BudgetExceedsPrepared { k: 2, budget: 1 })
         ));
         // k = 0 is an error, not a silent empty selection.
-        let err = prepared.select_k(0).unwrap_err();
+        let err = session.select_k(0).unwrap_err();
         assert!(matches!(err, CoreError::EmptyQuery));
         assert!(err.to_string().contains("k = 0"), "{err}");
         // Mismatched (but in-range) target.
         let q = Query::new(1, ScoringFunction::Cumulative, 1);
         assert!(matches!(
-            prepared.select(&q),
+            session.select(&q),
             Err(CoreError::PreparedTargetMismatch {
                 requested: 1,
                 prepared: 0
@@ -1579,7 +1405,7 @@ mod tests {
         // mismatch.
         let q = Query::new(1, ScoringFunction::Cumulative, 9);
         assert!(matches!(
-            prepared.select(&q),
+            session.select(&q),
             Err(CoreError::BadTarget { target: 9, r: 2 })
         ));
     }
@@ -1588,27 +1414,28 @@ mod tests {
     fn build_stats_track_artifacts() {
         let inst = instance();
         let spec = Problem::new(&inst, 0, 1, 1, ScoringFunction::Cumulative).unwrap();
-        let mut prepared = Engine::rw_default().prepare(&spec).unwrap();
-        let stats = prepared.build_stats();
+        let mut session =
+            QuerySession::new(Arc::new(Engine::rw_default().prepare_index(&spec).unwrap()));
+        let stats = session.index().build_stats();
         assert_eq!(stats.artifact_builds, 1);
         assert!(stats.heap_bytes > 0);
         // Re-querying the prepared class builds nothing new.
-        prepared.select_k(1).unwrap();
-        prepared.select_k(1).unwrap();
-        assert_eq!(prepared.build_stats().artifact_builds, 1);
+        session.select_k(1).unwrap();
+        session.select_k(1).unwrap();
+        assert_eq!(session.index().build_stats().artifact_builds, 1);
         // A competitive query lazily adds that class's arena, once.
         let q = Query::new(1, ScoringFunction::Plurality, 0);
-        prepared.select(&q).unwrap();
-        prepared.select(&q).unwrap();
-        assert_eq!(prepared.build_stats().artifact_builds, 2);
+        session.select(&q).unwrap();
+        session.select(&q).unwrap();
+        assert_eq!(session.index().build_stats().artifact_builds, 2);
     }
 
     #[test]
     fn dm_holds_no_estimator_memory() {
         let inst = instance();
         let spec = Problem::new(&inst, 0, 1, 1, ScoringFunction::Plurality).unwrap();
-        let mut prepared = Engine::Dm.prepare(&spec).unwrap();
-        let res = prepared.select_k(1).unwrap();
+        let mut session = QuerySession::new(Arc::new(Engine::Dm.prepare_index(&spec).unwrap()));
+        let res = session.select_k(1).unwrap();
         assert_eq!(res.estimator_heap_bytes, 0);
         assert_eq!(res.exact_score, 4.0);
     }
@@ -1635,7 +1462,7 @@ mod tests {
                 .map(|_| {
                     let index = Arc::clone(&index);
                     s.spawn(move || {
-                        let mut session = PreparedIndex::session(&index);
+                        let mut session = QuerySession::new(Arc::clone(&index));
                         let q = Query::new(1, ScoringFunction::Plurality, 0);
                         session.select(&q).unwrap().seeds
                     })
@@ -1650,20 +1477,21 @@ mod tests {
         assert!(selections.windows(2).all(|w| w[0] == w[1]));
     }
 
+    fn meter(ticks: u64) -> Arc<CostMeter> {
+        Arc::new(CostMeter::new(CostBudget::ticks(ticks)))
+    }
+
     #[test]
     fn budgeted_select_degrades_to_a_prefix_of_the_full_selection() {
         let inst = instance();
         let spec = Problem::new(&inst, 0, 3, 1, ScoringFunction::Cumulative).unwrap();
         for engine in [Engine::Dm, Engine::rw_default(), Engine::rs_default()] {
             let index = Arc::new(engine.prepare_index(&spec).unwrap());
-            let mut session = PreparedIndex::session(&index);
+            let mut session = QuerySession::new(Arc::clone(&index));
             let q = Query::plain(3, ScoringFunction::Cumulative, 0);
             let full = session.select(&q).unwrap();
             // Unlimited budget: complete, bit-identical to the unmetered run.
-            match session
-                .select_budgeted(&q, CostBudget::ticks(u64::MAX))
-                .unwrap()
-            {
+            match session.select_with_meter(&q, &meter(u64::MAX)).unwrap() {
                 Outcome::Complete(res) => {
                     assert_eq!(res.seeds, full.seeds);
                     assert_eq!(res.exact_score.to_bits(), full.exact_score.to_bits());
@@ -1672,7 +1500,7 @@ mod tests {
             }
             // Every smaller budget yields a prefix (possibly empty).
             for t in 0..60 {
-                let out = session.select_budgeted(&q, CostBudget::ticks(t)).unwrap();
+                let out = session.select_with_meter(&q, &meter(t)).unwrap();
                 assert!(
                     full.seeds.starts_with(out.seeds()),
                     "budget {t}: {:?} is not a prefix of {:?}",
@@ -1701,12 +1529,79 @@ mod tests {
         let inst = instance();
         let spec = Problem::new(&inst, 0, 2, 1, ScoringFunction::Plurality).unwrap();
         let index = Arc::new(Engine::rs_default().prepare_index(&spec).unwrap());
-        let mut session = PreparedIndex::session(&index);
+        let mut session = QuerySession::new(Arc::clone(&index));
         let warm_1 = session.select_k(1).unwrap();
         let warm_2 = session.select_k(1).unwrap();
         assert_eq!(session.queries_served(), 2);
         // Scratch reuse must not leak previous query state into results.
         assert_eq!(warm_1.seeds, warm_2.seeds);
         assert_eq!(warm_1.exact_score.to_bits(), warm_2.exact_score.to_bits());
+    }
+
+    fn methods() -> Vec<Engine> {
+        vec![
+            Engine::Dm,
+            Engine::rw_default(),
+            Engine::Rs(RsConfig {
+                theta_override: Some(50_000),
+                ..RsConfig::default()
+            }),
+        ]
+    }
+
+    #[test]
+    fn all_methods_solve_table1_cumulative() {
+        let inst = instance();
+        let p = Problem::new(&inst, 0, 1, 1, ScoringFunction::Cumulative).unwrap();
+        for m in methods() {
+            let res = m.select_once(&p, SelectionMode::Auto).unwrap();
+            assert_eq!(res.seeds, vec![0], "{}", m.name());
+            assert!((res.exact_score - 3.30).abs() < 1e-9, "{}", m.name());
+            assert!(res.sandwich.is_none());
+        }
+    }
+
+    #[test]
+    fn all_methods_solve_table1_plurality_with_sandwich() {
+        let inst = instance();
+        let p = Problem::new(&inst, 0, 1, 1, ScoringFunction::Plurality).unwrap();
+        for m in methods() {
+            let res = m.select_once(&p, SelectionMode::Auto).unwrap();
+            assert_eq!(res.exact_score, 4.0, "{}", m.name());
+            let info = res.sandwich.expect("plurality uses sandwich");
+            assert!(info.ratio > 0.0 && info.ratio <= 1.0 + 1e-12);
+            assert!(info.s_l.is_some(), "plurality has a lower bound");
+        }
+    }
+
+    #[test]
+    fn all_methods_solve_table1_copeland_with_sandwich() {
+        let inst = instance();
+        let p = Problem::new(&inst, 0, 1, 1, ScoringFunction::Copeland).unwrap();
+        for m in methods() {
+            let res = m.select_once(&p, SelectionMode::Auto).unwrap();
+            assert_eq!(res.exact_score, 1.0, "{}", m.name());
+            let info = res.sandwich.expect("copeland uses sandwich");
+            assert!(info.s_l.is_none(), "no Copeland lower bound");
+        }
+    }
+
+    #[test]
+    fn estimator_methods_report_memory() {
+        let inst = instance();
+        let p = Problem::new(&inst, 0, 1, 1, ScoringFunction::Cumulative).unwrap();
+        let dm = Engine::Dm.select_once(&p, SelectionMode::Auto).unwrap();
+        assert_eq!(dm.estimator_heap_bytes, 0);
+        let rw = Engine::rw_default()
+            .select_once(&p, SelectionMode::Auto)
+            .unwrap();
+        assert!(rw.estimator_heap_bytes > 0);
+    }
+
+    #[test]
+    fn method_names_come_from_the_registry() {
+        assert_eq!(Engine::Dm.name(), "DM");
+        assert_eq!(Engine::rw_default().name(), "RW");
+        assert_eq!(Engine::rs_default().name(), "RS");
     }
 }

@@ -113,24 +113,15 @@ pub fn score_with_target_row(
 /// zero — the paper's Problem 1 asks for exactly `k` seeds, and real
 /// gains may still be positive when estimates saturate; ties and zero
 /// gains resolve toward the smallest node id for determinism).
-pub fn greedy_on_estimate<E: OpinionEstimate>(
-    est: &mut E,
-    k: usize,
-    score: &ScoringFunction,
-    comp: Option<Competitors<'_>>,
-    q: Candidate,
-) -> Vec<Node> {
-    greedy_on_estimate_metered(est, k, score, comp, q, None)
-}
-
-/// [`greedy_on_estimate`] with an optional [`CostMeter`]: one tick per
-/// scored candidate, exhaustion checked at the sequential iteration
-/// boundary before each seed commit. A metered run stopped early returns
-/// a bit-identical **prefix** of the unmetered selection — every rule
-/// class here commits seeds one iteration at a time against state that
-/// evolves through the same deterministic sequence, so stopping between
+///
+/// A `meter` is charged one tick per scored candidate and checked for
+/// exhaustion at the sequential iteration boundary before each seed
+/// commit. A metered run stopped early returns a bit-identical
+/// **prefix** of the unmetered selection — every rule class here
+/// commits seeds one iteration at a time against state that evolves
+/// through the same deterministic sequence, so stopping between
 /// iterations cannot change the seeds already chosen.
-pub fn greedy_on_estimate_metered<E: OpinionEstimate>(
+pub fn greedy_on_estimate<E: OpinionEstimate>(
     est: &mut E,
     k: usize,
     score: &ScoringFunction,
@@ -562,7 +553,7 @@ mod tests {
         let gen = WalkGenerator::new(&g, &d, 1);
         let arena = gen.generate_per_node(&Lambda::Uniform(20_000), 7);
         let mut est = OpinionEstimator::new(&arena, &b0);
-        let seeds = greedy_on_estimate(&mut est, 1, &ScoringFunction::Cumulative, None, 0);
+        let seeds = greedy_on_estimate(&mut est, 1, &ScoringFunction::Cumulative, None, 0, None);
         assert_eq!(seeds, vec![0]);
     }
 
@@ -578,7 +569,14 @@ mod tests {
             matrix: &others,
             ranks: &ranks,
         };
-        let seeds = greedy_on_estimate(&mut est, 1, &ScoringFunction::Plurality, Some(comp), 0);
+        let seeds = greedy_on_estimate(
+            &mut est,
+            1,
+            &ScoringFunction::Plurality,
+            Some(comp),
+            0,
+            None,
+        );
         assert_eq!(seeds, vec![2]);
     }
 
@@ -594,7 +592,8 @@ mod tests {
             matrix: &others,
             ranks: &ranks,
         };
-        let seeds = greedy_on_estimate(&mut est, 1, &ScoringFunction::Copeland, Some(comp), 0);
+        let seeds =
+            greedy_on_estimate(&mut est, 1, &ScoringFunction::Copeland, Some(comp), 0, None);
         assert_eq!(seeds.len(), 1);
         assert!(seeds[0] == 2 || seeds[0] == 3, "got {seeds:?}");
     }
@@ -606,7 +605,7 @@ mod tests {
         let gen = WalkGenerator::new(&g, &d, 1);
         let arena = gen.generate_per_node(&Lambda::Uniform(100), 17);
         let mut est = OpinionEstimator::new(&arena, &b0);
-        let seeds = greedy_on_estimate(&mut est, 2, &ScoringFunction::Cumulative, None, 0);
+        let seeds = greedy_on_estimate(&mut est, 2, &ScoringFunction::Cumulative, None, 0, None);
         assert_eq!(seeds.len(), 2);
         assert_eq!(seeds, vec![0, 1], "deterministic smallest-id fill");
     }
@@ -621,7 +620,7 @@ mod tests {
         let mut est_a = OpinionEstimator::new(&arena, &b0);
         let mut est_b = OpinionEstimator::new(&arena, &b0);
         let a = greedy_masked_cumulative(&mut est_a, 3, &mask);
-        let b = greedy_on_estimate(&mut est_b, 3, &ScoringFunction::Cumulative, None, 0);
+        let b = greedy_on_estimate(&mut est_b, 3, &ScoringFunction::Cumulative, None, 0, None);
         assert_eq!(a, b);
     }
 
@@ -704,7 +703,7 @@ mod tests {
             matrix: &others,
             ranks: &index,
         };
-        let seeds = greedy_on_estimate(&mut est, 3, &score, Some(comp), 0);
+        let seeds = greedy_on_estimate(&mut est, 3, &score, Some(comp), 0, None);
         assert_eq!(seeds, ref_seeds);
     }
 }

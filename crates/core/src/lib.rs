@@ -23,19 +23,21 @@
 //! [`win::min_seeds_to_win`] implements Problem 2 (FJ-Vote-Win) by binary
 //! search over the budget (Algorithm 2).
 //!
-//! Entry points:
+//! Entry points — one lifecycle for every method:
 //!
-//! * build-once/query-many: [`engine::SeedSelector::prepare_index`] on an
-//!   [`engine::Engine`] builds an immutable, `Arc`-shareable
-//!   [`engine::PreparedIndex`]; each caller opens an
-//!   [`engine::QuerySession`] and answers [`engine::Query`]s — the API
-//!   for sweeps, rule comparisons, and concurrent serving (the
+//! * build once: [`engine::SeedSelector::prepare_index`] (or
+//!   [`engine::SeedSelector::prepare_spec`] for an owned
+//!   [`ProblemSpec`]) on an [`engine::Engine`] builds an immutable,
+//!   `Arc`-shareable [`engine::PreparedIndex`];
+//! * query many: each caller opens an [`engine::QuerySession`] on the
+//!   `Arc` and answers [`engine::Query`]s — plain or sandwich greedy,
+//!   any rule and budget up to the prepared one, optionally under a
+//!   deterministic [`CostMeter`] budget
+//!   ([`engine::QuerySession::select_with_meter`]). This is the API for
+//!   sweeps, rule comparisons, and concurrent serving (the
 //!   `vom-service` crate batches over it);
-//! * single caller: [`engine::SeedSelector::prepare`] returns the
-//!   source-compatible [`engine::Prepared`] wrapper (index + one
-//!   session);
-//! * one-shot: [`selector::select_seeds`] with a [`selector::Method`]
-//!   (a thin wrapper over the above).
+//! * one query: [`engine::SeedSelector::select_once`] runs the whole
+//!   lifecycle for a single problem.
 //!
 //! The [`registry`] is the single source of method identities and legend
 //! names across the workspace (ours *and* the §VIII baselines).
@@ -55,21 +57,19 @@ pub mod registry;
 pub mod rs;
 pub mod rw;
 pub mod sandwich;
-pub mod selector;
 pub mod win;
 pub mod win_ext;
 
-pub use dm_ext::{evaluate_rule, generic_greedy, generic_greedy_metered};
+pub use dm_ext::{evaluate_rule, generic_greedy};
 pub use engine::{
-    BuildCounters, BuildStats, Engine, IndexBackend, Outcome, Prepared, PreparedIndex, Query,
-    QuerySession, RuleClass, SeedSelector, SelectionMode, SelectionResult, SessionScratch,
+    BuildCounters, BuildStats, Engine, IndexBackend, Outcome, PreparedIndex, Query, QuerySession,
+    RuleClass, SeedSelector, SelectionMode, SelectionResult, SessionScratch,
 };
 pub use error::CoreError;
 pub use persist::{graph_digest, spec_digest, IndexSource};
 pub use phases::{CostBudget, CostMeter};
 pub use problem::{Problem, ProblemSpec};
 pub use registry::{MethodDescriptor, MethodId, METHOD_REGISTRY};
-pub use selector::{select_seeds, select_seeds_plain, Method};
 pub use win_ext::{min_seeds_to_win_rule, wins_rule};
 
 /// Crate-wide result type.

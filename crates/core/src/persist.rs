@@ -753,7 +753,7 @@ impl PreparedIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{Engine, PreparedIndex, Query, SeedSelector};
+    use crate::engine::{Engine, PreparedIndex, Query, QuerySession, SeedSelector};
     use crate::Problem;
     use vom_graph::builder::graph_from_edges;
 
@@ -811,11 +811,11 @@ mod tests {
                 ProblemSpec::new(Arc::clone(&inst), 0, 2, 1, ScoringFunction::Plurality).unwrap();
             let built = Arc::new(engine.prepare_spec(spec).unwrap());
             // Materialize caches (rank index, sandwich orders) pre-save.
-            let mut session = PreparedIndex::session(&built);
+            let mut session = QuerySession::new(Arc::clone(&built));
             let want = session.select_k(2).unwrap();
 
             let loaded = Arc::new(round_trip(&built, Arc::clone(&inst)));
-            let mut session = PreparedIndex::session(&loaded);
+            let mut session = QuerySession::new(Arc::clone(&loaded));
             let got = session.select_k(2).unwrap();
             assert_eq!(want.seeds, got.seeds, "{}", engine.name());
             assert_eq!(
@@ -826,8 +826,8 @@ mod tests {
             );
             // Cross-rule queries on the loaded index also match.
             let q = Query::new(1, ScoringFunction::Cumulative, 0);
-            let mut sb = PreparedIndex::session(&built);
-            let mut sl = PreparedIndex::session(&loaded);
+            let mut sb = QuerySession::new(Arc::clone(&built));
+            let mut sl = QuerySession::new(Arc::clone(&loaded));
             assert_eq!(
                 sb.select(&q).unwrap().seeds,
                 sl.select(&q).unwrap().seeds,
@@ -870,12 +870,12 @@ mod tests {
         let spec =
             ProblemSpec::new(Arc::clone(&inst), 0, 2, 1, ScoringFunction::Plurality).unwrap();
         let built = Arc::new(Engine::Dm.prepare_spec(spec).unwrap());
-        let want = PreparedIndex::session(&built).select_k(2).unwrap();
+        let want = QuerySession::new(Arc::clone(&built)).select_k(2).unwrap();
         built.save(&path).unwrap();
         for source in [IndexSource::File(&path), IndexSource::Mapped(&path)] {
             let loaded = Arc::new(PreparedIndex::load(Arc::clone(&inst), source).unwrap());
             assert_eq!(loaded.method_id(), MethodId::Dm);
-            let got = PreparedIndex::session(&loaded).select_k(2).unwrap();
+            let got = QuerySession::new(Arc::clone(&loaded)).select_k(2).unwrap();
             assert_eq!(want.seeds, got.seeds);
             assert_eq!(want.exact_score.to_bits(), got.exact_score.to_bits());
         }
@@ -927,10 +927,10 @@ mod tests {
         let loaded = Arc::new(round_trip(&built, Arc::clone(&inst)));
         assert_eq!(loaded.build_stats().artifact_builds, 1);
         let q = Query::new(1, ScoringFunction::Plurality, 0);
-        let got = PreparedIndex::session(&loaded).select(&q).unwrap();
+        let got = QuerySession::new(Arc::clone(&loaded)).select(&q).unwrap();
         assert_eq!(loaded.build_stats().artifact_builds, 2);
         let fresh = Arc::new(Engine::rw_default().prepare_spec(spec).unwrap());
-        let want = PreparedIndex::session(&fresh).select(&q).unwrap();
+        let want = QuerySession::new(Arc::clone(&fresh)).select(&q).unwrap();
         assert_eq!(want.seeds, got.seeds);
     }
 
@@ -970,6 +970,7 @@ mod tests {
                 problem: &Problem<'_>,
                 _comp: Option<crate::greedy::Competitors<'_>>,
                 _scratch: &mut crate::engine::SessionScratch,
+                _meter: Option<&crate::CostMeter>,
             ) -> crate::Result<Vec<Node>> {
                 Ok(vec![0; problem.k.min(1)])
             }

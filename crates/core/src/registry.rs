@@ -2,10 +2,8 @@
 //! compared methods of §VIII-A ("Methods Compared"): identity, paper
 //! legend name, and whether the method is one of the paper's proposed
 //! engines or a baseline.
-//!
-//! Everything that used to hand-maintain its own copy of the legend
-//! strings ([`crate::Method::name`], the bench harness's `AnyMethod`)
-//! derives them from here instead.
+//! Every legend string in the workspace ([`crate::Engine::name`], the
+//! baselines, the bench harness) derives from here.
 
 /// Identity of one compared method. The discriminant doubles as the
 /// index into [`METHOD_REGISTRY`], which also fixes the paper's legend

@@ -1,12 +1,10 @@
 //! **RS** — sketch-based greedy seed selection (Algorithm 5), the
 //! paper's ultimately recommended method.
 
-use crate::greedy::{greedy_on_estimate, Competitors};
 use crate::problem::Problem;
-use vom_graph::Node;
 use vom_sketch::opt_bound::{opt_lower_bound, OptBoundConfig};
 use vom_sketch::{theta_cumulative, SketchSet};
-use vom_voting::{RankIndex, ScoringFunction};
+use vom_voting::ScoringFunction;
 
 /// Parameters of the RS method (paper defaults: `ε = 0.1`, `l = 1`).
 #[derive(Debug, Clone)]
@@ -76,8 +74,8 @@ pub fn choose_theta(problem: &Problem<'_>, cfg: &RsConfig) -> usize {
     }
 }
 
-/// Generates a sketch set with an explicit θ. Shared by the one-shot
-/// path and the prepared backend (which caches sketches per θ).
+/// Generates a sketch set with an explicit θ (the prepared backend
+/// caches sketches per θ).
 pub(crate) fn sketch_theta(problem: &Problem<'_>, cfg: &RsConfig, theta: usize) -> SketchSet {
     let cand = problem.instance.candidate(problem.target);
     crate::engine::count_rs_sketch_build();
@@ -91,40 +89,14 @@ pub(crate) fn sketch_theta(problem: &Problem<'_>, cfg: &RsConfig, theta: usize) 
     )
 }
 
-/// Builds the sketch set for `problem`.
-pub fn build_rs(problem: &Problem<'_>, cfg: &RsConfig) -> SketchSet {
-    sketch_theta(problem, cfg, choose_theta(problem, cfg))
-}
-
-/// Full RS selection: build sketches, apply pre-committed seeds, run the
-/// greedy loop. Returns the seeds and the sketch heap footprint.
-pub fn rs_select(problem: &Problem<'_>, cfg: &RsConfig) -> (Vec<Node>, usize) {
-    let mut sketch = build_rs(problem, cfg);
-    let bytes = sketch.heap_bytes();
-    let cand = problem.instance.candidate(problem.target);
-    for &s in &cand.fixed_seeds {
-        sketch.add_seed(s);
-    }
-    let others = if problem.is_competitive() {
-        Some(problem.non_target_opinions())
-    } else {
-        None
-    };
-    let ranks = others.as_ref().map(|o| RankIndex::build(o, problem.target));
-    let comp = others
-        .as_ref()
-        .zip(ranks.as_ref())
-        .map(|(matrix, ranks)| Competitors { matrix, ranks });
-    let seeds = greedy_on_estimate(&mut sketch, problem.k, &problem.score, comp, problem.target);
-    (seeds, bytes)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::{Engine, SeedSelector, SelectionMode};
     use std::sync::Arc;
     use vom_diffusion::{Instance, OpinionMatrix};
     use vom_graph::builder::graph_from_edges;
+    use vom_graph::Node;
 
     fn instance() -> Instance {
         let g = Arc::new(graph_from_edges(4, &[(0, 2, 1.0), (1, 2, 1.0), (2, 3, 1.0)]).unwrap());
@@ -134,6 +106,14 @@ mod tests {
         ])
         .unwrap();
         Instance::shared(g, b, vec![0.0, 0.0, 0.5, 0.5]).unwrap()
+    }
+
+    /// Plain RS greedy (Algorithm 5) for `p`: seeds and sketch bytes.
+    fn plain_rs(p: &Problem<'_>, cfg: &RsConfig) -> (Vec<Node>, usize) {
+        let res = Engine::Rs(cfg.clone())
+            .select_once(p, SelectionMode::Plain)
+            .unwrap();
+        (res.seeds, res.estimator_heap_bytes)
     }
 
     #[test]
@@ -164,7 +144,7 @@ mod tests {
             theta_override: Some(50_000),
             ..RsConfig::default()
         };
-        let (seeds, bytes) = rs_select(&p, &cfg);
+        let (seeds, bytes) = plain_rs(&p, &cfg);
         assert_eq!(seeds, vec![0]);
         assert!(bytes > 0);
     }
@@ -177,7 +157,7 @@ mod tests {
             theta_override: Some(50_000),
             ..RsConfig::default()
         };
-        let (seeds, _) = rs_select(&p, &cfg);
+        let (seeds, _) = plain_rs(&p, &cfg);
         assert_eq!(seeds, vec![2]);
     }
 
@@ -189,7 +169,7 @@ mod tests {
             theta_override: Some(50_000),
             ..RsConfig::default()
         };
-        let (seeds, _) = rs_select(&p, &cfg);
+        let (seeds, _) = plain_rs(&p, &cfg);
         assert_eq!(p.exact_score(&seeds), 1.0, "seeds {seeds:?}");
     }
 }

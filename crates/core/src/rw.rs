@@ -1,12 +1,9 @@
 //! **RW** — random-walk-based greedy seed selection (Algorithm 4).
 
-use crate::greedy::{greedy_on_estimate, Competitors};
 use crate::problem::Problem;
 use vom_diffusion::OpinionMatrix;
-use vom_graph::Node;
-use vom_voting::{RankIndex, ScoringFunction};
 use vom_walks::lambda::{estimate_gamma_star, lambda_cumulative, lambda_from_gammas, GammaConfig};
-use vom_walks::{Lambda, OpinionEstimator, WalkArena, WalkGenerator};
+use vom_walks::{Lambda, WalkArena, WalkGenerator};
 
 /// Parameters of the RW method (paper defaults: `ρ = 0.9`, `δ = 0.1`).
 #[derive(Debug, Clone)]
@@ -42,18 +39,8 @@ impl Default for RwConfig {
     }
 }
 
-/// The pre-generated walk arena plus the exact competitor opinions — the
-/// reusable artifacts of an RW run (the sandwich wrapper builds several
-/// estimators over the same arena).
-pub struct RwArtifacts {
-    /// Seedless walks, grouped per start node.
-    pub arena: WalkArena,
-    /// Exact non-target opinions at the horizon (`None` for cumulative).
-    pub others: Option<OpinionMatrix>,
-}
-
 /// Generates the Theorem 10 uniform-λ arena (the cumulative-score
-/// artifact). Shared by the one-shot path and the prepared backend.
+/// artifact).
 pub(crate) fn uniform_arena(problem: &Problem<'_>, cfg: &RwConfig) -> WalkArena {
     let cand = problem.instance.candidate(problem.target);
     let gen = WalkGenerator::new(&cand.graph, &cand.stubbornness, problem.horizon);
@@ -109,57 +96,15 @@ pub(crate) fn competitive_arena(
     gen.generate_per_node(&lambda, cfg.seed)
 }
 
-/// Generates the walk arena for `problem`: Theorem 10's uniform λ for the
-/// cumulative score; the γ*-based per-node λ (Theorems 11–12 + Eq. 33)
-/// for the competitive scores.
-pub fn build_rw(problem: &Problem<'_>, cfg: &RwConfig) -> RwArtifacts {
-    match &problem.score {
-        ScoringFunction::Cumulative => RwArtifacts {
-            arena: uniform_arena(problem, cfg),
-            others: None,
-        },
-        score => {
-            let others = problem.non_target_opinions();
-            let gammas = competitive_gammas(problem, cfg, problem.k, &others);
-            let copeland = matches!(score, ScoringFunction::Copeland);
-            RwArtifacts {
-                arena: competitive_arena(problem, cfg, &gammas, copeland),
-                others: Some(others),
-            }
-        }
-    }
-}
-
-/// Full RW selection: generate walks, seed the estimator with the
-/// target's pre-committed seeds, and run the greedy loop. Returns the
-/// selected seeds and the arena's heap footprint (for the Figure 17
-/// memory series).
-pub fn rw_select(problem: &Problem<'_>, cfg: &RwConfig) -> (Vec<Node>, usize) {
-    let artifacts = build_rw(problem, cfg);
-    let cand = problem.instance.candidate(problem.target);
-    let mut est = OpinionEstimator::new(&artifacts.arena, &cand.initial);
-    for &s in &cand.fixed_seeds {
-        est.add_seed(s);
-    }
-    let ranks = artifacts
-        .others
-        .as_ref()
-        .map(|o| RankIndex::build(o, problem.target));
-    let comp = artifacts
-        .others
-        .as_ref()
-        .zip(ranks.as_ref())
-        .map(|(matrix, ranks)| Competitors { matrix, ranks });
-    let seeds = greedy_on_estimate(&mut est, problem.k, &problem.score, comp, problem.target);
-    (seeds, artifacts.arena.heap_bytes())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::{Engine, SeedSelector, SelectionMode};
     use std::sync::Arc;
     use vom_diffusion::Instance;
     use vom_graph::builder::graph_from_edges;
+    use vom_graph::Node;
+    use vom_voting::ScoringFunction;
 
     fn instance() -> Instance {
         let g = Arc::new(graph_from_edges(4, &[(0, 2, 1.0), (1, 2, 1.0), (2, 3, 1.0)]).unwrap());
@@ -169,6 +114,14 @@ mod tests {
         ])
         .unwrap();
         Instance::shared(g, b, vec![0.0, 0.0, 0.5, 0.5]).unwrap()
+    }
+
+    /// Plain RW greedy (Algorithm 4) for `p`: seeds and arena bytes.
+    fn plain_rw(p: &Problem<'_>, cfg: RwConfig) -> (Vec<Node>, usize) {
+        let res = Engine::Rw(cfg)
+            .select_once(p, SelectionMode::Plain)
+            .unwrap();
+        (res.seeds, res.estimator_heap_bytes)
     }
 
     #[test]
@@ -181,7 +134,7 @@ mod tests {
             seed: 99,
             ..RwConfig::default()
         };
-        let (seeds, bytes) = rw_select(&p, &cfg);
+        let (seeds, bytes) = plain_rw(&p, cfg);
         assert_eq!(seeds, vec![0]);
         assert!(bytes > 0);
     }
@@ -190,7 +143,7 @@ mod tests {
     fn rw_plurality_matches_dm_choice() {
         let inst = instance();
         let p = Problem::new(&inst, 0, 1, 1, ScoringFunction::Plurality).unwrap();
-        let (seeds, _) = rw_select(&p, &RwConfig::default());
+        let (seeds, _) = plain_rw(&p, RwConfig::default());
         assert_eq!(seeds, vec![2]);
     }
 
@@ -198,7 +151,7 @@ mod tests {
     fn rw_copeland_reaches_condorcet() {
         let inst = instance();
         let p = Problem::new(&inst, 0, 1, 1, ScoringFunction::Copeland).unwrap();
-        let (seeds, _) = rw_select(&p, &RwConfig::default());
+        let (seeds, _) = plain_rw(&p, RwConfig::default());
         assert_eq!(p.exact_score(&seeds), 1.0, "seeds {seeds:?}");
     }
 
@@ -206,12 +159,13 @@ mod tests {
     fn rw_build_uses_per_node_lambda_for_rank_scores() {
         let inst = instance();
         let p = Problem::new(&inst, 0, 1, 1, ScoringFunction::Plurality).unwrap();
-        let art = build_rw(&p, &RwConfig::default());
-        assert!(art.others.is_some());
-        assert!(art.arena.has_groups());
+        let cfg = RwConfig::default();
+        let gammas = competitive_gammas(&p, &cfg, p.k, &p.non_target_opinions());
+        let arena = competitive_arena(&p, &cfg, &gammas, false);
+        assert!(arena.has_groups());
         // γ-based counts differ across nodes (gaps differ).
         let lens: Vec<usize> = (0..4)
-            .map(|v| art.arena.group_range(v).unwrap().len())
+            .map(|v| arena.group_range(v).unwrap().len())
             .collect();
         assert!(lens.iter().any(|&l| l != lens[0]), "{lens:?}");
     }

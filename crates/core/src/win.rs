@@ -46,7 +46,7 @@ where
 
 /// [`min_seeds_to_win`] with a fallible selector: any selection error
 /// aborts the search and propagates. This is the variant the prepared
-/// engines plug into (`Prepared::select` returns `Result`), so harnesses
+/// engines plug into (`QuerySession::select` returns `Result`), so harnesses
 /// need no `expect` inside the budget search.
 pub fn try_min_seeds_to_win<F, E>(
     problem: &Problem<'_>,
@@ -95,7 +95,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dm::dm_greedy;
+    use crate::dm::dm_greedy_unprepared as dm_greedy;
     use std::sync::Arc;
     use vom_diffusion::{Instance, OpinionMatrix};
     use vom_graph::builder::graph_from_edges;

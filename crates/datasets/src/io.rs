@@ -108,43 +108,45 @@ pub fn load_dataset(path: &Path) -> Result<Dataset, IoError> {
         }
         let mut parts = line.split_whitespace();
         let tag = parts.next().expect("non-empty line");
-        let next_f64 = |parts: &mut dyn Iterator<Item = &str>| -> Result<f64, IoError> {
-            parts
-                .next()
-                .ok_or_else(|| parse_err(lineno, "missing field"))?
-                .parse::<f64>()
-                .map_err(|e| parse_err(lineno, &e.to_string()))
-        };
         match tag {
             "n" => {
-                n = next_f64(&mut parts)? as usize;
-                r = next_f64(&mut parts)? as usize;
+                if builder.is_some() {
+                    return Err(parse_err(lineno, "repeated 'n' header"));
+                }
+                n = field(&mut parts, lineno)?;
+                r = field(&mut parts, lineno)?;
+                stubbornness = zeroed(n)?;
+                opinions = Vec::new();
+                opinions
+                    .try_reserve_exact(r)
+                    .map_err(|e| IoError::Invalid(format!("{r} candidates: {e}")))?;
+                for _ in 0..r {
+                    opinions.push(zeroed(n)?);
+                }
                 builder = Some(GraphBuilder::new(n));
-                opinions = vec![vec![0.0; n]; r];
-                stubbornness = vec![0.0; n];
             }
             "c" => names.push(parts.collect::<Vec<_>>().join(" ")),
             "e" => {
                 let b = builder
                     .as_mut()
                     .ok_or_else(|| parse_err(lineno, "edge before header"))?;
-                let u = next_f64(&mut parts)? as u32;
-                let v = next_f64(&mut parts)? as u32;
-                let w = next_f64(&mut parts)?;
+                let u = field(&mut parts, lineno)?;
+                let v = field(&mut parts, lineno)?;
+                let w = field(&mut parts, lineno)?;
                 b.add_edge(u, v, w);
             }
             "b" => {
-                let q = next_f64(&mut parts)? as usize;
-                let v = next_f64(&mut parts)? as usize;
-                let val = next_f64(&mut parts)?;
+                let q: usize = field(&mut parts, lineno)?;
+                let v: usize = field(&mut parts, lineno)?;
+                let val = field(&mut parts, lineno)?;
                 if q >= r || v >= n {
                     return Err(parse_err(lineno, "opinion index out of range"));
                 }
                 opinions[q][v] = val;
             }
             "d" => {
-                let v = next_f64(&mut parts)? as usize;
-                let val = next_f64(&mut parts)?;
+                let v: usize = field(&mut parts, lineno)?;
+                let val = field(&mut parts, lineno)?;
                 if v >= n {
                     return Err(parse_err(lineno, "stubbornness index out of range"));
                 }
@@ -169,6 +171,32 @@ pub fn load_dataset(path: &Path) -> Result<Dataset, IoError> {
         default_target: 0,
         candidate_names: names,
     })
+}
+
+/// Parses the next whitespace-separated field of line `line`: counts
+/// and indexes as unsigned integers, values as `f64`.
+fn field<'a, T>(parts: &mut impl Iterator<Item = &'a str>, line: usize) -> Result<T, IoError>
+where
+    T: std::str::FromStr,
+    T::Err: std::fmt::Display,
+{
+    let parse_err = |message: String| IoError::Parse { line, message };
+    parts
+        .next()
+        .ok_or_else(|| parse_err("missing field".into()))?
+        .parse()
+        .map_err(|e: T::Err| parse_err(e.to_string()))
+}
+
+/// `len` zeros, or [`IoError::Invalid`] when a header declares more
+/// users than can be allocated.
+fn zeroed(len: usize) -> Result<Vec<f64>, IoError> {
+    let mut values = Vec::new();
+    values
+        .try_reserve_exact(len)
+        .map_err(|e| IoError::Invalid(format!("{len} users: {e}")))?;
+    values.resize(len, 0.0);
+    Ok(values)
 }
 
 #[cfg(test)]
@@ -295,6 +323,23 @@ mod tests {
         assert!(load_dataset(&path).is_err());
         std::fs::write(&path, "n 2 1\nb 5 0 0.5\n").unwrap();
         assert!(load_dataset(&path).is_err());
+        // Counts and indexes are unsigned integers, never cast floats.
+        for text in ["n 2 1\ne -1 1 1.0\n", "n 2.9 1\n", "n 2 1\nb 0 -7 0.9\n"] {
+            std::fs::write(&path, text).unwrap();
+            assert!(
+                matches!(load_dataset(&path), Err(IoError::Parse { .. })),
+                "{text:?}"
+            );
+        }
+        // A second header would silently discard everything before it.
+        std::fs::write(&path, "n 2 1\ne 0 1 1.0\nn 3 1\n").unwrap();
+        assert!(matches!(
+            load_dataset(&path),
+            Err(IoError::Parse { line: 3, .. })
+        ));
+        // A header too large to allocate is a typed error, not an abort.
+        std::fs::write(&path, "n 1000000000000000000 1\n").unwrap();
+        assert!(matches!(load_dataset(&path), Err(IoError::Invalid(_))));
         std::fs::remove_file(&path).ok();
     }
 }

@@ -218,11 +218,11 @@ impl Instance {
         let c = &self.candidates[q];
         let mut solver = Solver::new(Arc::clone(c.system()));
         if c.fixed_seeds.is_empty() {
-            solver.solve(extra_seeds, &SolveOptions::exact(t));
+            solver.solve(extra_seeds, &SolveOptions::exact(t), None);
         } else {
             let mut seeds = c.fixed_seeds.clone();
             seeds.extend_from_slice(extra_seeds);
-            solver.solve(&seeds, &SolveOptions::exact(t));
+            solver.solve(&seeds, &SolveOptions::exact(t), None);
         }
         solver.opinions().to_vec()
     }

@@ -3,67 +3,12 @@
 //! The paper motivates the *finite time horizon* (Appendix B) by showing
 //! that a significant fraction of users still change opinions before
 //! `t = 30` (Figure 18) and that optimal seed sets differ across horizons.
-//! These routines reproduce that analysis and detect FJ convergence.
+//! These routines reproduce that analysis and check FJ's convergence
+//! precondition; convergence itself is a tolerance-mode
+//! [`crate::Solver::solve`].
 
 use crate::fj::FjEngine;
-use crate::solver::{DiffusionSystem, SolveOptions, SolveReport, Solver};
-use std::sync::Arc;
 use vom_graph::Node;
-
-/// Result of running FJ until the opinions stop moving.
-///
-/// This is the historical, convergence-focused view; the solver-level
-/// [`SolveReport`] carries the same information plus residual/frontier
-/// detail, and this type is now derived from it.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ConvergenceReport {
-    /// Number of steps actually taken.
-    pub steps: usize,
-    /// Whether `max_v |b_v^(t) − b_v^(t−1)| < eps` was reached within the
-    /// step budget.
-    pub converged: bool,
-    /// Opinions at the final step.
-    pub opinions: Vec<f64>,
-}
-
-impl ConvergenceReport {
-    /// Derives the legacy report from a solver run.
-    fn from_solve(report: SolveReport, eps: f64, opinions: Vec<f64>) -> ConvergenceReport {
-        ConvergenceReport {
-            steps: report.steps,
-            // The historical loop only tested deltas of executed steps, so a
-            // zero step budget never counted as converged.
-            converged: report.steps > 0 && report.residual < eps,
-            opinions,
-        }
-    }
-}
-
-/// Iterates FJ with seed set `seeds` until the maximum per-node change
-/// drops below `eps`, or `max_steps` is exhausted.
-///
-/// Compatibility wrapper over [`Solver::solve`] with
-/// [`SolveOptions::with_tolerance`] — one `O(t · m)` pass instead of the
-/// historical `O(t² · m)` re-evaluation per horizon. New code should build
-/// a [`DiffusionSystem`] once and call the solver directly.
-#[deprecated(
-    since = "0.1.0",
-    note = "build a DiffusionSystem and use Solver::solve with SolveOptions::with_tolerance"
-)]
-pub fn run_until_convergence(
-    engine: &FjEngine<'_>,
-    seeds: &[Node],
-    eps: f64,
-    max_steps: usize,
-) -> ConvergenceReport {
-    let system = Arc::new(
-        DiffusionSystem::new(engine.graph(), engine.initial(), engine.stubbornness())
-            .expect("engine inputs were validated at construction"),
-    );
-    let mut solver = Solver::new(system);
-    let report = solver.solve(seeds, &SolveOptions::exact(max_steps).with_tolerance(eps));
-    ConvergenceReport::from_solve(report, eps, solver.opinions().to_vec())
-}
 
 /// For each `t ∈ 1..=t_max`, the fraction of nodes whose opinion changed
 /// by more than `tolerance_percent`% of its previous value — exactly the
@@ -123,35 +68,9 @@ pub fn oblivious_nodes(engine: &FjEngine<'_>) -> Vec<Node> {
 }
 
 #[cfg(test)]
-// Pins the deprecated compatibility wrapper against the solver.
-#[allow(deprecated)]
 mod tests {
     use super::*;
     use vom_graph::builder::graph_from_edges;
-
-    #[test]
-    fn converges_on_running_example() {
-        let g = graph_from_edges(4, &[(0, 2, 1.0), (1, 2, 1.0), (2, 3, 1.0)]).unwrap();
-        let b0 = vec![0.40, 0.80, 0.60, 0.90];
-        let d = vec![0.0, 0.0, 0.5, 0.5];
-        let eng = FjEngine::new(&g, &b0, &d).unwrap();
-        let rep = run_until_convergence(&eng, &[], 1e-9, 500);
-        assert!(rep.converged);
-        // Fixed point of node 2: b = 0.5*0.6 + 0.5*0.6 = 0.6.
-        assert!((rep.opinions[2] - 0.6).abs() < 1e-6);
-        // Fixed point of node 3: b = 0.5*b2 + 0.5*0.9 -> 0.75.
-        assert!((rep.opinions[3] - 0.75).abs() < 1e-6);
-    }
-
-    #[test]
-    fn non_convergent_cycle_hits_step_budget() {
-        // Pure 2-cycle oscillates forever under DeGroot.
-        let g = graph_from_edges(2, &[(0, 1, 1.0), (1, 0, 1.0)]).unwrap();
-        let eng = FjEngine::new(&g, &[1.0, 0.0], &[0.0, 0.0]).unwrap();
-        let rep = run_until_convergence(&eng, &[], 1e-9, 50);
-        assert!(!rep.converged);
-        assert_eq!(rep.steps, 50);
-    }
 
     #[test]
     fn change_fraction_decays_to_zero() {

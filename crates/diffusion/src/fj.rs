@@ -4,53 +4,16 @@ use crate::error::{validate_unit_range, DiffusionError};
 use crate::Result;
 use vom_graph::{Node, SocialGraph};
 
-/// Scratch space for repeated FJ evaluations.
-///
-/// Greedy seed selection evaluates `O(k · n)` seed sets; reusing the two
-/// iteration vectors and the seed bitmap avoids per-evaluation allocation.
-#[derive(Debug, Clone)]
-pub struct DiffusionBuffer {
-    cur: Vec<f64>,
-    next: Vec<f64>,
-    is_seed: Vec<bool>,
-    marked: Vec<Node>,
-}
-
-impl DiffusionBuffer {
-    /// Creates scratch space for `n` nodes.
-    pub fn new(n: usize) -> Self {
-        DiffusionBuffer {
-            cur: vec![0.0; n],
-            next: vec![0.0; n],
-            is_seed: vec![false; n],
-            marked: Vec::new(),
-        }
-    }
-
-    fn mark_seeds(&mut self, seeds: &[Node]) {
-        for &s in seeds {
-            if !self.is_seed[s as usize] {
-                self.is_seed[s as usize] = true;
-                self.marked.push(s);
-            }
-        }
-    }
-
-    fn clear_seeds(&mut self) {
-        for s in self.marked.drain(..) {
-            self.is_seed[s as usize] = false;
-        }
-    }
-}
-
-/// Exact FJ evaluator for one candidate: given `W_q` (inside the graph),
-/// `B_q^(0)` and `D_q`, computes `B_q^(t)[S]` for arbitrary seed sets `S`
-/// by `t` sparse matrix–vector products (`O(t · m)` per evaluation,
-/// matching the paper's §III-C analysis).
+/// Naive exact FJ iteration for one candidate: given `W_q` (inside the
+/// graph), `B_q^(0)` and `D_q`, computes the whole trajectory
+/// `B_q^(0..=t)[S]` for a seed set `S` by `t` dense sparse
+/// matrix–vector products (`O(t · m)`, matching the paper's §III-C
+/// analysis). Selection runs on [`crate::Solver::solve`]; this type
+/// serves per-step analyses (Figure 18) and is the independent
+/// reference the solver's equivalence tests check against.
 ///
 /// Seeds are *pinned* during iteration (opinion 1, fully stubborn) instead
-/// of copying modified `B⁰`/`D` vectors, which is what makes greedy
-/// marginal-gain evaluation cheap.
+/// of copying modified `B⁰`/`D` vectors.
 #[derive(Debug, Clone, Copy)]
 pub struct FjEngine<'a> {
     graph: &'a SocialGraph,
@@ -96,68 +59,22 @@ impl<'a> FjEngine<'a> {
         self.d
     }
 
-    /// Computes `B_q^(t)[S]`, allocating a fresh buffer.
-    ///
-    /// Deprecated in favor of [`crate::Solver::solve`] — build a
-    /// [`crate::DiffusionSystem`] once per candidate and solve through it
-    /// to get scratch reuse, fixed-point early-exit, and warm starts. This
-    /// entry point is kept (bit-identical arithmetic, no early exit) for
-    /// callers holding bare slices and as the independent reference the
-    /// solver's equivalence tests check against.
-    #[deprecated(
-        since = "0.1.0",
-        note = "build a DiffusionSystem and use Solver::solve"
-    )]
-    pub fn opinions_at(&self, t: usize, seeds: &[Node]) -> Vec<f64> {
-        let mut buf = DiffusionBuffer::new(self.graph.num_nodes());
-        #[allow(deprecated)]
-        self.opinions_at_with(t, seeds, &mut buf).to_vec()
-    }
-
-    /// Computes `B_q^(t)[S]` into `buf`; the returned slice borrows `buf`.
-    ///
-    /// Deprecated in favor of [`crate::Solver::solve`] (see
-    /// [`FjEngine::opinions_at`]); [`crate::Solver`] owns its scratch, so
-    /// the separate [`DiffusionBuffer`] becomes unnecessary there.
-    #[deprecated(
-        since = "0.1.0",
-        note = "build a DiffusionSystem and use Solver::solve"
-    )]
-    pub fn opinions_at_with<'b>(
-        &self,
-        t: usize,
-        seeds: &[Node],
-        buf: &'b mut DiffusionBuffer,
-    ) -> &'b [f64] {
-        buf.mark_seeds(seeds);
-        buf.cur.copy_from_slice(self.b0);
-        for &s in seeds {
-            buf.cur[s as usize] = 1.0;
-        }
-        for _ in 0..t {
-            self.step(&buf.is_seed, &buf.cur, &mut buf.next);
-            std::mem::swap(&mut buf.cur, &mut buf.next);
-        }
-        buf.clear_seeds();
-        &buf.cur
-    }
-
     /// Full trajectory `[B^(0)[S], B^(1)[S], …, B^(t)[S]]` (t + 1 rows).
     pub fn trajectory(&self, t: usize, seeds: &[Node]) -> Vec<Vec<f64>> {
-        let mut buf = DiffusionBuffer::new(self.graph.num_nodes());
-        buf.mark_seeds(seeds);
-        buf.cur.copy_from_slice(self.b0);
+        let mut is_seed = vec![false; self.graph.num_nodes()];
+        let mut cur = self.b0.to_vec();
         for &s in seeds {
-            buf.cur[s as usize] = 1.0;
+            is_seed[s as usize] = true;
+            cur[s as usize] = 1.0;
         }
+        let mut next = vec![0.0; cur.len()];
         let mut out = Vec::with_capacity(t + 1);
-        out.push(buf.cur.clone());
+        out.push(cur.clone());
         for _ in 0..t {
-            self.step(&buf.is_seed, &buf.cur, &mut buf.next);
-            std::mem::swap(&mut buf.cur, &mut buf.next);
-            out.push(buf.cur.clone());
+            self.step(&is_seed, &cur, &mut next);
+            std::mem::swap(&mut cur, &mut next);
+            out.push(cur.clone());
         }
-        buf.clear_seeds();
         out
     }
 
@@ -186,12 +103,14 @@ impl<'a> FjEngine<'a> {
 }
 
 #[cfg(test)]
-// The suite pins the deprecated per-call surface (the solver's
-// equivalence reference), so it exercises it on purpose.
-#[allow(deprecated)]
 mod tests {
     use super::*;
     use vom_graph::builder::graph_from_edges;
+
+    /// `B^(t)[S]`: the last row of the trajectory.
+    fn at(eng: &FjEngine<'_>, t: usize, seeds: &[Node]) -> Vec<f64> {
+        eng.trajectory(t, seeds).pop().expect("t + 1 rows")
+    }
 
     /// The paper's Figure 1 running example (0-indexed).
     fn running_example() -> (SocialGraph, Vec<f64>, Vec<f64>) {
@@ -205,7 +124,7 @@ mod tests {
     fn table1_no_seeds() {
         let (g, b0, d) = running_example();
         let eng = FjEngine::new(&g, &b0, &d).unwrap();
-        let b1 = eng.opinions_at(1, &[]);
+        let b1 = at(&eng, 1, &[]);
         // Table I, row {}: 0.40, 0.80, 0.60, 0.75.
         let expected = [0.40, 0.80, 0.60, 0.75];
         for (got, want) in b1.iter().zip(expected) {
@@ -225,7 +144,7 @@ mod tests {
             (&[0, 1], [1.00, 1.00, 0.80, 0.75]),
         ];
         for (seeds, expected) in cases {
-            let b1 = eng.opinions_at(1, seeds);
+            let b1 = at(&eng, 1, seeds);
             for (v, (got, want)) in b1.iter().zip(expected).enumerate() {
                 assert!(
                     (got - want).abs() < 1e-12,
@@ -239,7 +158,7 @@ mod tests {
     fn horizon_zero_returns_seeded_initial() {
         let (g, b0, d) = running_example();
         let eng = FjEngine::new(&g, &b0, &d).unwrap();
-        let b = eng.opinions_at(0, &[2]);
+        let b = at(&eng, 0, &[2]);
         assert_eq!(b, vec![0.40, 0.80, 1.00, 0.90]);
     }
 
@@ -248,22 +167,9 @@ mod tests {
         let (g, b0, d) = running_example();
         let eng = FjEngine::new(&g, &b0, &d).unwrap();
         for t in 0..10 {
-            let b = eng.opinions_at(t, &[2]);
+            let b = at(&eng, t, &[2]);
             assert_eq!(b[2], 1.0, "seed must stay at 1 at t={t}");
         }
-    }
-
-    #[test]
-    fn buffer_reuse_matches_fresh_runs_and_clears_seeds() {
-        let (g, b0, d) = running_example();
-        let eng = FjEngine::new(&g, &b0, &d).unwrap();
-        let mut buf = DiffusionBuffer::new(4);
-        let with_seed = eng.opinions_at_with(3, &[0], &mut buf).to_vec();
-        assert_eq!(with_seed, eng.opinions_at(3, &[0]));
-        // Seed marks must not leak into the next evaluation.
-        let without = eng.opinions_at_with(3, &[], &mut buf).to_vec();
-        assert_eq!(without, eng.opinions_at(3, &[]));
-        assert!(without[0] < 1.0);
     }
 
     #[test]
@@ -273,7 +179,7 @@ mod tests {
         let traj = eng.trajectory(5, &[1]);
         assert_eq!(traj.len(), 6);
         for (t, row) in traj.iter().enumerate() {
-            assert_eq!(row, &eng.opinions_at(t, &[1]), "mismatch at t={t}");
+            assert_eq!(row, &at(&eng, t, &[1]), "mismatch at t={t}");
         }
     }
 
@@ -282,7 +188,7 @@ mod tests {
         let (g, b0, d) = running_example();
         let eng = FjEngine::new(&g, &b0, &d).unwrap();
         for t in 0..50 {
-            for b in eng.opinions_at(t, &[3]) {
+            for b in at(&eng, t, &[3]) {
                 assert!((0.0..=1.0).contains(&b));
             }
         }
@@ -294,7 +200,7 @@ mod tests {
         let b0 = vec![1.0, 0.2];
         let d = vec![0.0, 1.0];
         let eng = FjEngine::new(&g, &b0, &d).unwrap();
-        let b = eng.opinions_at(20, &[]);
+        let b = at(&eng, 20, &[]);
         assert_eq!(b[1], 0.2);
     }
 
@@ -305,7 +211,38 @@ mod tests {
         let b0 = vec![0.9, 0.1];
         let d = vec![0.0, 0.0];
         let eng = FjEngine::new(&g, &b0, &d).unwrap();
-        assert_eq!(eng.opinions_at(1, &[]), vec![0.9, 0.9]);
+        assert_eq!(at(&eng, 1, &[]), vec![0.9, 0.9]);
+    }
+
+    // DeGroot (Eq. 1) is FJ with an all-zero stubbornness diagonal.
+
+    #[test]
+    fn degroot_averages_in_neighbors() {
+        // 0 -> 2, 1 -> 2 with equal weights: node 2 adopts the mean.
+        let g = graph_from_edges(3, &[(0, 2, 1.0), (1, 2, 1.0)]).unwrap();
+        let b0 = vec![0.2, 0.8, 0.0];
+        let eng = FjEngine::new(&g, &b0, &[0.0; 3]).unwrap();
+        let b1 = at(&eng, 1, &[]);
+        assert!((b1[2] - 0.5).abs() < 1e-12);
+        // Sources never move.
+        assert_eq!(b1[0], 0.2);
+        assert_eq!(b1[1], 0.8);
+    }
+
+    #[test]
+    fn consensus_on_strongly_connected_cycle() {
+        // A 2-cycle swaps opinions each step under pure DeGroot.
+        let g = graph_from_edges(2, &[(0, 1, 1.0), (1, 0, 1.0)]).unwrap();
+        let eng = FjEngine::new(&g, &[1.0, 0.0], &[0.0; 2]).unwrap();
+        assert_eq!(at(&eng, 1, &[]), vec![0.0, 1.0]);
+        assert_eq!(at(&eng, 2, &[]), vec![1.0, 0.0]);
+    }
+
+    #[test]
+    fn seeded_degroot_pins_the_seed() {
+        let g = graph_from_edges(2, &[(0, 1, 1.0), (1, 0, 1.0)]).unwrap();
+        let eng = FjEngine::new(&g, &[0.0, 0.0], &[0.0; 2]).unwrap();
+        assert_eq!(at(&eng, 5, &[0]), vec![1.0, 1.0]);
     }
 
     #[test]

@@ -14,14 +14,16 @@
 //! The crate provides:
 //!
 //! * [`OpinionMatrix`] — the `r × n` matrix `B` of user opinions in `[0,1]`;
-//! * [`FjEngine`] — an allocation-free exact engine computing `B_q^(t)[S]`
-//!   for any seed set `S` by sparse matrix–vector iteration (the paper's
-//!   **DM** building block);
+//! * [`Solver`] — the one exact engine computing `B_q^(t)[S]` for any
+//!   seed set `S` over a candidate's [`DiffusionSystem`], with
+//!   fixed-point early exit, convergence tolerances and warm starts (the
+//!   paper's **DM** building block; DeGroot is the zero-stubbornness
+//!   case);
 //! * [`Instance`] — a full multi-candidate problem instance bundling, per
 //!   candidate, the influence matrix `W_q`, initial opinions `B_q^(0)`,
 //!   stubbornness `D_q`, and any pre-committed seed sets for non-target
 //!   candidates;
-//! * convergence analysis and per-step opinion-change tracking
+//! * per-step opinion-change tracking over [`FjEngine`] trajectories
 //!   ([`convergence`], used by the paper's Appendix B / Figure 18).
 //!
 //! Seeding a node `s` for candidate `c_q` sets `b_qs^(0) = 1` **and**
@@ -34,32 +36,33 @@
 //! The paper's Figure-1 running example at `t = 1` (Table I):
 //!
 //! ```
-//! use vom_diffusion::FjEngine;
+//! use std::sync::Arc;
+//! use vom_diffusion::{DiffusionSystem, SolveOptions, Solver};
 //! use vom_graph::builder::graph_from_edges;
 //!
 //! let g = graph_from_edges(4, &[(0, 2, 1.0), (1, 2, 1.0), (2, 3, 1.0)])?;
-//! let engine = FjEngine::new(
+//! let system = DiffusionSystem::new(
 //!     &g,
 //!     &[0.40, 0.80, 0.60, 0.90], // initial opinions about the target
 //!     &[0.0, 0.0, 0.5, 0.5],     // stubbornness
 //! )?;
+//! let mut solver = Solver::new(Arc::new(system));
 //!
 //! // No seeds: users 3 and 4 average their in-neighbors with themselves.
-//! let b1 = engine.opinions_at(1, &[]);
-//! assert!((b1[2] - 0.60).abs() < 1e-12);
-//! assert!((b1[3] - 0.75).abs() < 1e-12);
+//! solver.solve(&[], &SolveOptions::exact(1), None);
+//! assert!((solver.opinions()[2] - 0.60).abs() < 1e-12);
+//! assert!((solver.opinions()[3] - 0.75).abs() < 1e-12);
 //!
 //! // Seeding user 3 (paper seed set {3}) pins her at 1 and lifts user 4.
-//! let seeded = engine.opinions_at(1, &[2]);
-//! assert_eq!(seeded[2], 1.0);
-//! assert!((seeded[3] - 0.95).abs() < 1e-12);
+//! solver.solve(&[2], &SolveOptions::exact(1), None);
+//! assert_eq!(solver.opinions()[2], 1.0);
+//! assert!((solver.opinions()[3] - 0.95).abs() < 1e-12);
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
 pub mod budget;
 pub mod campaign;
 pub mod convergence;
-pub mod degroot;
 pub mod error;
 pub mod fj;
 pub mod opinion;
@@ -70,7 +73,7 @@ pub mod stubbornness;
 pub use budget::{CostBudget, CostMeter};
 pub use campaign::{CandidateData, Instance};
 pub use error::DiffusionError;
-pub use fj::{DiffusionBuffer, FjEngine};
+pub use fj::FjEngine;
 pub use opinion::OpinionMatrix;
 pub use shared::SharedValues;
 pub use solver::{

@@ -1,10 +1,8 @@
 //! The unified sparse diffusion solver behind every exact FJ evaluation.
 //!
-//! Three historical entry points ([`FjEngine::opinions_at`],
-//! [`FjEngine::opinions_at_with`], [`crate::convergence::run_until_convergence`])
-//! each re-ran the full `O(t·m)` fixed-horizon iteration from scratch.
-//! This module collapses them behind one API — [`Solver::solve`] — built
-//! on three pieces:
+//! Every exact opinion computation — fixed-horizon, convergence-style,
+//! metered or not — goes through one API, [`Solver::solve`], built on
+//! three pieces:
 //!
 //! * [`DiffusionSystem`] — the candidate's influence system in a
 //!   solver-owned CSR layout (flat in-edge arrays plus the out-adjacency
@@ -38,9 +36,8 @@
 //! for byte. A nonzero [`SolveOptions::tolerance`] requests the
 //! *convergence* semantics instead; those solves always run cold.
 //!
-//! The legacy `FjEngine` entry points remain as thin compatibility shims
-//! over the same arithmetic for callers holding bare slices; new code
-//! should build a [`DiffusionSystem`] once and call [`Solver::solve`].
+//! [`FjEngine::trajectory`] keeps the naive dense iteration over bare
+//! slices; the equivalence tests use it as the independent reference.
 
 use crate::budget::CostMeter;
 use crate::error::validate_unit_range;
@@ -486,8 +483,8 @@ pub struct SolveOptions {
 }
 
 impl SolveOptions {
-    /// Exact fixed-horizon semantics (the historical
-    /// `opinions_at(t, …)` contract).
+    /// Exact fixed-horizon semantics: `B^(t)[S]` after exactly
+    /// `horizon` steps (a bitwise fixed point may end the loop early).
     pub fn exact(horizon: usize) -> SolveOptions {
         SolveOptions {
             horizon,
@@ -516,9 +513,7 @@ impl SolveOptions {
     }
 }
 
-/// What one [`Solver::solve`] call did — the solver-level extension of
-/// [`crate::convergence::ConvergenceReport`] (which is now derived from
-/// it).
+/// What one [`Solver::solve`] call did.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SolveReport {
     /// Iteration steps actually executed (`≤ horizon`; early-exit and
@@ -605,7 +600,7 @@ impl Baseline {
 pub struct Solver {
     system: Arc<DiffusionSystem>,
     baseline: Option<Arc<Baseline>>,
-    // Cold-solve scratch (the historical DiffusionBuffer shape).
+    // Cold-solve scratch: the two iteration rows and the seed bitmap.
     cur: Vec<f64>,
     next: Vec<f64>,
     is_seed: Vec<bool>,
@@ -694,19 +689,15 @@ impl Solver {
     /// recording was requested, and the installed baseline matches
     /// (same horizon, `baseline.seeds()` a prefix of `seeds`). The
     /// result is bit-identical to the cold solve in every case.
-    pub fn solve(&mut self, seeds: &[Node], opts: &SolveOptions) -> SolveReport {
-        self.solve_metered(seeds, opts, None)
-    }
-
-    /// [`Solver::solve`] with a [`CostMeter`] charged from inside the
-    /// iteration loop: one tick per executed step (cold or
-    /// dense-fallback) and one tick per warm frontier state. The solve
-    /// itself always runs to completion — truncating mid-solve would
-    /// change the computed opinions and break the warm-start/bitwise
-    /// exactness contract — so metered callers check
-    /// [`CostMeter::exhausted`] *between* solves, at their own
-    /// sequential checkpoints, and stop issuing further work there.
-    pub fn solve_metered(
+    ///
+    /// A `meter` is charged from inside the iteration loop: one tick per
+    /// executed step (cold or dense-fallback) and one tick per warm
+    /// frontier state. The solve itself always runs to completion —
+    /// truncating mid-solve would change the computed opinions and
+    /// break the warm-start/bitwise exactness contract — so metered
+    /// callers check [`CostMeter::exhausted`] *between* solves, at their
+    /// own sequential checkpoints, and stop issuing further work there.
+    pub fn solve(
         &mut self,
         seeds: &[Node],
         opts: &SolveOptions,
@@ -1123,9 +1114,6 @@ impl Drop for PooledSolver<'_> {
 }
 
 #[cfg(test)]
-// The deprecated FjEngine entry points are the independent reference
-// these equivalence tests check the solver against.
-#[allow(deprecated)]
 mod tests {
     use super::*;
     use crate::fj::FjEngine;
@@ -1140,6 +1128,12 @@ mod tests {
         Arc::new(DiffusionSystem::new(g, b0, d).unwrap())
     }
 
+    /// `B^(t)[S]` by the naive dense iteration — the independent
+    /// reference the solver is checked against.
+    fn reference(eng: &FjEngine<'_>, t: usize, seeds: &[Node]) -> Vec<f64> {
+        eng.trajectory(t, seeds).pop().expect("t + 1 rows")
+    }
+
     #[test]
     fn cold_solve_matches_fj_engine_bitwise() {
         let (g, b0, d) = running_example();
@@ -1147,8 +1141,8 @@ mod tests {
         let mut solver = Solver::new(system(&g, &b0, &d));
         for t in 0..6 {
             for seeds in [vec![], vec![0], vec![2], vec![0, 1]] {
-                solver.solve(&seeds, &SolveOptions::exact(t));
-                let reference = eng.opinions_at(t, &seeds);
+                solver.solve(&seeds, &SolveOptions::exact(t), None);
+                let reference = reference(&eng, t, &seeds);
                 assert_eq!(solver.opinions(), &reference[..], "t={t} seeds={seeds:?}");
             }
         }
@@ -1161,21 +1155,21 @@ mod tests {
         let mut warm = Solver::new(Arc::clone(&sys));
         let mut cold = Solver::new(Arc::clone(&sys));
         let t = 4;
-        warm.solve(&[], &SolveOptions::exact(t).recording());
+        warm.solve(&[], &SolveOptions::exact(t).recording(), None);
         for v in 0..4 as Node {
-            let rep = warm.solve(&[v], &SolveOptions::exact(t).warm());
+            let rep = warm.solve(&[v], &SolveOptions::exact(t).warm(), None);
             assert!(rep.warm, "baseline prefix must trigger the warm path");
-            cold.solve(&[v], &SolveOptions::exact(t));
+            cold.solve(&[v], &SolveOptions::exact(t), None);
             let (w, c) = (warm.opinions().to_vec(), cold.opinions().to_vec());
             for (a, b) in w.iter().zip(&c) {
                 assert_eq!(a.to_bits(), b.to_bits(), "seed {v}");
             }
         }
         // Growing the committed set keeps the equivalence.
-        warm.solve(&[2], &SolveOptions::exact(t).recording());
-        let rep = warm.solve(&[2, 0], &SolveOptions::exact(t).warm());
+        warm.solve(&[2], &SolveOptions::exact(t).recording(), None);
+        let rep = warm.solve(&[2, 0], &SolveOptions::exact(t).warm(), None);
         assert!(rep.warm);
-        cold.solve(&[2, 0], &SolveOptions::exact(t));
+        cold.solve(&[2, 0], &SolveOptions::exact(t), None);
         assert_eq!(warm.opinions(), cold.opinions());
     }
 
@@ -1184,15 +1178,15 @@ mod tests {
         let (g, b0, d) = running_example();
         let mut solver = Solver::new(system(&g, &b0, &d));
         // No baseline at all.
-        let rep = solver.solve(&[1], &SolveOptions::exact(3).warm());
+        let rep = solver.solve(&[1], &SolveOptions::exact(3).warm(), None);
         assert!(!rep.warm);
         // Baseline at a different horizon.
-        solver.solve(&[], &SolveOptions::exact(2).recording());
-        let rep = solver.solve(&[1], &SolveOptions::exact(3).warm());
+        solver.solve(&[], &SolveOptions::exact(2).recording(), None);
+        let rep = solver.solve(&[1], &SolveOptions::exact(3).warm(), None);
         assert!(!rep.warm);
         // Non-prefix seed list.
-        solver.solve(&[1], &SolveOptions::exact(3).recording());
-        let rep = solver.solve(&[2, 1], &SolveOptions::exact(3).warm());
+        solver.solve(&[1], &SolveOptions::exact(3).recording(), None);
+        let rep = solver.solve(&[2, 1], &SolveOptions::exact(3).warm(), None);
         assert!(!rep.warm);
     }
 
@@ -1205,35 +1199,48 @@ mod tests {
         let d = [1.0, 1.0];
         let eng = FjEngine::new(&g, &b0, &d).unwrap();
         let mut solver = Solver::new(system(&g, &b0, &d));
-        let rep = solver.solve(&[], &SolveOptions::exact(50));
+        let rep = solver.solve(&[], &SolveOptions::exact(50), None);
         assert!(rep.converged);
         assert!(rep.steps < 50);
         assert_eq!(rep.residual, 0.0);
-        assert_eq!(solver.opinions(), &eng.opinions_at(50, &[])[..]);
+        assert_eq!(solver.opinions(), &reference(&eng, 50, &[])[..]);
     }
 
     #[test]
     fn tolerance_stops_like_the_legacy_convergence_loop() {
         let (g, b0, d) = running_example();
         let mut solver = Solver::new(system(&g, &b0, &d));
-        let rep = solver.solve(&[], &SolveOptions::exact(500).with_tolerance(1e-9));
+        let rep = solver.solve(&[], &SolveOptions::exact(500).with_tolerance(1e-9), None);
         assert!(rep.converged);
         assert!(rep.residual < 1e-9);
+        // Fixed point of node 2: b = 0.5*0.6 + 0.5*0.6 = 0.6.
+        assert!((solver.opinions()[2] - 0.6).abs() < 1e-6);
+        // Fixed point of node 3: b = 0.5*b2 + 0.5*0.9 -> 0.75.
         assert!((solver.opinions()[3] - 0.75).abs() < 1e-6);
+    }
+
+    #[test]
+    fn non_convergent_cycle_hits_step_budget() {
+        // Pure 2-cycle oscillates forever under DeGroot.
+        let g = graph_from_edges(2, &[(0, 1, 1.0), (1, 0, 1.0)]).unwrap();
+        let mut solver = Solver::new(system(&g, &[1.0, 0.0], &[0.0, 0.0]));
+        let rep = solver.solve(&[], &SolveOptions::exact(50).with_tolerance(1e-9), None);
+        assert!(!rep.converged);
+        assert_eq!(rep.steps, 50);
     }
 
     #[test]
     fn reports_count_warm_frontier_work() {
         let (g, b0, d) = running_example();
         let mut solver = Solver::new(system(&g, &b0, &d));
-        solver.solve(&[], &SolveOptions::exact(3).recording());
+        solver.solve(&[], &SolveOptions::exact(3).recording(), None);
         // Seeding node 3 (no out-edges) moves only itself.
-        let rep = solver.solve(&[3], &SolveOptions::exact(3).warm());
+        let rep = solver.solve(&[3], &SolveOptions::exact(3).warm(), None);
         assert!(rep.warm);
         assert_eq!(rep.steps, 3);
         assert!(rep.frontier >= 1 && rep.frontier <= 4, "{}", rep.frontier);
         // A no-op extra (already at the baseline fixed point) converges.
-        let rep = solver.solve(&[], &SolveOptions::exact(3).warm());
+        let rep = solver.solve(&[], &SolveOptions::exact(3).warm(), None);
         assert!(rep.warm && rep.converged);
         assert_eq!(rep.frontier, 0);
         assert_eq!(solver.opinions(), solver.baseline().unwrap().final_row());
@@ -1256,11 +1263,11 @@ mod tests {
         let mut warm = Solver::new(Arc::clone(&sys));
         let mut cold = Solver::new(Arc::clone(&sys));
         let t = 6;
-        warm.solve(&[], &SolveOptions::exact(t).recording());
+        warm.solve(&[], &SolveOptions::exact(t).recording(), None);
         for seed in [0 as Node, 17, 63] {
-            let rep = warm.solve(&[seed], &SolveOptions::exact(t).warm());
+            let rep = warm.solve(&[seed], &SolveOptions::exact(t).warm(), None);
             assert!(rep.warm, "seed {seed}");
-            cold.solve(&[seed], &SolveOptions::exact(t));
+            cold.solve(&[seed], &SolveOptions::exact(t), None);
             for (i, (a, b)) in warm.opinions().iter().zip(cold.opinions()).enumerate() {
                 assert_eq!(a.to_bits(), b.to_bits(), "seed {seed}, node {i}");
             }
@@ -1268,13 +1275,13 @@ mod tests {
         // Interleaving saturated and narrow solves on one solver keeps
         // the materialized-row bookkeeping consistent: seeding node 99
         // (out-edge only to the hub-adjacent ring) moves few nodes.
-        let rep = warm.solve(&[99], &SolveOptions::exact(t).warm());
+        let rep = warm.solve(&[99], &SolveOptions::exact(t).warm(), None);
         assert!(rep.warm);
-        cold.solve(&[99], &SolveOptions::exact(t));
+        cold.solve(&[99], &SolveOptions::exact(t), None);
         assert_eq!(warm.opinions(), cold.opinions());
-        let rep = warm.solve(&[0], &SolveOptions::exact(t).warm());
+        let rep = warm.solve(&[0], &SolveOptions::exact(t).warm(), None);
         assert!(rep.warm);
-        cold.solve(&[0], &SolveOptions::exact(t));
+        cold.solve(&[0], &SolveOptions::exact(t), None);
         assert_eq!(warm.opinions(), cold.opinions());
     }
 
@@ -1285,7 +1292,7 @@ mod tests {
         let pool = SolverPool::new();
         {
             let mut s = pool.checkout(&sys);
-            s.solve(&[], &SolveOptions::exact(2).recording());
+            s.solve(&[], &SolveOptions::exact(2).recording(), None);
         }
         {
             // The returned solver still carries its baseline.
@@ -1303,8 +1310,8 @@ mod tests {
         let (g, b0, d) = running_example();
         let before = SolverCounters::snapshot();
         let mut solver = Solver::new(system(&g, &b0, &d));
-        solver.solve(&[], &SolveOptions::exact(3).recording());
-        solver.solve(&[0], &SolveOptions::exact(3).warm());
+        solver.solve(&[], &SolveOptions::exact(3).recording(), None);
+        solver.solve(&[0], &SolveOptions::exact(3).warm(), None);
         let delta = SolverCounters::snapshot().since(before);
         assert!(delta.cold_solves >= 1);
         assert!(delta.cold_steps >= 1);
@@ -1323,25 +1330,25 @@ mod tests {
         let mut plain = Solver::new(Arc::clone(&sys));
         let meter = CostMeter::new(CostBudget::ticks(u64::MAX));
         // Cold: one tick per executed step.
-        let rep = metered.solve_metered(&[], &SolveOptions::exact(3).recording(), Some(&meter));
+        let rep = metered.solve(&[], &SolveOptions::exact(3).recording(), Some(&meter));
         assert_eq!(meter.spent(), rep.steps as u64);
-        plain.solve(&[], &SolveOptions::exact(3).recording());
+        plain.solve(&[], &SolveOptions::exact(3).recording(), None);
         assert_eq!(metered.opinions(), plain.opinions());
         // Warm: one tick per frontier state; values identical to the
         // unmetered path.
         let before = meter.spent();
-        let rep = metered.solve_metered(&[0], &SolveOptions::exact(3).warm(), Some(&meter));
+        let rep = metered.solve(&[0], &SolveOptions::exact(3).warm(), Some(&meter));
         assert!(rep.warm);
         assert_eq!(meter.spent() - before, rep.steps as u64);
-        plain.solve(&[0], &SolveOptions::exact(3).warm());
+        plain.solve(&[0], &SolveOptions::exact(3).warm(), None);
         assert_eq!(metered.opinions(), plain.opinions());
         // A solve is never truncated by an exhausted meter — budgets
         // cancel *between* solves, at greedy checkpoints.
         let spent_meter = CostMeter::new(CostBudget::ticks(0));
         assert!(spent_meter.exhausted());
-        let rep = metered.solve_metered(&[1], &SolveOptions::exact(3), Some(&spent_meter));
+        let rep = metered.solve(&[1], &SolveOptions::exact(3), Some(&spent_meter));
         assert_eq!(rep.steps, 3);
-        plain.solve(&[1], &SolveOptions::exact(3));
+        plain.solve(&[1], &SolveOptions::exact(3), None);
         assert_eq!(metered.opinions(), plain.opinions());
     }
 

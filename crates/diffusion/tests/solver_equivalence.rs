@@ -1,13 +1,9 @@
 //! Property tests for the unified diffusion solver: cold solves must be
-//! bit-identical to the legacy [`FjEngine`] iteration, and warm-start
+//! bit-identical to the naive [`FjEngine`] iteration, and warm-start
 //! solves must be bit-identical to cold solves across random graphs,
 //! inputs, and incremental seed sequences — the invariant that lets the
 //! DM greedy take the warm path while keeping selection digests
 //! byte-identical.
-
-// The deprecated FjEngine iteration is the independent reference this
-// suite checks the solver against.
-#![allow(deprecated)]
 
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -47,8 +43,9 @@ proptest! {
         let engine = FjEngine::new(&g, &b0, &d).unwrap();
         let system = Arc::new(DiffusionSystem::new(&g, &b0, &d).unwrap());
         let mut solver = Solver::new(system);
-        solver.solve(&seeds, &SolveOptions::exact(t));
-        prop_assert_eq!(bits(solver.opinions()), bits(&engine.opinions_at(t, &seeds)));
+        solver.solve(&seeds, &SolveOptions::exact(t), None);
+        let reference = engine.trajectory(t, &seeds).pop().expect("t + 1 rows");
+        prop_assert_eq!(bits(solver.opinions()), bits(&reference));
     }
 
     #[test]
@@ -66,13 +63,13 @@ proptest! {
         let system = Arc::new(DiffusionSystem::new(&g, &b0, &d).unwrap());
         let mut warm = Solver::new(Arc::clone(&system));
         let mut cold = Solver::new(Arc::clone(&system));
-        warm.solve(&committed, &SolveOptions::exact(t).recording());
+        warm.solve(&committed, &SolveOptions::exact(t).recording(), None);
         for trial in trials {
             let mut seeds = committed.clone();
             seeds.push(trial % n);
-            let report = warm.solve(&seeds, &SolveOptions::exact(t).warm());
+            let report = warm.solve(&seeds, &SolveOptions::exact(t).warm(), None);
             prop_assert!(report.warm, "matching baseline must take the warm path");
-            cold.solve(&seeds, &SolveOptions::exact(t));
+            cold.solve(&seeds, &SolveOptions::exact(t), None);
             prop_assert_eq!(bits(warm.opinions()), bits(cold.opinions()));
         }
     }
@@ -91,11 +88,11 @@ proptest! {
         let mut cold = Solver::new(Arc::clone(&system));
         let mut committed: Vec<Node> = Vec::new();
         for pick in picks {
-            warm.solve(&committed, &SolveOptions::exact(t).recording());
+            warm.solve(&committed, &SolveOptions::exact(t).recording(), None);
             committed.push(pick % n);
-            let report = warm.solve(&committed, &SolveOptions::exact(t).warm());
+            let report = warm.solve(&committed, &SolveOptions::exact(t).warm(), None);
             prop_assert!(report.warm);
-            cold.solve(&committed, &SolveOptions::exact(t));
+            cold.solve(&committed, &SolveOptions::exact(t), None);
             prop_assert_eq!(bits(warm.opinions()), bits(cold.opinions()));
         }
     }
@@ -107,7 +104,7 @@ proptest! {
     ) {
         let system = Arc::new(DiffusionSystem::new(&g, &b0, &d).unwrap());
         let mut solver = Solver::new(system);
-        let report = solver.solve(&[], &SolveOptions::exact(2000).with_tolerance(eps));
+        let report = solver.solve(&[], &SolveOptions::exact(2000).with_tolerance(eps), None);
         if report.converged {
             prop_assert!(report.residual < eps);
         } else {

@@ -78,11 +78,13 @@ use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, OnceLock, RwLock};
 use std::time::Duration;
 use vom_baselines::AnyEngine;
-use vom_core::engine::{Outcome, PreparedIndex, Query, RuleClass, SeedSelector, SelectionResult};
+use vom_core::engine::{
+    Outcome, PreparedIndex, Query, QuerySession, RuleClass, SeedSelector, SelectionResult,
+};
 use vom_core::persist::{graph_digest, IndexSource};
 use vom_core::{CoreError, CostBudget, CostMeter, MethodId, ProblemSpec};
 use vom_diffusion::Instance;
-use vom_graph::Candidate;
+use vom_graph::{Candidate, Node};
 use vom_persist::PersistError;
 
 /// Builds the engine (with its configuration) the service uses for a
@@ -120,9 +122,8 @@ pub struct ServiceRequest {
     pub query: Query,
     /// Optional deterministic deadline in cost-meter ticks (see
     /// [`vom_core::CostBudget`]). `None` (the default) runs to
-    /// completion; `Some(t)` may yield [`Outcome::Degraded`] with a
-    /// bit-identical prefix of the full selection — surface it with
-    /// [`VomService::run_batch_full`] / [`VomService::run_full`].
+    /// completion; `Some(t)` may end in [`ServiceError::Degraded`],
+    /// which carries a bit-identical prefix of the full selection.
     pub budget: Option<u64>,
     /// Scheduling class (default [`Priority::Normal`]).
     pub priority: Priority,
@@ -199,17 +200,17 @@ pub enum ServiceError {
         /// Human-readable description of where the panic happened.
         context: String,
     },
-    /// A budgeted request degraded (its deadline expired before `k`
-    /// seeds were selected) but was run through an API that can only
-    /// carry complete results. The degraded prefix is still valid —
-    /// retrieve it with [`VomService::run_batch_full`].
+    /// A budgeted request degraded: its deadline expired before `k`
+    /// seeds were selected. The prefix is a valid answer — the first
+    /// seeds of the full selection, bit for bit (see
+    /// [`Outcome::Degraded`]) — just shorter, and unscored.
     Degraded {
+        /// Seeds selected before the deadline, in selection order.
+        seeds_prefix: Vec<Node>,
         /// Ticks spent when the deadline fired.
         budget_spent: u64,
         /// The configured tick budget.
         budget_limit: u64,
-        /// Seeds selected before the deadline (the prefix length).
-        seeds_found: usize,
     },
 }
 
@@ -234,13 +235,13 @@ impl fmt::Display for ServiceError {
             ),
             ServiceError::Panicked { context } => write!(f, "panicked: {context}"),
             ServiceError::Degraded {
+                seeds_prefix,
                 budget_spent,
                 budget_limit,
-                seeds_found,
             } => write!(
                 f,
-                "degraded to a {seeds_found}-seed prefix after {budget_spent}/{budget_limit} ticks \
-                 (use run_batch_full to receive partial results)"
+                "degraded to a {}-seed prefix after {budget_spent}/{budget_limit} ticks",
+                seeds_prefix.len()
             ),
         }
     }
@@ -1145,64 +1146,48 @@ impl VomService {
         req: &ServiceRequest,
         index: &Arc<PreparedIndex>,
         plan: Option<&FaultPlan>,
-    ) -> Result<Outcome, ServiceError> {
-        let mut session = PreparedIndex::session(index);
-        match req.budget {
-            Some(ticks) => {
-                let scale = plan.map_or(1, FaultPlan::tick_scale);
-                let meter = Arc::new(CostMeter::with_scale(CostBudget::ticks(ticks), scale));
-                session
-                    .select_with_meter(&req.query, &meter)
-                    .map_err(ServiceError::Selection)
-            }
-            None => session
-                .select(&req.query)
-                .map(Outcome::Complete)
-                .map_err(ServiceError::Selection),
-        }
-    }
-
-    /// Answers one request (building or reusing its index), honoring
-    /// its tick budget: a spent deadline yields [`Outcome::Degraded`]
-    /// with a bit-identical prefix of the full selection.
-    pub fn run_full(&self, req: &ServiceRequest) -> Result<Outcome, ServiceError> {
-        let plan = self.fault_plan();
-        let index = self.index_for(req)?;
-        self.answer(req, &index, plan.as_deref())
-    }
-
-    /// Answers one request (building or reusing its index). A budgeted
-    /// request that degrades maps to [`ServiceError::Degraded`] here —
-    /// use [`VomService::run_full`] to receive the prefix.
-    pub fn run(&self, req: &ServiceRequest) -> ServiceResult {
-        match self.run_full(req)? {
+    ) -> ServiceResult {
+        let mut session = QuerySession::new(Arc::clone(index));
+        let Some(ticks) = req.budget else {
+            return Ok(session.select(&req.query)?);
+        };
+        let scale = plan.map_or(1, FaultPlan::tick_scale);
+        let meter = Arc::new(CostMeter::with_scale(CostBudget::ticks(ticks), scale));
+        match session.select_with_meter(&req.query, &meter)? {
             Outcome::Complete(res) => Ok(res),
             Outcome::Degraded {
                 seeds_prefix,
                 budget_spent,
                 budget_limit,
             } => Err(ServiceError::Degraded {
+                seeds_prefix,
                 budget_spent,
                 budget_limit,
-                seeds_found: seeds_prefix.len(),
             }),
         }
     }
 
-    /// Answers a whole batch with full outcomes: indexes are resolved
-    /// (and missing ones built, each exactly once) in deterministic
-    /// schedule order — priority class first, request order within —
-    /// then the queries run on the worker pool, one
-    /// [`vom_core::QuerySession`] per request. The result vector is in
-    /// **request order** regardless of schedule or priority, and each
-    /// slot carries its own error: an invalid query, a denied
-    /// admission, or even a panicking query
-    /// ([`ServiceError::Panicked`], confined by a `catch_unwind` at the
-    /// worker boundary) never sinks the batch.
-    pub fn run_batch_full(
-        &self,
-        requests: &[ServiceRequest],
-    ) -> Vec<Result<Outcome, ServiceError>> {
+    /// Answers one request (building or reusing its index): a one-slot
+    /// [`VomService::run_batch`], so it gets the same panic isolation
+    /// and the same outcomes — including [`ServiceError::Degraded`] with
+    /// the prefix when a budgeted request runs out of ticks.
+    pub fn run(&self, req: &ServiceRequest) -> ServiceResult {
+        self.run_batch(std::slice::from_ref(req))
+            .pop()
+            .expect("one result per request")
+    }
+
+    /// Answers a whole batch: indexes are resolved (and missing ones
+    /// built, each exactly once) in deterministic schedule order —
+    /// priority class first, request order within — then the queries run
+    /// on the worker pool, one [`vom_core::QuerySession`] per request.
+    /// The result vector is in **request order** regardless of schedule
+    /// or priority, and each slot carries its own error: an invalid
+    /// query, a denied admission, a spent budget
+    /// ([`ServiceError::Degraded`], with the prefix), or even a
+    /// panicking query ([`ServiceError::Panicked`], confined by a
+    /// `catch_unwind` at the worker boundary) never sinks the batch.
+    pub fn run_batch(&self, requests: &[ServiceRequest]) -> Vec<ServiceResult> {
         let plan = self.fault_plan();
         // Deterministic schedule: priority class, then request order.
         // The same permutation orders index resolution (and therefore
@@ -1218,7 +1203,7 @@ impl VomService {
             .into_iter()
             .map(|slot| slot.expect("resolved"))
             .collect();
-        let scheduled: Vec<(usize, Result<Outcome, ServiceError>)> = (0..order.len())
+        let scheduled: Vec<(usize, ServiceResult)> = (0..order.len())
             .into_par_iter()
             .map(|p| {
                 let i = order[p];
@@ -1245,36 +1230,13 @@ impl VomService {
                 (i, slot)
             })
             .collect();
-        let mut results: Vec<Option<Result<Outcome, ServiceError>>> =
-            (0..requests.len()).map(|_| None).collect();
+        let mut results: Vec<Option<ServiceResult>> = (0..requests.len()).map(|_| None).collect();
         for (i, slot) in scheduled {
             results[i] = Some(slot);
         }
         results
             .into_iter()
             .map(|slot| slot.expect("scattered"))
-            .collect()
-    }
-
-    /// [`VomService::run_batch_full`] flattened to the historical
-    /// complete-results API: a degraded slot maps to
-    /// [`ServiceError::Degraded`] (requests without budgets — the
-    /// common case — are unaffected).
-    pub fn run_batch(&self, requests: &[ServiceRequest]) -> Vec<ServiceResult> {
-        self.run_batch_full(requests)
-            .into_iter()
-            .map(|slot| match slot? {
-                Outcome::Complete(res) => Ok(res),
-                Outcome::Degraded {
-                    seeds_prefix,
-                    budget_spent,
-                    budget_limit,
-                } => Err(ServiceError::Degraded {
-                    budget_spent,
-                    budget_limit,
-                    seeds_found: seeds_prefix.len(),
-                }),
-            })
             .collect()
     }
 }
@@ -1695,48 +1657,42 @@ mod tests {
         assert_eq!(complete.seeds.len(), 3);
 
         // A generous budget completes bit-identically to no budget.
-        let roomy = full.clone().with_budget(u64::MAX);
-        match service.run_full(&roomy).unwrap() {
-            Outcome::Complete(res) => {
-                assert_eq!(res.seeds, complete.seeds);
-                assert_eq!(res.exact_score.to_bits(), complete.exact_score.to_bits());
-            }
-            out => panic!("expected completion, got {out:?}"),
-        }
+        let roomy = service.run(&full.clone().with_budget(u64::MAX)).unwrap();
+        assert_eq!(roomy.seeds, complete.seeds);
+        assert_eq!(roomy.exact_score.to_bits(), complete.exact_score.to_bits());
 
-        // Every smaller budget yields a prefix; the legacy APIs map a
-        // degraded outcome to a typed error instead of dropping it.
+        // Every smaller budget completes or degrades to a typed error
+        // carrying a prefix of the full selection.
         let mut saw_degraded = false;
         for ticks in 0..40 {
             let req = full.clone().with_budget(ticks);
-            match service.run_full(&req).unwrap() {
-                Outcome::Complete(res) => assert_eq!(res.seeds, complete.seeds),
-                Outcome::Degraded {
+            match service.run(&req) {
+                Ok(res) => assert_eq!(res.seeds, complete.seeds),
+                Err(ServiceError::Degraded {
                     seeds_prefix,
                     budget_spent,
                     budget_limit,
-                } => {
+                }) => {
                     saw_degraded = true;
-                    assert_eq!(seeds_prefix, complete.seeds[..seeds_prefix.len()]);
+                    assert!(seeds_prefix.len() < complete.seeds.len());
+                    assert!(complete.seeds.starts_with(&seeds_prefix));
                     assert!(budget_spent >= budget_limit);
                     assert_eq!(budget_limit, ticks);
-                    assert!(matches!(
-                        service.run(&req),
-                        Err(ServiceError::Degraded { .. })
-                    ));
                 }
+                Err(e) => panic!("budget {ticks}: {e}"),
             }
         }
         assert!(saw_degraded, "tiny budgets must degrade");
 
         // Batch slots behave identically.
         let batch = vec![full.clone(), full.clone().with_budget(0)];
-        let outs = service.run_batch_full(&batch);
-        assert!(matches!(outs[0], Ok(Outcome::Complete(_))));
-        assert!(matches!(outs[1], Ok(Outcome::Degraded { .. })));
-        let flat = service.run_batch(&batch);
-        assert!(flat[0].is_ok());
-        assert!(matches!(flat[1], Err(ServiceError::Degraded { .. })));
+        let outs = service.run_batch(&batch);
+        assert_eq!(outs[0].as_ref().unwrap().seeds, complete.seeds);
+        assert!(matches!(
+            &outs[1],
+            Err(ServiceError::Degraded { seeds_prefix, .. })
+                if complete.seeds.starts_with(seeds_prefix)
+        ));
     }
 
     #[test]
@@ -1767,6 +1723,19 @@ mod tests {
         service.set_fault_plan(None);
         let after = service.run_batch(&batch);
         assert!(after.iter().all(|r| r.is_ok()));
+
+        // A single request is a one-slot batch: request 0 panics in
+        // isolation, and fault-free serving afterwards is bit-identical.
+        service.set_fault_plan(Some(Arc::new(FaultPlan::new(7).with_query_panic(0))));
+        assert!(matches!(
+            service.run(&req),
+            Err(ServiceError::Panicked { ref context }) if context.contains("injected query fault")
+        ));
+        service.set_fault_plan(None);
+        let solo = service.run(&req).unwrap();
+        let c = clean[0].as_ref().unwrap();
+        assert_eq!(solo.seeds, c.seeds);
+        assert_eq!(solo.exact_score.to_bits(), c.exact_score.to_bits());
     }
 
     #[test]
@@ -1878,7 +1847,7 @@ mod tests {
         let svc = VomService::new().with_memory_budget(largest);
         svc.register("toy", instance()).unwrap();
         let batch = vec![cum.clone(), plu.clone().with_priority(Priority::High)];
-        let outs = svc.run_batch_full(&batch);
+        let outs = svc.run_batch(&batch);
         assert!(
             outs.iter().all(|r| r.is_ok()),
             "results are in request order"
@@ -1890,7 +1859,7 @@ mod tests {
         let svc = VomService::new().with_memory_budget(largest);
         svc.register("toy", instance()).unwrap();
         let batch = vec![cum.clone().with_priority(Priority::High), plu.clone()];
-        let outs = svc.run_batch_full(&batch);
+        let outs = svc.run_batch(&batch);
         assert!(outs.iter().all(|r| r.is_ok()));
         let kept: Vec<RuleClass> = svc.index_stats().iter().map(|s| s.class).collect();
         assert_eq!(kept, vec![RuleClass::Rank]);

@@ -7,9 +7,8 @@
 //! ```
 
 use std::sync::Arc;
-use vom::core::engine::{PreparedIndex, SeedSelector};
 use vom::core::win::{try_min_seeds_to_win, wins};
-use vom::core::{select_seeds, Engine, Problem, Query};
+use vom::core::{Engine, Problem, Query, QuerySession, SeedSelector, SelectionMode};
 use vom::datasets::{twitter_election_like, ReplicaParams};
 use vom::voting::{tally, ScoringFunction};
 
@@ -48,7 +47,9 @@ fn main() {
     let k = 25;
     let problem =
         Problem::new(inst, target, k, t, ScoringFunction::Plurality).expect("valid problem");
-    let res = select_seeds(&problem, &Engine::rs_default()).expect("selection succeeds");
+    let res = Engine::rs_default()
+        .select_once(&problem, SelectionMode::Auto)
+        .expect("selection succeeds");
     println!(
         "\nwith {k} seeds: plurality {} -> {} ({} with the sandwich ratio {:.2})",
         standings.scores[target],
@@ -64,12 +65,10 @@ fn main() {
     // Problem 2: the minimum budget that actually wins. The budget
     // search probes many k values — build the RS index once and let
     // every probe query the shared sketch artifacts through a session.
-    let index = Arc::new(
-        Engine::rs_default()
-            .prepare_index(&problem.with_budget(inst.num_nodes()))
-            .expect("prepare succeeds"),
-    );
-    let mut session = PreparedIndex::session(&index);
+    let index = Engine::rs_default()
+        .prepare_index(&problem.with_budget(inst.num_nodes()))
+        .expect("prepare succeeds");
+    let mut session = QuerySession::new(Arc::new(index));
     let win = try_min_seeds_to_win(&problem, |p| {
         session
             .select(&Query::plain(p.k, p.score.clone(), p.target))

@@ -8,7 +8,7 @@
 //! ```
 
 use std::sync::Arc;
-use vom::core::engine::{PreparedIndex, SeedSelector};
+use vom::core::engine::{QuerySession, SeedSelector};
 use vom::core::{Engine, Problem, Query};
 use vom::datasets::{yelp_like, ReplicaParams};
 use vom::voting::{position_histogram, ScoringFunction};
@@ -58,7 +58,7 @@ fn main() {
             .prepare_index(&spec)
             .expect("prepare succeeds"),
     );
-    let mut session = PreparedIndex::session(&index);
+    let mut session = QuerySession::new(Arc::clone(&index));
     println!(
         "prepared RS once in {:.2}s ({:.1} MB of sketches)",
         index.build_stats().build_time.as_secs_f64(),
@@ -89,7 +89,7 @@ fn main() {
     .expect("valid problem");
     for engine in [Engine::Dm, Engine::rw_default(), Engine::rs_default()] {
         let index = Arc::new(engine.prepare_index(&problem).expect("prepare succeeds"));
-        let res = PreparedIndex::session(&index)
+        let res = QuerySession::new(Arc::clone(&index))
             .select_k(k)
             .expect("selection succeeds");
         println!(

@@ -6,7 +6,7 @@
 //! ```
 
 use std::sync::Arc;
-use vom::core::engine::{PreparedIndex, SeedSelector};
+use vom::core::engine::{QuerySession, SeedSelector};
 use vom::core::{Engine, Problem, Query};
 use vom::diffusion::{Instance, OpinionMatrix};
 use vom::graph::GraphBuilder;
@@ -55,11 +55,11 @@ fn main() {
     //    session on it, then query per rule (the build-once/query-many
     //    lifecycle; the index is `Send + Sync`, so any number of threads
     //    could open their own sessions on the same `Arc` —
-    //    `select_seeds` remains as a one-shot shorthand).
+    //    `SeedSelector::select_once` is the one-shot shorthand).
     let spec =
         Problem::new(&instance, 0, 1, horizon, ScoringFunction::Cumulative).expect("valid problem");
-    let index = Arc::new(Engine::Dm.prepare_index(&spec).expect("prepare succeeds"));
-    let mut session = PreparedIndex::session(&index);
+    let index = Engine::Dm.prepare_index(&spec).expect("prepare succeeds");
+    let mut session = QuerySession::new(Arc::new(index));
     for score in [
         ScoringFunction::Cumulative,
         ScoringFunction::Plurality,

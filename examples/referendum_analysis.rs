@@ -7,7 +7,7 @@
 //! ```
 
 use vom::baselines::{expected_spread, imm_seeds, CascadeModel, ImmConfig};
-use vom::core::{select_seeds, Engine, Problem};
+use vom::core::{Engine, Problem, SeedSelector, SelectionMode};
 use vom::datasets::{twitter_mask_like, ReplicaParams};
 use vom::diffusion::convergence::{change_fraction_series, oblivious_nodes};
 use vom::voting::ScoringFunction;
@@ -43,7 +43,9 @@ fn main() {
     // Voting-score seeds vs IMM seeds, evaluated on BOTH objectives.
     let problem = Problem::new(inst, ds.default_target, k, t, ScoringFunction::Plurality)
         .expect("valid problem");
-    let ours = select_seeds(&problem, &Engine::rw_default()).expect("selection succeeds");
+    let ours = Engine::rw_default()
+        .select_once(&problem, SelectionMode::Auto)
+        .expect("selection succeeds");
     let imm = imm_seeds(
         g,
         CascadeModel::IndependentCascade,

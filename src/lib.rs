@@ -9,7 +9,7 @@
 //!
 //! ```
 //! use std::sync::Arc;
-//! use vom::core::{select_seeds, Method, Problem};
+//! use vom::core::{Engine, Problem, SeedSelector, SelectionMode};
 //! use vom::diffusion::{Instance, OpinionMatrix};
 //! use vom::graph::GraphBuilder;
 //! use vom::voting::ScoringFunction;
@@ -30,7 +30,7 @@
 //! let instance = Instance::shared(graph, initial, vec![0.0, 0.0, 0.5, 0.5])?;
 //!
 //! let problem = Problem::new(&instance, 0, 1, 1, ScoringFunction::Plurality)?;
-//! let result = select_seeds(&problem, &Method::rs_default())?;
+//! let result = Engine::rs_default().select_once(&problem, SelectionMode::Auto)?;
 //! assert_eq!(result.exact_score, 4.0); // all four users favor the target
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```

@@ -7,8 +7,9 @@ use vom::baselines::{
     CascadeModel, ImmConfig,
 };
 use vom::core::dm::dm_greedy;
-use vom::core::{select_seeds, Method, Problem};
+use vom::core::{Engine, Problem, SeedSelector, SelectionMode};
 use vom::datasets::{dblp_like, twitter_mask_like, ReplicaParams};
+use vom::diffusion::SolverPool;
 use vom::voting::ScoringFunction;
 
 fn params() -> ReplicaParams {
@@ -19,11 +20,13 @@ fn params() -> ReplicaParams {
 fn gedt_equals_dm_on_cumulative_but_not_plurality() {
     let ds = dblp_like(&params());
     let cum = Problem::new(&ds.instance, 0, 10, 10, ScoringFunction::Cumulative).unwrap();
-    assert_eq!(gedt_seeds(&cum), dm_greedy(&cum), "identical on cumulative");
+    let dm = dm_greedy(&cum, None, &SolverPool::new(), None);
+    assert_eq!(gedt_seeds(&cum), dm, "identical on cumulative");
 
     let plu = Problem::new(&ds.instance, 0, 10, 10, ScoringFunction::Plurality).unwrap();
     let gedt_score = plu.exact_score(&gedt_seeds(&plu));
-    let ours = select_seeds(&plu, &Method::rs_default())
+    let ours = Engine::rs_default()
+        .select_once(&plu, SelectionMode::Auto)
         .unwrap()
         .exact_score;
     // GED-T runs exact CELF; our RS runs on sketch estimates, so allow a
@@ -40,7 +43,10 @@ fn our_methods_beat_centrality_baselines_on_plurality() {
     let g = ds.instance.graph_of(0);
     let k = 20;
     let p = Problem::new(&ds.instance, 0, k, 10, ScoringFunction::Plurality).unwrap();
-    let ours = select_seeds(&p, &Method::rs_default()).unwrap().exact_score;
+    let ours = Engine::rs_default()
+        .select_once(&p, SelectionMode::Auto)
+        .unwrap()
+        .exact_score;
     for (name, seeds) in [
         ("PR", pagerank_seeds(g, k)),
         ("RWR", rwr_seeds(g, k)),
@@ -80,7 +86,10 @@ fn imm_seeds_have_competitive_spread_but_lower_voting_score() {
     // Figure 11's flip side: our voting-score seeds retain most of the
     // spread. RW seeds on the cumulative score vs IMM's.
     let p = Problem::new(&ds.instance, 0, k, 10, ScoringFunction::Cumulative).unwrap();
-    let ours = select_seeds(&p, &Method::rw_default()).unwrap().seeds;
+    let ours = Engine::rw_default()
+        .select_once(&p, SelectionMode::Auto)
+        .unwrap()
+        .seeds;
     let spread_ours = expected_spread(g, CascadeModel::IndependentCascade, &ours, 400, 9);
     assert!(
         spread_ours >= 0.5 * spread_imm,

@@ -5,7 +5,7 @@
 //! from a seeded stream over the query's real tick range.
 //!
 //! Budgeted queries always run plain greedy (the sandwich arbitration
-//! is not prefix-consistent — see `PreparedIndex::select_budgeted`), so
+//! is not prefix-consistent — see `QuerySession::select_with_meter`), so
 //! the unbudgeted reference below is the `SelectionMode::Plain` run.
 
 use std::sync::{Arc, Mutex};
@@ -13,7 +13,8 @@ use vom::core::engine::Outcome;
 use vom::core::rs::RsConfig;
 use vom::core::rw::RwConfig;
 use vom::core::{
-    CostBudget, CostMeter, Engine, PreparedIndex, Problem, Query, SeedSelector, SelectionMode,
+    CostBudget, CostMeter, Engine, PreparedIndex, Problem, Query, QuerySession, SeedSelector,
+    SelectionMode,
 };
 use vom::diffusion::{Instance, OpinionMatrix};
 use vom::graph::builder::graph_from_edges;
@@ -116,11 +117,9 @@ fn budgeted_sig(
     query: &Query,
     ticks: u64,
 ) -> (bool, Vec<Node>, u64, u64) {
-    let mut session = PreparedIndex::session(index);
-    match session
-        .select_budgeted(query, CostBudget::ticks(ticks))
-        .unwrap()
-    {
+    let mut session = QuerySession::new(Arc::clone(index));
+    let meter = Arc::new(CostMeter::new(CostBudget::ticks(ticks)));
+    match session.select_with_meter(query, &meter).unwrap() {
         Outcome::Complete(res) => (false, res.seeds, 0, 0),
         Outcome::Degraded {
             seeds_prefix,
@@ -133,7 +132,7 @@ fn budgeted_sig(
 /// The full plain selection and the total ticks the query charges, via
 /// a slack meter the budget sampler then draws from.
 fn full_run(index: &Arc<PreparedIndex>, query: &Query) -> (Vec<Node>, u64) {
-    let mut session = PreparedIndex::session(index);
+    let mut session = QuerySession::new(Arc::clone(index));
     let meter = Arc::new(CostMeter::new(CostBudget::ticks(u64::MAX)));
     let outcome = session.select_with_meter(query, &meter).unwrap();
     let Outcome::Complete(res) = outcome else {
@@ -159,7 +158,7 @@ fn random_budgets_yield_prefixes_for_every_engine_and_rule() {
             // (Exhaustion is `spent >= limit`, so a budget *equal* to
             // the total cost may legitimately stop at the last
             // checkpoint — the property loop below covers that edge.)
-            let mut session = PreparedIndex::session(&index);
+            let mut session = QuerySession::new(Arc::clone(&index));
             let unmetered = session.select(&query).unwrap();
             assert_eq!(unmetered.seeds, full, "{}/{rule:?}", engine.name());
             let (degraded, seeds, _, _) = budgeted_sig(&index, &query, total_ticks + 1);

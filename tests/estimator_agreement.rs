@@ -4,7 +4,7 @@
 
 use vom::core::rs::RsConfig;
 use vom::core::rw::RwConfig;
-use vom::core::{select_seeds, select_seeds_plain, Method, Problem};
+use vom::core::{Engine, Problem, SeedSelector, SelectionMode};
 use vom::datasets::{dblp_like, yelp_like, ReplicaParams};
 use vom::voting::ScoringFunction;
 
@@ -16,9 +16,18 @@ fn params() -> ReplicaParams {
 fn cumulative_scores_agree_within_tolerance() {
     let ds = dblp_like(&params());
     let p = Problem::new(&ds.instance, 0, 10, 10, ScoringFunction::Cumulative).unwrap();
-    let dm = select_seeds(&p, &Method::Dm).unwrap().exact_score;
-    let rw = select_seeds(&p, &Method::rw_default()).unwrap().exact_score;
-    let rs = select_seeds(&p, &Method::rs_default()).unwrap().exact_score;
+    let dm = Engine::Dm
+        .select_once(&p, SelectionMode::Auto)
+        .unwrap()
+        .exact_score;
+    let rw = Engine::rw_default()
+        .select_once(&p, SelectionMode::Auto)
+        .unwrap()
+        .exact_score;
+    let rs = Engine::rs_default()
+        .select_once(&p, SelectionMode::Auto)
+        .unwrap()
+        .exact_score;
     // DM is exact greedy; the estimators should be within a few percent.
     assert!(rw >= 0.95 * dm, "RW {rw} too far below DM {dm}");
     assert!(rs >= 0.93 * dm, "RS {rs} too far below DM {dm}");
@@ -30,9 +39,18 @@ fn cumulative_scores_agree_within_tolerance() {
 fn plurality_scores_agree_within_tolerance() {
     let ds = dblp_like(&params());
     let p = Problem::new(&ds.instance, 0, 10, 10, ScoringFunction::Plurality).unwrap();
-    let dm = select_seeds(&p, &Method::Dm).unwrap().exact_score;
-    let rw = select_seeds(&p, &Method::rw_default()).unwrap().exact_score;
-    let rs = select_seeds(&p, &Method::rs_default()).unwrap().exact_score;
+    let dm = Engine::Dm
+        .select_once(&p, SelectionMode::Auto)
+        .unwrap()
+        .exact_score;
+    let rw = Engine::rw_default()
+        .select_once(&p, SelectionMode::Auto)
+        .unwrap()
+        .exact_score;
+    let rs = Engine::rs_default()
+        .select_once(&p, SelectionMode::Auto)
+        .unwrap()
+        .exact_score;
     assert!(rw >= 0.9 * dm, "RW {rw} too far below DM {dm}");
     assert!(rs >= 0.85 * dm, "RS {rs} too far below DM {dm}");
 }
@@ -51,9 +69,7 @@ fn estimated_cumulative_tracks_exact_score() {
         200_000,
         3,
     );
-    // The deprecated per-call surface is the independent reference here.
-    #[allow(deprecated)]
-    let exact: f64 = cand.engine().opinions_at(t, &[]).iter().sum();
+    let exact: f64 = ds.instance.opinions_of(0, t, &[]).iter().sum();
     let est = sketch.estimated_cumulative();
     let rel = (est - exact).abs() / exact;
     assert!(rel < 0.02, "estimate {est} vs exact {exact} ({rel:.3} rel)");
@@ -63,23 +79,22 @@ fn estimated_cumulative_tracks_exact_score() {
 fn seed_overlap_between_methods_is_substantial() {
     let ds = dblp_like(&params());
     let p = Problem::new(&ds.instance, 0, 20, 10, ScoringFunction::Cumulative).unwrap();
-    let dm = select_seeds_plain(&p, &Method::Dm).unwrap().seeds;
-    let rw = select_seeds_plain(
-        &p,
-        &Method::Rw(RwConfig {
-            seed: 5,
-            ..RwConfig::default()
-        }),
-    )
+    let dm = Engine::Dm
+        .select_once(&p, SelectionMode::Plain)
+        .unwrap()
+        .seeds;
+    let rw = Engine::Rw(RwConfig {
+        seed: 5,
+        ..RwConfig::default()
+    })
+    .select_once(&p, SelectionMode::Plain)
     .unwrap()
     .seeds;
-    let rs = select_seeds_plain(
-        &p,
-        &Method::Rs(RsConfig {
-            seed: 5,
-            ..RsConfig::default()
-        }),
-    )
+    let rs = Engine::Rs(RsConfig {
+        seed: 5,
+        ..RsConfig::default()
+    })
+    .select_once(&p, SelectionMode::Plain)
     .unwrap()
     .seeds;
     let overlap = |a: &[u32], b: &[u32]| {
@@ -103,18 +118,18 @@ fn selection_is_deterministic_given_seed() {
     let ds = dblp_like(&params());
     let p = Problem::new(&ds.instance, 0, 8, 10, ScoringFunction::Plurality).unwrap();
     for method in [
-        Method::Dm,
-        Method::Rw(RwConfig {
+        Engine::Dm,
+        Engine::Rw(RwConfig {
             seed: 11,
             ..RwConfig::default()
         }),
-        Method::Rs(RsConfig {
+        Engine::Rs(RsConfig {
             seed: 11,
             ..RsConfig::default()
         }),
     ] {
-        let a = select_seeds(&p, &method).unwrap().seeds;
-        let b = select_seeds(&p, &method).unwrap().seeds;
+        let a = method.select_once(&p, SelectionMode::Auto).unwrap().seeds;
+        let b = method.select_once(&p, SelectionMode::Auto).unwrap().seeds;
         assert_eq!(a, b, "{}", method.name());
     }
 }

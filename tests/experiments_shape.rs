@@ -4,7 +4,7 @@
 
 use vom::core::rs::RsConfig;
 use vom::core::rw::RwConfig;
-use vom::core::{select_seeds, select_seeds_plain, Method, Problem};
+use vom::core::{Engine, Problem, SeedSelector, SelectionMode};
 use vom::datasets::{acm_case_study, twitter_mask_like, yelp_like, ReplicaParams};
 use vom::voting::ScoringFunction;
 
@@ -19,7 +19,10 @@ fn scores_are_monotone_in_k() {
     let mut last = f64::NEG_INFINITY;
     for k in [5, 10, 20, 40] {
         let p = Problem::new(&ds.instance, 0, k, 10, ScoringFunction::Plurality).unwrap();
-        let score = select_seeds(&p, &Method::rs_default()).unwrap().exact_score;
+        let score = Engine::rs_default()
+            .select_once(&p, SelectionMode::Auto)
+            .unwrap()
+            .exact_score;
         assert!(
             score + 1e-9 >= last,
             "score must not drop when k grows: {last} -> {score} at k={k}"
@@ -35,7 +38,8 @@ fn score_plateaus_in_the_horizon() {
     let ds = yelp_like(&params());
     let score_at = |t: usize| {
         let p = Problem::new(&ds.instance, 0, 10, t, ScoringFunction::Cumulative).unwrap();
-        select_seeds_plain(&p, &Method::rs_default())
+        Engine::rs_default()
+            .select_once(&p, SelectionMode::Plain)
             .unwrap()
             .exact_score
     };
@@ -58,14 +62,12 @@ fn theta_improves_rank_scores_until_convergence() {
     let ds = twitter_mask_like(&params());
     let p = Problem::new(&ds.instance, 0, 10, 10, ScoringFunction::Plurality).unwrap();
     let score_at = |theta: usize| {
-        select_seeds_plain(
-            &p,
-            &Method::Rs(RsConfig {
-                theta_override: Some(theta),
-                seed: 7,
-                ..RsConfig::default()
-            }),
-        )
+        Engine::Rs(RsConfig {
+            theta_override: Some(theta),
+            seed: 7,
+            ..RsConfig::default()
+        })
+        .select_once(&p, SelectionMode::Plain)
         .unwrap()
         .exact_score
     };
@@ -87,14 +89,12 @@ fn rho_improves_rw_accuracy_and_costs_walks() {
     let ds = twitter_mask_like(&params());
     let p = Problem::new(&ds.instance, 0, 10, 10, ScoringFunction::Plurality).unwrap();
     let score_at = |rho: f64| {
-        select_seeds_plain(
-            &p,
-            &Method::Rw(RwConfig {
-                rho,
-                seed: 7,
-                ..RwConfig::default()
-            }),
-        )
+        Engine::Rw(RwConfig {
+            rho,
+            seed: 7,
+            ..RwConfig::default()
+        })
+        .select_once(&p, SelectionMode::Plain)
         .unwrap()
         .exact_score
     };
@@ -116,7 +116,9 @@ fn case_study_seeds_flip_a_large_neutral_population() {
     let k = n / 20;
     let t = 20;
     let p = Problem::new(inst, 0, k, t, ScoringFunction::Plurality).unwrap();
-    let res = select_seeds(&p, &Method::rs_default()).unwrap();
+    let res = Engine::rs_default()
+        .select_once(&p, SelectionMode::Auto)
+        .unwrap();
     let before = ScoringFunction::Plurality.score(&inst.opinions_at(t, 0, &[]), 0);
     let after = res.exact_score;
     assert!(
@@ -131,8 +133,12 @@ fn rs_is_fastest_proposed_method_at_scale() {
     // mid-size replica (DM excluded: it is known-slow by construction).
     let ds = twitter_mask_like(&ReplicaParams::at_scale(0.004, 9));
     let p = Problem::new(&ds.instance, 0, 20, 15, ScoringFunction::Cumulative).unwrap();
-    let rw = select_seeds_plain(&p, &Method::rw_default()).unwrap();
-    let rs = select_seeds_plain(&p, &Method::rs_default()).unwrap();
+    let rw = Engine::rw_default()
+        .select_once(&p, SelectionMode::Plain)
+        .unwrap();
+    let rs = Engine::rs_default()
+        .select_once(&p, SelectionMode::Plain)
+        .unwrap();
     assert!(
         rs.elapsed <= rw.elapsed * 3,
         "RS ({:?}) should not be drastically slower than RW ({:?})",

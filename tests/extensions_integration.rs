@@ -5,7 +5,8 @@
 
 use std::sync::Arc;
 use vom::core::{
-    evaluate_rule, generic_greedy, min_seeds_to_win_rule, select_seeds, Method, Problem,
+    evaluate_rule, generic_greedy, min_seeds_to_win_rule, Engine, Problem, SeedSelector,
+    SelectionMode,
 };
 use vom::datasets::{dblp_like, yelp_like, ReplicaParams};
 use vom::diffusion::OpinionMatrix;
@@ -39,8 +40,10 @@ fn borda_runs_through_the_paper_estimator_machinery() {
     )
     .expect("valid problem");
     let seedless = problem.exact_score(&[]);
-    for method in [Method::rw_default(), Method::rs_default()] {
-        let res = select_seeds(&problem, &method).expect("selection succeeds");
+    for method in [Engine::rw_default(), Engine::rs_default()] {
+        let res = method
+            .select_once(&problem, SelectionMode::Auto)
+            .expect("selection succeeds");
         assert_eq!(res.seeds.len(), k, "{}", method.name());
         assert!(
             res.exact_score >= seedless,
@@ -61,7 +64,9 @@ fn estimator_borda_is_competitive_with_exact_borda_greedy() {
     let (t, k) = (10, 4);
     let problem =
         Problem::new(&ds.instance, q, k, t, ScoringFunction::borda(r)).expect("valid problem");
-    let rs = select_seeds(&problem, &Method::rs_default()).expect("selection succeeds");
+    let rs = Engine::rs_default()
+        .select_once(&problem, SelectionMode::Auto)
+        .expect("selection succeeds");
     let exact_seeds = generic_greedy(&ds.instance, q, k, t, &ExtendedRule::Borda).unwrap();
 
     let rule = ExtendedRule::Borda;
@@ -106,7 +111,10 @@ fn generic_win_search_agrees_with_plurality_specialized_path() {
     let generic =
         min_seeds_to_win_rule(inst, q, t, &ScoringFunction::Plurality).expect("valid problem");
     let problem = Problem::new(inst, q, 1, t, ScoringFunction::Plurality).unwrap();
-    let specialized = vom::core::win::min_seeds_to_win(&problem, vom::core::dm::dm_greedy);
+    let specialized = vom::core::win::min_seeds_to_win(&problem, |p| {
+        let dm = Engine::Dm.select_once(p, SelectionMode::Plain);
+        dm.expect("valid problem").seeds
+    });
     match (generic, specialized) {
         (Some(g), Some(s)) => assert_eq!(g.k, s.k, "k* mismatch"),
         (None, None) => {}

@@ -3,7 +3,7 @@
 //! API.
 
 use std::sync::Arc;
-use vom::core::{select_seeds, Method, Problem};
+use vom::core::{Engine, Problem, SeedSelector, SelectionMode};
 use vom::diffusion::{Instance, OpinionMatrix};
 use vom::graph::builder::graph_from_edges;
 use vom::voting::{condorcet_winner, tally, ScoringFunction};
@@ -77,7 +77,7 @@ fn example_2_optimal_single_seeds_per_score() {
         ),
     ] {
         let p = Problem::new(&inst, 0, 1, 1, score.clone()).unwrap();
-        let res = select_seeds(&p, &Method::Dm).unwrap();
+        let res = Engine::Dm.select_once(&p, SelectionMode::Auto).unwrap();
         assert!(
             check(&res.seeds),
             "{score}: unexpected seeds {:?}",
@@ -127,9 +127,18 @@ fn all_three_methods_agree_on_the_running_example() {
         ScoringFunction::Copeland,
     ] {
         let p = Problem::new(&inst, 0, 1, 1, score.clone()).unwrap();
-        let dm = select_seeds(&p, &Method::Dm).unwrap().exact_score;
-        let rw = select_seeds(&p, &Method::rw_default()).unwrap().exact_score;
-        let rs = select_seeds(&p, &Method::rs_default()).unwrap().exact_score;
+        let dm = Engine::Dm
+            .select_once(&p, SelectionMode::Auto)
+            .unwrap()
+            .exact_score;
+        let rw = Engine::rw_default()
+            .select_once(&p, SelectionMode::Auto)
+            .unwrap()
+            .exact_score;
+        let rs = Engine::rs_default()
+            .select_once(&p, SelectionMode::Auto)
+            .unwrap()
+            .exact_score;
         assert_eq!(dm, rw, "{score}: DM vs RW");
         assert_eq!(dm, rs, "{score}: DM vs RS");
     }

@@ -8,8 +8,8 @@
 //! `rayon::set_thread_override` and compares against the 1-thread run,
 //! which in turn equals the historical sequential shim's output.
 
-use std::sync::Mutex;
-use vom::core::{Engine, Problem, Query, SeedSelector, SelectionMode};
+use std::sync::{Arc, Mutex};
+use vom::core::{Engine, Problem, Query, QuerySession, SeedSelector, SelectionMode};
 use vom::datasets::{yelp_like, Dataset, ReplicaParams};
 use vom::dynamics::{expected_opinions, VoterModel};
 use vom::graph::Node;
@@ -136,9 +136,10 @@ fn prepared_selections_are_bit_identical_across_thread_counts() {
                 Problem::new(&ds.instance, ds.default_target, k, horizon, rule.clone()).unwrap();
             let run = |threads: usize| {
                 with_threads(threads, || {
-                    let mut prepared = engine.prepare(&spec).unwrap();
+                    let mut session =
+                        QuerySession::new(Arc::new(engine.prepare_index(&spec).unwrap()));
                     assert_eq!(
-                        prepared.build_stats().threads,
+                        session.index().build_stats().threads,
                         threads,
                         "BuildStats must report the prepare-time pool width"
                     );
@@ -150,7 +151,7 @@ fn prepared_selections_are_bit_identical_across_thread_counts() {
                             target: ds.default_target,
                             mode,
                         };
-                        let res = prepared.select(&query).unwrap();
+                        let res = session.select(&query).unwrap();
                         out.push((res.seeds, res.exact_score.to_bits()));
                     }
                     out

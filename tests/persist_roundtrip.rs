@@ -14,7 +14,7 @@ use std::sync::{Arc, Mutex};
 use vom::core::engine::SeedSelector;
 use vom::core::rs::RsConfig;
 use vom::core::rw::RwConfig;
-use vom::core::{Engine, IndexSource, PreparedIndex, Problem, Query};
+use vom::core::{Engine, IndexSource, PreparedIndex, Problem, Query, QuerySession};
 use vom::diffusion::{Instance, OpinionMatrix};
 use vom::graph::builder::graph_from_edges;
 use vom::graph::{generators, Node};
@@ -94,7 +94,7 @@ fn rules() -> [ScoringFunction; 3] {
 
 /// Every `k ≤ K_MAX` selection (seeds + score bits) of an index.
 fn selections(index: &Arc<PreparedIndex>, rule: &ScoringFunction) -> Vec<(Vec<Node>, u64)> {
-    let mut session = PreparedIndex::session(index);
+    let mut session = QuerySession::new(Arc::clone(index));
     (1..=K_MAX)
         .map(|k| {
             let out = session.select(&Query::new(k, rule.clone(), 0)).unwrap();
@@ -235,7 +235,7 @@ proptest! {
 
         let spec = Problem::new(&inst, 0, k, HORIZON, rule.clone()).unwrap();
         let index = Arc::new(engine.prepare_index(&spec).unwrap());
-        let mut session = PreparedIndex::session(&index);
+        let mut session = QuerySession::new(Arc::clone(&index));
         let query = Query::new(k, rule.clone(), 0);
         let fresh = session.select(&query).unwrap();
 
@@ -245,7 +245,7 @@ proptest! {
             PreparedIndex::load(Arc::clone(&inst), IndexSource::File(&path)).unwrap(),
         );
         std::fs::remove_file(&path).ok();
-        let mut session = PreparedIndex::session(&loaded);
+        let mut session = QuerySession::new(Arc::clone(&loaded));
         let replay = session.select(&query).unwrap();
         prop_assert_eq!(fresh.seeds, replay.seeds);
         prop_assert_eq!(fresh.exact_score.to_bits(), replay.exact_score.to_bits());

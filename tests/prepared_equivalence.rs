@@ -1,7 +1,8 @@
 //! Artifact-reuse equivalence suite: preparing an engine once at budget
 //! `k_max` and querying `k ∈ 1..=k_max` under each scoring rule must
 //! return **bit-identical** seeds and scores to the one-shot
-//! `select_seeds`/`select_seeds_plain` path, for all three engines.
+//! `SeedSelector::select_once` path in auto and plain mode, for all
+//! three engines.
 //!
 //! The estimator artifacts are deterministic given their config seed; the
 //! configs below pin the two budget-derived knobs (`gamma_pilot` for RW,
@@ -10,10 +11,9 @@
 //! statistical.
 
 use std::sync::Arc;
-use vom::core::engine::SeedSelector;
 use vom::core::rs::RsConfig;
 use vom::core::rw::RwConfig;
-use vom::core::{select_seeds, select_seeds_plain, Engine, Problem, Query};
+use vom::core::{Engine, Problem, Query, QuerySession, SeedSelector, SelectionMode};
 use vom::diffusion::{Instance, OpinionMatrix};
 use vom::graph::builder::graph_from_edges;
 use vom::graph::generators;
@@ -78,11 +78,13 @@ fn prepared_select_matches_one_shot_auto_mode() {
     for engine in engines() {
         for rule in rules() {
             let spec = Problem::new(&inst, 0, K_MAX, HORIZON, rule.clone()).unwrap();
-            let mut prepared = engine.prepare(&spec).unwrap();
+            let mut session = QuerySession::new(Arc::new(engine.prepare_index(&spec).unwrap()));
             for k in 1..=K_MAX {
-                let via_prepared = prepared.select_k(k).unwrap();
+                let via_prepared = session.select_k(k).unwrap();
                 let one_shot_problem = Problem::new(&inst, 0, k, HORIZON, rule.clone()).unwrap();
-                let via_one_shot = select_seeds(&one_shot_problem, &engine).unwrap();
+                let via_one_shot = engine
+                    .select_once(&one_shot_problem, SelectionMode::Auto)
+                    .unwrap();
                 assert_eq!(
                     via_prepared.seeds,
                     via_one_shot.seeds,
@@ -106,12 +108,14 @@ fn prepared_select_matches_one_shot_plain_mode() {
     for engine in engines() {
         for rule in rules() {
             let spec = Problem::new(&inst, 0, K_MAX, HORIZON, rule.clone()).unwrap();
-            let mut prepared = engine.prepare(&spec).unwrap();
+            let mut session = QuerySession::new(Arc::new(engine.prepare_index(&spec).unwrap()));
             for k in 1..=K_MAX {
                 let query = Query::plain(k, rule.clone(), 0);
-                let via_prepared = prepared.select(&query).unwrap();
+                let via_prepared = session.select(&query).unwrap();
                 let one_shot_problem = Problem::new(&inst, 0, k, HORIZON, rule.clone()).unwrap();
-                let via_one_shot = select_seeds_plain(&one_shot_problem, &engine).unwrap();
+                let via_one_shot = engine
+                    .select_once(&one_shot_problem, SelectionMode::Plain)
+                    .unwrap();
                 assert_eq!(
                     via_prepared.seeds,
                     via_one_shot.seeds,
@@ -136,13 +140,15 @@ fn one_prepared_engine_serves_all_rules_identically() {
     let inst = instance();
     for engine in engines() {
         let spec = Problem::new(&inst, 0, K_MAX, HORIZON, ScoringFunction::Cumulative).unwrap();
-        let mut prepared = engine.prepare(&spec).unwrap();
+        let mut session = QuerySession::new(Arc::new(engine.prepare_index(&spec).unwrap()));
         for rule in rules() {
             for k in [1, K_MAX] {
                 let query = Query::new(k, rule.clone(), 0);
-                let via_prepared = prepared.select(&query).unwrap();
+                let via_prepared = session.select(&query).unwrap();
                 let one_shot_problem = Problem::new(&inst, 0, k, HORIZON, rule.clone()).unwrap();
-                let via_one_shot = select_seeds(&one_shot_problem, &engine).unwrap();
+                let via_one_shot = engine
+                    .select_once(&one_shot_problem, SelectionMode::Auto)
+                    .unwrap();
                 assert_eq!(
                     via_prepared.seeds,
                     via_one_shot.seeds,
@@ -159,8 +165,8 @@ fn sandwich_diagnostics_survive_the_prepared_path() {
     let inst = instance();
     let spec = Problem::new(&inst, 0, K_MAX, HORIZON, ScoringFunction::Plurality).unwrap();
     for engine in engines() {
-        let mut prepared = engine.prepare(&spec).unwrap();
-        let res = prepared.select_k(2).unwrap();
+        let mut session = QuerySession::new(Arc::new(engine.prepare_index(&spec).unwrap()));
+        let res = session.select_k(2).unwrap();
         let info = res.sandwich.expect("plurality runs the sandwich");
         assert!(
             info.ratio > 0.0 && info.ratio <= 1.0 + 1e-12,

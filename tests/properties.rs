@@ -3,15 +3,22 @@
 //! submodularity (Theorem 3), estimator unbiasedness and bound
 //! domination.
 
-// The deprecated FjEngine per-call surface is the independent diffusion
-// reference these properties are stated against.
-#![allow(deprecated)]
-
 use proptest::prelude::*;
 use std::sync::Arc;
-use vom::diffusion::{FjEngine, Instance, OpinionMatrix};
+use vom::diffusion::{DiffusionSystem, Instance, OpinionMatrix, SolveOptions, Solver, SolverPool};
 use vom::graph::builder::graph_from_edges;
 use vom::graph::{Node, SocialGraph};
+
+/// An exact solver over one candidate's inputs.
+fn solver(g: &SocialGraph, b0: &[f64], d: &[f64]) -> Solver {
+    Solver::new(Arc::new(DiffusionSystem::new(g, b0, d).unwrap()))
+}
+
+/// `B^(t)[S]` for seed set `seeds`.
+fn opinions_after(solver: &mut Solver, t: usize, seeds: &[Node]) -> Vec<f64> {
+    solver.solve(seeds, &SolveOptions::exact(t), None);
+    solver.opinions().to_vec()
+}
 
 /// Strategy: a random small weighted digraph + opinions + stubbornness.
 fn arb_instance() -> impl Strategy<Value = (SocialGraph, Vec<f64>, Vec<f64>)> {
@@ -41,9 +48,9 @@ proptest! {
         t in 0usize..12,
         seed in 0u32..8,
     ) {
-        let engine = FjEngine::new(&g, &b0, &d).unwrap();
+        let mut fj = solver(&g, &b0, &d);
         let seeds = [seed % g.num_nodes() as Node];
-        for &b in &engine.opinions_at(t, &seeds) {
+        for &b in &opinions_after(&mut fj, t, &seeds) {
             prop_assert!((0.0..=1.0).contains(&b), "opinion {b} out of range");
         }
     }
@@ -56,11 +63,11 @@ proptest! {
     ) {
         // Adding a seed can only raise each user's opinion (§III-B).
         let n = g.num_nodes() as Node;
-        let engine = FjEngine::new(&g, &b0, &d).unwrap();
+        let mut fj = solver(&g, &b0, &d);
         let small = [0 % n];
         let large = [0 % n, extra % n];
-        let b_small = engine.opinions_at(t, &small);
-        let b_large = engine.opinions_at(t, &large);
+        let b_small = opinions_after(&mut fj, t, &small);
+        let b_large = opinions_after(&mut fj, t, &large);
         for (s, l) in b_small.iter().zip(&b_large) {
             prop_assert!(l + 1e-12 >= *s, "monotonicity violated: {s} > {l}");
         }
@@ -74,14 +81,14 @@ proptest! {
         // b_qi[X ∪ {s}] − b_qi[X] >= b_qi[Y ∪ {s}] − b_qi[Y] for X ⊆ Y.
         let n = g.num_nodes() as Node;
         if n < 4 { return Ok(()); }
-        let engine = FjEngine::new(&g, &b0, &d).unwrap();
+        let mut fj = solver(&g, &b0, &d);
         let x = [0];
         let y = [0, 1];
         let s = 2;
-        let bx = engine.opinions_at(t, &x);
-        let bxs = engine.opinions_at(t, &[0, s]);
-        let by = engine.opinions_at(t, &y);
-        let bys = engine.opinions_at(t, &[0, 1, s]);
+        let bx = opinions_after(&mut fj, t, &x);
+        let bxs = opinions_after(&mut fj, t, &[0, s]);
+        let by = opinions_after(&mut fj, t, &y);
+        let bys = opinions_after(&mut fj, t, &[0, 1, s]);
         for v in 0..n as usize {
             let gain_x = bxs[v] - bx[v];
             let gain_y = bys[v] - by[v];
@@ -103,7 +110,7 @@ proptest! {
         let p = vom::core::Problem::new(
             &inst, 0, 1, t, vom::voting::ScoringFunction::Cumulative,
         ).unwrap();
-        let greedy = p.exact_score(&vom::core::dm::dm_greedy(&p));
+        let greedy = p.exact_score(&vom::core::dm::dm_greedy(&p, None, &SolverPool::new(), None));
         let best = (0..n as Node)
             .map(|v| p.exact_score(&[v]))
             .fold(f64::NEG_INFINITY, f64::max);
@@ -143,8 +150,8 @@ proptest! {
         t in 0usize..5,
     ) {
         use vom::walks::{Lambda, OpinionEstimator, WalkGenerator};
-        let engine = FjEngine::new(&g, &b0, &d).unwrap();
-        let exact = engine.opinions_at(t, &[0]);
+        let mut fj = solver(&g, &b0, &d);
+        let exact = opinions_after(&mut fj, t, &[0]);
         let gen = WalkGenerator::new(&g, &d, t);
         let arena = gen.generate_per_node(&Lambda::Uniform(4000), 11);
         let mut est = OpinionEstimator::new(&arena, &b0);

@@ -11,12 +11,9 @@
 //! rather than statistical.
 
 use std::sync::Arc;
-use vom::core::engine::SeedSelector;
 use vom::core::rs::RsConfig;
 use vom::core::rw::RwConfig;
-use vom::core::{
-    select_seeds, select_seeds_plain, Engine, PreparedIndex, Problem, Query, SelectionMode,
-};
+use vom::core::{Engine, Problem, Query, QuerySession, SeedSelector, SelectionMode};
 use vom::diffusion::{Instance, OpinionMatrix};
 use vom::graph::builder::graph_from_edges;
 use vom::graph::{generators, Node};
@@ -95,8 +92,8 @@ type Outcome = (Vec<Node>, u64);
 fn one_shot(inst: &Instance, engine: &Engine, query: &Query) -> Outcome {
     let problem = Problem::new(inst, 0, query.k, HORIZON, query.rule.clone()).unwrap();
     let res = match query.mode {
-        SelectionMode::Auto => select_seeds(&problem, engine),
-        SelectionMode::Plain => select_seeds_plain(&problem, engine),
+        SelectionMode::Auto => engine.select_once(&problem, SelectionMode::Auto),
+        SelectionMode::Plain => engine.select_once(&problem, SelectionMode::Plain),
     }
     .unwrap();
     (res.seeds, res.exact_score.to_bits())
@@ -126,7 +123,7 @@ fn eight_threads_on_one_shared_index_match_the_sequential_baseline() {
                     let index = Arc::clone(&index);
                     let queries = &queries;
                     s.spawn(move || {
-                        let mut session = PreparedIndex::session(&index);
+                        let mut session = QuerySession::new(Arc::clone(&index));
                         (w..queries.len())
                             .step_by(WORKERS)
                             .map(|i| {

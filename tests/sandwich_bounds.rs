@@ -5,7 +5,7 @@
 use vom::core::bounds::{
     evaluate_upper_bound, favorable_users, upper_bound_parts, weakly_favorable_users,
 };
-use vom::core::{select_seeds, select_seeds_plain, Method, Problem};
+use vom::core::{Engine, Problem, SeedSelector, SelectionMode};
 use vom::datasets::{dblp_like, twitter_mask_like, ReplicaParams};
 use vom::voting::rank::beta;
 use vom::voting::ScoringFunction;
@@ -72,10 +72,13 @@ fn sandwich_never_loses_to_plain_greedy() {
     let ds = twitter_mask_like(&params());
     for score in [ScoringFunction::Plurality, ScoringFunction::Copeland] {
         let p = Problem::new(&ds.instance, 0, 10, 8, score.clone()).unwrap();
-        let plain = select_seeds_plain(&p, &Method::rs_default())
+        let plain = Engine::rs_default()
+            .select_once(&p, SelectionMode::Plain)
             .unwrap()
             .exact_score;
-        let sandwich = select_seeds(&p, &Method::rs_default()).unwrap();
+        let sandwich = Engine::rs_default()
+            .select_once(&p, SelectionMode::Auto)
+            .unwrap();
         assert!(
             sandwich.exact_score >= plain - 1e-9,
             "{score}: sandwich {} < plain {plain}",
@@ -95,7 +98,9 @@ fn sandwich_ratio_is_reasonably_high_on_replicas() {
     // assert a conservative floor.
     let ds = twitter_mask_like(&params());
     let p = Problem::new(&ds.instance, 0, 20, 8, ScoringFunction::Plurality).unwrap();
-    let res = select_seeds(&p, &Method::rs_default()).unwrap();
+    let res = Engine::rs_default()
+        .select_once(&p, SelectionMode::Auto)
+        .unwrap();
     let ratio = res.sandwich.unwrap().ratio;
     assert!(ratio >= 0.3, "suspiciously poor sandwich ratio {ratio}");
 }

@@ -6,9 +6,9 @@
 //! suite pins, re-asserted on the workload that grows toward 10⁶.
 
 use proptest::prelude::*;
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 use vom::core::rs::RsConfig;
-use vom::core::{Engine, Problem, Query, SeedSelector, SelectionMode};
+use vom::core::{Engine, Problem, Query, QuerySession, SeedSelector, SelectionMode};
 use vom::datasets::{scale_stress, ScaleParams};
 use vom::graph::stats::GraphStats;
 use vom::voting::ScoringFunction;
@@ -50,14 +50,14 @@ fn rs_selection(nodes: usize, seed: u64, k: usize) -> (Vec<vom::graph::Node>, u6
         theta_override: Some(nodes),
         ..RsConfig::default()
     });
-    let mut prepared = engine.prepare(&spec).unwrap();
+    let mut session = QuerySession::new(Arc::new(engine.prepare_index(&spec).unwrap()));
     let query = Query {
         k,
         rule: ScoringFunction::Cumulative,
         target: ds.default_target,
         mode: SelectionMode::Auto,
     };
-    let res = prepared.select(&query).unwrap();
+    let res = session.select(&query).unwrap();
     (res.seeds, res.exact_score.to_bits())
 }
 

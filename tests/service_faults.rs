@@ -7,13 +7,13 @@
 //! the same typed errors, same siblings complete with the same seeds.
 
 use std::sync::{Arc, Mutex};
-use vom::core::engine::Outcome;
 use vom::core::{MethodId, Query};
 use vom::diffusion::{Instance, OpinionMatrix};
 use vom::graph::builder::graph_from_edges;
 use vom::graph::{generators, Node};
 use vom::service::{
-    FaultPlan, NoopScheduler, Priority, RetryPolicy, ServiceError, ServiceRequest, VomService,
+    FaultPlan, NoopScheduler, Priority, RetryPolicy, ServiceError, ServiceRequest, ServiceResult,
+    VomService,
 };
 use vom::voting::ScoringFunction;
 
@@ -87,12 +87,12 @@ fn batch() -> Vec<ServiceRequest> {
 
 /// One batch result reduced to a width-comparable signature per slot:
 /// outcome kind, seeds (full or prefix), and the typed error name.
-fn batch_sig(results: Vec<Result<Outcome, ServiceError>>) -> Vec<(String, Vec<Node>)> {
+fn batch_sig(results: Vec<ServiceResult>) -> Vec<(String, Vec<Node>)> {
     results
         .into_iter()
         .map(|slot| match slot {
-            Ok(Outcome::Complete(res)) => ("complete".into(), res.seeds),
-            Ok(Outcome::Degraded {
+            Ok(res) => ("complete".into(), res.seeds),
+            Err(ServiceError::Degraded {
                 seeds_prefix,
                 budget_spent,
                 budget_limit,
@@ -113,7 +113,7 @@ fn faulted_batches_are_bit_identical_across_widths() {
     let requests = batch();
 
     // Fault-free reference at one thread.
-    let baseline = with_threads(1, || batch_sig(service(&inst).run_batch_full(&requests)));
+    let baseline = with_threads(1, || batch_sig(service(&inst).run_batch(&requests)));
     assert!(baseline.iter().all(|(kind, _)| kind == "complete"));
 
     // A build panic (surfacing in slot 0, the first scheduled build)
@@ -128,7 +128,7 @@ fn faulted_batches_are_bit_identical_across_widths() {
                     .with_build_panics("net", 1)
                     .with_query_panic(3),
             )));
-            batch_sig(svc.run_batch_full(&requests))
+            batch_sig(svc.run_batch(&requests))
         });
         // The two faulted slots surface typed; nothing else changes.
         assert!(sig[0].0.starts_with("panicked:") && sig[0].0.contains("index build"));
@@ -158,13 +158,13 @@ fn budgeted_batch_slots_degrade_to_prefixes_at_any_width() {
     requests[1] = requests[1].clone().with_budget(40);
     requests[4] = requests[4].clone().with_budget(7);
 
-    let baseline = with_threads(1, || batch_sig(service(&inst).run_batch_full(&batch())));
+    let baseline = with_threads(1, || batch_sig(service(&inst).run_batch(&batch())));
     let mut reference: Option<Vec<(String, Vec<Node>)>> = None;
     for threads in THREADS {
         let sig = with_threads(threads, || {
             let svc = service(&inst);
             svc.set_fault_plan(Some(Arc::new(FaultPlan::new(7).with_tick_scale(3))));
-            batch_sig(svc.run_batch_full(&requests))
+            batch_sig(svc.run_batch(&requests))
         });
         for (i, (kind, seeds)) in sig.iter().enumerate() {
             if i == 1 || i == 4 {
@@ -199,7 +199,7 @@ fn admission_denial_is_typed_and_width_independent() {
         // denied admission — typed, and identically at every width.
         let sig = with_threads(threads, || {
             let svc = service(&inst).with_memory_budget(1);
-            batch_sig(svc.run_batch_full(&requests))
+            batch_sig(svc.run_batch(&requests))
         });
         assert!(
             sig.iter()
@@ -218,7 +218,7 @@ fn priority_classes_order_batches_without_changing_results() {
     let _guard = pool_lock();
     let inst = instance();
     let requests = batch();
-    let baseline = with_threads(1, || batch_sig(service(&inst).run_batch_full(&requests)));
+    let baseline = with_threads(1, || batch_sig(service(&inst).run_batch(&requests)));
     // Scrambled priorities: scheduling order changes, results must not
     // (the result vector stays in request order).
     let prioritized: Vec<ServiceRequest> = requests
@@ -235,7 +235,7 @@ fn priority_classes_order_batches_without_changing_results() {
         .collect();
     for threads in THREADS {
         let sig = with_threads(threads, || {
-            batch_sig(service(&inst).run_batch_full(&prioritized))
+            batch_sig(service(&inst).run_batch(&prioritized))
         });
         assert_eq!(sig, baseline, "{threads} threads");
     }
@@ -251,7 +251,7 @@ fn warm_restart_retries_transient_faults_and_serves_identically() {
 
     let outcome = std::panic::catch_unwind(|| {
         let builder = service(&inst);
-        let baseline = batch_sig(builder.run_batch_full(&requests));
+        let baseline = batch_sig(builder.run_batch(&requests));
         let path = builder.save_index(&requests[0], &dir).unwrap();
         let file_name = path.file_name().unwrap().to_string_lossy().into_owned();
 
@@ -273,7 +273,7 @@ fn warm_restart_retries_transient_faults_and_serves_identically() {
 
         // The snapshot-served index answers bit-identically.
         warmed.set_fault_plan(None);
-        assert_eq!(batch_sig(warmed.run_batch_full(&requests)), baseline);
+        assert_eq!(batch_sig(warmed.run_batch(&requests)), baseline);
 
         // Exhausting the retry budget skips the file — typed, not fatal
         // — and the service falls back to a fresh (identical) build.
@@ -289,7 +289,7 @@ fn warm_restart_retries_transient_faults_and_serves_identically() {
         assert_eq!(summary.retries.len(), 1);
         assert!(!summary.retries[0].recovered);
         exhausted.set_fault_plan(None);
-        assert_eq!(batch_sig(exhausted.run_batch_full(&requests)), baseline);
+        assert_eq!(batch_sig(exhausted.run_batch(&requests)), baseline);
     });
     std::fs::remove_dir_all(&dir).ok();
     if let Err(payload) = outcome {

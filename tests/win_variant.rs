@@ -1,7 +1,7 @@
 //! FJ-Vote-Win (Problem 2) on synthetic replicas.
 
 use vom::core::win::{min_seeds_to_win, wins};
-use vom::core::{select_seeds_plain, Method, Problem};
+use vom::core::{Engine, Problem, SeedSelector, SelectionMode};
 use vom::datasets::{twitter_mask_like, ReplicaParams};
 use vom::voting::ScoringFunction;
 
@@ -10,7 +10,8 @@ fn minimum_winning_budget_is_tight_and_winning() {
     let ds = twitter_mask_like(&ReplicaParams::at_scale(0.0005, 77));
     let p = Problem::new(&ds.instance, 0, 1, 10, ScoringFunction::Plurality).unwrap();
     let select = |prob: &Problem<'_>| {
-        select_seeds_plain(prob, &Method::rs_default())
+        Engine::rs_default()
+            .select_once(prob, SelectionMode::Plain)
             .unwrap()
             .seeds
     };
@@ -37,12 +38,18 @@ fn more_accurate_methods_need_no_more_seeds() {
     // estimator noise, we assert DM <= both).
     let ds = twitter_mask_like(&ReplicaParams::at_scale(0.0003, 78));
     let p = Problem::new(&ds.instance, 0, 1, 8, ScoringFunction::Plurality).unwrap();
-    let k_of = |method: Method| {
-        min_seeds_to_win(&p, |prob| select_seeds_plain(prob, &method).unwrap().seeds).map(|w| w.k)
+    let k_of = |method: Engine| {
+        min_seeds_to_win(&p, |prob| {
+            method
+                .select_once(prob, SelectionMode::Plain)
+                .unwrap()
+                .seeds
+        })
+        .map(|w| w.k)
     };
-    let dm = k_of(Method::Dm);
-    let rw = k_of(Method::rw_default());
-    let rs = k_of(Method::rs_default());
+    let dm = k_of(Engine::Dm);
+    let rw = k_of(Engine::rw_default());
+    let rs = k_of(Engine::rs_default());
     let (Some(dm), Some(rw), Some(rs)) = (dm, rw, rs) else {
         panic!("all methods should find a winning set");
     };
@@ -58,7 +65,10 @@ fn already_winning_target_needs_zero_seeds() {
     let winner = vom::voting::tally(&b, &ScoringFunction::Cumulative).winner;
     let p = Problem::new(&ds.instance, winner, 1, 10, ScoringFunction::Cumulative).unwrap();
     let res = min_seeds_to_win(&p, |prob| {
-        select_seeds_plain(prob, &Method::Dm).unwrap().seeds
+        Engine::Dm
+            .select_once(prob, SelectionMode::Plain)
+            .unwrap()
+            .seeds
     })
     .expect("winner stays winnable");
     assert_eq!(res.k, 0);
