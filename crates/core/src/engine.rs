@@ -732,32 +732,49 @@ impl PreparedIndex {
         // session. They build unmetered: they are amortized over every
         // future query on this index, and metering them would make the
         // first budgeted query's degradation point depend on cache state.
-        let competitive = problem.is_competitive() && self.backend.needs_exact_competitors();
-        let comp = if competitive {
-            let matrix = self.others.get_or_init(|| problem.non_target_opinions());
-            let ranks = self.ranks.get_or_init(|| {
-                phases::timed(Phase::Scoring, || RankIndex::build(matrix, problem.target))
-            });
-            Some(Competitors { matrix, ranks })
-        } else {
-            None
+        // Every competitive query needs the competitor rows, if only for
+        // its exact score; the cumulative rule reads none (§II-C Remark 1).
+        let others = problem
+            .is_competitive()
+            .then(|| self.others.get_or_init(|| problem.non_target_opinions()));
+        let comp = match others {
+            Some(matrix) if self.backend.needs_exact_competitors() => {
+                let ranks = self.ranks.get_or_init(|| {
+                    phases::timed(Phase::Scoring, || RankIndex::build(matrix, problem.target))
+                });
+                Some(Competitors { matrix, ranks })
+            }
+            _ => None,
+        };
+        // One target solve per evaluated seed set: the competitor rows
+        // come from the index, bit-identical to a full-matrix evaluation.
+        let exact = |seeds: &[Node]| match others {
+            Some(others) => problem.exact_score_against(seeds, others),
+            None => problem.exact_score(seeds),
         };
         let sandwich = meter.is_none()
             && matches!(query.mode, SelectionMode::Auto)
             && problem.is_competitive()
             && self.backend.supports_sandwich();
-        let seedless = if sandwich {
-            Some(self.seedless.get_or_init(|| problem.opinions(&[])))
-        } else {
-            None
+        let seedless = match others {
+            // The seedless matrix is the competitor rows plus the
+            // target's own seedless row: one solve, not r.
+            Some(others) if sandwich => Some(self.seedless.get_or_init(|| {
+                let mut seedless = others.clone();
+                let row = phases::timed(Phase::Diffusion, || {
+                    problem
+                        .instance
+                        .opinions_of(problem.target, problem.horizon, &[])
+                });
+                seedless.set_row(problem.target, &row);
+                seedless
+            })),
+            _ => None,
         };
 
         // audit:allow(d-wall-clock, "phase timer: elapsed feeds reported timings, never selection order")
         let start = Instant::now();
-        let (seeds, info) = if !sandwich {
-            (self.backend.greedy(&problem, comp, scratch, meter)?, None)
-        } else {
-            let seedless = seedless.expect("cached above");
+        let (seeds, score, info) = if let Some(seedless) = seedless {
             let n = problem.num_nodes();
             let mask = problem.score.approval_depth().map(|p| {
                 let favorable = favorable_users(seedless, problem.target, p);
@@ -777,7 +794,7 @@ impl PreparedIndex {
                 .backend
                 .greedy_masked_cumulative(&problem, &all_mask, comp, scratch)?;
             scratch.mask_all = all_mask;
-            let s_f = better_feasible(&problem, s_rank, s_cum);
+            let (s_f, f_sf) = better_feasible(exact, s_rank, s_cum);
             let s_l = match &mask {
                 Some(m) => Some(
                     self.backend
@@ -794,8 +811,15 @@ impl PreparedIndex {
                 .take(problem.k)
                 .copied()
                 .collect();
-            let (seeds, info) = sandwich_select_with_su(&problem, seedless, s_f, s_l, s_u);
-            (seeds, Some(info))
+            let (seeds, score, info) =
+                sandwich_select_with_su(&problem, seedless, s_f, f_sf, s_l, s_u);
+            (seeds, Some(score), Some(info))
+        } else {
+            (
+                self.backend.greedy(&problem, comp, scratch, meter)?,
+                None,
+                None,
+            )
         };
         let elapsed = start.elapsed();
         if let Some(m) = meter.filter(|m| m.exhausted() && seeds.len() < query.k) {
@@ -805,7 +829,8 @@ impl PreparedIndex {
                 budget_limit: m.limit(),
             });
         }
-        let exact_score = problem.exact_score(&seeds);
+        // The sandwich arbitration already scored the set it chose.
+        let exact_score = score.unwrap_or_else(|| exact(&seeds));
         Ok(Outcome::Complete(SelectionResult {
             seeds,
             exact_score,
@@ -912,17 +937,19 @@ impl QuerySession {
     }
 }
 
-/// Picks the better of two feasible seed sets by exact score. Algorithm 3
-/// admits *any* feasible solution for `S_F`; alongside the rank-objective
-/// greedy we always evaluate the cumulative-objective greedy over the
-/// same estimator artifacts — on noisy estimates the myopic rank greedy
-/// can trail the broad opinion-lifting strategy, and this keeps the
-/// sandwich outcome no worse than a GED-T-style selection.
-fn better_feasible(problem: &Problem<'_>, a: Vec<Node>, b: Vec<Node>) -> Vec<Node> {
-    if problem.exact_score(&a) >= problem.exact_score(&b) {
-        a
+/// Picks the better of two feasible seed sets by exact score, returning
+/// it with its score. Algorithm 3 admits *any* feasible solution for
+/// `S_F`; alongside the rank-objective greedy we always evaluate the
+/// cumulative-objective greedy over the same estimator artifacts — on
+/// noisy estimates the myopic rank greedy can trail the broad
+/// opinion-lifting strategy, and this keeps the sandwich outcome no
+/// worse than a GED-T-style selection.
+fn better_feasible(exact: impl Fn(&[Node]) -> f64, a: Vec<Node>, b: Vec<Node>) -> (Vec<Node>, f64) {
+    let (fa, fb) = (exact(&a), exact(&b));
+    if fa >= fb {
+        (a, fa)
     } else {
-        b
+        (b, fb)
     }
 }
 

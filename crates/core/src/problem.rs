@@ -1,5 +1,6 @@
 //! The FJ-Vote problem specification (Problem 1).
 
+use crate::greedy::score_with_target_row;
 use crate::phases::{self, Phase};
 use crate::{CoreError, Result};
 use std::sync::Arc;
@@ -61,9 +62,41 @@ impl<'a> Problem<'a> {
 
     /// Exact objective value `F(B^{(t)}[S], c_q)` of a seed set —
     /// the ground truth every method is evaluated on in §VIII.
+    ///
+    /// Solves the target campaign only; the competitive rules read the
+    /// competitors' rows from [`Problem::non_target_opinions`], which
+    /// this call recomputes. Callers that evaluate several seed sets
+    /// should compute those rows once and use
+    /// [`Problem::exact_score_against`].
     pub fn exact_score(&self, seeds: &[Node]) -> f64 {
-        let b = self.opinions(seeds);
-        phases::timed(Phase::Scoring, || self.score.score(&b, self.target))
+        // The cumulative rule reads no competitor rows: an empty matrix
+        // stands in for them.
+        let others = if self.is_competitive() {
+            self.non_target_opinions()
+        } else {
+            OpinionMatrix::zeros(0, 0)
+        };
+        self.exact_score_against(seeds, &others)
+    }
+
+    /// [`Problem::exact_score`] with the competitors' horizon-`t` rows
+    /// supplied: `others` holds them for every candidate but the target
+    /// (its target row is ignored), as [`Problem::non_target_opinions`]
+    /// returns them. The cumulative rule ignores `others` entirely
+    /// (§II-C Remark 1).
+    ///
+    /// One cold solve of the target campaign, with its fixed seeds. The
+    /// result is bit-identical to scoring the full matrix
+    /// `B^{(t)}[S]`: the competitor rows are the same seed-independent
+    /// solves, and [`score_with_target_row`] visits users and candidates
+    /// in the order [`ScoringFunction::score`] does.
+    pub fn exact_score_against(&self, seeds: &[Node], others: &OpinionMatrix) -> f64 {
+        let row = phases::timed(Phase::Diffusion, || {
+            self.instance.opinions_of(self.target, self.horizon, seeds)
+        });
+        phases::timed(Phase::Scoring, || {
+            score_with_target_row(&self.score, others, self.target, &row)
+        })
     }
 
     /// Exact opinion matrix under a seed set.

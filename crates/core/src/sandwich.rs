@@ -35,49 +35,47 @@ pub struct SandwichInfo {
 /// plus diagnostics.
 ///
 /// `seedless` must be the exact horizon-`t` opinion matrix without target
-/// seeds (used to build the favorable base sets).
+/// seeds (used to build the favorable base sets; its non-target rows are
+/// the competitor rows every exact evaluation scores against).
 pub fn sandwich_select(
     problem: &Problem<'_>,
     seedless: &OpinionMatrix,
     s_f: Vec<Node>,
     s_l: Option<Vec<Node>>,
 ) -> (Vec<Node>, SandwichInfo) {
-    let (multiplier, base) = upper_bound_parts(problem, seedless);
+    let (_, base) = upper_bound_parts(problem, seedless);
     let s_u = greedy_upper_bound(problem, &base);
-    sandwich_finish(problem, s_f, s_l, s_u, multiplier, &base)
+    let f_sf = problem.exact_score_against(&s_f, seedless);
+    let (chosen, _, info) = sandwich_select_with_su(problem, seedless, s_f, f_sf, s_l, s_u);
+    (chosen, info)
 }
 
-/// [`sandwich_select`] with the upper-bound greedy solution `S_U`
-/// supplied by the caller. The coverage greedy depends only on the
-/// graph, horizon, favorable base set, and budget — and its CELF
-/// selection is prefix-consistent in `k` — so prepared engines compute
-/// the order once at the prepared budget and every query hands in a
-/// prefix instead of re-running `n` bounded-BFS evaluations.
+/// [`sandwich_select`] with the upper-bound greedy solution `S_U` and the
+/// exact score `f_sf` of `S_F` supplied by the caller. The coverage
+/// greedy depends only on the graph, horizon, favorable base set, and
+/// budget — and its CELF selection is prefix-consistent in `k` — so
+/// prepared engines compute the order once at the prepared budget and
+/// every query hands in a prefix instead of re-running `n` bounded-BFS
+/// evaluations; and the prepared query path already scored `S_F` when it
+/// picked it.
+///
+/// Evaluates `S_U` and `S_L` exactly (one target solve each, scored
+/// against `seedless`'s competitor rows) and returns the chosen set, its
+/// exact score, and the diagnostics.
 pub fn sandwich_select_with_su(
     problem: &Problem<'_>,
     seedless: &OpinionMatrix,
     s_f: Vec<Node>,
+    f_sf: f64,
     s_l: Option<Vec<Node>>,
     s_u: Vec<Node>,
-) -> (Vec<Node>, SandwichInfo) {
+) -> (Vec<Node>, f64, SandwichInfo) {
     let (multiplier, base) = upper_bound_parts(problem, seedless);
-    sandwich_finish(problem, s_f, s_l, s_u, multiplier, &base)
-}
-
-/// Shared tail of the two entry points: exact evaluation of all
-/// candidate solutions and Algorithm 3's arbitration.
-fn sandwich_finish(
-    problem: &Problem<'_>,
-    s_f: Vec<Node>,
-    s_l: Option<Vec<Node>>,
-    s_u: Vec<Node>,
-    multiplier: f64,
-    base: &[Node],
-) -> (Vec<Node>, SandwichInfo) {
-    let f_sf = problem.exact_score(&s_f);
-    let f_su = problem.exact_score(&s_u);
-    let f_sl = s_l.as_ref().map(|s| problem.exact_score(s));
-    let ub_su = evaluate_upper_bound(problem, base, multiplier, &s_u);
+    let f_su = problem.exact_score_against(&s_u, seedless);
+    let f_sl = s_l
+        .as_ref()
+        .map(|s| problem.exact_score_against(s, seedless));
+    let ub_su = evaluate_upper_bound(problem, &base, multiplier, &s_u);
     let ratio = if ub_su > 0.0 { f_su / ub_su } else { 1.0 };
 
     let mut chosen = s_f.clone();
@@ -89,6 +87,7 @@ fn sandwich_finish(
     if let (Some(s), Some(f)) = (&s_l, f_sl) {
         if f > best {
             chosen = s.clone();
+            best = f;
         }
     }
     let info = SandwichInfo {
@@ -101,7 +100,7 @@ fn sandwich_finish(
         ub_su,
         ratio,
     };
-    (chosen, info)
+    (chosen, best, info)
 }
 
 #[cfg(test)]

@@ -1,7 +1,7 @@
 //! Property-based tests (proptest) for the core invariants:
 //! column-stochasticity, opinion range/monotonicity, cumulative
-//! submodularity (Theorem 3), estimator unbiasedness and bound
-//! domination.
+//! submodularity (Theorem 3), estimator unbiasedness, bound
+//! domination, and bit-identity of the target-only exact evaluation.
 
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -141,6 +141,54 @@ proptest! {
                 let f = p.exact_score(&seeds);
                 prop_assert!(ub + 1e-9 >= f, "UB {ub} < F {f}");
             }
+        }
+    }
+
+    #[test]
+    fn exact_score_against_competitor_rows_is_bit_identical(
+        (g, b0, d) in arb_instance(),
+        t in 0usize..6,
+        target in 0usize..3,
+        fixed in 0u32..10,
+        raw_seeds in proptest::collection::vec(0u32..10, 0..4),
+    ) {
+        use vom::voting::ScoringFunction;
+        // Three candidates; the target and one competitor carry fixed
+        // seeds on a shared node, so seeded users tie at 1.0.
+        let n = g.num_nodes() as Node;
+        let rows = vec![
+            b0.clone(),
+            b0.iter().map(|b| 1.0 - b).collect(),
+            b0.iter().map(|b| 0.25 + 0.5 * b).collect(),
+        ];
+        let initial = OpinionMatrix::from_rows(rows).unwrap();
+        let mut inst = Instance::shared(Arc::new(g), initial, d).unwrap();
+        let competitor = (target + 1) % 3;
+        inst.candidate_mut(target).fixed_seeds = vec![fixed % n];
+        inst.candidate_mut(competitor).fixed_seeds = vec![fixed % n, (fixed + 1) % n];
+        let seeds: Vec<Node> = raw_seeds.iter().map(|s| s % n).collect();
+        for score in [
+            ScoringFunction::Cumulative,
+            ScoringFunction::Plurality,
+            ScoringFunction::PApproval { p: 2 },
+            ScoringFunction::PositionalPApproval { p: 3, weights: vec![1.0, 0.6, 0.15] },
+            ScoringFunction::Copeland,
+        ] {
+            let p = vom::core::Problem::new(&inst, target, 1, t, score.clone()).unwrap();
+            // The full-matrix reference: every campaign solved.
+            let reference = score.score(&inst.opinions_at(t, target, &seeds), target);
+            prop_assert_eq!(
+                p.exact_score(&seeds).to_bits(),
+                reference.to_bits(),
+                "{}: exact_score",
+                score
+            );
+            prop_assert_eq!(
+                p.exact_score_against(&seeds, &p.non_target_opinions()).to_bits(),
+                reference.to_bits(),
+                "{}: exact_score_against",
+                score
+            );
         }
     }
 
