@@ -1,6 +1,6 @@
 //! Microbenchmarks for the exact FJ solver (the DM building block):
-//! cold fixed-horizon solves, as every DM greedy iteration's baseline
-//! recording runs them.
+//! single fixed-horizon solves, as every DM greedy iteration's committed
+//! set runs them.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::sync::Arc;

@@ -65,16 +65,17 @@ pub struct BenchSample {
     /// Query-phase breakdown (diffusion vs truncation vs scoring wall
     /// clock, from `vom_core::phases`) of the recorded pass. The
     /// phases cover the hot work, not the orchestration, so they sum to
-    /// slightly less than `query_s`. Diffusion is reported both as the
-    /// historical cold+warm total (`diffusion_s`) and split into
-    /// `diffusion_cold_s` / `diffusion_warm_s`.
+    /// slightly less than `query_s`. Diffusion is reported as
+    /// `diffusion_s` plus the historical `diffusion_cold_s` /
+    /// `diffusion_warm_s` split, whose warm half always reads 0 since
+    /// the warm-start solver was retired.
     pub phases: PhaseTimes,
     /// The same breakdown attributed per engine (`DM`/`RW`/`RS`), in
     /// first-run order.
     pub method_phases: Vec<(String, PhaseTimes)>,
-    /// Diffusion-solver work counters (cold/warm solves, cold steps,
-    /// warm frontier nodes) of the recorded pass's query section, from
-    /// `vom_diffusion::SolverCounters`.
+    /// Diffusion-solver work counters (solves, one per batched lane;
+    /// steps; the always-zero warm fields) of the recorded pass's query
+    /// section, from `vom_diffusion::SolverCounters`.
     pub solver: SolverCounters,
 }
 
@@ -535,9 +536,9 @@ pub fn run(cfg: &ExpConfig) -> Result<PathBuf> {
 }
 
 /// Runs one pass of the `sweep-k` workload at the current pool setting
-/// and returns the selection digest — the hook the warm-start digest
-/// test uses to assert cold-only and warm-start runs pick byte-identical
-/// seeds at any thread count, without writing a JSON file.
+/// and returns the selection digest — the hook the sweep-k digest test
+/// uses to assert that the batched DM greedy picks the committed seeds
+/// at any thread count, without writing a JSON file.
 pub fn sweep_k_selection_digest(cfg: &ExpConfig) -> Result<String> {
     sweep_k_pass(cfg).map(|(digest, _)| digest)
 }
@@ -559,8 +560,8 @@ pub fn sweep_k_pass(cfg: &ExpConfig) -> Result<(String, SolverCounters)> {
 
 /// Renders one phase breakdown as JSON object fields. `diffusion_s`
 /// keeps its historical meaning (all exact diffusion wall clock) so the
-/// trajectory stays comparable across the warm-start change; the
-/// cold/warm split rides along as two extra fields.
+/// trajectory stays comparable; the historical cold/warm split rides
+/// along as two extra fields, the warm one always 0.
 pub(crate) fn phase_fields(p: PhaseTimes) -> String {
     format!(
         "\"diffusion_s\": {:.6}, \"diffusion_cold_s\": {:.6}, \"diffusion_warm_s\": {:.6}, \

@@ -2,7 +2,7 @@
 //! and 5) and the submodular upper-bound coverage greedy (Definitions 4
 //! and 6).
 
-use crate::celf::celf_greedy;
+use crate::celf::{celf_greedy, per_node};
 use crate::problem::Problem;
 use vom_diffusion::OpinionMatrix;
 use vom_graph::bfs::{bounded_out_bfs, HopCoverage};
@@ -68,7 +68,7 @@ pub fn greedy_upper_bound(problem: &Problem<'_>, base: &[Node]) -> Vec<Node> {
         n,
         problem.k,
         None,
-        |v| cov.borrow_mut().marginal(g, v) as f64,
+        per_node(|v| cov.borrow_mut().marginal(g, v) as f64),
         |v| {
             cov.borrow_mut().commit(g, v);
         },

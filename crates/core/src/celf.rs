@@ -42,18 +42,21 @@ impl Ord for Entry {
 /// Greedy maximization of a **submodular, non-decreasing** set function
 /// with lazy (CELF) re-evaluation.
 ///
-/// `marginal(v)` must return the marginal gain of adding `v` to the
-/// currently committed set; `commit(v)` is called when `v` is selected.
-/// Correctness relies on submodularity: a gain computed against an older
-/// (smaller) set upper-bounds the current gain, so if a stale top entry,
-/// once refreshed, still dominates the runner-up, it is optimal to take
-/// without touching the rest of the heap.
+/// `marginal(nodes, gains)` must write into `gains[i]` the marginal gain
+/// of adding `nodes[i]` to the currently committed set. The heap fill
+/// hands it every candidate in one call, so a caller can batch the full
+/// scan; each re-evaluation hands it one node. `commit(v)` is called
+/// when `v` is selected. Correctness relies on submodularity: a gain
+/// computed against an older (smaller) set upper-bounds the current
+/// gain, so if a stale top entry, once refreshed, still dominates the
+/// runner-up, it is optimal to take without touching the rest of the
+/// heap.
 ///
 /// Returns the selected nodes in order. Stops early if every remaining
 /// gain is zero (adding more seeds cannot help a non-decreasing score).
 ///
-/// A `meter` is charged one tick per marginal evaluation and checked
-/// for exhaustion at the (sequential) pop boundary. A run stopped by the
+/// A `meter` is charged one tick per evaluated node and checked for
+/// exhaustion at the (sequential) pop boundary. A run stopped by the
 /// meter returns a bit-identical **prefix** of the unmetered selection —
 /// the heap evolves through the same deterministic state sequence and
 /// the meter only decides how far along it we stop.
@@ -65,10 +68,11 @@ pub fn celf_greedy<FM, FC>(
     commit: FC,
 ) -> Vec<Node>
 where
-    FM: FnMut(Node) -> f64,
+    FM: FnMut(&[Node], &mut [f64]),
     FC: FnMut(Node),
 {
-    lazy_greedy(0..n as Node, k, true, meter, marginal, commit)
+    let candidates: Vec<Node> = (0..n as Node).collect();
+    lazy_greedy(&candidates, k, true, meter, marginal, commit)
 }
 
 /// The shared lazy-greedy loop behind [`celf_greedy`] and the
@@ -79,8 +83,13 @@ where
 /// paper's fill-to-`k` semantics (zero-gain seeds committed by smallest
 /// id); `candidates` seeds the heap (callers exclude existing seeds
 /// either here or by returning `NEG_INFINITY` from `marginal`).
+///
+/// The initial fill is one `marginal` call over all of `candidates`;
+/// re-evaluations stay one node at a time, so the refresh order — and
+/// with it the selection on objectives that are only nearly submodular
+/// in floating point — is the per-node order.
 pub(crate) fn lazy_greedy<FM, FC>(
-    candidates: impl Iterator<Item = Node>,
+    candidates: &[Node],
     k: usize,
     stop_on_zero: bool,
     meter: Option<&CostMeter>,
@@ -88,22 +97,26 @@ pub(crate) fn lazy_greedy<FM, FC>(
     mut commit: FC,
 ) -> Vec<Node>
 where
-    FM: FnMut(Node) -> f64,
+    FM: FnMut(&[Node], &mut [f64]),
     FC: FnMut(Node),
 {
-    // One tick per marginal evaluation — the unit the paper's complexity
+    // One tick per evaluated node — the unit the paper's complexity
     // analysis counts. The charge schedule depends only on the heap's
     // deterministic state sequence, never on thread interleaving.
-    let mut marginal = |v| {
+    let charge = |nodes: usize| {
         if let Some(m) = meter {
-            m.charge(1);
+            m.charge(nodes as u64);
         }
-        marginal(v)
     };
+    let mut gains = vec![0.0; candidates.len()];
+    charge(candidates.len());
+    marginal(candidates, &mut gains);
     let mut heap: BinaryHeap<Entry> = candidates
-        .map(|v| Entry {
-            gain: marginal(v),
-            node: v,
+        .iter()
+        .zip(&gains)
+        .map(|(&node, &gain)| Entry {
+            gain,
+            node,
             round: 0,
         })
         .collect();
@@ -124,15 +137,28 @@ where
             selected.push(top.node);
             round += 1;
         } else {
-            let fresh = marginal(top.node);
+            let mut fresh = [0.0];
+            charge(1);
+            marginal(&[top.node], &mut fresh);
             heap.push(Entry {
-                gain: fresh,
+                gain: fresh[0],
                 node: top.node,
                 round,
             });
         }
     }
     selected
+}
+
+/// Adapts a per-node gain function to the slice callback of
+/// [`celf_greedy`] / [`lazy_greedy`], for objectives whose scans gain
+/// nothing from batching.
+pub(crate) fn per_node(mut gain: impl FnMut(Node) -> f64) -> impl FnMut(&[Node], &mut [f64]) {
+    move |nodes, gains| {
+        for (g, &v) in gains.iter_mut().zip(nodes) {
+            *g = gain(v);
+        }
+    }
 }
 
 #[cfg(test)]
@@ -150,6 +176,11 @@ mod tests {
             vec![6],
             vec![4, 5, 6],
         ]
+    }
+
+    /// CELF over a per-node gain with nothing to commit.
+    fn celf(n: usize, k: usize, gain: impl FnMut(Node) -> f64) -> Vec<Node> {
+        celf_greedy(n, k, None, per_node(gain), |_| {})
     }
 
     fn brute_force_best(sets: &[Vec<usize>], k: usize) -> usize {
@@ -178,10 +209,10 @@ mod tests {
             sets.len(),
             2,
             None,
-            |v| {
+            per_node(|v| {
                 let c = covered.borrow();
                 sets[v as usize].iter().filter(|i| !c.contains(i)).count() as f64
-            },
+            }),
             |v| {
                 covered
                     .borrow_mut()
@@ -191,6 +222,51 @@ mod tests {
         assert_eq!(selected.len(), 2);
         // Greedy on this instance is optimal: {0, 4} covering 7 items.
         assert_eq!(covered.borrow().len(), brute_force_best(&sets, 2));
+    }
+
+    /// Coverage CELF over `sets`, with the heap fill either batched (one
+    /// pass marks the covered items, then counts every candidate) or per
+    /// node. Returns the selection and the ticks charged.
+    fn coverage_celf(sets: &[Vec<usize>], k: usize, batched: bool) -> (Vec<Node>, u64) {
+        use vom_diffusion::CostBudget;
+        let covered = RefCell::new(HashSet::<usize>::new());
+        let gain = |v: Node| {
+            let c = covered.borrow();
+            sets[v as usize].iter().filter(|i| !c.contains(i)).count() as f64
+        };
+        let mut single = per_node(gain);
+        let meter = CostMeter::new(CostBudget::ticks(u64::MAX));
+        let selected = celf_greedy(
+            sets.len(),
+            k,
+            Some(&meter),
+            |nodes, gains| {
+                if !batched || nodes.len() == 1 {
+                    return single(nodes, gains);
+                }
+                let c = covered.borrow();
+                let items = sets.iter().flatten().max().map_or(0, |&i| i + 1);
+                let seen: Vec<bool> = (0..items).map(|i| c.contains(&i)).collect();
+                for (g, &v) in gains.iter_mut().zip(nodes) {
+                    *g = sets[v as usize].iter().filter(|&&i| !seen[i]).count() as f64;
+                }
+            },
+            |v| {
+                covered
+                    .borrow_mut()
+                    .extend(sets[v as usize].iter().copied());
+            },
+        );
+        (selected, meter.spent())
+    }
+
+    #[test]
+    fn batched_fill_matches_the_per_node_fill() {
+        let sets = coverage_instance();
+        for k in 1..=sets.len() {
+            let batched = coverage_celf(&sets, k, true);
+            assert_eq!(batched, coverage_celf(&sets, k, false), "k = {k}");
+        }
     }
 
     #[test]
@@ -204,10 +280,10 @@ mod tests {
             5,
             3,
             None,
-            |v| {
+            per_node(|v| {
                 *evals.borrow_mut() += 1;
                 weights[v as usize]
-            },
+            }),
             |_| {},
         );
         assert_eq!(selected, vec![0, 1, 2]);
@@ -217,13 +293,13 @@ mod tests {
 
     #[test]
     fn stops_when_gains_vanish() {
-        let selected = celf_greedy(4, 4, None, |v| if v == 0 { 1.0 } else { 0.0 }, |_| {});
+        let selected = celf(4, 4, |v| if v == 0 { 1.0 } else { 0.0 });
         assert_eq!(selected, vec![0], "zero-gain nodes are not selected");
     }
 
     #[test]
     fn ties_break_toward_smaller_ids() {
-        let selected = celf_greedy(4, 2, None, |_| 1.0, |_| {});
+        let selected = celf(4, 2, |_| 1.0);
         assert_eq!(selected, vec![0, 1]);
     }
 
@@ -231,11 +307,11 @@ mod tests {
     fn metered_runs_return_prefixes_of_the_full_selection() {
         use vom_diffusion::CostBudget;
         let weights = [5.0, 4.0, 3.0, 2.0, 1.0];
-        let full = celf_greedy(5, 4, None, |v| weights[v as usize], |_| {});
+        let full = celf(5, 4, |v| weights[v as usize]);
         assert_eq!(full, vec![0, 1, 2, 3]);
         for budget in 0..20u64 {
             let m = CostMeter::new(CostBudget::ticks(budget));
-            let got = celf_greedy(5, 4, Some(&m), |v| weights[v as usize], |_| {});
+            let got = celf_greedy(5, 4, Some(&m), per_node(|v| weights[v as usize]), |_| {});
             assert!(
                 full.starts_with(&got),
                 "budget {budget}: {got:?} is not a prefix of {full:?}"
@@ -243,7 +319,7 @@ mod tests {
         }
         // An unlimited meter reproduces the unmetered selection exactly.
         let m = CostMeter::new(CostBudget::ticks(u64::MAX));
-        let got = celf_greedy(5, 4, Some(&m), |v| weights[v as usize], |_| {});
+        let got = celf_greedy(5, 4, Some(&m), per_node(|v| weights[v as usize]), |_| {});
         assert_eq!(got, full);
         assert!(m.spent() > 0);
     }
@@ -253,9 +329,9 @@ mod tests {
         // A degenerate objective: node 2's "gain" is NaN. total_cmp
         // sorts positive NaN above everything, so it is selected first —
         // deterministically — and the run completes.
-        let selected = celf_greedy(4, 2, None, |v| if v == 2 { f64::NAN } else { 1.0 }, |_| {});
+        let selected = celf(4, 2, |v| if v == 2 { f64::NAN } else { 1.0 });
         assert_eq!(selected, vec![2, 0]);
-        let again = celf_greedy(4, 2, None, |v| if v == 2 { f64::NAN } else { 1.0 }, |_| {});
+        let again = celf(4, 2, |v| if v == 2 { f64::NAN } else { 1.0 });
         assert_eq!(selected, again, "NaN ordering is stable");
     }
 }

@@ -1,56 +1,64 @@
 //! **DM** — exact greedy seed selection by direct matrix–vector
 //! iteration (Algorithm 1 with exact opinions, §III-C).
+//!
+//! Every greedy step scores many trial sets `S ∪ {v}` against one
+//! committed set `S`, and those full candidate scans run in lanes:
+//! fixed 8-node chunks of the candidate list, each chunk one
+//! [`Solver::solve_lanes`] from the committed set, the chunks spread
+//! over the rayon shim's pool with pooled solvers. Every lane is
+//! bit-identical to the single solve of its set (see
+//! `vom_diffusion::solver`), and the candidate order alone fixes how
+//! chunks are formed, so selections and tick charges are the same at
+//! every pool width. Work that evaluates one set — the committed set's
+//! row, CELF re-evaluations and commits — uses plain [`Solver::solve`].
 
 use crate::celf::celf_greedy;
 use crate::greedy::Competitors;
-use crate::phases::{self, CostMeter, Phase};
+use crate::phases::{self, CostMeter, Phase, PhaseLocal};
 use crate::problem::Problem;
 use rayon::prelude::*;
 use std::sync::Arc;
-use std::time::Instant;
-use vom_diffusion::{SolveOptions, SolverPool};
+use vom_diffusion::{SolveOptions, SolverPool, LANES};
 use vom_graph::Node;
 use vom_voting::{
     CopelandAccumulator, CopelandScratch, PositionalAccumulator, RankIndex, ScoringFunction,
 };
 
+#[cfg(doc)]
+use vom_diffusion::Solver;
+
 /// Exact greedy selection.
 ///
 /// * Cumulative score: CELF lazy greedy (valid by Theorem 3's
 ///   submodularity), each evaluation one exact FJ solve.
-/// * Plurality variants / Copeland: plain greedy, parallelized over
-///   candidates — but scored **incrementally**: each iteration fixes a
-///   baseline (the current seed set's opinions and their per-user
-///   contributions, held in a rank-indexed accumulator), and a
-///   candidate evaluation re-scores only the users its diffusion run
-///   actually moved (`O(t·m + n + Δ·log r)` instead of the naive
-///   `O(t·m + n·r)`). Plurality/p-approval totals are integer-valued,
-///   so the delta evaluation is bit-identical to a full rescore;
-///   Copeland nets are exact `i64` counts, likewise identical.
+/// * Plurality variants / Copeland: plain greedy over all candidates —
+///   but scored **incrementally**: each iteration fixes a baseline (the
+///   current seed set's opinions and their per-user contributions, held
+///   in a rank-indexed accumulator), and a candidate evaluation
+///   re-scores only the users its diffusion run actually moved
+///   (`O(t·m + n + Δ·log r)` instead of the naive `O(t·m + n·r)`).
+///   Plurality/p-approval totals are integer-valued, so the delta
+///   evaluation is bit-identical to a full rescore; Copeland nets are
+///   exact `i64` counts, likewise identical.
 ///
-/// Diffusion itself is **warm-started** (PR 6): each greedy iteration
-/// records the committed seed set's trajectory once
-/// ([`SolveOptions::recording`], a cold `O(t·m)` solve), and every trial
-/// evaluation propagates only the frontier its extra seed actually moves
-/// — bit-identical to a full solve (see `vom_diffusion::solver`), so
-/// selections and scores are unchanged while the per-trial cost drops
-/// from `O(t·m)` to `O(frontier)`.
+/// Each iteration's trials run in lanes (see the module docs): one
+/// [`Solver::solve_lanes`] per 8-candidate chunk, each lane copied into
+/// the worker's row buffer and scored like a single solve's row.
 ///
 /// `comp` carries the exact competitor opinions and their rank index;
 /// it must be `Some` for the competitive scores (the prepared index
 /// caches both) and is ignored for the cumulative score. `pool` is the
 /// caller's solver scratch: the prepared index threads its session's
-/// [`SolverPool`] here so solver buffers and warm-start baselines
-/// survive across the `(k, trial)` loop and across queries.
+/// [`SolverPool`] here so solver buffers survive across the
+/// `(k, trial)` loop and across queries.
 ///
-/// A `meter` is charged one tick per solver iteration step / warm
-/// frontier state (inside [`vom_diffusion::Solver::solve`], possibly
-/// from parallel trial workers — commutative, so schedule-independent)
-/// plus one tick per scored candidate. Exhaustion is checked only at
-/// sequential seed boundaries (the CELF pop loop / the per-iteration
-/// head), so a metered run stopped early returns a bit-identical prefix
-/// of the unmetered selection; individual solves always run to
-/// completion.
+/// A `meter` is charged one tick per solver step of a single solve, one
+/// tick per lane per sweep of a batched solve (possibly from parallel
+/// workers — commutative, so schedule-independent), plus one tick per
+/// scored candidate. Exhaustion is checked only at sequential seed
+/// boundaries (the CELF pop loop / the per-iteration head), so a metered
+/// run stopped early returns a bit-identical prefix of the unmetered
+/// selection; individual solves always run to completion.
 ///
 /// Returns exactly `min(k, n - |fixed|)` seeds, in selection order.
 pub fn dm_greedy(
@@ -67,7 +75,7 @@ pub fn dm_greedy(
     let cand = problem.instance.candidate(problem.target);
     let system = Arc::clone(cand.system());
     let n = problem.num_nodes();
-    let opts = SolveOptions::exact(problem.horizon);
+    let horizon = problem.horizon;
 
     // The target's pre-committed seeds participate in every evaluation.
     let mut seeds = cand.fixed_seeds.clone();
@@ -78,80 +86,72 @@ pub fn dm_greedy(
     let index = comp.ranks;
     let mut picked = Vec::with_capacity(problem.k);
     let mut base_row: Vec<f64> = Vec::with_capacity(n);
+    let mut trials: Vec<Node> = Vec::with_capacity(n);
+    let mut evals: Vec<(Node, f64, f64)> = Vec::with_capacity(n);
     for _ in 0..problem.k {
         // Sequential checkpoint: every parallel trial charge from
-        // the previous iteration has been joined at the collect,
-        // so stopping here is schedule-independent and leaves
-        // `picked` a prefix of the full-budget selection.
+        // the previous iteration has been joined, so stopping here is
+        // schedule-independent and leaves `picked` a prefix of the
+        // full-budget selection.
         if meter.is_some_and(|m| m.exhausted()) {
             break;
         }
-        // Fix this iteration's baseline: the committed seeds'
-        // exact opinions (recorded as the warm-start trajectory
-        // all workers share) and their per-user score state.
-        let base = {
+        // Fix this iteration's baseline: the committed seeds' exact
+        // opinions and their per-user score state.
+        {
             let mut solver = pool.checkout(&system);
             phases::timed(Phase::Diffusion, || {
-                solver.solve(&seeds, &opts.recording(), meter);
+                solver.solve(&seeds, &SolveOptions::exact(horizon), meter);
             });
             base_row.clear();
             base_row.extend_from_slice(solver.opinions());
-            Arc::clone(solver.baseline().expect("recording solve installs one"))
-        };
+        }
         let baseline = phases::timed(Phase::Scoring, || {
             DmBaseline::build(score, index, &base_row)
         });
-        let evals: Vec<(Node, f64, f64)> = (0..n as Node)
-            .into_par_iter()
-            .filter(|&v| !is_seed[v as usize])
+        trials.clear();
+        trials.extend((0..n as Node).filter(|&v| !is_seed[v as usize]));
+        evals.clear();
+        trials
+            .par_chunks(LANES)
             .map_init(
                 || {
-                    let mut solver = pool.checkout(&system);
-                    solver.set_baseline(Arc::clone(&base));
                     (
-                        solver,
-                        seeds.clone(),
+                        pool.checkout(&system),
+                        Vec::with_capacity(n),
                         CopelandScratch::default(),
-                        // Phase times batch locally and flush to
-                        // the shared counters once per worker.
-                        phases::PhaseLocal::default(),
+                        // Phase times batch locally and flush to the
+                        // shared counters once per worker.
+                        PhaseLocal::default(),
                     )
                 },
-                // Per-worker scratch (determinism contract: the
-                // solver row is fully determined by the trial
-                // seeds, the trial list push/pops per item, and
-                // the Copeland scratch is epoch-reset, so results
-                // are independent of which worker evaluates which
-                // candidate).
-                |(solver, trial, cscratch, local), v| {
-                    trial.push(v);
+                // Per-worker scratch (determinism contract: each lane is
+                // fully determined by the trial set, the row buffer is
+                // overwritten per lane, and the Copeland scratch is
+                // epoch-reset, so results are independent of which
+                // worker evaluates which chunk).
+                |(solver, row, cscratch, local), chunk| {
                     if let Some(m) = meter {
-                        m.charge(1); // one tick per scored candidate
+                        m.charge(chunk.len() as u64); // one tick per scored candidate
                     }
-                    // audit:allow(d-wall-clock, "phase timer: elapsed feeds reported timings, never selection order")
-                    let start = Instant::now();
-                    let report = solver.solve(trial, &opts.warm(), meter);
-                    local.add(
-                        if report.warm {
-                            Phase::DiffusionWarm
-                        } else {
-                            Phase::Diffusion
-                        },
-                        start.elapsed(),
-                    );
-                    let row = solver.opinions();
-                    // audit:allow(d-wall-clock, "phase timer: elapsed feeds reported timings, never selection order")
-                    let start = Instant::now();
-                    let s = baseline.score_row(index, &base_row, row, cscratch);
-                    // Secondary tie-break criterion: the discrete
-                    // rank scores are flat almost everywhere.
-                    let cum: f64 = row.iter().sum();
-                    local.add(Phase::Scoring, start.elapsed());
-                    trial.pop();
-                    (v, s, cum)
+                    local.timed(Phase::Diffusion, || {
+                        solver.solve_lanes(&seeds, chunk, horizon, meter)
+                    });
+                    let mut scored = [(0, 0.0, 0.0); LANES];
+                    for (lane, (&v, out)) in chunk.iter().zip(&mut scored).enumerate() {
+                        local.timed(Phase::Scoring, || {
+                            solver.copy_lane(lane, row);
+                            let s = baseline.score_row(index, &base_row, row, cscratch);
+                            // Secondary tie-break criterion: the discrete
+                            // rank scores are flat almost everywhere.
+                            let cum: f64 = row.iter().sum();
+                            *out = (v, s, cum);
+                        });
+                    }
+                    (scored, chunk.len())
                 },
             )
-            .collect();
+            .for_each(|(scored, len)| evals.extend_from_slice(&scored[..len]));
         let Some(&(best, _, _)) = evals.iter().max_by(|a, b| {
             // `total_cmp` keeps the argmax total (a NaN score
             // orders deterministically instead of panicking);
@@ -267,9 +267,10 @@ impl DmBaseline {
 /// given — DM's engine for the cumulative score (no mask, Theorem 3)
 /// and for the sandwich lower bound `LB(S)` (Definition 3). Either sum
 /// is submodular by Theorem 3 (a sum of submodular per-user opinions),
-/// so CELF applies. Each evaluation is one exact FJ solve, warm-started
-/// from the committed set's recorded trajectory; `pool` and `meter` are
-/// as in [`dm_greedy`].
+/// so CELF applies. Each evaluation is one exact FJ solve: the heap fill
+/// scans every candidate in lanes (fixed 8-node chunks of the candidate
+/// list, one [`Solver::solve_lanes`] each), re-evaluations and commits
+/// are plain solves. `pool` and `meter` are as in [`dm_greedy`].
 pub fn dm_greedy_masked_cumulative(
     problem: &Problem<'_>,
     mask: Option<&[bool]>,
@@ -279,70 +280,100 @@ pub fn dm_greedy_masked_cumulative(
     let cand = problem.instance.candidate(problem.target);
     let system = Arc::clone(cand.system());
     let n = problem.num_nodes();
-    let opts = SolveOptions::exact(problem.horizon);
-    let objective = |row: &[f64]| -> f64 {
-        match mask {
-            None => row.iter().sum(),
-            Some(mask) => row
-                .iter()
-                .zip(mask)
-                .filter(|(_, &m)| m)
-                .map(|(b, _)| b)
-                .sum(),
-        }
-    };
+    let horizon = problem.horizon;
+    let opts = SolveOptions::exact(horizon);
+    let objective = |row: &[f64]| masked_sum(row.iter().copied(), mask);
     let mut is_seed = vec![false; n];
     for &s in &cand.fixed_seeds {
         is_seed[s as usize] = true;
     }
-    // CELF closures share the growing seed list, the pooled solver
-    // (whose recorded baseline makes trial evaluations warm), and the
-    // cached current objective.
-    let state = std::cell::RefCell::new({
-        let mut solver = pool.checkout(&system);
-        let seeds = cand.fixed_seeds.clone();
-        let cur = phases::timed(Phase::Diffusion, || {
-            solver.solve(&seeds, &opts.recording(), meter);
-            objective(solver.opinions())
-        });
-        (seeds, solver, cur)
+    // CELF closures share the growing seed list, the pooled solver and
+    // the cached current objective.
+    let seeds = cand.fixed_seeds.clone();
+    let mut solver = pool.checkout(&system);
+    let cur = phases::timed(Phase::Diffusion, || {
+        solver.solve(&seeds, &opts, meter);
+        objective(solver.opinions())
     });
+    let state = std::cell::RefCell::new((seeds, solver, cur));
     celf_greedy(
         n,
         problem.k,
         meter,
-        |v| {
-            if is_seed[v as usize] {
-                return f64::NEG_INFINITY;
-            }
+        |nodes, gains| {
             let (ref mut s, ref mut solver, cur) = *state.borrow_mut();
-            s.push(v);
-            // audit:allow(d-wall-clock, "phase timer: elapsed feeds reported timings, never selection order")
-            let start = Instant::now();
-            let report = solver.solve(s, &opts.warm(), meter);
-            let total = objective(solver.opinions());
-            phases::record(
-                if report.warm {
-                    Phase::DiffusionWarm
+            if let [v] = *nodes {
+                // A CELF re-evaluation: one plain solve.
+                gains[0] = if is_seed[v as usize] {
+                    f64::NEG_INFINITY
                 } else {
-                    Phase::Diffusion
-                },
-                start.elapsed(),
-            );
-            s.pop();
-            total - cur
+                    s.push(v);
+                    let total = phases::timed(Phase::Diffusion, || {
+                        solver.solve(s, &opts, meter);
+                        objective(solver.opinions())
+                    });
+                    s.pop();
+                    total - cur
+                };
+                return;
+            }
+            // The heap fill: every candidate, in lanes.
+            let base: &[Node] = s;
+            let mut out = gains.chunks_mut(LANES);
+            nodes
+                .par_chunks(LANES)
+                .map_init(
+                    || {
+                        (
+                            pool.checkout(&system),
+                            Vec::with_capacity(LANES),
+                            PhaseLocal::default(),
+                        )
+                    },
+                    |(solver, extras, local), chunk| {
+                        let mut chunk_gains = [f64::NEG_INFINITY; LANES];
+                        extras.clear();
+                        extras.extend(chunk.iter().filter(|&&v| !is_seed[v as usize]));
+                        if extras.is_empty() {
+                            return chunk_gains;
+                        }
+                        local.timed(Phase::Diffusion, || {
+                            solver.solve_lanes(base, extras, horizon, meter);
+                            let mut lanes = 0..extras.len();
+                            for (g, &v) in chunk_gains.iter_mut().zip(chunk) {
+                                if !is_seed[v as usize] {
+                                    let lane = lanes.next().expect("one lane per trial");
+                                    *g = masked_sum(solver.lane(lane), mask) - cur;
+                                }
+                            }
+                        });
+                        chunk_gains
+                    },
+                )
+                .for_each(|chunk_gains| {
+                    let dst = out.next().expect("one gain slot per chunk");
+                    dst.copy_from_slice(&chunk_gains[..dst.len()]);
+                });
         },
         |v| {
-            // Committing a seed re-records the baseline (one cold
-            // solve), re-arming warm starts for the next round.
             let (ref mut s, ref mut solver, ref mut cur) = *state.borrow_mut();
             s.push(v);
             *cur = phases::timed(Phase::Diffusion, || {
-                solver.solve(s, &opts.recording(), meter);
+                solver.solve(s, &opts, meter);
                 objective(solver.opinions())
             });
         },
     )
+}
+
+/// `Σ_v b_v` over the users in `mask` (all users without one), folded
+/// in node order — so a lane and the equivalent single solve's row sum
+/// to the same bits.
+fn masked_sum(row: impl Iterator<Item = f64>, mask: Option<&[bool]>) -> f64 {
+    match mask {
+        None => row.sum(),
+        Some(mask) => row.zip(mask).filter(|(_, &m)| m).map(|(b, _)| b).sum(),
+    }
 }
 
 /// [`dm_greedy`] with locally built competitor artifacts and fresh

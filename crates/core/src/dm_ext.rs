@@ -5,14 +5,16 @@
 //!
 //! The estimators (RW/RS) carry per-score accuracy guarantees the paper
 //! derives only for its five scores, so extension rules run on the exact
-//! DM evaluation path: per candidate seed one `O(t·m)` FJ iteration and
-//! one full-rule evaluation. This mirrors `dm::dm_greedy`'s plain-greedy
-//! arm, with the same cumulative-gain tie-break.
+//! DM evaluation path: per candidate seed one `O(t·m)` FJ solve and one
+//! full-rule evaluation. This mirrors `dm::dm_greedy`'s plain-greedy
+//! arm, with the same cumulative-gain tie-break and the same lane
+//! batching: each iteration's trial solves run eight to a sweep, and
+//! every lane is bit-identical to the single solve of its seed set.
 
 use crate::{CoreError, Result};
 use rayon::prelude::*;
 use std::sync::Arc;
-use vom_diffusion::{Instance, OpinionMatrix, SolveOptions, SolverPool};
+use vom_diffusion::{Instance, OpinionMatrix, SolverPool, LANES};
 use vom_graph::{Candidate, Node};
 use vom_voting::OpinionScore;
 
@@ -32,13 +34,16 @@ pub fn evaluate_rule<S: OpinionScore + ?Sized>(
 
 /// Greedy seed selection (Algorithm 1) for an arbitrary [`OpinionScore`].
 ///
-/// Every iteration evaluates all non-seed candidates exactly — each one
-/// warm-started FJ solve plus one rule evaluation — in parallel
-/// (per-worker `map_init` scratch: pooled solver, trial seed list, and a
-/// private snapshot copy; each is fully rewritten per candidate, so
-/// results are schedule-independent), and commits the node with the largest
-/// marginal gain (ties: larger cumulative target opinion, then smaller
-/// node id). Returns `min(k, n − |fixed|)` seeds in selection order.
+/// Every iteration evaluates all non-seed candidates exactly — one FJ
+/// solve plus one rule evaluation each — and commits the node with the
+/// largest marginal gain (ties: larger cumulative target opinion, then
+/// smaller node id). The trials run in lanes, as in `dm::dm_greedy`:
+/// fixed 8-node chunks of the candidate list, each chunk one
+/// [`vom_diffusion::Solver::solve_lanes`] from the committed set, spread
+/// over the pool (per-worker `map_init` scratch: pooled solver, row
+/// buffer and a private snapshot copy; each is fully rewritten per lane,
+/// so results are schedule-independent). Returns `min(k, n − |fixed|)`
+/// seeds in selection order.
 ///
 /// For non-decreasing rules (all of `vom_voting::ext`) this is the same
 /// heuristic the paper analyses; quality guarantees depend on the rule's
@@ -89,7 +94,6 @@ pub fn generic_greedy<S: OpinionScore + ?Sized>(
     let cand = instance.candidate(target);
     let system = Arc::clone(cand.system());
     let others = instance.non_target_opinions(horizon, target);
-    let opts = SolveOptions::exact(horizon);
     let pool = SolverPool::new();
 
     let mut seeds = cand.fixed_seeds.clone();
@@ -99,35 +103,35 @@ pub fn generic_greedy<S: OpinionScore + ?Sized>(
     }
 
     let mut picked = Vec::with_capacity(k);
+    let mut trials: Vec<Node> = Vec::with_capacity(n);
+    let mut evals: Vec<(Node, f64, f64)> = Vec::with_capacity(n);
     for _ in 0..k {
-        // One cold recording solve per iteration; trial evaluations
-        // warm-start from it (bit-identical — see vom_diffusion::solver).
-        let base = {
-            let mut solver = pool.checkout(&system);
-            solver.solve(&seeds, &opts.recording(), None);
-            Arc::clone(solver.baseline().expect("recording solve installs one"))
-        };
-        let evals: Vec<(Node, f64, f64)> = (0..n as Node)
-            .into_par_iter()
-            .filter(|&v| !is_seed[v as usize])
+        trials.clear();
+        trials.extend((0..n as Node).filter(|&v| !is_seed[v as usize]));
+        evals.clear();
+        trials
+            .par_chunks(LANES)
             .map_init(
                 || {
-                    let mut solver = pool.checkout(&system);
-                    solver.set_baseline(Arc::clone(&base));
-                    (solver, seeds.clone(), others.clone())
+                    (
+                        pool.checkout(&system),
+                        Vec::with_capacity(n),
+                        others.clone(),
+                    )
                 },
-                |(solver, trial, snapshot), v| {
-                    trial.push(v);
-                    solver.solve(trial, &opts.warm(), None);
-                    let row = solver.opinions();
-                    let cum: f64 = row.iter().sum();
-                    snapshot.set_row(target, row);
-                    let s = rule.evaluate(snapshot, target);
-                    trial.pop();
-                    (v, s, cum)
+                |(solver, row, snapshot), chunk| {
+                    solver.solve_lanes(&seeds, chunk, horizon, None);
+                    let mut scored = [(0, 0.0, 0.0); LANES];
+                    for (lane, (&v, out)) in chunk.iter().zip(&mut scored).enumerate() {
+                        solver.copy_lane(lane, row);
+                        let cum: f64 = row.iter().sum();
+                        snapshot.set_row(target, row);
+                        *out = (v, rule.evaluate(snapshot, target), cum);
+                    }
+                    (scored, chunk.len())
                 },
             )
-            .collect();
+            .for_each(|(scored, len)| evals.extend_from_slice(&scored[..len]));
         let Some(&(best, _, _)) = evals.iter().max_by(|a, b| {
             // `total_cmp` keeps the argmax total (a NaN score orders
             // deterministically instead of panicking); identical to the

@@ -218,9 +218,9 @@ pub struct BuildStats {
     pub heap_bytes: usize,
     /// Number of estimator artifacts built so far (eager + lazy).
     pub artifact_builds: usize,
-    /// Exact-diffusion solver activity during the build (cold/warm solve
-    /// counts, steps, frontier work) — the competitor/seedless matrices
-    /// and any pilot evaluations run through the shared solver.
+    /// Exact-diffusion solver activity during the build (solve counts
+    /// and steps) — the competitor/seedless matrices and any pilot
+    /// evaluations run through the shared solver.
     pub solver: SolverCounters,
 }
 
@@ -408,9 +408,9 @@ pub struct SessionScratch {
     mask_all: Vec<bool>,
     /// RS working sketch from the previous query, keyed by its θ.
     rs_sketch: Option<(usize, SketchSet)>,
-    /// Pooled exact-diffusion solvers (iteration buffers + warm-start
-    /// baselines), reused across DM's `(k, trial)` loop and across
-    /// queries on the same session.
+    /// Pooled exact-diffusion solvers (single and lane iteration
+    /// buffers), reused across DM's `(k, trial)` loop and across queries
+    /// on the same session.
     dm_pool: SolverPool,
 }
 
@@ -702,8 +702,8 @@ impl PreparedIndex {
     /// `tests/prepared_equivalence.rs` asserts this), and independent of
     /// which or how many sessions share the index.
     ///
-    /// With a `meter` the greedy charges it (one tick per solver step /
-    /// warm frontier state / scored candidate) and checks exhaustion only
+    /// With a `meter` the greedy charges it (one tick per solver step of
+    /// each seed set / scored candidate) and checks exhaustion only
     /// at sequential seed-commit boundaries. If the budget runs out the
     /// query returns [`Outcome::Degraded`] carrying a bit-identical
     /// **prefix** of the full-budget selection. Metered queries always

@@ -184,12 +184,15 @@ fn lazy_greedy_fill<E: OpinionEstimate>(
     // The est borrow is split across the two closures via a RefCell:
     // marginal reads, commit mutates, never concurrently.
     let cell = std::cell::RefCell::new(est);
+    let candidates: Vec<Node> = (0..n as Node)
+        .filter(|&v| !cell.borrow().is_seed(v))
+        .collect();
     let selected = crate::celf::lazy_greedy(
-        (0..n as Node).filter(|&v| !cell.borrow().is_seed(v)),
+        &candidates,
         k,
         false,
         meter,
-        |v| gain_of(&cell.borrow(), v),
+        crate::celf::per_node(|v| gain_of(&cell.borrow(), v)),
         |v| {
             // audit:allow(d-wall-clock, "phase timer: elapsed feeds reported timings, never selection order")
             let t = Instant::now();

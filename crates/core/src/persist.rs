@@ -65,12 +65,9 @@ pub mod kind {
     pub const DM_IN_SRC: u32 = 17;
     /// `f64` in-edge weights.
     pub const DM_IN_W: u32 = 18;
-    /// `usize` `n+1` out-edge CSR offsets.
-    pub const DM_OUT_OFF: u32 = 19;
-    /// `u32` out-edge targets.
-    pub const DM_OUT_TGT: u32 = 20;
-    /// `u8` per-node has-in-edges flags (bools are not cast-safe).
-    pub const DM_HAS_IN: u32 = 21;
+    // Kinds 19–21 held the DM system's out-edge CSR and has-in-edges
+    // flags up to format version 2; only the warm-start frontier read
+    // them, so they are neither written nor read.
     /// `f64` initial opinions `B⁰` of the target candidate.
     pub const DM_B0: u32 = 22;
     /// `f64` stubbornness diagonal `D`.
@@ -336,14 +333,10 @@ pub fn snapshot_writer(index: &PreparedIndex) -> Result<SnapshotWriter> {
 }
 
 fn save_dm(w: &mut SnapshotWriter, dm: &DmIndex) {
-    let (in_off, in_src, in_w, out_off, out_tgt, has_in) = dm.system.parts();
+    let (in_off, in_src, in_w) = dm.system.parts();
     w.section::<usize>(kind::DM_IN_OFF, 0, in_off);
     w.section::<u32>(kind::DM_IN_SRC, 0, in_src);
     w.section::<f64>(kind::DM_IN_W, 0, in_w);
-    w.section::<usize>(kind::DM_OUT_OFF, 0, out_off);
-    w.section::<u32>(kind::DM_OUT_TGT, 0, out_tgt);
-    let has_in: Vec<u8> = has_in.iter().map(|&b| u8::from(b)).collect();
-    w.section::<u8>(kind::DM_HAS_IN, 0, &has_in);
     w.section::<f64>(kind::DM_B0, 0, dm.system.initial());
     w.section::<f64>(kind::DM_D, 0, dm.system.stubbornness());
     if let Some(order) = dm.cum_order.get() {
@@ -538,19 +531,11 @@ pub fn load_snapshot(instance: Arc<Instance>, snap: &Snapshot) -> Result<Prepare
 }
 
 fn load_dm(snap: &Snapshot, spec: &ProblemSpec, n: usize) -> Result<DmIndex> {
-    let has_in: Vec<bool> = snap
-        .section::<u8>(kind::DM_HAS_IN, 0)?
-        .iter()
-        .map(|&b| b != 0)
-        .collect();
     let system = DiffusionSystem::from_parts(
         n,
         snap.section::<usize>(kind::DM_IN_OFF, 0)?,
         snap.section::<u32>(kind::DM_IN_SRC, 0)?,
         snap.section::<f64>(kind::DM_IN_W, 0)?,
-        snap.section::<usize>(kind::DM_OUT_OFF, 0)?,
-        snap.section::<u32>(kind::DM_OUT_TGT, 0)?,
-        has_in,
         snap.section::<f64>(kind::DM_B0, 0)?,
         snap.section::<f64>(kind::DM_D, 0)?,
     )
@@ -913,6 +898,23 @@ mod tests {
             Snapshot::from_bytes(bumped, LoadMode::Copy).unwrap_err(),
             PersistError::UnsupportedVersion { .. }
         ));
+    }
+
+    #[test]
+    fn version_2_dm_snapshots_fail_closed() {
+        // Version 2 still carried the DM system's out-edge CSR and
+        // has-in flags. A v2 file must be rejected with the typed
+        // version error (the service then rebuilds), never parsed.
+        let inst = Arc::new(instance());
+        let spec =
+            ProblemSpec::new(Arc::clone(&inst), 0, 1, 1, ScoringFunction::Cumulative).unwrap();
+        let built = Engine::Dm.prepare_spec(spec).unwrap();
+        let mut bytes = snapshot_writer(&built).unwrap().to_bytes();
+        bytes[8..16].copy_from_slice(&2u64.to_le_bytes());
+        assert_eq!(
+            Snapshot::from_bytes(bytes, LoadMode::Copy).unwrap_err(),
+            PersistError::UnsupportedVersion { got: 2, want: 3 }
+        );
     }
 
     #[test]

@@ -11,10 +11,11 @@
 //! * **scoring** — candidate gain computation (rank lookups, delta
 //!   application, cumulative gain scans) and exact score tallies.
 //!
-//! Diffusion is split further into cold full solves ([`Phase::Diffusion`])
-//! and warm-start frontier solves ([`Phase::DiffusionWarm`]) so the bench
-//! trajectory can show how much of the exact-DM wall the warm path
-//! absorbed; solve/frontier *counts* live in [`SolverCounters`].
+//! Every exact solve, single or batched in lanes, is attributed to
+//! [`Phase::Diffusion`]; solve and step *counts* live in
+//! [`SolverCounters`]. [`PhaseTimes::diffusion_warm`] survives from the
+//! retired warm-start solver only so report schemas keep the field; it
+//! always reads 0.
 //!
 //! Counters are process-wide atomics, so the parallel pool's workers can
 //! report from inside `par_iter` closures; readers take
@@ -34,22 +35,15 @@ pub use vom_diffusion::{CostBudget, CostMeter, SolverCounters};
 /// A hot-path phase of the query pipeline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Phase {
-    /// Exact opinion diffusion: cold (full fixed-horizon) solves.
+    /// Exact opinion diffusion: single and batched solves.
     Diffusion = 0,
     /// Seed-commit truncation on walk arenas / sketch sets.
     Truncation = 1,
     /// Candidate scoring: rank lookups, delta application, gain scans.
     Scoring = 2,
-    /// Exact opinion diffusion: warm-start frontier solves.
-    DiffusionWarm = 3,
 }
 
-static NANOS: [AtomicU64; 4] = [
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-];
+static NANOS: [AtomicU64; 3] = [AtomicU64::new(0), AtomicU64::new(0), AtomicU64::new(0)];
 
 /// Adds `elapsed` to a phase's process-wide counter.
 #[inline]
@@ -72,13 +66,14 @@ pub fn timed<T>(phase: Phase, f: impl FnOnce() -> T) -> T {
 /// real time).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PhaseTimes {
-    /// Cold (full-solve) exact diffusion time.
+    /// Exact diffusion time.
     pub diffusion: Duration,
     /// Truncation time.
     pub truncation: Duration,
     /// Scoring time.
     pub scoring: Duration,
-    /// Warm-start (frontier-solve) exact diffusion time.
+    /// Always zero: warm-start solves no longer exist. Kept so the
+    /// trajectory files and the benchmark keep their schema.
     pub diffusion_warm: Duration,
 }
 
@@ -101,8 +96,8 @@ impl PhaseTimes {
         self.diffusion_warm += other.diffusion_warm;
     }
 
-    /// Total exact diffusion time, cold + warm — the historical
-    /// `diffusion` semantics before the warm split.
+    /// Total exact diffusion time — `diffusion` plus the always-zero
+    /// `diffusion_warm`, so the historical total keeps its meaning.
     pub fn diffusion_total(&self) -> Duration {
         self.diffusion + self.diffusion_warm
     }
@@ -116,7 +111,7 @@ impl PhaseTimes {
 /// when the pool tears the scratch down.
 #[derive(Debug, Default)]
 pub struct PhaseLocal {
-    acc: [Duration; 4],
+    acc: [Duration; 3],
 }
 
 impl PhaseLocal {
@@ -153,7 +148,7 @@ pub fn snapshot() -> PhaseTimes {
         diffusion: Duration::from_nanos(NANOS[0].load(Ordering::Relaxed)),
         truncation: Duration::from_nanos(NANOS[1].load(Ordering::Relaxed)),
         scoring: Duration::from_nanos(NANOS[2].load(Ordering::Relaxed)),
-        diffusion_warm: Duration::from_nanos(NANOS[3].load(Ordering::Relaxed)),
+        diffusion_warm: Duration::ZERO,
     }
 }
 
@@ -174,15 +169,13 @@ mod tests {
             std::thread::sleep(Duration::from_millis(2))
         });
         record(Phase::Diffusion, Duration::from_micros(5));
-        record(Phase::DiffusionWarm, Duration::from_micros(7));
         let delta = snapshot().since(before);
         assert!(delta.scoring >= Duration::from_millis(2));
         assert!(delta.diffusion >= Duration::from_micros(5));
-        assert!(delta.diffusion_warm >= Duration::from_micros(7));
-        assert!(delta.diffusion_total() >= Duration::from_micros(12));
+        assert_eq!(delta.diffusion_warm, Duration::ZERO);
+        assert_eq!(delta.diffusion_total(), delta.diffusion);
         let mut acc = PhaseTimes::default();
         acc.add(delta);
         assert_eq!(acc.scoring, delta.scoring);
-        assert_eq!(acc.diffusion_warm, delta.diffusion_warm);
     }
 }

@@ -1,7 +1,9 @@
 //! FJ-Vote-Win (Problem 2, Algorithm 2): the minimum seed budget for the
 //! target to win.
 
+use crate::phases::{self, Phase};
 use crate::problem::Problem;
+use vom_diffusion::OpinionMatrix;
 use vom_graph::Node;
 use vom_voting::tally;
 
@@ -16,9 +18,20 @@ pub struct WinResult {
 }
 
 /// Whether `seeds` for the target make it the **strict** winner under
-/// the problem's score at the horizon.
-pub fn wins(problem: &Problem<'_>, seeds: &[Node]) -> bool {
-    let b = problem.opinions(seeds);
+/// the problem's score at the horizon. `others` holds the competitors'
+/// horizon-`t` rows, as [`Problem::non_target_opinions`] returns them
+/// (its target row is ignored), so a probe solves only the target
+/// campaign. The tally is bit-identical to one over the full matrix
+/// `B^{(t)}[S]`: the competitor rows are the same seed-independent
+/// solves.
+pub fn wins(problem: &Problem<'_>, others: &OpinionMatrix, seeds: &[Node]) -> bool {
+    let row = phases::timed(Phase::Diffusion, || {
+        problem
+            .instance
+            .opinions_of(problem.target, problem.horizon, seeds)
+    });
+    let mut b = others.clone();
+    b.set_row(problem.target, &row);
     tally(&b, &problem.score).wins_strictly(problem.target)
 }
 
@@ -48,6 +61,9 @@ where
 /// aborts the search and propagates. This is the variant the prepared
 /// engines plug into (`QuerySession::select` returns `Result`), so harnesses
 /// need no `expect` inside the budget search.
+///
+/// The competitors' rows are solved once per search; each probe then
+/// solves only the target campaign (see [`wins`]).
 pub fn try_min_seeds_to_win<F, E>(
     problem: &Problem<'_>,
     mut select: F,
@@ -55,7 +71,9 @@ pub fn try_min_seeds_to_win<F, E>(
 where
     F: FnMut(&Problem<'_>) -> Result<Vec<Node>, E>,
 {
-    if wins(problem, &[]) {
+    let others = problem.non_target_opinions();
+    let wins = |seeds: &[Node]| wins(problem, &others, seeds);
+    if wins(&[]) {
         return Ok(Some(WinResult {
             k: 0,
             seeds: Vec::new(),
@@ -68,7 +86,7 @@ where
     let mut best = loop {
         let k_probe = k.min(n);
         let seeds = select(&problem.with_budget(k_probe))?;
-        if wins(problem, &seeds) {
+        if wins(&seeds) {
             break WinResult { k: k_probe, seeds };
         }
         lo = k_probe;
@@ -82,7 +100,7 @@ where
     while hi - lo > 1 {
         let mid = (lo + hi) / 2;
         let seeds = select(&problem.with_budget(mid))?;
-        if wins(problem, &seeds) {
+        if wins(&seeds) {
             hi = mid;
             best = WinResult { k: mid, seeds };
         } else {
@@ -115,11 +133,12 @@ mod tests {
     fn one_seed_suffices_for_plurality_win() {
         let inst = instance();
         let p = Problem::new(&inst, 0, 1, 1, ScoringFunction::Plurality).unwrap();
+        let others = p.non_target_opinions();
         // Seedless: c1 has 2 voters, c2 has 2 -> no strict win.
-        assert!(!wins(&p, &[]));
+        assert!(!wins(&p, &others, &[]));
         let res = min_seeds_to_win(&p, dm_greedy).unwrap();
         assert_eq!(res.k, 1);
-        assert!(wins(&p, &res.seeds));
+        assert!(wins(&p, &others, &res.seeds));
     }
 
     #[test]
@@ -150,11 +169,12 @@ mod tests {
         let inst = instance();
         let p = Problem::new(&inst, 0, 1, 1, ScoringFunction::Copeland).unwrap();
         let res = min_seeds_to_win(&p, dm_greedy).unwrap();
-        // Linear reference: smallest k whose greedy seed set wins.
+        // Linear reference: smallest k whose greedy seed set wins, judged
+        // on the full opinion matrix.
         let mut linear = None;
         for k in 0..=4 {
             let seeds = dm_greedy(&p.with_budget(k));
-            if wins(&p, &seeds) {
+            if tally(&p.opinions(&seeds), &p.score).wins_strictly(p.target) {
                 linear = Some(k);
                 break;
             }

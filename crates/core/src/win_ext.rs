@@ -3,22 +3,27 @@
 
 use crate::dm_ext::generic_greedy;
 use crate::win::WinResult;
-use crate::Result;
-use vom_diffusion::Instance;
-use vom_graph::Candidate;
+use crate::{CoreError, Result};
+use vom_diffusion::{Instance, OpinionMatrix};
+use vom_graph::{Candidate, Node};
 use vom_voting::OpinionScore;
 
 /// Whether `seeds` for `target` make it the **strict** winner under
 /// `rule` at the horizon (strictly greater score than every other
-/// candidate).
+/// candidate). `others` holds the competitors' horizon-`t` rows, as
+/// [`Instance::non_target_opinions`] returns them (its target row is
+/// ignored), so a probe solves only the target campaign; the result is
+/// bit-identical to evaluating the full matrix `B^{(t)}[S]`.
 pub fn wins_rule<S: OpinionScore + ?Sized>(
     instance: &Instance,
     target: Candidate,
     horizon: usize,
+    others: &OpinionMatrix,
     seeds: &[vom_graph::Node],
     rule: &S,
 ) -> bool {
-    let b = instance.opinions_at(horizon, target, seeds);
+    let mut b = others.clone();
+    b.set_row(target, &instance.opinions_of(target, horizon, seeds));
     let mine = rule.evaluate(&b, target);
     (0..instance.num_candidates())
         .filter(|&x| x != target)
@@ -30,14 +35,21 @@ pub fn wins_rule<S: OpinionScore + ?Sized>(
 /// for `target` to strictly win under `rule` at the horizon. Same
 /// doubling-then-binary-search schedule as [`crate::win::min_seeds_to_win`].
 /// Returns `Ok(None)` if the target cannot win even with all `n` nodes
-/// seeded.
+/// seeded. The competitors' rows are solved once per search; each probe
+/// solves only the target campaign.
 pub fn min_seeds_to_win_rule<S: OpinionScore + ?Sized>(
     instance: &Instance,
     target: Candidate,
     horizon: usize,
     rule: &S,
 ) -> Result<Option<WinResult>> {
-    if wins_rule(instance, target, horizon, &[], rule) {
+    let r = instance.num_candidates();
+    if target >= r {
+        return Err(CoreError::BadTarget { target, r });
+    }
+    let others = instance.non_target_opinions(horizon, target);
+    let wins = |seeds: &[Node]| wins_rule(instance, target, horizon, &others, seeds, rule);
+    if wins(&[]) {
         return Ok(Some(WinResult {
             k: 0,
             seeds: Vec::new(),
@@ -49,7 +61,7 @@ pub fn min_seeds_to_win_rule<S: OpinionScore + ?Sized>(
     let mut best = loop {
         let k_probe = k.min(n);
         let seeds = generic_greedy(instance, target, k_probe, horizon, rule)?;
-        if wins_rule(instance, target, horizon, &seeds, rule) {
+        if wins(&seeds) {
             break WinResult { k: k_probe, seeds };
         }
         lo = k_probe;
@@ -62,7 +74,7 @@ pub fn min_seeds_to_win_rule<S: OpinionScore + ?Sized>(
     while hi - lo > 1 {
         let mid = (lo + hi) / 2;
         let seeds = generic_greedy(instance, target, mid, horizon, rule)?;
-        if wins_rule(instance, target, horizon, &seeds, rule) {
+        if wins(&seeds) {
             hi = mid;
             best = WinResult { k: mid, seeds };
         } else {
@@ -79,6 +91,12 @@ mod tests {
     use vom_diffusion::OpinionMatrix;
     use vom_graph::builder::graph_from_edges;
     use vom_voting::{ExtendedRule, ScoringFunction};
+
+    /// [`wins_rule`] with freshly solved competitor rows.
+    fn wins(inst: &Instance, target: Candidate, seeds: &[Node], rule: &impl OpinionScore) -> bool {
+        let others = inst.non_target_opinions(1, target);
+        wins_rule(inst, target, 1, &others, seeds, rule)
+    }
 
     fn instance() -> Instance {
         let g = Arc::new(graph_from_edges(4, &[(0, 2, 1.0), (1, 2, 1.0), (2, 3, 1.0)]).unwrap());
@@ -99,13 +117,7 @@ mod tests {
             .unwrap()
             .unwrap();
         assert_eq!(res.k, 1);
-        assert!(wins_rule(
-            &inst,
-            0,
-            1,
-            &res.seeds,
-            &ScoringFunction::Plurality
-        ));
+        assert!(wins(&inst, 0, &res.seeds, &ScoringFunction::Plurality));
     }
 
     #[test]
@@ -114,15 +126,12 @@ mod tests {
         let rule = ExtendedRule::Borda;
         let res = min_seeds_to_win_rule(&inst, 0, 1, &rule).unwrap().unwrap();
         assert!(res.k <= 2, "k* = {}", res.k);
-        assert!(wins_rule(&inst, 0, 1, &res.seeds, &rule));
+        assert!(wins(&inst, 0, &res.seeds, &rule));
         // Minimality: the found budget is the smallest whose greedy set
         // wins (linear-scan cross-check).
         for k in 0..res.k {
             let seeds = generic_greedy(&inst, 0, k, 1, &rule).unwrap();
-            assert!(
-                !wins_rule(&inst, 0, 1, &seeds, &rule),
-                "k = {k} already wins"
-            );
+            assert!(!wins(&inst, 0, &seeds, &rule), "k = {k} already wins");
         }
     }
 
@@ -143,10 +152,19 @@ mod tests {
         // users): a tie is not a strict win, so k* = 1 for either side.
         let inst = instance();
         let rule = ExtendedRule::Maximin;
-        assert!(!wins_rule(&inst, 0, 1, &[], &rule));
-        assert!(!wins_rule(&inst, 1, 1, &[], &rule));
+        assert!(!wins(&inst, 0, &[], &rule));
+        assert!(!wins(&inst, 1, &[], &rule));
         let res = min_seeds_to_win_rule(&inst, 1, 1, &rule).unwrap().unwrap();
         assert_eq!(res.k, 1);
+    }
+
+    #[test]
+    fn out_of_range_target_is_an_error() {
+        let inst = instance();
+        assert!(matches!(
+            min_seeds_to_win_rule(&inst, 2, 1, &ExtendedRule::Borda),
+            Err(CoreError::BadTarget { target: 2, r: 2 })
+        ));
     }
 
     #[test]

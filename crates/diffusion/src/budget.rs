@@ -1,9 +1,9 @@
 //! Deterministic cost budgets for cooperative cancellation.
 //!
 //! A [`CostBudget`] is a deadline measured in **work units** ("ticks"),
-//! not wall-clock time: solver iteration steps, scored candidates, warm
-//! frontier states — quantities that are identical at every thread
-//! width and on every machine. A [`CostMeter`] accumulates charges
+//! not wall-clock time: solver iteration steps, scored candidates —
+//! quantities that are identical at every thread width and on every
+//! machine. A [`CostMeter`] accumulates charges
 //! against that budget while a selection runs; greedy loops consult
 //! [`CostMeter::exhausted`] at their sequential iteration checkpoints
 //! and stop committing seeds once the budget is spent, leaving a valid
@@ -25,10 +25,11 @@
 //!
 //! Tick magnitudes: one tick per dense solver step per node batch is
 //! too fine; the convention used across the workspace is **one tick
-//! per solver iteration step** (cold or dense-fallback), **one tick
-//! per warm frontier state**, and **one tick per scored candidate**.
-//! Absolute calibration does not matter for correctness — only that
-//! the schedule of charges is deterministic.
+//! per solver iteration step of each seed set** (a single solve's
+//! step, or one lane's share of a batched sweep, so a sweep over `L`
+//! lanes charges `L`) and **one tick per scored candidate**. Absolute
+//! calibration does not matter for correctness — only that the
+//! schedule of charges is deterministic.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 

@@ -89,7 +89,7 @@ impl CandidateData {
     }
 
     /// The candidate's [`DiffusionSystem`], built on first use and cached:
-    /// the solver-owned CSR layout every cold and warm solve iterates.
+    /// the solver-owned CSR layout every single and batched solve iterates.
     /// Cloning shares the cache; [`Instance::candidate_mut`] invalidates it.
     pub fn system(&self) -> &Arc<DiffusionSystem> {
         self.system.get_or_init(|| {

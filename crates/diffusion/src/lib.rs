@@ -16,9 +16,11 @@
 //! * [`OpinionMatrix`] — the `r × n` matrix `B` of user opinions in `[0,1]`;
 //! * [`Solver`] — the one exact engine computing `B_q^(t)[S]` for any
 //!   seed set `S` over a candidate's [`DiffusionSystem`], with
-//!   fixed-point early exit, convergence tolerances and warm starts (the
-//!   paper's **DM** building block; DeGroot is the zero-stubbornness
-//!   case);
+//!   fixed-point early exit and convergence tolerances, and batched in
+//!   [`LANES`] lanes for the greedy's candidate scans: one sweep solves
+//!   `base ∪ {v}` for eight trial nodes `v`, each lane bit-identical to
+//!   the single solve (the paper's **DM** building block; DeGroot is the
+//!   zero-stubbornness case);
 //! * [`Instance`] — a full multi-candidate problem instance bundling, per
 //!   candidate, the influence matrix `W_q`, initial opinions `B_q^(0)`,
 //!   stubbornness `D_q`, and any pre-committed seed sets for non-target
@@ -77,8 +79,8 @@ pub use fj::FjEngine;
 pub use opinion::OpinionMatrix;
 pub use shared::SharedValues;
 pub use solver::{
-    set_warm_start_enabled, warm_start_enabled, Baseline, DiffusionSystem, PooledSolver,
-    SolveOptions, SolveReport, Solver, SolverCounters, SolverPool,
+    DiffusionSystem, PooledSolver, SolveOptions, SolveReport, Solver, SolverCounters, SolverPool,
+    LANES,
 };
 pub use stubbornness::Stubbornness;
 

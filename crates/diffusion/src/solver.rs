@@ -1,40 +1,40 @@
-//! The unified sparse diffusion solver behind every exact FJ evaluation.
+//! The sparse diffusion solver behind every exact FJ evaluation.
 //!
 //! Every exact opinion computation — fixed-horizon, convergence-style,
-//! metered or not — goes through one API, [`Solver::solve`], built on
-//! three pieces:
+//! metered or not — runs over one [`DiffusionSystem`]: the candidate's
+//! influence system in a solver-owned in-CSR layout, built **once per
+//! candidate** and shared via `Arc` by every session and worker. Two
+//! entry points iterate it:
 //!
-//! * [`DiffusionSystem`] — the candidate's influence system in a
-//!   solver-owned CSR layout (flat in-edge arrays plus the out-adjacency
-//!   the warm frontier walks), built **once per candidate** and shared
-//!   via `Arc` by every session and worker;
-//! * cold solves with **exact fixed-point early-exit**: iteration stops
-//!   as soon as a step reproduces its input bit for bit (every later row
-//!   is provably identical) or, when a tolerance is supplied, as soon as
-//!   the residual `max_v |b_v^{(s)} − b_v^{(s−1)}|` drops below it;
-//! * **warm-start incremental solves**: greedy seed selection evaluates
-//!   `S ∪ {v}` for thousands of trial nodes `v` against one committed
-//!   set `S`. A cold solve of `S` recorded as a [`Baseline`] trajectory
-//!   turns each trial into frontier propagation — only nodes whose
-//!   opinion actually moves (a worklist over out-neighbors of moved
-//!   nodes) are recomputed, and every untouched node reuses the baseline
-//!   value, which is *bit-identical* to the full pass (see below).
+//! * [`Solver::solve`] — one seed set, with **exact fixed-point
+//!   early exit**: iteration stops as soon as a step reproduces its
+//!   input bit for bit (every later row is provably identical) or, when
+//!   a tolerance is supplied, as soon as the residual
+//!   `max_v |b_v^{(s)} − b_v^{(s−1)}|` drops below it;
+//! * [`Solver::solve_lanes`] — up to [`LANES`] seed sets
+//!   `base ∪ {extras[l]}` in **one sweep per step** over node-major
+//!   `[f64; LANES]` state. Greedy selection scores thousands of trial
+//!   sets that differ from one committed set by a single node, and a
+//!   sweep streams the in-CSR once for all of them (the multi-source
+//!   idea of Then et al., "The More the Merrier", PVLDB 8(4), 2014,
+//!   applied to FJ sweeps).
 //!
-//! # Why warm-start is exact, not approximate
+//! # Why every lane is bit-identical to a single solve
 //!
-//! Let `B^{(s)}` be the baseline rows for seed set `S` and `B'^{(s)}` the
-//! rows for `S ∪ E`. At step 0 they differ exactly on the extra seeds `E`
-//! (pinned to 1). Inductively, a node `u ∉ S ∪ E` satisfies
-//! `b'_u^{(s+1)} = (1−d_u)·Σ_j w_ju·b'_j^{(s)} + d_u·b⁰_u`: if no
-//! in-neighbor of `u` changed at step `s`, every operand is bitwise the
-//! baseline operand, so the IEEE result is bitwise the baseline result.
-//! The solver therefore only recomputes out-neighbors of changed nodes —
-//! **with the full in-neighbor sum, in the same CSR order as the cold
-//! step** — and detects change by bit comparison against the baseline
-//! row. Nothing is truncated and no tolerance is involved, which is why
-//! selection digests of warm-start greedy runs match the cold runs byte
-//! for byte. A nonzero [`SolveOptions::tolerance`] requests the
-//! *convergence* semantics instead; those solves always run cold.
+//! Lane `l` starts from the single solve's initial row for
+//! `base ∪ {extras[l]}`. Each sweep computes every node's update exactly
+//! as [`Solver::solve`]'s kernel does: the in-edges in the same CSR
+//! order, the same folded constants `omd[v] = 1 − d[v]` and
+//! `db0[v] = d[v]·b⁰[v]`, and in-less nodes holding their value. The
+//! base pins and the lane's own pin are applied after the update, so a
+//! pinned entry is 1 exactly when the single solve pins it. Rust never
+//! contracts `a + w·x` into a fused multiply-add, so the lane arithmetic
+//! is the scalar arithmetic, element by element. The sweep stops when
+//! every lane reproduces its input bitwise, or at the horizon; a lane
+//! that reached its own fixed point earlier keeps reproducing it, which
+//! is where the single solve stopped. Nothing is truncated and no
+//! tolerance is involved, so selections built from lanes match the
+//! single-solve runs byte for byte.
 //!
 //! [`FjEngine::trajectory`] keeps the naive dense iteration over bare
 //! slices; the equivalence tests use it as the independent reference.
@@ -42,82 +42,41 @@
 use crate::budget::CostMeter;
 use crate::error::validate_unit_range;
 use crate::Result;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex};
 use vom_graph::{Node, SocialGraph};
 use vom_persist::FlatBuf;
 
 #[cfg(doc)]
 use crate::fj::FjEngine;
 
+/// Seed sets one [`Solver::solve_lanes`] sweep solves: eight `f64`
+/// lanes per node, one 64-byte cache line.
+pub const LANES: usize = 8;
+
 // ---------------------------------------------------------------------
-// Process-wide solver counters and the warm-start toggle
+// Process-wide solver counters
 // ---------------------------------------------------------------------
 
 static COLD_SOLVES: AtomicU64 = AtomicU64::new(0);
-static WARM_SOLVES: AtomicU64 = AtomicU64::new(0);
 static COLD_STEPS: AtomicU64 = AtomicU64::new(0);
-static WARM_FRONTIER_NODES: AtomicU64 = AtomicU64::new(0);
-static BASELINE_IDS: AtomicU64 = AtomicU64::new(1);
-
-static WARM_DISABLED: AtomicBool = AtomicBool::new(false);
-static WARM_ENV: OnceLock<()> = OnceLock::new();
-
-/// Warm-solve saturation guard: once the changed set at some state
-/// reaches `n / DENSE_FALLBACK_DIVISOR`, the remaining steps run dense.
-/// At that density the frontier bookkeeping (out-neighbor candidate
-/// gathering plus the per-in-neighbor changed/baseline branch) costs
-/// more than the straight CSR sweep it avoids.
-const DENSE_FALLBACK_DIVISOR: usize = 8;
-
-/// The fallback never triggers below this size: tiny graphs saturate in
-/// a step either way, and keeping the frontier path live there keeps it
-/// covered by the small-graph property tests.
-const DENSE_FALLBACK_MIN_N: usize = 64;
-
-fn warm_env_init() {
-    WARM_ENV.get_or_init(|| {
-        // audit:allow(d-env-read, "documented opt-out knob; toggles warm-start reuse, digests asserted identical either way")
-        if let Ok(v) = std::env::var("VOM_WARM_START") {
-            let off = matches!(v.trim(), "0" | "false" | "off" | "no");
-            WARM_DISABLED.store(off, Ordering::Relaxed);
-        }
-    });
-}
-
-/// Whether [`Solver::solve`] may take the warm-start path. Defaults to
-/// true; `VOM_WARM_START=0` in the environment or
-/// [`set_warm_start_enabled`]`(false)` force every solve cold (results
-/// are bit-identical either way — the switch exists so tests and benches
-/// can pin that equivalence).
-pub fn warm_start_enabled() -> bool {
-    warm_env_init();
-    !WARM_DISABLED.load(Ordering::Relaxed)
-}
-
-/// Overrides the warm-start toggle process-wide (takes precedence over
-/// the `VOM_WARM_START` environment variable).
-pub fn set_warm_start_enabled(enabled: bool) {
-    warm_env_init();
-    WARM_DISABLED.store(!enabled, Ordering::Relaxed);
-}
 
 /// Process-wide counters of solver activity, for the bench trajectory
 /// and build diagnostics. Monotone; readers take [`SolverCounters::snapshot`]
 /// deltas around the section they want attributed.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SolverCounters {
-    /// Full fixed-horizon solves (including baseline recordings).
+    /// Seed sets solved: one per [`Solver::solve`] call and one per
+    /// real lane of a [`Solver::solve_lanes`] call.
     pub cold_solves: u64,
-    /// Warm-start frontier solves.
+    /// Always 0. Warm-start solves no longer exist; the field stays so
+    /// the trajectory files and the benchmark keep their schema.
     pub warm_solves: u64,
-    /// Dense iteration sweeps executed — by cold solves (early-exit
-    /// shortens) and by warm solves whose frontier saturated and fell
-    /// back to dense stepping.
+    /// Dense iteration sweeps, counted per seed set: a single solve adds
+    /// its executed steps, a batched solve adds its sweeps once per real
+    /// lane. `cold_steps × m` is therefore solve-edge-steps.
     pub cold_steps: u64,
-    /// Total changed-node recomputations across warm solves — the
-    /// `O(frontier)` work that replaced `O(t·m)` per evaluation
-    /// (dense-fallback sweeps are counted in `cold_steps`, not here).
+    /// Always 0, like [`SolverCounters::warm_solves`].
     pub warm_frontier_nodes: u64,
 }
 
@@ -126,9 +85,9 @@ impl SolverCounters {
     pub fn snapshot() -> SolverCounters {
         SolverCounters {
             cold_solves: COLD_SOLVES.load(Ordering::Relaxed),
-            warm_solves: WARM_SOLVES.load(Ordering::Relaxed),
+            warm_solves: 0,
             cold_steps: COLD_STEPS.load(Ordering::Relaxed),
-            warm_frontier_nodes: WARM_FRONTIER_NODES.load(Ordering::Relaxed),
+            warm_frontier_nodes: 0,
         }
     }
 
@@ -160,24 +119,18 @@ impl SolverCounters {
 /// One candidate's influence system in the solver's own cache-friendly
 /// layout: flat in-CSR arrays (`in_offsets`/`in_sources`/`in_weights`)
 /// driving the FJ update in exactly the [`SocialGraph::in_entries`]
-/// order, the out-adjacency the warm frontier expands along, and the
-/// per-node `b⁰`/`d` vectors. Built once per candidate (see
-/// [`crate::CandidateData::system`]) and shared by `Arc`; immutable and
-/// `Send + Sync`.
+/// order, and the per-node `b⁰`/`d` vectors. Built once per candidate
+/// (see [`crate::CandidateData::system`]) and shared by `Arc`; immutable
+/// and `Send + Sync`.
 /// The flat arrays live in [`FlatBuf`]s so a snapshot load (`vom-persist`)
-/// can borrow them zero-copy from the mapped file region; `has_in` stays a
-/// `Vec<bool>` (persisted as bytes — casting raw bytes to `bool` is UB)
-/// and the folded constants are always recomputed, bitwise identically,
-/// from `b0`/`d`.
+/// can borrow them zero-copy from the mapped file region; the folded
+/// constants are always recomputed, bitwise identically, from `b0`/`d`.
 #[derive(Debug)]
 pub struct DiffusionSystem {
     n: usize,
     in_offsets: FlatBuf<usize>,
     in_sources: FlatBuf<Node>,
     in_weights: FlatBuf<f64>,
-    out_offsets: FlatBuf<usize>,
-    out_targets: FlatBuf<Node>,
-    has_in: Vec<bool>,
     b0: FlatBuf<f64>,
     d: FlatBuf<f64>,
     // Per-node constants of the update rule, folded once at build time
@@ -212,112 +165,86 @@ impl DiffusionSystem {
         let mut in_offsets = Vec::with_capacity(n + 1);
         let mut in_sources = Vec::with_capacity(m);
         let mut in_weights = Vec::with_capacity(m);
-        let mut out_offsets = Vec::with_capacity(n + 1);
-        let mut out_targets = Vec::with_capacity(m);
-        let mut has_in = Vec::with_capacity(n);
         in_offsets.push(0);
-        out_offsets.push(0);
         for v in 0..n as Node {
             for (j, w) in graph.in_entries(v) {
                 in_sources.push(j);
                 in_weights.push(w);
             }
             in_offsets.push(in_sources.len());
-            out_targets.extend_from_slice(graph.out_neighbors(v));
-            out_offsets.push(out_targets.len());
-            has_in.push(graph.has_in_edges(v));
         }
-        let omd: Vec<f64> = d.iter().map(|&dv| 1.0 - dv).collect();
-        let db0: Vec<f64> = d.iter().zip(b0).map(|(&dv, &bv)| dv * bv).collect();
-        Ok(DiffusionSystem {
+        Ok(Self::assemble(
             n,
-            in_offsets: in_offsets.into(),
-            in_sources: in_sources.into(),
-            in_weights: in_weights.into(),
-            out_offsets: out_offsets.into(),
-            out_targets: out_targets.into(),
-            has_in,
-            b0: b0.to_vec().into(),
-            d: d.to_vec().into(),
-            omd,
-            db0,
-        })
+            in_offsets.into(),
+            in_sources.into(),
+            in_weights.into(),
+            b0.to_vec().into(),
+            d.to_vec().into(),
+        ))
     }
 
     /// Reassembles a system from its persisted arrays (snapshot load).
-    /// The CSR shapes and every node id are validated up front so a
+    /// The CSR shape and every node id are validated up front so a
     /// corrupt-but-digest-valid snapshot fails closed here; the folded
     /// per-node constants are recomputed from `b0`/`d` with the same
     /// expressions [`DiffusionSystem::new`] folds, which is bitwise
     /// identical to having persisted them.
-    #[allow(clippy::too_many_arguments)]
     pub fn from_parts(
         n: usize,
         in_offsets: FlatBuf<usize>,
         in_sources: FlatBuf<Node>,
         in_weights: FlatBuf<f64>,
-        out_offsets: FlatBuf<usize>,
-        out_targets: FlatBuf<Node>,
-        has_in: Vec<bool>,
         b0: FlatBuf<f64>,
         d: FlatBuf<f64>,
     ) -> std::result::Result<Self, &'static str> {
-        let csr_ok = |off: &[usize], len: usize| {
-            off.len() == n + 1
-                && off.first() == Some(&0)
-                && *off.last().unwrap() == len
-                && off.windows(2).all(|w| w[0] <= w[1])
-        };
-        if !csr_ok(&in_offsets, in_sources.len()) || !csr_ok(&out_offsets, out_targets.len()) {
+        if in_offsets.len() != n + 1
+            || in_offsets.first() != Some(&0)
+            || in_offsets.last() != Some(&in_sources.len())
+            || !in_offsets.windows(2).all(|w| w[0] <= w[1])
+        {
             return Err("adjacency offsets must span their arrays");
         }
         if in_weights.len() != in_sources.len() {
             return Err("in-weights must parallel in-sources");
         }
-        if in_sources
-            .iter()
-            .chain(out_targets.iter())
-            .any(|&v| (v as usize) >= n)
-        {
+        if in_sources.iter().any(|&v| (v as usize) >= n) {
             return Err("adjacency node id out of range");
         }
-        if b0.len() != n || d.len() != n || has_in.len() != n {
+        if b0.len() != n || d.len() != n {
             return Err("per-node arrays must have length n");
         }
-        if (0..n).any(|v| has_in[v] != (in_offsets[v] < in_offsets[v + 1])) {
-            return Err("has_in must mirror in-edge emptiness");
-        }
+        Ok(Self::assemble(n, in_offsets, in_sources, in_weights, b0, d))
+    }
+
+    /// Folds the per-node update constants; shared by both constructors
+    /// so a loaded system is bitwise the built one.
+    fn assemble(
+        n: usize,
+        in_offsets: FlatBuf<usize>,
+        in_sources: FlatBuf<Node>,
+        in_weights: FlatBuf<f64>,
+        b0: FlatBuf<f64>,
+        d: FlatBuf<f64>,
+    ) -> DiffusionSystem {
         let omd: Vec<f64> = d.iter().map(|&dv| 1.0 - dv).collect();
         let db0: Vec<f64> = d.iter().zip(b0.iter()).map(|(&dv, &bv)| dv * bv).collect();
-        Ok(DiffusionSystem {
+        DiffusionSystem {
             n,
             in_offsets,
             in_sources,
             in_weights,
-            out_offsets,
-            out_targets,
-            has_in,
             b0,
             d,
             omd,
             db0,
-        })
+        }
     }
 
-    /// The persisted arrays `(in_offsets, in_sources, in_weights,
-    /// out_offsets, out_targets, has_in)` — the exact buffers a snapshot
-    /// writer serializes verbatim (plus [`DiffusionSystem::initial`] and
-    /// [`DiffusionSystem::stubbornness`]).
-    #[allow(clippy::type_complexity)]
-    pub fn parts(&self) -> (&[usize], &[Node], &[f64], &[usize], &[Node], &[bool]) {
-        (
-            &self.in_offsets,
-            &self.in_sources,
-            &self.in_weights,
-            &self.out_offsets,
-            &self.out_targets,
-            &self.has_in,
-        )
+    /// The persisted arrays `(in_offsets, in_sources, in_weights)` — the
+    /// exact buffers a snapshot writer serializes verbatim (plus
+    /// [`DiffusionSystem::initial`] and [`DiffusionSystem::stubbornness`]).
+    pub fn parts(&self) -> (&[usize], &[Node], &[f64]) {
+        (&self.in_offsets, &self.in_sources, &self.in_weights)
     }
 
     /// Number of nodes `n`.
@@ -344,38 +271,17 @@ impl DiffusionSystem {
         &self.d
     }
 
-    /// `(source j, w_jv)` pairs of `v`, in [`SocialGraph::in_entries`]
-    /// order.
-    #[inline]
-    fn in_entries(&self, v: usize) -> impl Iterator<Item = (Node, f64)> + '_ {
-        let (s, e) = (self.in_offsets[v], self.in_offsets[v + 1]);
-        self.in_sources[s..e]
-            .iter()
-            .copied()
-            .zip(self.in_weights[s..e].iter().copied())
-    }
-
-    /// Out-neighbors of `u` — the nodes whose next-step value reads
-    /// `u`'s current value.
-    #[inline]
-    fn out_neighbors(&self, u: usize) -> &[Node] {
-        &self.out_targets[self.out_offsets[u]..self.out_offsets[u + 1]]
-    }
-
     /// Exact owned heap footprint in bytes: `FlatBuf` capacities (zero
     /// for zero-copy snapshot borrows) plus the `Vec` capacities of the
-    /// bitmap and the folded constants, so slack is never hidden.
+    /// folded constants, so slack is never hidden.
     pub fn heap_bytes(&self) -> usize {
         use std::mem::size_of;
         self.in_offsets.heap_bytes()
             + self.in_sources.heap_bytes()
             + self.in_weights.heap_bytes()
-            + self.out_offsets.heap_bytes()
-            + self.out_targets.heap_bytes()
             + self.b0.heap_bytes()
             + self.d.heap_bytes()
             + (self.omd.capacity() + self.db0.capacity()) * size_of::<f64>()
-            + self.has_in.capacity()
     }
 
     /// The FJ update of one node from the current row:
@@ -386,8 +292,7 @@ impl DiffusionSystem {
     #[inline(always)]
     fn update(&self, v: usize, start: usize, end: usize, cur: &[f64]) -> f64 {
         if start == end {
-            // No in-edges: the node holds its value (`has_in` mirrors
-            // exactly this emptiness).
+            // No in-edges: the node holds its value.
             cur[v]
         } else {
             let mut acc = 0.0;
@@ -455,10 +360,68 @@ impl DiffusionSystem {
         }
         diff_bits == 0
     }
+
+    /// [`DiffusionSystem::step_exact`] over [`LANES`] seed sets at once:
+    /// each lane's update is the scalar update, element by element, then
+    /// the base pins (`seeds_sorted`, every lane) and the per-lane pins
+    /// (`pins`: sorted `(node, lane mask)` pairs) overwrite it. Returns
+    /// whether every lane reproduced its input bitwise.
+    fn step_lanes(
+        &self,
+        seeds_sorted: &[usize],
+        pins: &[(usize, u8)],
+        cur: &[[f64; LANES]],
+        next: &mut [[f64; LANES]],
+    ) -> bool {
+        let mut diff_bits = 0u64;
+        let mut start = 0usize;
+        let mut si = 0usize;
+        let mut next_seed = seeds_sorted.first().copied().unwrap_or(usize::MAX);
+        let mut pi = 0usize;
+        let mut next_pin = pins.first().map_or(usize::MAX, |p| p.0);
+        for v in 0..self.n {
+            let end = self.in_offsets[v + 1];
+            let mut out = if v == next_seed {
+                si += 1;
+                next_seed = seeds_sorted.get(si).copied().unwrap_or(usize::MAX);
+                [1.0; LANES]
+            } else if start == end {
+                cur[v]
+            } else {
+                let mut acc = [0.0f64; LANES];
+                for (j, &w) in self.in_sources[start..end]
+                    .iter()
+                    .zip(&self.in_weights[start..end])
+                {
+                    for (a, &x) in acc.iter_mut().zip(&cur[*j as usize]) {
+                        *a += w * x;
+                    }
+                }
+                let (omd, db0) = (self.omd[v], self.db0[v]);
+                acc.map(|a| omd * a + db0)
+            };
+            if v == next_pin {
+                let mask = pins[pi].1;
+                for (l, o) in out.iter_mut().enumerate() {
+                    if mask >> l & 1 == 1 {
+                        *o = 1.0;
+                    }
+                }
+                pi += 1;
+                next_pin = pins.get(pi).map_or(usize::MAX, |p| p.0);
+            }
+            start = end;
+            for (o, c) in out.iter().zip(&cur[v]) {
+                diff_bits |= o.to_bits() ^ c.to_bits();
+            }
+            next[v] = out;
+        }
+        diff_bits == 0
+    }
 }
 
 // ---------------------------------------------------------------------
-// SolveOptions / SolveReport / Baseline
+// SolveOptions / SolveReport
 // ---------------------------------------------------------------------
 
 /// How one [`Solver::solve`] call should run.
@@ -471,15 +434,6 @@ pub struct SolveOptions {
     /// default) keeps the exact fixed-horizon semantics, where only a
     /// bitwise fixed point may end the iteration early.
     pub tolerance: f64,
-    /// Attempt the warm-start path: if the installed [`Baseline`] has
-    /// the same horizon and its seeds are a prefix of this call's
-    /// seeds, only the changed frontier is propagated. Falls back to a
-    /// cold solve otherwise (and whenever [`warm_start_enabled`] is
-    /// off or a tolerance is set).
-    pub warm: bool,
-    /// Record the cold trajectory and install it as the solver's
-    /// [`Baseline`] for subsequent warm solves. Forces a cold solve.
-    pub record_baseline: bool,
 }
 
 impl SolveOptions {
@@ -489,21 +443,7 @@ impl SolveOptions {
         SolveOptions {
             horizon,
             tolerance: 0.0,
-            warm: false,
-            record_baseline: false,
         }
-    }
-
-    /// Enables the warm-start path.
-    pub fn warm(mut self) -> SolveOptions {
-        self.warm = true;
-        self
-    }
-
-    /// Records the trajectory as the solver's baseline.
-    pub fn recording(mut self) -> SolveOptions {
-        self.record_baseline = true;
-        self
     }
 
     /// Sets the convergence tolerance.
@@ -513,79 +453,21 @@ impl SolveOptions {
     }
 }
 
-/// What one [`Solver::solve`] call did.
+/// What one [`Solver::solve`] or [`Solver::solve_lanes`] call did.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SolveReport {
-    /// Iteration steps actually executed (`≤ horizon`; early-exit and
-    /// empty warm frontiers shorten).
+    /// Iteration steps (sweeps) actually executed (`≤ horizon`;
+    /// early exit shortens).
     pub steps: usize,
     /// Final residual: for tolerance-mode solves
-    /// `max_v |b_v^{(s)} − b_v^{(s−1)}|` of the last executed step; for
-    /// warm solves the largest final deviation from the baseline row.
-    /// Exact cold solves (`tolerance == 0`) skip residual tracking in
-    /// the hot kernel and report `0.0`.
+    /// `max_v |b_v^{(s)} − b_v^{(s−1)}|` of the last executed step.
+    /// Exact solves (`tolerance == 0`) skip residual tracking in the hot
+    /// kernel and report `0.0`.
     pub residual: f64,
     /// Whether the solve ended before exhausting the horizon (bitwise
-    /// fixed point, tolerance reached, or a warm frontier that died
-    /// out).
+    /// fixed point — of every lane, for a batched solve — or tolerance
+    /// reached).
     pub converged: bool,
-    /// Whether the warm-start path was taken.
-    pub warm: bool,
-    /// Node updates performed: changed-node recomputations on the warm
-    /// path, `steps · n` on the cold path.
-    pub frontier: usize,
-}
-
-/// A recorded cold trajectory for a committed seed set — the fixed
-/// point warm-start solves perturb. Rows are stored up to the step the
-/// cold solve actually executed; at a bitwise fixed point every later
-/// row equals the last stored one, so the accessor clamps.
-#[derive(Debug)]
-pub struct Baseline {
-    id: u64,
-    seeds: Vec<Node>,
-    is_seed: Vec<bool>,
-    horizon: usize,
-    rows: Vec<Vec<f64>>,
-}
-
-impl Baseline {
-    /// The committed seed set this trajectory was recorded with.
-    #[inline]
-    pub fn seeds(&self) -> &[Node] {
-        &self.seeds
-    }
-
-    /// The horizon the trajectory was recorded for.
-    #[inline]
-    pub fn horizon(&self) -> usize {
-        self.horizon
-    }
-
-    /// Row `B^{(s)}`, clamped past a fixed point.
-    #[inline]
-    fn row(&self, s: usize) -> &[f64] {
-        &self.rows[s.min(self.rows.len() - 1)]
-    }
-
-    /// The final row `B^{(horizon)}`.
-    #[inline]
-    pub fn final_row(&self) -> &[f64] {
-        self.rows.last().expect("baseline has at least row 0")
-    }
-
-    /// Exact owned heap footprint in bytes (`Vec` capacities throughout,
-    /// including each recorded row's own buffer).
-    pub fn heap_bytes(&self) -> usize {
-        self.rows.capacity() * std::mem::size_of::<Vec<f64>>()
-            + self
-                .rows
-                .iter()
-                .map(|r| r.capacity() * std::mem::size_of::<f64>())
-                .sum::<usize>()
-            + self.is_seed.capacity()
-            + self.seeds.capacity() * std::mem::size_of::<Node>()
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -593,67 +475,45 @@ impl Baseline {
 // ---------------------------------------------------------------------
 
 /// A reusable solve context over one shared [`DiffusionSystem`]: all
-/// iteration/frontier scratch is owned here, so repeated solves (the
-/// greedy `(k, trial)` loop) allocate nothing. Not `Sync` by design —
-/// one solver per worker; pool them with [`SolverPool`].
+/// iteration scratch is owned here, so repeated solves (the greedy
+/// `(k, trial)` loop) allocate nothing. Not `Sync` by design — one
+/// solver per worker; pool them with [`SolverPool`].
 #[derive(Debug)]
 pub struct Solver {
     system: Arc<DiffusionSystem>,
-    baseline: Option<Arc<Baseline>>,
-    // Cold-solve scratch: the two iteration rows and the seed bitmap.
+    // Single-solve scratch: the two iteration rows and the seed bitmap.
     cur: Vec<f64>,
     next: Vec<f64>,
     is_seed: Vec<bool>,
     seed_marks: Vec<Node>,
-    // Sorted, deduplicated seed list handed to the exact kernel (a
+    // Sorted, deduplicated seed list handed to the exact kernels (a
     // cursor walk beats a per-node mask load).
     seeds_sorted: Vec<usize>,
-    // Warm-solve scratch, sized lazily on first warm solve.
-    chg: Vec<bool>,
-    val: Vec<f64>,
-    chg_next: Vec<bool>,
-    val_next: Vec<f64>,
-    frontier: Vec<Node>,
-    frontier_next: Vec<Node>,
-    cand: Vec<Node>,
-    cand_seen: Vec<bool>,
-    extra: Vec<bool>,
-    extra_marks: Vec<Node>,
-    // Materialized warm output row: baseline final row + `dirty`
-    // overrides, undone lazily before the next warm solve.
-    row: Vec<f64>,
-    dirty: Vec<Node>,
-    row_baseline: u64,
-    last_was_warm: bool,
+    // Batched-solve scratch, sized on the first `solve_lanes` call so
+    // solvers that never batch never pay for it: node-major lane rows
+    // and the sorted per-lane pins.
+    lanes_cur: Vec<[f64; LANES]>,
+    lanes_next: Vec<[f64; LANES]>,
+    pins: Vec<(usize, u8)>,
+    lanes_used: usize,
 }
 
 impl Solver {
-    /// A solver over `system` with cold scratch allocated eagerly (warm
-    /// scratch follows on first use).
+    /// A solver over `system` with single-solve scratch allocated
+    /// eagerly (batched scratch follows on first use).
     pub fn new(system: Arc<DiffusionSystem>) -> Solver {
         let n = system.num_nodes();
         Solver {
             system,
-            baseline: None,
             cur: vec![0.0; n],
             next: vec![0.0; n],
             is_seed: vec![false; n],
             seed_marks: Vec::new(),
             seeds_sorted: Vec::new(),
-            chg: Vec::new(),
-            val: Vec::new(),
-            chg_next: Vec::new(),
-            val_next: Vec::new(),
-            frontier: Vec::new(),
-            frontier_next: Vec::new(),
-            cand: Vec::new(),
-            cand_seen: Vec::new(),
-            extra: Vec::new(),
-            extra_marks: Vec::new(),
-            row: Vec::new(),
-            dirty: Vec::new(),
-            row_baseline: 0,
-            last_was_warm: false,
+            lanes_cur: Vec::new(),
+            lanes_next: Vec::new(),
+            pins: Vec::new(),
+            lanes_used: 0,
         }
     }
 
@@ -663,81 +523,24 @@ impl Solver {
         &self.system
     }
 
-    /// The installed warm-start baseline, if any.
-    pub fn baseline(&self) -> Option<&Arc<Baseline>> {
-        self.baseline.as_ref()
-    }
-
-    /// Installs a baseline recorded by another solver (pooled workers
-    /// share one committed-set trajectory via `Arc`).
-    pub fn set_baseline(&mut self, baseline: Arc<Baseline>) {
-        self.baseline = Some(baseline);
-    }
-
-    /// Drops the installed baseline.
-    pub fn clear_baseline(&mut self) {
-        self.baseline = None;
-    }
-
-    /// The one solve entry point. `seeds` are pinned at opinion 1,
-    /// fully stubborn, on top of the system's `b⁰`/`d` (the caller
-    /// includes any fixed seeds). The resulting opinions are read with
+    /// Solves one seed set. `seeds` are pinned at opinion 1, fully
+    /// stubborn, on top of the system's `b⁰`/`d` (the caller includes
+    /// any fixed seeds). The resulting opinions are read with
     /// [`Solver::opinions`]; the report says how the solve ran.
     ///
-    /// Warm-start is taken when all of: `opts.warm`, warm start is
-    /// enabled process-wide, `opts.tolerance == 0`, no baseline
-    /// recording was requested, and the installed baseline matches
-    /// (same horizon, `baseline.seeds()` a prefix of `seeds`). The
-    /// result is bit-identical to the cold solve in every case.
-    ///
-    /// A `meter` is charged from inside the iteration loop: one tick per
-    /// executed step (cold or dense-fallback) and one tick per warm
-    /// frontier state. The solve itself always runs to completion —
-    /// truncating mid-solve would change the computed opinions and
-    /// break the warm-start/bitwise exactness contract — so metered
-    /// callers check [`CostMeter::exhausted`] *between* solves, at their
-    /// own sequential checkpoints, and stop issuing further work there.
+    /// A `meter` is charged one tick per executed step, from inside the
+    /// iteration loop. The solve itself always runs to completion —
+    /// truncating mid-solve would change the computed opinions — so
+    /// metered callers check [`CostMeter::exhausted`] *between* solves,
+    /// at their own sequential checkpoints, and stop issuing further
+    /// work there.
     pub fn solve(
         &mut self,
         seeds: &[Node],
         opts: &SolveOptions,
         meter: Option<&CostMeter>,
     ) -> SolveReport {
-        if opts.warm && !opts.record_baseline && opts.tolerance == 0.0 && warm_start_enabled() {
-            if let Some(base) = &self.baseline {
-                if base.horizon == opts.horizon
-                    && seeds.len() >= base.seeds.len()
-                    && seeds[..base.seeds.len()] == base.seeds[..]
-                {
-                    let base = Arc::clone(base);
-                    return self.warm_solve(&base, &seeds[base.seeds.len()..], meter);
-                }
-            }
-        }
-        self.cold_solve(seeds, opts, meter)
-    }
-
-    /// The opinions computed by the last [`Solver::solve`] call, as a
-    /// full `n`-row (warm solves materialize baseline + frontier
-    /// overrides, so downstream sums see the same IEEE evaluation order
-    /// as ever).
-    #[inline]
-    pub fn opinions(&self) -> &[f64] {
-        if self.last_was_warm {
-            &self.row
-        } else {
-            &self.cur
-        }
-    }
-
-    fn cold_solve(
-        &mut self,
-        seeds: &[Node],
-        opts: &SolveOptions,
-        meter: Option<&CostMeter>,
-    ) -> SolveReport {
         let system = Arc::clone(&self.system);
-        let n = system.num_nodes();
         for &s in seeds {
             if !self.is_seed[s as usize] {
                 self.is_seed[s as usize] = true;
@@ -752,11 +555,6 @@ impl Solver {
         self.seeds_sorted
             .extend(self.seed_marks.iter().map(|&s| s as usize));
         self.seeds_sorted.sort_unstable();
-        let mut rows: Vec<Vec<f64>> = Vec::new();
-        if opts.record_baseline {
-            rows.reserve(opts.horizon + 1);
-            rows.push(self.cur.clone());
-        }
         let mut steps = 0usize;
         let mut residual = 0.0f64;
         let mut converged = false;
@@ -774,274 +572,142 @@ impl Solver {
             if let Some(m) = meter {
                 m.charge(1);
             }
-            if opts.record_baseline {
-                rows.push(self.cur.clone());
-            }
             if bits_equal || (track_residual && residual < opts.tolerance) {
                 converged = true;
                 break;
             }
         }
-        if opts.record_baseline {
-            self.baseline = Some(Arc::new(Baseline {
-                id: BASELINE_IDS.fetch_add(1, Ordering::Relaxed),
-                seeds: seeds.to_vec(),
-                is_seed: self.is_seed.clone(),
-                horizon: opts.horizon,
-                rows,
-            }));
-        }
         for s in self.seed_marks.drain(..) {
             self.is_seed[s as usize] = false;
         }
-        self.last_was_warm = false;
         COLD_SOLVES.fetch_add(1, Ordering::Relaxed);
         COLD_STEPS.fetch_add(steps as u64, Ordering::Relaxed);
         SolveReport {
             steps,
             residual,
             converged,
-            warm: false,
-            frontier: steps * n,
         }
     }
 
-    fn ensure_warm_scratch(&mut self) {
-        let n = self.system.num_nodes();
-        if self.chg.len() < n {
-            self.chg.resize(n, false);
-            self.val.resize(n, 0.0);
-            self.chg_next.resize(n, false);
-            self.val_next.resize(n, 0.0);
-            self.cand_seen.resize(n, false);
-            self.extra.resize(n, false);
-        }
+    /// The opinions computed by the last [`Solver::solve`] call, as a
+    /// full `n`-row.
+    #[inline]
+    pub fn opinions(&self) -> &[f64] {
+        &self.cur
     }
 
-    /// Frontier propagation of `extras` on top of `base` (whose seeds
-    /// are already pinned in every baseline row). See the module docs
-    /// for the exactness argument.
+    /// Solves the seed sets `base ∪ {extras[l]}` for every lane `l` in
+    /// one sweep per step, exact fixed-horizon semantics: lane `l` ends
+    /// bit-identical to [`Solver::solve`]`(base ∪ {extras[l]})` (see the
+    /// module docs). Read the lanes with [`Solver::lane`] or
+    /// [`Solver::copy_lane`]. Extras may repeat or lie in `base`.
     ///
-    /// When the changed set saturates — reaches `n /`
-    /// [`DENSE_FALLBACK_DIVISOR`] at any state — the remaining steps run
-    /// as plain dense sweeps over the materialized true state instead:
-    /// per-candidate gathering and the per-neighbor changed/baseline
-    /// branch cost more than a dense step well before the frontier
-    /// covers the graph, and on small-world graphs one extra seed can
-    /// reach most nodes within a few steps. The fallback is bit-identical
-    /// too: the materialized state *is* the true state `s`, and a dense
-    /// step computes exactly the sums the frontier recompute would.
-    fn warm_solve(
+    /// The sweep stops when every lane reproduces its input bitwise, or
+    /// at `horizon`. Each real lane counts as one solve in
+    /// [`SolverCounters`], and its sweeps as its steps. A `meter` is
+    /// charged one tick per lane per executed sweep; like a single
+    /// solve, the batch always runs to completion.
+    ///
+    /// # Panics
+    ///
+    /// Unless `1 ≤ extras.len() ≤ LANES`.
+    pub fn solve_lanes(
         &mut self,
-        base: &Arc<Baseline>,
+        base: &[Node],
         extras: &[Node],
+        horizon: usize,
         meter: Option<&CostMeter>,
     ) -> SolveReport {
-        self.ensure_warm_scratch();
+        assert!(
+            (1..=LANES).contains(&extras.len()),
+            "a batched solve takes 1..={LANES} extra seeds, got {}",
+            extras.len()
+        );
         let system = Arc::clone(&self.system);
         let n = system.num_nodes();
-        let t = base.horizon;
-
-        // Load (or lazily restore) the baseline's final row into the
-        // materialized output row.
-        if self.row_baseline != base.id {
-            self.row.clear();
-            self.row.extend_from_slice(base.final_row());
-            self.dirty.clear();
-            self.row_baseline = base.id;
-        } else {
-            let final_row = base.final_row();
-            for u in self.dirty.drain(..) {
-                self.row[u as usize] = final_row[u as usize];
+        if self.lanes_cur.len() != n {
+            self.lanes_cur = vec![[0.0; LANES]; n];
+            self.lanes_next = vec![[0.0; LANES]; n];
+        }
+        self.seeds_sorted.clear();
+        self.seeds_sorted.extend(base.iter().map(|&s| s as usize));
+        self.seeds_sorted.sort_unstable();
+        self.seeds_sorted.dedup();
+        // Unused lanes repeat lane 0, so they reach its fixed point with
+        // it and never hold the sweep open.
+        self.pins.clear();
+        for l in 0..LANES {
+            let extra = extras.get(l).unwrap_or(&extras[0]);
+            self.pins.push((*extra as usize, 1 << l));
+        }
+        self.pins.sort_unstable();
+        self.pins.dedup_by(|later, kept| {
+            let same = later.0 == kept.0;
+            if same {
+                kept.1 |= later.1;
+            }
+            same
+        });
+        for (row, &b) in self.lanes_cur.iter_mut().zip(system.initial()) {
+            *row = [b; LANES];
+        }
+        for &s in &self.seeds_sorted {
+            self.lanes_cur[s] = [1.0; LANES];
+        }
+        for &(v, mask) in &self.pins {
+            for (l, x) in self.lanes_cur[v].iter_mut().enumerate() {
+                if mask >> l & 1 == 1 {
+                    *x = 1.0;
+                }
             }
         }
-
-        // Deduplicate the extra seeds; extras already committed in the
-        // baseline are no-ops (pinned on both sides).
-        for &v in extras {
-            let vi = v as usize;
-            if !self.extra[vi] && !base.is_seed[vi] {
-                self.extra[vi] = true;
-                self.extra_marks.push(v);
+        let lanes = extras.len() as u64;
+        let mut steps = 0usize;
+        let mut converged = false;
+        for _ in 0..horizon {
+            let bits_equal = system.step_lanes(
+                &self.seeds_sorted,
+                &self.pins,
+                &self.lanes_cur,
+                &mut self.lanes_next,
+            );
+            std::mem::swap(&mut self.lanes_cur, &mut self.lanes_next);
+            steps += 1;
+            if let Some(m) = meter {
+                m.charge(lanes);
             }
-        }
-
-        // State 0: the extras flip to 1.
-        self.frontier.clear();
-        for &v in &self.extra_marks {
-            let vi = v as usize;
-            if 1.0f64.to_bits() != base.row(0)[vi].to_bits() {
-                self.chg[vi] = true;
-                self.val[vi] = 1.0;
-                self.frontier.push(v);
-            }
-        }
-        let mut frontier_total = self.frontier.len();
-
-        let mut frontier = std::mem::take(&mut self.frontier);
-        let mut frontier_next = std::mem::take(&mut self.frontier_next);
-        let mut cand = std::mem::take(&mut self.cand);
-        let mut fallback_from: Option<usize> = None;
-        for s in 0..t {
-            if n >= DENSE_FALLBACK_MIN_N && frontier.len() * DENSE_FALLBACK_DIVISOR >= n {
-                fallback_from = Some(s);
+            if bits_equal {
+                converged = true;
                 break;
             }
-            let brow = base.row(s);
-            let brow_next = base.row(s + 1);
-            // Candidates for state s+1: out-neighbors of nodes changed
-            // at state s. Baseline seeds never move; extras are handled
-            // separately (their pin can diverge from the baseline again
-            // even after a step of agreement).
-            cand.clear();
-            for &u in &frontier {
-                for &w in system.out_neighbors(u as usize) {
-                    let wi = w as usize;
-                    if !self.cand_seen[wi] && !base.is_seed[wi] && !self.extra[wi] {
-                        self.cand_seen[wi] = true;
-                        cand.push(w);
-                    }
-                }
-            }
-            frontier_next.clear();
-            for &v in &self.extra_marks {
-                let vi = v as usize;
-                if 1.0f64.to_bits() != brow_next[vi].to_bits() {
-                    self.chg_next[vi] = true;
-                    self.val_next[vi] = 1.0;
-                    frontier_next.push(v);
-                }
-            }
-            for &u in &cand {
-                let ui = u as usize;
-                self.cand_seen[ui] = false;
-                let new = if !system.has_in[ui] {
-                    // Unreachable via out-edges, kept for robustness: an
-                    // in-less non-seed holds its (baseline) value.
-                    if self.chg[ui] {
-                        self.val[ui]
-                    } else {
-                        brow[ui]
-                    }
-                } else {
-                    let mut acc = 0.0;
-                    for (j, w) in system.in_entries(ui) {
-                        let ji = j as usize;
-                        let bj = if self.chg[ji] { self.val[ji] } else { brow[ji] };
-                        acc += w * bj;
-                    }
-                    // Same folded constants as the dense kernels, so the
-                    // result is bit-identical to a cold recompute.
-                    system.omd[ui] * acc + system.db0[ui]
-                };
-                if new.to_bits() != brow_next[ui].to_bits() {
-                    self.chg_next[ui] = true;
-                    self.val_next[ui] = new;
-                    frontier_next.push(u);
-                }
-            }
-            for &u in &frontier {
-                self.chg[u as usize] = false;
-            }
-            std::mem::swap(&mut frontier, &mut frontier_next);
-            std::mem::swap(&mut self.chg, &mut self.chg_next);
-            std::mem::swap(&mut self.val, &mut self.val_next);
-            frontier_total += frontier.len();
-            if let Some(m) = meter {
-                m.charge(1);
-            }
         }
-
-        if let Some(s0) = fallback_from {
-            // Saturated: materialize the true state `s0` (baseline row
-            // plus the changed overrides) and finish dense.
-            self.cur.copy_from_slice(base.row(s0));
-            for &u in &frontier {
-                let ui = u as usize;
-                self.cur[ui] = self.val[ui];
-                self.chg[ui] = false;
-            }
-            self.seeds_sorted.clear();
-            self.seeds_sorted
-                .extend(base.seeds().iter().map(|&s| s as usize));
-            self.seeds_sorted
-                .extend(self.extra_marks.iter().map(|&v| v as usize));
-            self.seeds_sorted.sort_unstable();
-            self.seeds_sorted.dedup();
-            let mut dense_steps = 0usize;
-            for _ in s0..t {
-                let bits_equal = system.step_exact(&self.seeds_sorted, &self.cur, &mut self.next);
-                std::mem::swap(&mut self.cur, &mut self.next);
-                dense_steps += 1;
-                if let Some(m) = meter {
-                    m.charge(1);
-                }
-                if bits_equal {
-                    // Fixed point: every remaining row is identical.
-                    break;
-                }
-            }
-            frontier.clear();
-            self.frontier = frontier;
-            self.frontier_next = frontier_next;
-            self.cand = cand;
-            for v in self.extra_marks.drain(..) {
-                self.extra[v as usize] = false;
-            }
-            // Residual/convergence vs the baseline final row, matching
-            // the frontier path's materialization semantics. `self.row`
-            // stays a clean copy of the baseline final row (nothing was
-            // marked dirty), so the next warm solve restores nothing.
-            let final_row = base.final_row();
-            let mut residual = 0.0f64;
-            let mut moved = false;
-            for (&x, &b) in self.cur.iter().zip(final_row) {
-                if x.to_bits() != b.to_bits() {
-                    moved = true;
-                    residual = residual.max((x - b).abs());
-                }
-            }
-            self.last_was_warm = false;
-            WARM_SOLVES.fetch_add(1, Ordering::Relaxed);
-            WARM_FRONTIER_NODES.fetch_add(frontier_total as u64, Ordering::Relaxed);
-            COLD_STEPS.fetch_add(dense_steps as u64, Ordering::Relaxed);
-            return SolveReport {
-                steps: t,
-                residual,
-                converged: !moved,
-                warm: true,
-                frontier: frontier_total + dense_steps * n,
-            };
-        }
-
-        // Materialize: final changed values override the baseline row.
-        let final_row = base.final_row();
-        let mut residual = 0.0f64;
-        for &u in &frontier {
-            let ui = u as usize;
-            self.chg[ui] = false;
-            self.row[ui] = self.val[ui];
-            self.dirty.push(u);
-            residual = residual.max((self.val[ui] - final_row[ui]).abs());
-        }
-        let converged = frontier.is_empty();
-        frontier.clear();
-        self.frontier = frontier;
-        self.frontier_next = frontier_next;
-        self.cand = cand;
-        for v in self.extra_marks.drain(..) {
-            self.extra[v as usize] = false;
-        }
-        self.last_was_warm = true;
-        WARM_SOLVES.fetch_add(1, Ordering::Relaxed);
-        WARM_FRONTIER_NODES.fetch_add(frontier_total as u64, Ordering::Relaxed);
+        self.lanes_used = extras.len();
+        COLD_SOLVES.fetch_add(lanes, Ordering::Relaxed);
+        COLD_STEPS.fetch_add(lanes * steps as u64, Ordering::Relaxed);
         SolveReport {
-            steps: t,
-            residual,
+            steps,
+            residual: 0.0,
             converged,
-            warm: true,
-            frontier: frontier_total,
         }
+    }
+
+    /// Lane `lane` of the last [`Solver::solve_lanes`] call, in node
+    /// order. Summing it is bitwise `row.iter().sum()` of the equivalent
+    /// single solve's row.
+    ///
+    /// # Panics
+    ///
+    /// If `lane` is not a real lane of that call.
+    pub fn lane(&self, lane: usize) -> impl Iterator<Item = f64> + '_ {
+        assert!(lane < self.lanes_used, "lane {lane} was not solved");
+        self.lanes_cur.iter().map(move |row| row[lane])
+    }
+
+    /// Copies lane `lane` into `row` (cleared first), for scorers that
+    /// take a slice.
+    pub fn copy_lane(&self, lane: usize, row: &mut Vec<f64>) {
+        row.clear();
+        row.extend(self.lane(lane));
     }
 }
 
@@ -1134,6 +800,41 @@ mod tests {
         eng.trajectory(t, seeds).pop().expect("t + 1 rows")
     }
 
+    fn bits(xs: impl IntoIterator<Item = f64>) -> Vec<u64> {
+        xs.into_iter().map(f64::to_bits).collect()
+    }
+
+    /// Every lane of `solve_lanes(base, extras)` against a single solve
+    /// of `base ∪ {extra}`.
+    fn assert_lanes_match(sys: &Arc<DiffusionSystem>, base: &[Node], extras: &[Node], t: usize) {
+        let mut batched = Solver::new(Arc::clone(sys));
+        let mut single = Solver::new(Arc::clone(sys));
+        batched.solve_lanes(base, extras, t, None);
+        for (l, &extra) in extras.iter().enumerate() {
+            let mut seeds = base.to_vec();
+            seeds.push(extra);
+            single.solve(&seeds, &SolveOptions::exact(t), None);
+            assert_eq!(
+                bits(batched.lane(l)),
+                bits(single.opinions().iter().copied()),
+                "t={t} base={base:?} extra={extra}"
+            );
+        }
+    }
+
+    /// A hub spraying a 100-node ring: one extra seed moves most nodes
+    /// within a step, and different lanes reach their fixed points at
+    /// different sweeps.
+    fn hub_ring() -> Arc<DiffusionSystem> {
+        let n = 100usize;
+        let mut edges: Vec<(Node, Node, f64)> = (1..n as Node).map(|v| (0, v, 1.0)).collect();
+        edges.extend((0..n as Node).map(|v| (v, (v + 1) % n as Node, 0.5)));
+        let g = graph_from_edges(n, &edges).unwrap();
+        let b0: Vec<f64> = (0..n).map(|i| (i as f64) / (n as f64)).collect();
+        let d: Vec<f64> = (0..n).map(|i| if i % 2 == 0 { 0.1 } else { 0.3 }).collect();
+        system(&g, &b0, &d)
+    }
+
     #[test]
     fn cold_solve_matches_fj_engine_bitwise() {
         let (g, b0, d) = running_example();
@@ -1149,45 +850,38 @@ mod tests {
     }
 
     #[test]
-    fn warm_solve_is_bit_identical_to_cold() {
+    fn lanes_match_single_solves_bitwise() {
         let (g, b0, d) = running_example();
         let sys = system(&g, &b0, &d);
-        let mut warm = Solver::new(Arc::clone(&sys));
-        let mut cold = Solver::new(Arc::clone(&sys));
-        let t = 4;
-        warm.solve(&[], &SolveOptions::exact(t).recording(), None);
-        for v in 0..4 as Node {
-            let rep = warm.solve(&[v], &SolveOptions::exact(t).warm(), None);
-            assert!(rep.warm, "baseline prefix must trigger the warm path");
-            cold.solve(&[v], &SolveOptions::exact(t), None);
-            let (w, c) = (warm.opinions().to_vec(), cold.opinions().to_vec());
-            for (a, b) in w.iter().zip(&c) {
-                assert_eq!(a.to_bits(), b.to_bits(), "seed {v}");
-            }
+        for t in 0..6 {
+            assert_lanes_match(&sys, &[], &[0, 1, 2, 3], t);
+            assert_lanes_match(&sys, &[2], &[0, 2, 3], t);
+            assert_lanes_match(&sys, &[0, 1], &[3], t);
         }
-        // Growing the committed set keeps the equivalence.
-        warm.solve(&[2], &SolveOptions::exact(t).recording(), None);
-        let rep = warm.solve(&[2, 0], &SolveOptions::exact(t).warm(), None);
-        assert!(rep.warm);
-        cold.solve(&[2, 0], &SolveOptions::exact(t), None);
-        assert_eq!(warm.opinions(), cold.opinions());
+        let ring = hub_ring();
+        for t in [1, 6, 40] {
+            assert_lanes_match(&ring, &[], &[0, 17, 63, 99, 5, 6, 7, 8], t);
+            assert_lanes_match(&ring, &[50, 3], &[0, 3, 3, 99], t);
+        }
     }
 
     #[test]
-    fn warm_falls_back_cold_without_matching_baseline() {
+    fn batched_scratch_is_allocated_on_first_use_only() {
         let (g, b0, d) = running_example();
         let mut solver = Solver::new(system(&g, &b0, &d));
-        // No baseline at all.
-        let rep = solver.solve(&[1], &SolveOptions::exact(3).warm(), None);
-        assert!(!rep.warm);
-        // Baseline at a different horizon.
-        solver.solve(&[], &SolveOptions::exact(2).recording(), None);
-        let rep = solver.solve(&[1], &SolveOptions::exact(3).warm(), None);
-        assert!(!rep.warm);
-        // Non-prefix seed list.
-        solver.solve(&[1], &SolveOptions::exact(3).recording(), None);
-        let rep = solver.solve(&[2, 1], &SolveOptions::exact(3).warm(), None);
-        assert!(!rep.warm);
+        solver.solve(&[1], &SolveOptions::exact(3), None);
+        assert!(solver.lanes_cur.is_empty() && solver.lanes_next.is_empty());
+        solver.solve_lanes(&[], &[1, 2], 3, None);
+        assert_eq!((solver.lanes_cur.len(), solver.lanes_next.len()), (4, 4));
+    }
+
+    #[test]
+    #[should_panic(expected = "lane 2 was not solved")]
+    fn padded_lanes_are_not_readable() {
+        let (g, b0, d) = running_example();
+        let mut solver = Solver::new(system(&g, &b0, &d));
+        solver.solve_lanes(&[], &[1, 2], 3, None);
+        let _ = solver.lane(2);
     }
 
     #[test]
@@ -1204,6 +898,10 @@ mod tests {
         assert!(rep.steps < 50);
         assert_eq!(rep.residual, 0.0);
         assert_eq!(solver.opinions(), &reference(&eng, 50, &[])[..]);
+        // The batch stops at the same sweep.
+        let rep = solver.solve_lanes(&[], &[0, 1], 50, None);
+        assert!(rep.converged);
+        assert!(rep.steps < 50);
     }
 
     #[test]
@@ -1230,92 +928,38 @@ mod tests {
     }
 
     #[test]
-    fn reports_count_warm_frontier_work() {
-        let (g, b0, d) = running_example();
-        let mut solver = Solver::new(system(&g, &b0, &d));
-        solver.solve(&[], &SolveOptions::exact(3).recording(), None);
-        // Seeding node 3 (no out-edges) moves only itself.
-        let rep = solver.solve(&[3], &SolveOptions::exact(3).warm(), None);
-        assert!(rep.warm);
-        assert_eq!(rep.steps, 3);
-        assert!(rep.frontier >= 1 && rep.frontier <= 4, "{}", rep.frontier);
-        // A no-op extra (already at the baseline fixed point) converges.
-        let rep = solver.solve(&[], &SolveOptions::exact(3).warm(), None);
-        assert!(rep.warm && rep.converged);
-        assert_eq!(rep.frontier, 0);
-        assert_eq!(solver.opinions(), solver.baseline().unwrap().final_row());
-    }
-
-    #[test]
-    fn saturated_warm_solve_takes_the_dense_fallback_and_stays_exact() {
-        // A hub spraying a 100-node ring: seeding the hub changes nearly
-        // every node by state 1, so the changed set crosses
-        // `n / DENSE_FALLBACK_DIVISOR` immediately (n ≥
-        // DENSE_FALLBACK_MIN_N) and the warm solve must finish dense —
-        // still bit-identical to the cold solve.
-        let n = 100usize;
-        let mut edges: Vec<(Node, Node, f64)> = (1..n as Node).map(|v| (0, v, 1.0)).collect();
-        edges.extend((0..n as Node).map(|v| (v, (v + 1) % n as Node, 0.5)));
-        let g = graph_from_edges(n, &edges).unwrap();
-        let b0: Vec<f64> = (0..n).map(|i| (i as f64) / (n as f64)).collect();
-        let d: Vec<f64> = (0..n).map(|i| if i % 2 == 0 { 0.1 } else { 0.3 }).collect();
-        let sys = system(&g, &b0, &d);
-        let mut warm = Solver::new(Arc::clone(&sys));
-        let mut cold = Solver::new(Arc::clone(&sys));
-        let t = 6;
-        warm.solve(&[], &SolveOptions::exact(t).recording(), None);
-        for seed in [0 as Node, 17, 63] {
-            let rep = warm.solve(&[seed], &SolveOptions::exact(t).warm(), None);
-            assert!(rep.warm, "seed {seed}");
-            cold.solve(&[seed], &SolveOptions::exact(t), None);
-            for (i, (a, b)) in warm.opinions().iter().zip(cold.opinions()).enumerate() {
-                assert_eq!(a.to_bits(), b.to_bits(), "seed {seed}, node {i}");
-            }
-        }
-        // Interleaving saturated and narrow solves on one solver keeps
-        // the materialized-row bookkeeping consistent: seeding node 99
-        // (out-edge only to the hub-adjacent ring) moves few nodes.
-        let rep = warm.solve(&[99], &SolveOptions::exact(t).warm(), None);
-        assert!(rep.warm);
-        cold.solve(&[99], &SolveOptions::exact(t), None);
-        assert_eq!(warm.opinions(), cold.opinions());
-        let rep = warm.solve(&[0], &SolveOptions::exact(t).warm(), None);
-        assert!(rep.warm);
-        cold.solve(&[0], &SolveOptions::exact(t), None);
-        assert_eq!(warm.opinions(), cold.opinions());
-    }
-
-    #[test]
     fn pool_reuses_matching_solvers() {
         let (g, b0, d) = running_example();
         let sys = system(&g, &b0, &d);
         let pool = SolverPool::new();
         {
             let mut s = pool.checkout(&sys);
-            s.solve(&[], &SolveOptions::exact(2).recording(), None);
+            s.solve_lanes(&[], &[0], 2, None);
         }
         {
-            // The returned solver still carries its baseline.
+            // The returned solver keeps its batched scratch.
             let s = pool.checkout(&sys);
-            assert!(s.baseline().is_some());
+            assert_eq!(s.lanes_cur.len(), 4);
         }
         // A different system drops the stale entry.
         let other = system(&g, &b0, &d);
         let s = pool.checkout(&other);
         assert!(Arc::ptr_eq(s.system(), &other));
+        assert!(s.lanes_cur.is_empty());
     }
 
     #[test]
-    fn counters_accumulate() {
+    fn counters_count_each_lane_as_a_solve() {
         let (g, b0, d) = running_example();
         let before = SolverCounters::snapshot();
         let mut solver = Solver::new(system(&g, &b0, &d));
-        solver.solve(&[], &SolveOptions::exact(3).recording(), None);
-        solver.solve(&[0], &SolveOptions::exact(3).warm(), None);
+        let single = solver.solve(&[], &SolveOptions::exact(3), None);
+        let batched = solver.solve_lanes(&[], &[0, 1, 3], 3, None);
         let delta = SolverCounters::snapshot().since(before);
-        assert!(delta.cold_solves >= 1);
-        assert!(delta.cold_steps >= 1);
-        assert!(delta.warm_solves >= 1);
+        // Other tests solve concurrently, so the delta is a lower bound.
+        assert!(delta.cold_solves >= 4);
+        assert!(delta.cold_steps >= (single.steps + 3 * batched.steps) as u64);
+        assert_eq!((delta.warm_solves, delta.warm_frontier_nodes), (0, 0));
         let mut acc = SolverCounters::default();
         acc.add(delta);
         assert_eq!(acc.cold_solves, delta.cold_solves);
@@ -1329,19 +973,20 @@ mod tests {
         let mut metered = Solver::new(Arc::clone(&sys));
         let mut plain = Solver::new(Arc::clone(&sys));
         let meter = CostMeter::new(CostBudget::ticks(u64::MAX));
-        // Cold: one tick per executed step.
-        let rep = metered.solve(&[], &SolveOptions::exact(3).recording(), Some(&meter));
+        // Single: one tick per executed step.
+        let rep = metered.solve(&[], &SolveOptions::exact(3), Some(&meter));
         assert_eq!(meter.spent(), rep.steps as u64);
-        plain.solve(&[], &SolveOptions::exact(3).recording(), None);
+        plain.solve(&[], &SolveOptions::exact(3), None);
         assert_eq!(metered.opinions(), plain.opinions());
-        // Warm: one tick per frontier state; values identical to the
-        // unmetered path.
+        // Batched: one tick per real lane per sweep; values identical to
+        // the unmetered batch.
         let before = meter.spent();
-        let rep = metered.solve(&[0], &SolveOptions::exact(3).warm(), Some(&meter));
-        assert!(rep.warm);
-        assert_eq!(meter.spent() - before, rep.steps as u64);
-        plain.solve(&[0], &SolveOptions::exact(3).warm(), None);
-        assert_eq!(metered.opinions(), plain.opinions());
+        let rep = metered.solve_lanes(&[], &[0, 1, 2], 3, Some(&meter));
+        assert_eq!(meter.spent() - before, 3 * rep.steps as u64);
+        plain.solve_lanes(&[], &[0, 1, 2], 3, None);
+        for l in 0..3 {
+            assert_eq!(bits(metered.lane(l)), bits(plain.lane(l)));
+        }
         // A solve is never truncated by an exhausted meter — budgets
         // cancel *between* solves, at greedy checkpoints.
         let spent_meter = CostMeter::new(CostBudget::ticks(0));
@@ -1358,20 +1003,19 @@ mod tests {
         let sys = DiffusionSystem::new(&g, &b0, &d).unwrap();
         assert_eq!(sys.num_nodes(), 4);
         assert_eq!(sys.num_edges(), 3);
-        // Capacity-exact accounting: `new` allocates the CSR arrays with
-        // exact capacities (n+1 offsets, m sources/targets/weights) and
-        // five n-sized per-node arrays (b0, d, omd, db0, has_in).
+        // Capacity-exact accounting: `new` allocates the in-CSR arrays
+        // with exact capacities (n+1 offsets, m sources and weights) and
+        // four n-sized per-node arrays (b0, d, omd, db0).
         let (n, m) = (4usize, 3usize);
         assert_eq!(
             sys.heap_bytes(),
-            2 * (n + 1) * std::mem::size_of::<usize>()
-                + 2 * m * std::mem::size_of::<Node>()
+            (n + 1) * std::mem::size_of::<usize>()
+                + m * std::mem::size_of::<Node>()
                 + (m + 4 * n) * std::mem::size_of::<f64>()
-                + n
         );
-        let in2: Vec<_> = sys.in_entries(2).collect();
-        assert_eq!(in2, vec![(0, 0.5), (1, 0.5)]);
-        assert_eq!(sys.out_neighbors(2), &[3]);
+        let (off, src, w) = sys.parts();
+        assert_eq!(&src[off[2]..off[3]], &[0, 1]);
+        assert_eq!(&w[off[2]..off[3]], &[0.5, 0.5]);
         assert!(DiffusionSystem::new(&g, &b0[..3], &d).is_err());
         assert!(DiffusionSystem::new(&g, &[2.0, 0.0, 0.0, 0.0], &d).is_err());
     }

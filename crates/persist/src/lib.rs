@@ -48,8 +48,9 @@ pub const MAGIC: u64 = u64::from_le_bytes(*b"VOMPIDX1");
 /// Current snapshot format version; any change to the header, section
 /// table or section encodings bumps this. Version 2 dropped the
 /// redundant RS `walk_gain` section (gains are derived from the
-/// truncation end values on load).
-pub const FORMAT_VERSION: u64 = 2;
+/// truncation end values on load); version 3 dropped the DM diffusion
+/// system's out-edge CSR and has-in-edges flags.
+pub const FORMAT_VERSION: u64 = 3;
 
 /// Header size in bytes (7 little-endian `u64` slots).
 pub const HEADER_BYTES: usize = 7 * 8;

@@ -54,7 +54,7 @@ fn main() {
         "\nwith {k} seeds: plurality {} -> {} ({} with the sandwich ratio {:.2})",
         standings.scores[target],
         res.exact_score,
-        if wins(&problem, &res.seeds) {
+        if wins(&problem, &problem.non_target_opinions(), &res.seeds) {
             "WIN"
         } else {
             "still behind"

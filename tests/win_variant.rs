@@ -18,14 +18,15 @@ fn minimum_winning_budget_is_tight_and_winning() {
     let Some(result) = min_seeds_to_win(&p, select) else {
         panic!("replica elections are winnable");
     };
-    assert!(wins(&p, &result.seeds), "returned set must win");
+    let others = p.non_target_opinions();
+    assert!(wins(&p, &others, &result.seeds), "returned set must win");
     assert_eq!(result.seeds.len().min(result.k), result.seeds.len());
     if result.k > 0 {
         // One fewer greedy seed must NOT win (tightness of the binary
         // search against the same selector).
         let fewer = select(&p.with_budget(result.k - 1));
         assert!(
-            !wins(&p, &fewer),
+            !wins(&p, &others, &fewer),
             "k* - 1 = {} should lose with the same selector",
             result.k - 1
         );
