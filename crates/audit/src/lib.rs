@@ -61,7 +61,7 @@ const POD_HOME: &str = "vom-persist";
 /// Built-in crate-level exemptions. These are *policy*, not waivers:
 /// whole crates whose purpose contradicts a lint (a bench harness exists
 /// to read the clock). They are reported whenever they absorb findings.
-const EXEMPTIONS: [(&str, Lint, &str); 3] = [
+const EXEMPTIONS: [(&str, Lint, &str); 2] = [
     (
         "vom-bench",
         Lint::WallClock,
@@ -73,12 +73,6 @@ const EXEMPTIONS: [(&str, Lint, &str); 3] = [
         Lint::EnvRead,
         "CLI entry point parses std::env::args and temp paths; all selection output is \
          digest-pinned independently of the environment",
-    ),
-    (
-        "vom-criterion-shim",
-        Lint::WallClock,
-        "the criterion shim is a timer: its whole API is wall-clock measurement and it \
-         produces no selection results",
     ),
 ];
 

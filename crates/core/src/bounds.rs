@@ -2,10 +2,11 @@
 //! and 5) and the submodular upper-bound coverage greedy (Definitions 4
 //! and 6).
 
-use crate::celf::{celf_greedy, per_node};
+use crate::celf::celf_greedy;
 use crate::problem::Problem;
+use std::cell::RefCell;
 use vom_diffusion::OpinionMatrix;
-use vom_graph::bfs::{bounded_out_bfs, HopCoverage};
+use vom_graph::bfs::{bounded_out_bfs, HopCoverage, LANES};
 use vom_graph::Node;
 use vom_voting::rank::beta;
 use vom_voting::ScoringFunction;
@@ -59,16 +60,31 @@ pub fn upper_bound_parts(problem: &Problem<'_>, seedless: &OpinionMatrix) -> (f6
 
 /// Greedily maximizes the coverage upper bound `|N_S^{(t)} ∪ base|` with
 /// CELF (the bound is submodular by Theorems 6–7), returning `S_U` of
-/// size `k`.
+/// size at most `k` (the greedy stops once no node adds coverage).
+///
+/// The heap fill and every refresh score their nodes 64 at a time with
+/// [`HopCoverage::marginals`], and a refresh takes up to 64 stale heap
+/// entries. The gains are exact integer counts of an exactly submodular
+/// function, so the order is the plain greedy's argmax by `(gain, −node)`
+/// in every round, whatever the refresh width (see
+/// [`crate::celf::celf_greedy`]).
 pub fn greedy_upper_bound(problem: &Problem<'_>, base: &[Node]) -> Vec<Node> {
     let g = problem.instance.graph_of(problem.target);
     let n = problem.num_nodes();
-    let cov = std::cell::RefCell::new(HopCoverage::new(n, problem.horizon, base));
+    let cov = RefCell::new(HopCoverage::new(n, problem.horizon, base));
+    let mut counts = Vec::new();
     celf_greedy(
         n,
         problem.k,
+        LANES,
         None,
-        per_node(|v| cov.borrow_mut().marginal(g, v) as f64),
+        |nodes, gains| {
+            counts.resize(nodes.len(), 0);
+            cov.borrow_mut().marginals(g, nodes, &mut counts);
+            for (gain, &count) in gains.iter_mut().zip(&counts) {
+                *gain = count as f64;
+            }
+        },
         |v| {
             cov.borrow_mut().commit(g, v);
         },

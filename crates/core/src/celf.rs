@@ -1,6 +1,12 @@
 //! CELF lazy greedy (Leskovec et al.), used for every submodular
 //! objective: the cumulative score under DM and the sandwich bound
 //! functions.
+//!
+//! When the heap top is stale, the loop refreshes it, and with a refresh
+//! width `w > 1` also the next stale entries below it, up to `w` in one
+//! `marginal` call. The coverage bound of the sandwich refreshes 64 at a
+//! time, one bit-parallel BFS per batch (`vom_graph::bfs::LANES`); the
+//! float objectives refresh one.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -45,12 +51,28 @@ impl Ord for Entry {
 /// `marginal(nodes, gains)` must write into `gains[i]` the marginal gain
 /// of adding `nodes[i]` to the currently committed set. The heap fill
 /// hands it every candidate in one call, so a caller can batch the full
-/// scan; each re-evaluation hands it one node. `commit(v)` is called
-/// when `v` is selected. Correctness relies on submodularity: a gain
-/// computed against an older (smaller) set upper-bounds the current
-/// gain, so if a stale top entry, once refreshed, still dominates the
-/// runner-up, it is optimal to take without touching the rest of the
-/// heap.
+/// scan. `commit(v)` is called when `v` is selected. Correctness relies
+/// on submodularity: a gain computed against an older (smaller) set
+/// upper-bounds the current gain, so if a stale top entry, once
+/// refreshed, still dominates the runner-up, it is optimal to take
+/// without touching the rest of the heap.
+///
+/// `width` is the refresh width. When the popped top is stale, the loop
+/// keeps popping while the heap top is stale, up to `width` entries in
+/// all, refreshes them in one `marginal` call and pushes them back at
+/// the current round. With `width = 1` this is classic CELF, one node
+/// per refresh.
+///
+/// `width > 1` is valid only for an **exactly submodular** objective
+/// whose gains are computed **exactly** (the integer coverage counts of
+/// the sandwich upper bound). Then every cached gain bounds its fresh
+/// gain from above, and a fresh top beats every other entry's cached
+/// `(gain, −node)`, hence its true one: each round commits the argmax
+/// by `(gain, −node)` however many stale entries were refreshed, and
+/// the selection does not depend on `width`. Float objectives that are
+/// only nearly submodular (DM's cumulative, the walk and sketch
+/// estimates) pass `width = 1`, since refreshing extra entries could
+/// change which near-tie wins.
 ///
 /// Returns the selected nodes in order. Stops early if every remaining
 /// gain is zero (adding more seeds cannot help a non-decreasing score).
@@ -63,6 +85,7 @@ impl Ord for Entry {
 pub fn celf_greedy<FM, FC>(
     n: usize,
     k: usize,
+    width: usize,
     meter: Option<&CostMeter>,
     marginal: FM,
     commit: FC,
@@ -72,7 +95,7 @@ where
     FC: FnMut(Node),
 {
     let candidates: Vec<Node> = (0..n as Node).collect();
-    lazy_greedy(&candidates, k, true, meter, marginal, commit)
+    lazy_greedy(&candidates, k, width, true, meter, marginal, commit)
 }
 
 /// The shared lazy-greedy loop behind [`celf_greedy`] and the
@@ -85,12 +108,12 @@ where
 /// either here or by returning `NEG_INFINITY` from `marginal`).
 ///
 /// The initial fill is one `marginal` call over all of `candidates`;
-/// re-evaluations stay one node at a time, so the refresh order — and
-/// with it the selection on objectives that are only nearly submodular
-/// in floating point — is the per-node order.
+/// refreshes take up to `width` stale entries per call, under the rules
+/// stated at [`celf_greedy`].
 pub(crate) fn lazy_greedy<FM, FC>(
     candidates: &[Node],
     k: usize,
+    width: usize,
     stop_on_zero: bool,
     meter: Option<&CostMeter>,
     mut marginal: FM,
@@ -121,6 +144,7 @@ where
         })
         .collect();
     let mut selected = Vec::with_capacity(k);
+    let mut stale: Vec<Node> = Vec::with_capacity(width.min(candidates.len()));
     let mut round = 0u32;
     while selected.len() < k {
         // Sequential checkpoint: stopping here leaves `selected` a valid
@@ -137,14 +161,19 @@ where
             selected.push(top.node);
             round += 1;
         } else {
-            let mut fresh = [0.0];
-            charge(1);
-            marginal(&[top.node], &mut fresh);
-            heap.push(Entry {
-                gain: fresh[0],
-                node: top.node,
+            stale.clear();
+            stale.push(top.node);
+            while stale.len() < width && heap.peek().is_some_and(|e| e.round != round) {
+                stale.extend(heap.pop().map(|e| e.node));
+            }
+            let fresh = &mut gains[..stale.len()];
+            charge(stale.len());
+            marginal(&stale, fresh);
+            heap.extend(stale.iter().zip(fresh.iter()).map(|(&node, &gain)| Entry {
+                gain,
+                node,
                 round,
-            });
+            }));
         }
     }
     selected
@@ -180,7 +209,7 @@ mod tests {
 
     /// CELF over a per-node gain with nothing to commit.
     fn celf(n: usize, k: usize, gain: impl FnMut(Node) -> f64) -> Vec<Node> {
-        celf_greedy(n, k, None, per_node(gain), |_| {})
+        celf_greedy(n, k, 1, None, per_node(gain), |_| {})
     }
 
     fn brute_force_best(sets: &[Vec<usize>], k: usize) -> usize {
@@ -208,6 +237,7 @@ mod tests {
         let selected = celf_greedy(
             sets.len(),
             2,
+            1,
             None,
             per_node(|v| {
                 let c = covered.borrow();
@@ -224,10 +254,16 @@ mod tests {
         assert_eq!(covered.borrow().len(), brute_force_best(&sets, 2));
     }
 
-    /// Coverage CELF over `sets`, with the heap fill either batched (one
-    /// pass marks the covered items, then counts every candidate) or per
-    /// node. Returns the selection and the ticks charged.
-    fn coverage_celf(sets: &[Vec<usize>], k: usize, batched: bool) -> (Vec<Node>, u64) {
+    /// Coverage CELF over `sets` at refresh width `width`, with
+    /// multi-node calls either batched (one pass marks the covered items,
+    /// then counts every node) or per node. Returns the selection and
+    /// the ticks charged.
+    fn coverage_celf(
+        sets: &[Vec<usize>],
+        k: usize,
+        width: usize,
+        batched: bool,
+    ) -> (Vec<Node>, u64) {
         use vom_diffusion::CostBudget;
         let covered = RefCell::new(HashSet::<usize>::new());
         let gain = |v: Node| {
@@ -239,6 +275,7 @@ mod tests {
         let selected = celf_greedy(
             sets.len(),
             k,
+            width,
             Some(&meter),
             |nodes, gains| {
                 if !batched || nodes.len() == 1 {
@@ -264,8 +301,37 @@ mod tests {
     fn batched_fill_matches_the_per_node_fill() {
         let sets = coverage_instance();
         for k in 1..=sets.len() {
-            let batched = coverage_celf(&sets, k, true);
-            assert_eq!(batched, coverage_celf(&sets, k, false), "k = {k}");
+            let batched = coverage_celf(&sets, k, 1, true);
+            assert_eq!(batched, coverage_celf(&sets, k, 1, false), "k = {k}");
+        }
+    }
+
+    /// 120 pseudo-random sets over 90 items, many of them overlapping,
+    /// so most cached gains go stale after each commit.
+    fn random_coverage_instance() -> Vec<Vec<usize>> {
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        let mut draw = |m: u64| {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
+            ((state >> 33) % m) as usize
+        };
+        (0..120)
+            .map(|_| (0..1 + draw(12)).map(|_| draw(90)).collect())
+            .collect()
+    }
+
+    #[test]
+    fn refresh_width_does_not_change_the_selection() {
+        // Integer coverage is exactly submodular and its gains exact, so
+        // refreshing up to 64 stale entries per call commits the same
+        // argmax in every round as refreshing one.
+        for sets in [coverage_instance(), random_coverage_instance()] {
+            for k in 1..=sets.len() {
+                let (one, _) = coverage_celf(&sets, k, 1, false);
+                for width in [2, 7, 64] {
+                    let (wide, _) = coverage_celf(&sets, k, width, true);
+                    assert_eq!(wide, one, "k = {k}, width {width}");
+                }
+            }
         }
     }
 
@@ -279,6 +345,7 @@ mod tests {
         let selected = celf_greedy(
             5,
             3,
+            1,
             None,
             per_node(|v| {
                 *evals.borrow_mut() += 1;
@@ -311,7 +378,7 @@ mod tests {
         assert_eq!(full, vec![0, 1, 2, 3]);
         for budget in 0..20u64 {
             let m = CostMeter::new(CostBudget::ticks(budget));
-            let got = celf_greedy(5, 4, Some(&m), per_node(|v| weights[v as usize]), |_| {});
+            let got = celf_greedy(5, 4, 1, Some(&m), per_node(|v| weights[v as usize]), |_| {});
             assert!(
                 full.starts_with(&got),
                 "budget {budget}: {got:?} is not a prefix of {full:?}"
@@ -319,7 +386,7 @@ mod tests {
         }
         // An unlimited meter reproduces the unmetered selection exactly.
         let m = CostMeter::new(CostBudget::ticks(u64::MAX));
-        let got = celf_greedy(5, 4, Some(&m), per_node(|v| weights[v as usize]), |_| {});
+        let got = celf_greedy(5, 4, 1, Some(&m), per_node(|v| weights[v as usize]), |_| {});
         assert_eq!(got, full);
         assert!(m.spent() > 0);
     }

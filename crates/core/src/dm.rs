@@ -296,9 +296,12 @@ pub fn dm_greedy_masked_cumulative(
         objective(solver.opinions())
     });
     let state = std::cell::RefCell::new((seeds, solver, cur));
+    // Refresh width 1: float gains are only nearly submodular, and the
+    // one-node slice below is what marks a re-evaluation.
     celf_greedy(
         n,
         problem.k,
+        1,
         meter,
         |nodes, gains| {
             let (ref mut s, ref mut solver, cur) = *state.borrow_mut();

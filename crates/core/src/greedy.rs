@@ -187,9 +187,11 @@ fn lazy_greedy_fill<E: OpinionEstimate>(
     let candidates: Vec<Node> = (0..n as Node)
         .filter(|&v| !cell.borrow().is_seed(v))
         .collect();
+    // Refresh width 1: the estimates are floats, only nearly submodular.
     let selected = crate::celf::lazy_greedy(
         &candidates,
         k,
+        1,
         false,
         meter,
         crate::celf::per_node(|v| gain_of(&cell.borrow(), v)),

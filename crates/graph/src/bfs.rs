@@ -2,9 +2,18 @@
 //!
 //! Under the FJ model, influence from a seed travels one hop per timestamp,
 //! so a seed set `S` can only affect nodes within `t` outgoing hops: the
-//! *reachable users set* `N_S^{(t)}` (Definition 2). These routines
-//! compute it and support the coverage-style greedy maximization of the
-//! sandwich upper bounds (Definitions 4 and 6).
+//! *reachable users set* `N_S^{(t)}` (Definition 2). [`bounded_out_bfs`]
+//! computes it for one seed set.
+//!
+//! [`HopCoverage`] carries the greedy maximization of the sandwich upper
+//! bounds (Definitions 4 and 6), where every marginal gain is one
+//! source's reach minus the covered set. That greedy needs about two
+//! marginals per node (the heap fill, then one refresh per stale entry),
+//! so [`HopCoverage::marginals`] scores [`LANES`] sources per bounded BFS:
+//! each node carries one bit per source in a `u64`, and one sweep over
+//! the out-edges advances all of them a hop. This is the multi-source
+//! BFS of Then et al., "The More the Merrier: Efficient Multi-Source
+//! Graph Traversal" (PVLDB 8(4), 2014), cut off at `t` hops.
 
 use crate::graph::SocialGraph;
 use crate::Node;
@@ -88,19 +97,32 @@ pub fn bounded_out_bfs_with(
     out
 }
 
+/// Sources one bounded sweep of [`HopCoverage::marginals`] carries: one
+/// bit of a `u64` per source.
+pub const LANES: usize = 64;
+
 /// Incremental coverage state for greedily maximizing
 /// `|N_S^{(t)} ∪ base|`-style submodular coverage functions.
 ///
-/// `marginal(s)` counts nodes within `t` hops of `s` not yet covered;
-/// `commit(s)` adds them. Both are exact (full bounded BFS per call), as
-/// in the paper's sandwich upper-bound greedy, which is cheap relative to
-/// opinion computation because no diffusion is involved (§IV-D).
+/// [`marginals`](Self::marginals) counts, for each source, the nodes
+/// within `t` hops that are not yet covered; [`commit`](Self::commit)
+/// covers one source's reach. Both are exact integer counts, so a greedy
+/// over them sees the bound's true marginals.
+///
+/// This greedy is far from free: at the paper's horizon `t = 20` one
+/// source reaches most of a replica, so after the first commit nearly
+/// every cached gain is stale, and the greedy costs about two bounded
+/// BFS runs per node. `marginals` therefore scores up to [`LANES`]
+/// sources per traversal. The lane scratch (three `u64` words per node
+/// plus the lists of nodes holding nonzero words) is allocated once here
+/// and reused by every call.
 #[derive(Debug, Clone)]
 pub struct HopCoverage {
     covered: Vec<bool>,
     covered_count: usize,
     t: usize,
     buf: BfsBuffer,
+    lanes: LaneScratch,
 }
 
 impl HopCoverage {
@@ -120,6 +142,7 @@ impl HopCoverage {
             covered_count,
             t,
             buf: BfsBuffer::new(n),
+            lanes: LaneScratch::new(n),
         }
     }
 
@@ -128,10 +151,23 @@ impl HopCoverage {
         self.covered_count
     }
 
-    /// Marginal coverage gain of adding `s` to the seed set.
-    pub fn marginal(&mut self, g: &SocialGraph, s: Node) -> usize {
-        let reach = bounded_out_bfs_with(g, &[s], self.t, &mut self.buf);
-        reach.iter().filter(|&&v| !self.covered[v as usize]).count()
+    /// Writes into `gains[i]` the marginal coverage gain of adding
+    /// `sources[i]` to the seed set: `|bounded_out_bfs(g, &[sources[i]],
+    /// t) \ covered|`, exactly.
+    ///
+    /// Sources are processed [`LANES`] at a time, one bounded sweep per
+    /// chunk. Duplicates and already covered sources are allowed, and
+    /// each slot is counted as if its source were alone.
+    ///
+    /// # Panics
+    ///
+    /// If `sources` and `gains` differ in length.
+    pub fn marginals(&mut self, g: &SocialGraph, sources: &[Node], gains: &mut [usize]) {
+        assert_eq!(sources.len(), gains.len(), "one gain slot per source");
+        for (chunk, out) in sources.chunks(LANES).zip(gains.chunks_mut(LANES)) {
+            self.lanes.sweep(g, chunk, self.t);
+            self.lanes.count_uncovered(&self.covered, out);
+        }
     }
 
     /// Commits `s`: marks everything within `t` hops covered and returns
@@ -148,6 +184,120 @@ impl HopCoverage {
         }
         self.covered_count += gain;
         gain
+    }
+}
+
+/// Per-node lane words of one bit-parallel bounded BFS: bit `l` of a
+/// node's word belongs to the chunk's `l`-th source. Every word is zero
+/// between sweeps; the node lists record which words a sweep set, so
+/// clearing costs what the sweep touched, not `n`.
+#[derive(Debug, Clone)]
+struct LaneScratch {
+    /// Lanes that reached the node at the current hop.
+    frontier: Vec<u64>,
+    /// Lanes that reach the node at the next hop.
+    next: Vec<u64>,
+    /// Lanes that have reached the node at any hop so far.
+    seen: Vec<u64>,
+    /// Nodes with a nonzero `frontier` word.
+    active: Vec<Node>,
+    /// Nodes with a nonzero `next` word.
+    next_active: Vec<Node>,
+    /// Nodes with a nonzero `seen` word.
+    reached: Vec<Node>,
+}
+
+impl LaneScratch {
+    fn new(n: usize) -> Self {
+        LaneScratch {
+            frontier: vec![0; n],
+            next: vec![0; n],
+            seen: vec![0; n],
+            active: Vec::new(),
+            next_active: Vec::new(),
+            reached: Vec::new(),
+        }
+    }
+
+    /// Runs the bounded BFS of every source in `sources` (at most
+    /// [`LANES`]) at once, leaving each lane's reach in `seen`.
+    fn sweep(&mut self, g: &SocialGraph, sources: &[Node], t: usize) {
+        debug_assert!(sources.len() <= LANES);
+        for (lane, &s) in sources.iter().enumerate() {
+            let bit = 1u64 << lane;
+            let v = s as usize;
+            if self.seen[v] == 0 {
+                self.reached.push(s);
+                self.active.push(s);
+            }
+            self.seen[v] |= bit;
+            self.frontier[v] |= bit;
+        }
+        for _ in 0..t {
+            if self.active.is_empty() {
+                break;
+            }
+            for &v in &self.active {
+                let bits = std::mem::take(&mut self.frontier[v as usize]);
+                for &w in g.out_neighbors(v) {
+                    let w_idx = w as usize;
+                    let new = bits & !self.seen[w_idx];
+                    if new == 0 {
+                        continue;
+                    }
+                    if self.seen[w_idx] == 0 {
+                        self.reached.push(w);
+                    }
+                    self.seen[w_idx] |= new;
+                    if self.next[w_idx] == 0 {
+                        self.next_active.push(w);
+                    }
+                    self.next[w_idx] |= new;
+                }
+            }
+            // Every frontier word was taken above, so the old frontier
+            // array is all zero and becomes the next hop's `next`.
+            std::mem::swap(&mut self.frontier, &mut self.next);
+            std::mem::swap(&mut self.active, &mut self.next_active);
+            self.next_active.clear();
+        }
+        for &v in &self.active {
+            self.frontier[v as usize] = 0;
+        }
+        self.active.clear();
+    }
+
+    /// Writes each lane's count of reached, uncovered nodes into
+    /// `gains[lane]` and clears `seen` for the next sweep.
+    ///
+    /// The per-lane counts are bit-sliced: `slices[j]` holds bit `j` of
+    /// every lane's count, so adding a node's word is one ripple-carry
+    /// add of 64 one-bit lanes instead of a loop over its set bits.
+    fn count_uncovered(&mut self, covered: &[bool], gains: &mut [usize]) {
+        let mut slices = [0u64; usize::BITS as usize];
+        for &v in &self.reached {
+            let bits = std::mem::take(&mut self.seen[v as usize]);
+            if covered[v as usize] {
+                continue;
+            }
+            let mut carry = bits;
+            for slice in &mut slices {
+                if carry == 0 {
+                    break;
+                }
+                let overflow = *slice & carry;
+                *slice ^= carry;
+                carry = overflow;
+            }
+        }
+        self.reached.clear();
+        for (lane, gain) in gains.iter_mut().enumerate() {
+            *gain = slices
+                .iter()
+                .enumerate()
+                .map(|(j, s)| (((s >> lane) & 1) as usize) << j)
+                .sum();
+        }
     }
 }
 
@@ -205,14 +355,21 @@ mod tests {
         }
     }
 
+    /// One source's marginal through the lane kernel.
+    fn marginal(cov: &mut HopCoverage, g: &SocialGraph, s: Node) -> usize {
+        let mut gain = [0];
+        cov.marginals(g, &[s], &mut gain);
+        gain[0]
+    }
+
     #[test]
     fn coverage_marginal_then_commit() {
         let g = path4();
         let mut cov = HopCoverage::new(4, 1, &[]);
-        assert_eq!(cov.marginal(&g, 0), 2); // {0, 1}
+        assert_eq!(marginal(&mut cov, &g, 0), 2); // {0, 1}
         assert_eq!(cov.commit(&g, 0), 2);
         assert_eq!(cov.covered_count(), 2);
-        assert_eq!(cov.marginal(&g, 1), 1); // {1, 2} minus covered {1}
+        assert_eq!(marginal(&mut cov, &g, 1), 1); // {1, 2} minus covered {1}
         assert_eq!(cov.commit(&g, 1), 1);
         assert_eq!(cov.covered_count(), 3);
     }
@@ -222,7 +379,7 @@ mod tests {
         let g = path4();
         let mut cov = HopCoverage::new(4, 1, &[1, 1, 2]);
         assert_eq!(cov.covered_count(), 2);
-        assert_eq!(cov.marginal(&g, 0), 1); // only node 0 is new
+        assert_eq!(marginal(&mut cov, &g, 0), 1); // only node 0 is new
     }
 
     #[test]
@@ -234,6 +391,6 @@ mod tests {
         let mut large = HopCoverage::new(4, 2, &[]);
         large.commit(&g, 0);
         large.commit(&g, 1);
-        assert!(small.marginal(&g, 2) >= large.marginal(&g, 2));
+        assert!(marginal(&mut small, &g, 2) >= marginal(&mut large, &g, 2));
     }
 }

@@ -17,7 +17,9 @@
 //!   transforms (`w = 1 − e^{−a/µ}`, as used by the paper) and column
 //!   normalization;
 //! * bounded-hop BFS for the *reachable users set* `N_S^{(t)}`
-//!   ([`bfs::bounded_out_bfs`], [`bfs::HopCoverage`]);
+//!   ([`bfs::bounded_out_bfs`]) and the coverage state of the sandwich
+//!   upper-bound greedy ([`bfs::HopCoverage`]), which scores
+//!   [`bfs::LANES`] = 64 sources per bit-parallel bounded BFS;
 //! * deterministic random-graph generators used by the synthetic dataset
 //!   replicas and the test-suite ([`generators`]);
 //! * degree statistics ([`stats`]).

@@ -1,13 +1,19 @@
 //! Property-based tests (proptest) for the core invariants:
 //! column-stochasticity, opinion range/monotonicity, cumulative
 //! submodularity (Theorem 3), estimator unbiasedness, bound
-//! domination, and bit-identity of the target-only exact evaluation.
+//! domination, bit-identity of the target-only exact evaluation, and
+//! the sandwich upper bound: lane-parallel coverage marginals, the lazy
+//! coverage greedy against a plain one, and a brute-force bracket.
 
 use proptest::prelude::*;
 use std::sync::Arc;
+use vom::core::bounds::{evaluate_upper_bound, greedy_upper_bound, upper_bound_parts};
+use vom::core::Problem;
 use vom::diffusion::{DiffusionSystem, Instance, OpinionMatrix, SolveOptions, Solver, SolverPool};
+use vom::graph::bfs::{bounded_out_bfs, HopCoverage};
 use vom::graph::builder::graph_from_edges;
 use vom::graph::{Node, SocialGraph};
+use vom::voting::ScoringFunction;
 
 /// An exact solver over one candidate's inputs.
 fn solver(g: &SocialGraph, b0: &[f64], d: &[f64]) -> Solver {
@@ -32,6 +38,79 @@ fn arb_instance() -> impl Strategy<Value = (SocialGraph, Vec<f64>, Vec<f64>)> {
             (g, b0, d)
         })
     })
+}
+
+/// Strategy: a sparse random digraph on `1..=max_n` nodes with fewer
+/// than `2n` edges, so `n` is rarely a multiple of 64 and many graphs
+/// have isolated nodes.
+fn arb_sparse_graph(max_n: usize) -> impl Strategy<Value = SocialGraph> {
+    (1usize..=max_n).prop_flat_map(|n| {
+        proptest::collection::vec((0..n as Node, 0..n as Node, 0.1f64..5.0), 0..2 * n)
+            .prop_map(move |edges| graph_from_edges(n, &edges).expect("valid random edges"))
+    })
+}
+
+/// Strategy: an instance on a sparse random digraph with three
+/// campaigns, so Copeland's weakly favorable base differs from the
+/// plurality base.
+fn arb_three_campaigns(max_n: usize) -> impl Strategy<Value = Instance> {
+    arb_sparse_graph(max_n).prop_flat_map(|g| {
+        let n = g.num_nodes();
+        let rows = proptest::collection::vec(proptest::collection::vec(0.0f64..=1.0, n), 3);
+        let stubbornness = proptest::collection::vec(0.0f64..=1.0, n);
+        (Just(g), rows, stubbornness).prop_map(|(g, rows, d)| {
+            let initial = OpinionMatrix::from_rows(rows).unwrap();
+            Instance::shared(Arc::new(g), initial, d).unwrap()
+        })
+    })
+}
+
+/// Three campaigns on a tiny instance: the target row, its mirror, and
+/// a compressed copy.
+fn three_campaigns((g, b0, d): (SocialGraph, Vec<f64>, Vec<f64>)) -> Instance {
+    let rows = vec![
+        b0.clone(),
+        b0.iter().map(|b| 1.0 - b).collect(),
+        b0.iter().map(|b| 0.25 + 0.5 * b).collect(),
+    ];
+    Instance::shared(Arc::new(g), OpinionMatrix::from_rows(rows).unwrap(), d).unwrap()
+}
+
+/// `|N_{s}^{(t)} \ covered|`, one plain BFS.
+fn reach_gain(g: &SocialGraph, s: Node, t: usize, covered: &[bool]) -> usize {
+    bounded_out_bfs(g, &[s], t)
+        .iter()
+        .filter(|&&v| !covered[v as usize])
+        .count()
+}
+
+/// The plain, non-lazy coverage greedy: every round recomputes every
+/// marginal with a bounded BFS, takes the argmax by `(gain, −node)` and
+/// stops at gain 0.
+fn plain_coverage_greedy(g: &SocialGraph, base: &[Node], t: usize, k: usize) -> Vec<Node> {
+    let mut covered = vec![false; g.num_nodes()];
+    for &v in base {
+        covered[v as usize] = true;
+    }
+    let mut selected = Vec::new();
+    while selected.len() < k {
+        let best = g
+            .nodes()
+            .filter(|v| !selected.contains(v))
+            .map(|v| (reach_gain(g, v, t, &covered), std::cmp::Reverse(v)))
+            .max();
+        let Some((gain, std::cmp::Reverse(v))) = best else {
+            break;
+        };
+        if gain == 0 {
+            break;
+        }
+        for w in bounded_out_bfs(g, &[v], t) {
+            covered[w as usize] = true;
+        }
+        selected.push(v);
+    }
+    selected
 }
 
 proptest! {
@@ -146,23 +225,16 @@ proptest! {
 
     #[test]
     fn exact_score_against_competitor_rows_is_bit_identical(
-        (g, b0, d) in arb_instance(),
+        instance in arb_instance(),
         t in 0usize..6,
         target in 0usize..3,
         fixed in 0u32..10,
         raw_seeds in proptest::collection::vec(0u32..10, 0..4),
     ) {
-        use vom::voting::ScoringFunction;
         // Three candidates; the target and one competitor carry fixed
         // seeds on a shared node, so seeded users tie at 1.0.
-        let n = g.num_nodes() as Node;
-        let rows = vec![
-            b0.clone(),
-            b0.iter().map(|b| 1.0 - b).collect(),
-            b0.iter().map(|b| 0.25 + 0.5 * b).collect(),
-        ];
-        let initial = OpinionMatrix::from_rows(rows).unwrap();
-        let mut inst = Instance::shared(Arc::new(g), initial, d).unwrap();
+        let mut inst = three_campaigns(instance);
+        let n = inst.num_nodes() as Node;
         let competitor = (target + 1) % 3;
         inst.candidate_mut(target).fixed_seeds = vec![fixed % n];
         inst.candidate_mut(competitor).fixed_seeds = vec![fixed % n, (fixed + 1) % n];
@@ -210,6 +282,103 @@ proptest! {
                 (e - exact[v as usize]).abs() < 0.06,
                 "node {v}: estimate {e} vs exact {}",
                 exact[v as usize]
+            );
+        }
+    }
+
+    #[test]
+    fn lane_marginals_match_per_source_bfs(
+        (g, sources, base, commits, late) in arb_sparse_graph(200).prop_flat_map(|g| {
+            let n = g.num_nodes();
+            let node = 0..n as Node;
+            (
+                Just(g),
+                // Up to 150 sources cross the 64 and 128 chunk edges,
+                // with duplicates and sources inside the base.
+                proptest::collection::vec(node.clone(), 0..=150),
+                proptest::collection::vec(node.clone(), 0..n),
+                proptest::collection::vec(node.clone(), 0..=3),
+                node,
+            )
+        }),
+        t in 0usize..=6,
+    ) {
+        let n = g.num_nodes();
+        let mut cov = HopCoverage::new(n, t, &base);
+        let mut covered = vec![false; n];
+        for &v in &base {
+            covered[v as usize] = true;
+        }
+        // Two calls on one scratch: 0–3 commits before the first, one
+        // more before the second, which must not see anything the first
+        // left behind.
+        for (call, batch) in [&commits[..], &[late]].into_iter().enumerate() {
+            for &s in batch {
+                cov.commit(&g, s);
+                for v in bounded_out_bfs(&g, &[s], t) {
+                    covered[v as usize] = true;
+                }
+            }
+            prop_assert_eq!(cov.covered_count(), covered.iter().filter(|&&c| c).count());
+            let mut gains = vec![usize::MAX; sources.len()];
+            cov.marginals(&g, &sources, &mut gains);
+            for (slot, (&s, &gain)) in sources.iter().zip(&gains).enumerate() {
+                let expected = reach_gain(&g, s, t, &covered);
+                prop_assert_eq!(gain, expected, "call {}, slot {}: source {}", call, slot, s);
+            }
+        }
+    }
+
+    #[test]
+    fn greedy_upper_bound_equals_the_plain_greedy(
+        inst in arb_three_campaigns(150),
+        t in 0usize..6,
+        k_draw in 0usize..1000,
+    ) {
+        let n = inst.num_nodes();
+        let k = 1 + k_draw % n;
+        for score in [ScoringFunction::Plurality, ScoringFunction::Copeland] {
+            let p = Problem::new(&inst, 0, k, t, score.clone()).unwrap();
+            let (_, base) = upper_bound_parts(&p, &p.opinions(&[]));
+            let expected = plain_coverage_greedy(inst.graph_of(0), &base, t, k);
+            prop_assert_eq!(greedy_upper_bound(&p, &base), expected, "{} k = {}", score, k);
+        }
+    }
+
+    #[test]
+    fn sandwich_upper_bound_brackets_the_brute_force_optimum(
+        instance in arb_instance(),
+        t in 0usize..6,
+        k_draw in 1usize..=3,
+    ) {
+        // On instances small enough to enumerate every seed set with
+        // |S| <= k: UB(S) >= F(S) (Theorem 6(4)), and the greedy S_U
+        // reaches (1 − 1/e) of the best UB over |S| = k.
+        let inst = three_campaigns(instance);
+        let n = inst.num_nodes();
+        let k = k_draw.min(n);
+        let sets: Vec<Vec<Node>> = (0u32..1 << n)
+            .filter(|mask| mask.count_ones() as usize <= k)
+            .map(|mask| (0..n as Node).filter(|&v| mask >> v & 1 == 1).collect())
+            .collect();
+        for score in [ScoringFunction::Plurality, ScoringFunction::Copeland] {
+            let p = Problem::new(&inst, 0, k, t, score.clone()).unwrap();
+            let (mult, base) = upper_bound_parts(&p, &p.opinions(&[]));
+            let mut best_ub = f64::NEG_INFINITY;
+            for seeds in &sets {
+                let ub = evaluate_upper_bound(&p, &base, mult, seeds);
+                let f = p.exact_score(seeds);
+                prop_assert!(ub + 1e-9 >= f, "{score}: UB {ub} < F {f} for {seeds:?}");
+                if seeds.len() == k {
+                    best_ub = best_ub.max(ub);
+                }
+            }
+            let s_u = greedy_upper_bound(&p, &base);
+            let ub_su = evaluate_upper_bound(&p, &base, mult, &s_u);
+            let floor = (1.0 - (-1.0f64).exp()) * best_ub;
+            prop_assert!(
+                ub_su + 1e-9 >= floor,
+                "{score}: UB(S_U) {ub_su} < (1 − 1/e)·{best_ub} for S_U {s_u:?}"
             );
         }
     }

@@ -1,6 +1,6 @@
 //! Sandwich approximation invariants on synthetic replicas: LB ≤ F ≤ UB,
-//! ratio in (0, 1], and the sandwich never returns worse seeds than the
-//! plain greedy.
+//! ratio in (0, 1], the sandwich never returns worse seeds than the
+//! plain greedy, and pinned upper-bound orders `S_U`.
 
 use vom::core::bounds::{
     evaluate_upper_bound, favorable_users, upper_bound_parts, weakly_favorable_users,
@@ -103,4 +103,22 @@ fn sandwich_ratio_is_reasonably_high_on_replicas() {
         .unwrap();
     let ratio = res.sandwich.unwrap().ratio;
     assert!(ratio >= 0.3, "suspiciously poor sandwich ratio {ratio}");
+}
+
+#[test]
+fn upper_bound_orders_are_pinned_on_the_dblp_replica() {
+    // S_U of one auto plurality and one auto Copeland query. The seed
+    // digests elsewhere pin only the chosen sets, and the arbitration
+    // may never choose S_U; these pins hold the coverage greedy itself.
+    let ds = dblp_like(&params());
+    for (score, target, pin) in [
+        (ScoringFunction::Plurality, 0, vec![0, 1, 2, 6, 3, 24, 4]),
+        (ScoringFunction::Copeland, 1, vec![2, 0, 6]),
+    ] {
+        let p = Problem::new(&ds.instance, target, 10, 1, score.clone()).unwrap();
+        let res = Engine::rs_default()
+            .select_once(&p, SelectionMode::Auto)
+            .unwrap();
+        assert_eq!(res.sandwich.unwrap().s_u, pin, "{score}");
+    }
 }
