@@ -182,6 +182,7 @@ where
 /// Adapts a per-node gain function to the slice callback of
 /// [`celf_greedy`] / [`lazy_greedy`], for objectives whose scans gain
 /// nothing from batching.
+#[cfg(test)]
 pub(crate) fn per_node(mut gain: impl FnMut(Node) -> f64) -> impl FnMut(&[Node], &mut [f64]) {
     move |nodes, gains| {
         for (g, &v) in gains.iter_mut().zip(nodes) {

@@ -150,7 +150,10 @@ pub fn generic_greedy<S: OpinionScore + ?Sized>(
 }
 
 /// Exhaustive argmax over all size-`k` seed sets — exponential, test-only
-/// ground truth for small instances.
+/// ground truth for small instances. The competitor rows do not depend
+/// on the seed set: they are solved once per search, and each subset
+/// solves only the target row (the matrix [`evaluate_rule`] scores, bit
+/// for bit). Ties keep the first subset in lexicographic order.
 pub fn brute_force_best<S: OpinionScore + ?Sized>(
     instance: &Instance,
     target: Candidate,
@@ -158,46 +161,48 @@ pub fn brute_force_best<S: OpinionScore + ?Sized>(
     horizon: usize,
     rule: &S,
 ) -> (Vec<Node>, f64) {
-    let n = instance.num_nodes() as Node;
-    let mut best: (Vec<Node>, f64) = (Vec::new(), f64::NEG_INFINITY);
-    let mut subset: Vec<Node> = Vec::with_capacity(k);
-    #[allow(clippy::too_many_arguments)] // test-only exhaustive search
-    fn recurse<S: OpinionScore + ?Sized>(
-        instance: &Instance,
+    struct Search<'a, S: ?Sized> {
+        instance: &'a Instance,
         target: Candidate,
         horizon: usize,
-        rule: &S,
-        start: Node,
-        n: Node,
+        rule: &'a S,
         k: usize,
-        subset: &mut Vec<Node>,
-        best: &mut (Vec<Node>, f64),
-    ) {
-        if subset.len() == k {
-            let s = evaluate_rule(instance, target, horizon, subset, rule);
-            if s > best.1 {
-                *best = (subset.clone(), s);
+        snapshot: OpinionMatrix,
+        subset: Vec<Node>,
+        best: (Vec<Node>, f64),
+    }
+    impl<S: OpinionScore + ?Sized> Search<'_, S> {
+        fn recurse(&mut self, start: Node) {
+            if self.subset.len() == self.k {
+                let row = self
+                    .instance
+                    .opinions_of(self.target, self.horizon, &self.subset);
+                self.snapshot.set_row(self.target, &row);
+                let s = self.rule.evaluate(&self.snapshot, self.target);
+                if s > self.best.1 {
+                    self.best = (self.subset.clone(), s);
+                }
+                return;
             }
-            return;
-        }
-        for v in start..n {
-            subset.push(v);
-            recurse(instance, target, horizon, rule, v + 1, n, k, subset, best);
-            subset.pop();
+            for v in start..self.instance.num_nodes() as Node {
+                self.subset.push(v);
+                self.recurse(v + 1);
+                self.subset.pop();
+            }
         }
     }
-    recurse(
+    let mut search = Search {
         instance,
         target,
         horizon,
         rule,
-        0,
-        n,
         k,
-        &mut subset,
-        &mut best,
-    );
-    best
+        snapshot: instance.non_target_opinions(horizon, target),
+        subset: Vec::with_capacity(k),
+        best: (Vec::new(), f64::NEG_INFINITY),
+    };
+    search.recurse(0);
+    search.best
 }
 
 /// Reference snapshot of an instance without extra target seeds, for
@@ -255,6 +260,33 @@ mod tests {
         let greedy = generic_greedy(&instance, 0, 1, 1, &rule).unwrap();
         let (_, best) = brute_force_best(&instance, 0, 1, 1, &rule);
         assert_eq!(evaluate_rule(&instance, 0, 1, &greedy, &rule), best);
+    }
+
+    /// The search solving only the target row per subset returns the set
+    /// and score bits of a search scoring each subset's full matrix.
+    #[test]
+    fn brute_force_matches_full_matrix_search() {
+        let instance = running_example();
+        for rule in ExtendedRule::ALL {
+            for k in 1..=3 {
+                let mut want: (Vec<Node>, f64) = (Vec::new(), f64::NEG_INFINITY);
+                for bits in 0u32..16 {
+                    if bits.count_ones() as usize != k {
+                        continue;
+                    }
+                    // Ascending bit patterns of one popcount are not in
+                    // lexicographic set order, so ties pick the smaller set.
+                    let set: Vec<Node> = (0..4).filter(|v| bits & (1 << v) != 0).collect();
+                    let s = evaluate_rule(&instance, 0, 1, &set, &rule);
+                    if s > want.1 || (s == want.1 && set < want.0) {
+                        want = (set, s);
+                    }
+                }
+                let got = brute_force_best(&instance, 0, k, 1, &rule);
+                assert_eq!(got.0, want.0, "{rule} k={k}");
+                assert_eq!(got.1.to_bits(), want.1.to_bits(), "{rule} k={k}");
+            }
+        }
     }
 
     #[test]

@@ -90,7 +90,7 @@ use vom_diffusion::{DiffusionSystem, OpinionMatrix, SolverCounters, SolverPool};
 use vom_graph::{Candidate, Node};
 use vom_sketch::SketchSet;
 use vom_voting::{RankIndex, ScoringFunction};
-use vom_walks::{OpinionEstimator, WalkArena};
+use vom_walks::{OpinionEstimator, Truncation, WalkArena};
 
 /// The three proposed selection engines behind the prepared lifecycle
 /// (§VIII compares them as DM, RW, RS).
@@ -397,9 +397,14 @@ pub trait IndexBackend: Send + Sync {
 }
 
 /// Reusable per-session buffers the query paths fill on every select:
-/// sandwich masks and the RS working sketch. Contents are pure scratch —
-/// they never influence results, only allocation traffic — so a fresh
-/// default scratch and a warm one answer queries identically.
+/// sandwich masks, the RS working sketch and the RW truncation. Contents
+/// are pure scratch — they never influence results, only allocation
+/// traffic and rebuilds — so a fresh default scratch and a warm one
+/// answer queries identically.
+///
+/// A scratch serves one index (its session's): the RW truncation is
+/// keyed by its arena's address, which names one arena only while the
+/// index holding that arena is alive.
 #[derive(Debug, Default)]
 pub struct SessionScratch {
     /// Favorable-user mask for the sandwich lower bound.
@@ -408,6 +413,9 @@ pub struct SessionScratch {
     mask_all: Vec<bool>,
     /// RS working sketch from the previous query, keyed by its θ.
     rs_sketch: Option<(usize, SketchSet)>,
+    /// The last RW estimator's truncation (occurrence index included),
+    /// keyed by its arena's address. At most one per session.
+    rw_trunc: Option<(usize, Truncation)>,
     /// Pooled exact-diffusion solvers (single and lane iteration
     /// buffers), reused across DM's `(k, trial)` loop and across queries
     /// on the same session.
@@ -432,6 +440,35 @@ impl SessionScratch {
     pub fn return_sketch(&mut self, theta: usize, sketch: SketchSet) {
         self.rs_sketch = Some((theta, sketch));
     }
+
+    /// A pristine truncation of `arena`: the previous estimator's, reset
+    /// in `O(walks + seeds)`, when it was built over the same arena, else
+    /// a fresh build of the occurrence index (dropping the old one first).
+    /// Pair with [`SessionScratch::return_truncation`].
+    pub fn checkout_truncation(&mut self, arena: &WalkArena) -> Truncation {
+        let key = arena_key(arena);
+        match self.rw_trunc.take() {
+            Some((k, mut trunc)) if k == key => {
+                trunc.reset(arena);
+                trunc
+            }
+            stale => {
+                drop(stale);
+                let n = arena.num_groups().expect("RW arenas are grouped by start");
+                Truncation::new(arena, n)
+            }
+        }
+    }
+
+    /// Keeps a used truncation of `arena` for the next checkout.
+    pub fn return_truncation(&mut self, arena: &WalkArena, trunc: Truncation) {
+        self.rw_trunc = Some((arena_key(arena), trunc));
+    }
+}
+
+/// The scratch key of an arena: its address (see [`SessionScratch`]).
+fn arena_key(arena: &WalkArena) -> usize {
+    std::ptr::from_ref(arena) as usize
 }
 
 /// An immutable prepared index: the shared artifacts of one method for
@@ -1181,9 +1218,18 @@ impl RwIndex {
         })
     }
 
-    fn estimator<'s>(&self, arena: &'s WalkArena, problem: &Problem<'s>) -> OpinionEstimator<'s> {
+    /// An estimator over `arena` with the target's fixed seeds, on the
+    /// session's truncation (hand it back with
+    /// [`SessionScratch::return_truncation`]).
+    fn estimator<'s>(
+        &self,
+        arena: &'s WalkArena,
+        problem: &Problem<'s>,
+        scratch: &mut SessionScratch,
+    ) -> OpinionEstimator<'s> {
         let cand = problem.instance.candidate(problem.target);
-        let mut est = OpinionEstimator::new(arena, &cand.initial);
+        let trunc = scratch.checkout_truncation(arena);
+        let mut est = OpinionEstimator::with_truncation(arena, &cand.initial, trunc);
         for &s in &cand.fixed_seeds {
             est.add_seed(s);
         }
@@ -1212,19 +1258,21 @@ impl IndexBackend for RwIndex {
         &self,
         problem: &Problem<'_>,
         comp: Option<Competitors<'_>>,
-        _scratch: &mut SessionScratch,
+        scratch: &mut SessionScratch,
         meter: Option<&CostMeter>,
     ) -> Result<Vec<Node>> {
         let arena = self.ensure_arena(problem, comp.map(|c| c.matrix));
-        let mut est = self.estimator(arena, problem);
-        Ok(crate::greedy::greedy_on_estimate(
+        let mut est = self.estimator(arena, problem, scratch);
+        let seeds = crate::greedy::greedy_on_estimate(
             &mut est,
             problem.k,
             &problem.score,
             comp,
             problem.target,
             meter,
-        ))
+        );
+        scratch.return_truncation(arena, est.into_truncation());
+        Ok(seeds)
     }
 
     fn greedy_masked_cumulative(
@@ -1232,15 +1280,15 @@ impl IndexBackend for RwIndex {
         problem: &Problem<'_>,
         mask: &[bool],
         comp: Option<Competitors<'_>>,
-        _scratch: &mut SessionScratch,
+        scratch: &mut SessionScratch,
     ) -> Result<Vec<Node>> {
         // The masked cumulative greedy shares the *query rule's* arena
         // (§IV-D builds the artifacts once per selection).
         let arena = self.ensure_arena(problem, comp.map(|c| c.matrix));
-        let mut est = self.estimator(arena, problem);
-        Ok(crate::greedy::greedy_masked_cumulative(
-            &mut est, problem.k, mask,
-        ))
+        let mut est = self.estimator(arena, problem, scratch);
+        let seeds = crate::greedy::greedy_masked_cumulative(&mut est, problem.k, mask);
+        scratch.return_truncation(arena, est.into_truncation());
+        Ok(seeds)
     }
 
     fn supports_sandwich(&self) -> bool {

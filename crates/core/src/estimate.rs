@@ -7,7 +7,7 @@
 use vom_graph::Node;
 use vom_sketch::SketchSet;
 use vom_walks::estimator::PairDelta;
-use vom_walks::{DeltaScratch, OpinionEstimator};
+use vom_walks::{DeltaScratch, OpinionEstimator, UserPairs};
 
 /// An incremental estimate of the target candidate's opinions under a
 /// growing seed set.
@@ -48,6 +48,31 @@ pub trait OpinionEstimate {
     /// contributions from users in `mask`.
     fn cumulative_gain_of_masked(&self, w: Node, mask: &[bool]) -> f64;
 
+    /// Writes the estimated-cumulative gain of each `nodes[i]` (over the
+    /// users in `mask`, if given) into `gains[i]`, bit-identical to
+    /// [`OpinionEstimate::cumulative_gain_of`] /
+    /// [`OpinionEstimate::cumulative_gain_of_masked`] per node. The
+    /// default scans each node's occurrences; an estimator may answer a
+    /// large batch (a CELF heap fill) from one full scan instead.
+    fn cumulative_gains_of(&self, nodes: &[Node], mask: Option<&[bool]>, gains: &mut [f64]) {
+        per_candidate_gains(self, nodes, mask, gains);
+    }
+
+    /// Every user's merged `(candidate, Δ)` pairs, for the user-major
+    /// rank greedy, when the estimator's walks are grouped by user (RW).
+    /// `None` keeps the candidate-major loop: sketch starts are sampled,
+    /// not grouped by user.
+    fn user_pairs(&self) -> Option<UserPairs> {
+        None
+    }
+
+    /// Rebuilds the listed users' pairs after a commit. Only called on
+    /// pairs [`OpinionEstimate::user_pairs`] returned.
+    fn refresh_user_pairs(&self, pairs: &mut UserPairs, users: &[Node]) {
+        let _ = (pairs, users);
+        unreachable!("refresh_user_pairs without user_pairs");
+    }
+
     /// Visits the merged per-user estimate deltas of one candidate seed
     /// (ascending user order) — the `seed == w` run of
     /// [`OpinionEstimate::pair_deltas`] without scanning any other
@@ -84,6 +109,21 @@ pub trait OpinionEstimate {
     fn seeds(&self) -> &[Node];
 }
 
+/// The per-node evaluation behind [`OpinionEstimate::cumulative_gains_of`].
+fn per_candidate_gains<E: OpinionEstimate + ?Sized>(
+    est: &E,
+    nodes: &[Node],
+    mask: Option<&[bool]>,
+    gains: &mut [f64],
+) {
+    for (g, &v) in gains.iter_mut().zip(nodes) {
+        *g = match mask {
+            Some(m) => est.cumulative_gain_of_masked(v, m),
+            None => est.cumulative_gain_of(v),
+        };
+    }
+}
+
 impl OpinionEstimate for OpinionEstimator<'_> {
     fn num_nodes(&self) -> usize {
         OpinionEstimator::num_nodes(self)
@@ -114,6 +154,12 @@ impl OpinionEstimate for OpinionEstimator<'_> {
     }
     fn cumulative_gain_of_masked(&self, w: Node, mask: &[bool]) -> f64 {
         OpinionEstimator::cumulative_gain_of_masked(self, w, mask)
+    }
+    fn user_pairs(&self) -> Option<UserPairs> {
+        Some(OpinionEstimator::user_pairs(self))
+    }
+    fn refresh_user_pairs(&self, pairs: &mut UserPairs, users: &[Node]) {
+        OpinionEstimator::refresh_user_pairs(self, pairs, users)
     }
     fn for_candidate_deltas<F: FnMut(Node, f64)>(
         &self,
@@ -175,6 +221,21 @@ impl OpinionEstimate for SketchSet {
     }
     fn cumulative_gain_of_masked(&self, w: Node, mask: &[bool]) -> f64 {
         SketchSet::cumulative_gain_of_masked(self, w, mask)
+    }
+    /// A batch (the heap fill) takes one pass over every live prefix and
+    /// a gather; a single node (a refresh) scans its occurrences. Both
+    /// sum the same terms in sketch order.
+    fn cumulative_gains_of(&self, nodes: &[Node], mask: Option<&[bool]>, gains: &mut [f64]) {
+        if nodes.len() <= 1 {
+            return per_candidate_gains(self, nodes, mask, gains);
+        }
+        let all = match mask {
+            Some(m) => SketchSet::cumulative_gains_masked(self, m),
+            None => SketchSet::cumulative_gains(self),
+        };
+        for (g, &v) in gains.iter_mut().zip(nodes) {
+            *g = all[v as usize];
+        }
     }
     fn for_candidate_deltas<F: FnMut(Node, f64)>(
         &self,

@@ -15,23 +15,34 @@
 //!   lives in a [`PositionalAccumulator`] that persists across greedy
 //!   iterations; after a seed commits, only the users named in the
 //!   estimator's changed-users delta report are refreshed (`O(Δ·log r)`
-//!   instead of `O(n·r)`);
-//! * candidate gains are evaluated per candidate from the truncation's
-//!   occurrence index ([`OpinionEstimate::for_candidate_deltas`],
-//!   [`OpinionEstimate::cumulative_gain_of`]) — no more whole-arena
-//!   prefix rescans, sorts, or delta-list materialization per
-//!   iteration;
+//!   instead of `O(n·r)`). Each user's threshold `τ` bounds the moves
+//!   that cannot change its contribution, so the rank loops skip their
+//!   previews;
+//! * the RW rank greedy runs **user-major**: once per run it merges each
+//!   user's live walks into `(candidate, Δ)` pairs
+//!   ([`vom_walks::UserPairs`]), each iteration is one pass over those
+//!   pairs adding `preview − contribution` into the candidates' gains in
+//!   ascending user order, and a commit rebuilds only the touched users'
+//!   lists. The cumulative tie-break is computed only for the candidates
+//!   tied at the maximum gain;
+//! * the RS rank greedy stays **candidate-major**: sketch starts are
+//!   sampled, not grouped by user, so each candidate's deltas are merged
+//!   from its occurrence list ([`OpinionEstimate::for_candidate_deltas_cum`]);
 //! * the submodular cumulative objectives run a lazy (CELF-style)
-//!   greedy over those per-candidate gains: a candidate is only
+//!   greedy over per-candidate gains
+//!   ([`OpinionEstimate::cumulative_gains_of`]): a candidate is only
 //!   re-evaluated when it reaches the top of the heap.
 //!
 //! Everything is arranged to stay **bit-identical** to the historical
-//! full-rescan loops: per-candidate gains visit the same walks in the
-//! same order as the old whole-arena scans, accumulator contributions
-//! are the same `w·ω[β]` products, and the lazy greedy's correctness
-//! rests on the truncation estimates' gains being non-increasing (terms
-//! are non-negative and seeds only remove them; an IEEE left-to-right
-//! sum of non-negative terms is monotone under subset removal).
+//! full-rescan loops: per-candidate gains sum the same terms in the same
+//! order as the old whole-arena scans (a skipped preview's term is
+//! exactly `+0.0`, and adding `+0.0` to a sum that started at `+0.0`
+//! changes no bits), accumulator contributions are the same `w·ω[β]`
+//! products, and the lazy greedy's correctness rests on the truncation
+//! estimates' gains being non-increasing (terms are non-negative and
+//! seeds only remove them; an IEEE left-to-right sum of non-negative
+//! terms is monotone under subset removal). DESIGN.md §2b gives the
+//! argument for each step.
 
 use crate::estimate::OpinionEstimate;
 use crate::phases::{self, CostMeter, Phase};
@@ -40,7 +51,7 @@ use vom_diffusion::OpinionMatrix;
 use vom_graph::{Candidate, Node};
 use vom_voting::rank::beta_with_target;
 use vom_voting::{PositionalAccumulator, RankIndex, ScoringFunction};
-use vom_walks::DeltaScratch;
+use vom_walks::{DeltaScratch, UserPairs};
 
 /// The competitor-opinion artifacts a competitive-score greedy consumes:
 /// the exact non-target opinion matrix and its rank index. Built once
@@ -130,9 +141,7 @@ pub fn greedy_on_estimate<E: OpinionEstimate>(
     meter: Option<&CostMeter>,
 ) -> Vec<Node> {
     match score {
-        ScoringFunction::Cumulative => {
-            lazy_greedy_fill(est, k, meter, |est, w| est.cumulative_gain_of(w))
-        }
+        ScoringFunction::Cumulative => lazy_greedy_fill(est, k, None, meter),
         ScoringFunction::Plurality
         | ScoringFunction::PApproval { .. }
         | ScoringFunction::PositionalPApproval { .. } => {
@@ -154,9 +163,7 @@ pub fn greedy_masked_cumulative<E: OpinionEstimate>(
     k: usize,
     mask: &[bool],
 ) -> Vec<Node> {
-    lazy_greedy_fill(est, k, None, |est, w| {
-        est.cumulative_gain_of_masked(w, mask)
-    })
+    lazy_greedy_fill(est, k, Some(mask), None)
 }
 
 // ---------------------------------------------------------------------
@@ -170,11 +177,14 @@ pub fn greedy_masked_cumulative<E: OpinionEstimate>(
 /// produced, since truncation gains never increase and a stale heap
 /// entry therefore always upper-bounds the fresh gain). The heap loop
 /// itself is [`crate::celf::lazy_greedy`], shared with DM's exact CELF.
+/// Gains are over the users in `mask` when one is given; the heap fill
+/// asks for every candidate in one [`OpinionEstimate::cumulative_gains_of`]
+/// call.
 fn lazy_greedy_fill<E: OpinionEstimate>(
     est: &mut E,
     k: usize,
+    mask: Option<&[bool]>,
     meter: Option<&CostMeter>,
-    gain_of: impl Fn(&E, Node) -> f64,
 ) -> Vec<Node> {
     // audit:allow(d-wall-clock, "phase timer: elapsed feeds reported timings, never selection order")
     let started = Instant::now();
@@ -194,7 +204,7 @@ fn lazy_greedy_fill<E: OpinionEstimate>(
         1,
         false,
         meter,
-        crate::celf::per_node(|v| gain_of(&cell.borrow(), v)),
+        |nodes, gains| cell.borrow().cumulative_gains_of(nodes, mask, gains),
         |v| {
             // audit:allow(d-wall-clock, "phase timer: elapsed feeds reported timings, never selection order")
             let t = Instant::now();
@@ -265,7 +275,7 @@ impl RankState {
     /// estimated-cumulative gain (the tie-break criterion), from one
     /// pass over `w`'s occurrences: the merged per-user deltas are
     /// applied against the accumulator, re-ranking only the affected
-    /// users (`O(Δ_w·log r)`).
+    /// users whose move passes their threshold (`O(Δ_w·log r)` at most).
     pub(crate) fn gain_and_cum<E: OpinionEstimate>(
         &mut self,
         est: &E,
@@ -278,18 +288,25 @@ impl RankState {
             if acc.weight(user) <= 0.0 {
                 return;
             }
-            let new_contrib = acc.preview(index, user, acc.value(user) + delta);
-            gain += new_contrib - acc.contribution(user);
+            let x = acc.value(user) + delta;
+            if x > acc.threshold(user) {
+                gain += acc.preview(index, user, x) - acc.contribution(user);
+            }
         });
         (gain, cum)
     }
 }
 
+/// One committed seed of a rank greedy with its winning rank gain and
+/// cumulative tie-break gain.
+pub(crate) type Pick = (Node, f64, f64);
+
 /// Greedy for the plurality variants. The discrete score is flat almost
 /// everywhere, so ties break by the estimated-cumulative gain (still
 /// moving opinions toward the target helps later iterations and the true
-/// objective) — computed in the same single occurrence pass as the rank
-/// gain, which is what makes carrying it for every candidate cheap.
+/// objective). Estimators whose walks are grouped by user (RW) score
+/// user-major ([`rank_picks_user_major`]); the others (RS) candidate-major
+/// ([`rank_picks_candidate_major`]). Both select the same seeds.
 fn rank_greedy<E: OpinionEstimate>(
     est: &mut E,
     k: usize,
@@ -300,19 +317,54 @@ fn rank_greedy<E: OpinionEstimate>(
     // audit:allow(d-wall-clock, "phase timer: elapsed feeds reported timings, never selection order")
     let started = Instant::now();
     let mut truncating = Duration::ZERO;
+    let picks = match est.user_pairs() {
+        Some(pairs) => rank_picks_user_major(est, pairs, k, score, index, meter, &mut truncating),
+        None => rank_picks_candidate_major(est, k, score, index, meter, &mut truncating),
+    };
+    phases::record(Phase::Truncation, truncating);
+    phases::record(Phase::Scoring, started.elapsed().saturating_sub(truncating));
+    picks.into_iter().map(|(w, _, _)| w).collect()
+}
+
+/// Commits `w` and refreshes the accumulator from the changed-users
+/// report left in `touched`, adding the commit's time to `truncating`.
+fn commit_pick<E: OpinionEstimate>(
+    est: &mut E,
+    state: &mut RankState,
+    index: &RankIndex,
+    w: Node,
+    touched: &mut Vec<Node>,
+    truncating: &mut Duration,
+) {
+    // audit:allow(d-wall-clock, "phase timer: elapsed feeds reported timings, never selection order")
+    let t = Instant::now();
+    est.add_seed_into(w, touched);
+    *truncating += t.elapsed();
+    state.refresh(est, index, touched.iter().copied().chain([w]));
+}
+
+/// The candidate-major rank greedy: per iteration, every non-seed
+/// candidate's `(gain, cum)` from one pass over its occurrences, and a
+/// sequential argmax (ties: larger `cum`, then smaller id).
+pub(crate) fn rank_picks_candidate_major<E: OpinionEstimate>(
+    est: &mut E,
+    k: usize,
+    score: &ScoringFunction,
+    index: &RankIndex,
+    meter: Option<&CostMeter>,
+    truncating: &mut Duration,
+) -> Vec<Pick> {
     let n = est.num_nodes();
     let mut state = RankState::init(est, score, index);
-    let mut selected = Vec::with_capacity(k);
+    let mut picks = Vec::with_capacity(k);
     let mut touched: Vec<Node> = Vec::new();
     for _ in 0..k {
         // Sequential checkpoint: per-iteration commits mean stopping here
-        // leaves `selected` a prefix of the full-budget selection.
+        // leaves the picks a prefix of the full-budget selection.
         if meter.is_some_and(|m| m.exhausted()) {
             break;
         }
-        // (node, rank gain, cumulative tie-break gain) — both gains come
-        // out of one pass over the candidate's occurrence list.
-        let mut best: Option<(Node, f64, f64)> = None;
+        let mut best: Option<Pick> = None;
         let mut scanned = 0u64;
         for w in 0..n as Node {
             if est.is_seed(w) {
@@ -331,17 +383,94 @@ fn rank_greedy<E: OpinionEstimate>(
         if let Some(m) = meter {
             m.charge(scanned); // one tick per scored candidate
         }
-        let Some((bw, _, _)) = best else { break };
-        // audit:allow(d-wall-clock, "phase timer: elapsed feeds reported timings, never selection order")
-        let t = Instant::now();
-        est.add_seed_into(bw, &mut touched);
-        truncating += t.elapsed();
-        selected.push(bw);
-        state.refresh(est, index, touched.iter().copied().chain([bw]));
+        let Some(pick) = best else { break };
+        commit_pick(est, &mut state, index, pick.0, &mut touched, truncating);
+        picks.push(pick);
     }
-    phases::record(Phase::Truncation, truncating);
-    phases::record(Phase::Scoring, started.elapsed().saturating_sub(truncating));
-    selected
+    picks
+}
+
+/// The user-major rank greedy over `pairs` (the estimator's
+/// [`OpinionEstimate::user_pairs`]). Per iteration, one pass over the
+/// users in ascending order adds each pair's `preview − contribution`
+/// into its candidate's gain — the terms and order of the candidate-major
+/// merge, minus the exact `+0.0` terms of moves that stay within the
+/// user's threshold. The argmax then takes the largest gain and computes
+/// the cumulative tie-break only for the candidates tied at it, lowest id
+/// first: the same node the sequential `(gain, cum)` scan picks. A
+/// commit rebuilds the touched users' pairs, and `pairs` is dropped on
+/// return.
+pub(crate) fn rank_picks_user_major<E: OpinionEstimate>(
+    est: &mut E,
+    mut pairs: UserPairs,
+    k: usize,
+    score: &ScoringFunction,
+    index: &RankIndex,
+    meter: Option<&CostMeter>,
+    truncating: &mut Duration,
+) -> Vec<Pick> {
+    let n = est.num_nodes();
+    let mut state = RankState::init(est, score, index);
+    let mut picks = Vec::with_capacity(k);
+    let mut touched: Vec<Node> = Vec::new();
+    let mut gains = vec![0.0f64; n];
+    let mut tied: Vec<Node> = Vec::new();
+    for _ in 0..k {
+        // Sequential checkpoint: per-iteration commits mean stopping here
+        // leaves the picks a prefix of the full-budget selection.
+        if meter.is_some_and(|m| m.exhausted()) {
+            break;
+        }
+        gains.iter_mut().for_each(|g| *g = 0.0);
+        let acc = &state.acc;
+        for v in 0..n as Node {
+            if acc.weight(v) <= 0.0 {
+                continue;
+            }
+            let (value, tau, contrib) = (acc.value(v), acc.threshold(v), acc.contribution(v));
+            let (cands, deltas) = pairs.user(v);
+            for (&w, &delta) in cands.iter().zip(deltas) {
+                let x = value + delta;
+                if x > tau {
+                    gains[w as usize] += acc.preview(index, v, x) - contrib;
+                }
+            }
+        }
+        let mut top = 0.0;
+        let mut scanned = 0u64;
+        tied.clear();
+        for w in 0..n as Node {
+            if est.is_seed(w) {
+                continue;
+            }
+            scanned += 1;
+            let g = gains[w as usize];
+            if tied.is_empty() || g > top {
+                top = g;
+                tied.clear();
+                tied.push(w);
+            } else if g == top {
+                tied.push(w);
+            }
+        }
+        if let Some(m) = meter {
+            m.charge(scanned); // one tick per scored candidate
+        }
+        let Some((&first, rest)) = tied.split_first() else {
+            break;
+        };
+        let mut pick = (first, gains[first as usize], est.cumulative_gain_of(first));
+        for &w in rest {
+            let cum = est.cumulative_gain_of(w);
+            if cum > pick.2 {
+                pick = (w, gains[w as usize], cum);
+            }
+        }
+        commit_pick(est, &mut state, index, pick.0, &mut touched, truncating);
+        est.refresh_user_pairs(&mut pairs, &touched);
+        picks.push(pick);
+    }
+    picks
 }
 
 // ---------------------------------------------------------------------
@@ -515,6 +644,7 @@ fn sign_contribution(b: f64, bx: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use vom_graph::builder::graph_from_edges;
     use vom_walks::{Lambda, OpinionEstimator, WalkGenerator};
 
@@ -710,5 +840,105 @@ mod tests {
         };
         let seeds = greedy_on_estimate(&mut est, 3, &score, Some(comp), 0, None);
         assert_eq!(seeds, ref_seeds);
+    }
+
+    /// One random rank-greedy case on a start-grouped arena.
+    #[derive(Debug, Clone)]
+    struct RankCase {
+        graph: vom_graph::SocialGraph,
+        stubbornness: Vec<f64>,
+        b0: Vec<f64>,
+        /// Three competitor rows; row 0 of the matrix is the target's
+        /// (ignored by the rank index).
+        others: OpinionMatrix,
+        t: usize,
+        lambda: Lambda,
+        fixed: Vec<Node>,
+        walk_seed: u64,
+    }
+
+    /// Strategy: n ≤ 60 nodes, uniform or per-node λ (zeros allowed),
+    /// t in 0..6, up to three fixed target seeds. Opinions sit on a
+    /// 1/20 grid so estimates tie with competitor values now and then.
+    fn arb_rank_case() -> impl Strategy<Value = RankCase> {
+        (2usize..=60).prop_flat_map(|n| {
+            let edges =
+                proptest::collection::vec((0..n as Node, 0..n as Node, 0.1f64..5.0), 0..3 * n);
+            let opinions = proptest::collection::vec(0u32..21, 4 * n);
+            let stubbornness = proptest::collection::vec(0.0f64..=1.0, n);
+            let lambda = (0u32..2, 1usize..10, proptest::collection::vec(0u32..10, n));
+            let fixed = proptest::collection::vec(0..n as Node, 0..4);
+            let walks = (lambda, 0usize..6, fixed, 0u64..1_000);
+            (edges, opinions, stubbornness, walks).prop_map(
+                move |(edges, opinions, stubbornness, walks)| {
+                    let ((kind, uniform, per_node), t, fixed, walk_seed) = walks;
+                    let grid = |i: usize| f64::from(opinions[i]) / 20.0;
+                    let others = OpinionMatrix::from_rows(
+                        (0..4)
+                            .map(|c| {
+                                (0..n)
+                                    .map(|v| if c == 0 { 0.0 } else { grid(c * n + v) })
+                                    .collect()
+                            })
+                            .collect(),
+                    )
+                    .unwrap();
+                    RankCase {
+                        graph: graph_from_edges(n, &edges).unwrap(),
+                        stubbornness,
+                        b0: (0..n).map(grid).collect(),
+                        others,
+                        t,
+                        lambda: if kind == 0 {
+                            Lambda::Uniform(uniform)
+                        } else {
+                            Lambda::PerNode(per_node)
+                        },
+                        fixed,
+                        walk_seed,
+                    }
+                },
+            )
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The user-major RW rank greedy picks the candidate-major loop's
+        /// seeds, with the same winning `(gain, cum)` bits per iteration.
+        #[test]
+        fn user_major_rank_greedy_matches_candidate_major(case in arb_rank_case()) {
+            let gen = WalkGenerator::new(&case.graph, &case.stubbornness, case.t);
+            let arena = gen.generate_per_node(&case.lambda, case.walk_seed);
+            let index = RankIndex::build(&case.others, 0);
+            let n = case.b0.len();
+            let k = n.min(8);
+            for score in [
+                ScoringFunction::Plurality,
+                ScoringFunction::PApproval { p: 2 },
+                ScoringFunction::PositionalPApproval { p: 3, weights: vec![1.0, 0.6, 0.15, 0.0] },
+            ] {
+                let estimator = || {
+                    let mut est = OpinionEstimator::new(&arena, &case.b0);
+                    for &s in &case.fixed {
+                        est.add_seed(s);
+                    }
+                    est
+                };
+                let mut spent = Duration::ZERO;
+                let mut est_c = estimator();
+                let want = rank_picks_candidate_major(&mut est_c, k, &score, &index, None, &mut spent);
+                let mut est_u = estimator();
+                let pairs = est_u.user_pairs();
+                let got = rank_picks_user_major(&mut est_u, pairs, k, &score, &index, None, &mut spent);
+                prop_assert_eq!(got.len(), want.len(), "{}", score);
+                for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+                    prop_assert_eq!(g.0, w.0, "{} iteration {}", score, i);
+                    prop_assert_eq!(g.1.to_bits(), w.1.to_bits(), "{} gain at {}", score, i);
+                    prop_assert_eq!(g.2.to_bits(), w.2.to_bits(), "{} cum at {}", score, i);
+                }
+            }
+        }
     }
 }

@@ -362,7 +362,8 @@ impl SketchSet {
     /// order — `w`'s occurrence list instead of a pass over all θ
     /// prefixes. Visit set and order match [`Self::scan_prefixes`]
     /// exactly, so sums taken here are bit-identical to the scan-based
-    /// gains.
+    /// gains. A sketch with positive gain was never truncated, so its
+    /// live prefix holds every occurrence.
     #[inline]
     fn visit_candidate_walks<F: FnMut(usize, Node, f64)>(&self, w: Node, mut visit: F) {
         debug_assert!(!self.trunc.is_seed(w));
@@ -377,9 +378,7 @@ impl SketchSet {
             if gain <= 0.0 {
                 continue;
             }
-            if pos as usize > self.trunc.end_pos(walk) {
-                continue;
-            }
+            debug_assert!(pos as usize <= self.trunc.end_pos(walk));
             visit(walk, self.arena.start(walk), gain);
         }
     }

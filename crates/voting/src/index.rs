@@ -215,6 +215,12 @@ impl RankIndex {
 /// touch the users whose estimates actually changed (the truncation
 /// delta report), instead of re-ranking all `n` users per candidate
 /// evaluation.
+///
+/// Each user also carries a threshold `τ` ([`PositionalAccumulator::threshold`]):
+/// for every `x` with `value ≤ x ≤ τ` the user's rank, and so its
+/// contribution, is the one it has now. A greedy scoring a move to
+/// `value + δ ≤ τ` (`δ ≥ 0`) can skip the preview: the term it would add,
+/// `preview − contribution`, is exactly `+0.0`.
 #[derive(Debug, Clone)]
 pub struct PositionalAccumulator {
     score: ScoringFunction,
@@ -222,6 +228,7 @@ pub struct PositionalAccumulator {
     value: Vec<f64>,
     weight: Vec<f64>,
     contrib: Vec<f64>,
+    tau: Vec<f64>,
 }
 
 impl PositionalAccumulator {
@@ -241,17 +248,42 @@ impl PositionalAccumulator {
             value: vec![0.0; n],
             weight: vec![0.0; n],
             contrib: vec![0.0; n],
+            // A user never set has weight 0: no move changes its
+            // (zero) contribution.
+            tau: vec![f64::INFINITY; n],
         }
     }
 
     /// Sets user `v`'s target opinion and weight, recomputing the
-    /// contribution in `O(log r)`.
+    /// contribution and the threshold from one `O(log r)` rank search.
     #[inline]
     pub fn set_user(&mut self, index: &RankIndex, v: Node, value: f64, weight: f64) {
         let i = v as usize;
+        let vals = index.user_values(v);
+        // Competitors `≥ value` outrank the target, as in `RankIndex::rank`.
+        let above = vals.len() - vals.partition_point(|&x| x < value);
+        let rank = 1 + above;
+        let omega = if rank <= self.p {
+            self.score.position_weight(rank)
+        } else {
+            0.0
+        };
         self.value[i] = value;
         self.weight[i] = weight;
-        self.contrib[i] = weight * index.positional_contribution(&self.score, self.p, v, value);
+        self.contrib[i] = weight * omega;
+        self.tau[i] = if rank > self.p {
+            // Below the approval depth until the target passes the p-th
+            // largest competitor value (`rank > p` means at least p
+            // competitors sit at or above `value`).
+            vals[vals.len() - self.p]
+        } else if above > 0 {
+            // Within the depth: the rank holds up to the smallest
+            // competitor value at or above `value`.
+            vals[vals.len() - above]
+        } else {
+            // First already: no move can raise the rank.
+            f64::INFINITY
+        };
     }
 
     /// The weighted contribution user `v` would make at a hypothetical
@@ -277,6 +309,16 @@ impl PositionalAccumulator {
     #[inline]
     pub fn contribution(&self, v: Node) -> f64 {
         self.contrib[v as usize]
+    }
+
+    /// User `v`'s threshold `τ`: `preview(v, x)` equals `contribution(v)`
+    /// bit for bit for every `x` in `value(v) ..= τ`. It is the p-th
+    /// largest competitor value while the user ranks below `p`, else the
+    /// smallest competitor value at or above the user's value, else
+    /// `+∞`. `+∞` for a user never set.
+    #[inline]
+    pub fn threshold(&self, v: Node) -> f64 {
+        self.tau[v as usize]
     }
 
     /// The current total score — a fresh user-order sum over the stored

@@ -77,6 +77,90 @@ impl DeltaScratch {
     }
 }
 
+/// Per-user merged `(candidate, Δb̂_qv)` pairs over the live walks of a
+/// grouped arena: the user-major layout of the RW rank greedy
+/// ([`OpinionEstimator::user_pairs`]).
+///
+/// User `v`'s list holds one pair per candidate `w` that occurs in one
+/// of `v`'s live walks. Its delta folds `gain/λ_v` over those walks in
+/// walk order, the fold [`OpinionEstimator::for_candidate_deltas_cum`]
+/// merges per user, so both layouts hold the same bits. Lists sit in
+/// per-user slots sized to the list at build time. A commit only kills
+/// walks, so a rebuilt list ([`OpinionEstimator::refresh_user_pairs`])
+/// never outgrows its slot.
+#[derive(Debug)]
+pub struct UserPairs {
+    /// Slot start per user, `n + 1` entries.
+    off: Vec<usize>,
+    /// Live length of each user's slot.
+    len: Vec<u32>,
+    cand: Vec<Node>,
+    delta: Vec<f64>,
+    merge: PairMerge,
+}
+
+impl UserPairs {
+    /// User `v`'s live pairs: candidates and their deltas, in the order
+    /// the user's walks first reach them.
+    #[inline]
+    pub fn user(&self, v: Node) -> (&[Node], &[f64]) {
+        let s = self.off[v as usize];
+        let e = s + self.len[v as usize] as usize;
+        (&self.cand[s..e], &self.delta[s..e])
+    }
+}
+
+/// Per-user merge buffers for [`UserPairs`]: a delta per candidate and an
+/// epoch mark telling whether the candidate was reached by the current
+/// walk (a repeat, skipped: truncation cuts at the first occurrence), by
+/// an earlier walk of the current user (fold into the delta), or not
+/// yet (a new pair).
+#[derive(Debug, Default)]
+struct PairMerge {
+    acc: Vec<f64>,
+    mark: Vec<u32>,
+    /// Epoch of the walk being merged.
+    epoch: u32,
+    /// First walk epoch of the user being merged.
+    user_epoch: u32,
+    /// Candidates of the current user, in first-reach order.
+    order: Vec<Node>,
+}
+
+impl PairMerge {
+    fn begin_user(&mut self, n: usize) {
+        if self.mark.len() != n || self.epoch > u32::MAX / 2 {
+            self.acc.clear();
+            self.acc.resize(n, 0.0);
+            self.mark.clear();
+            self.mark.resize(n, 0);
+            self.epoch = 0;
+        }
+        self.order.clear();
+        self.user_epoch = self.epoch + 1;
+    }
+
+    fn begin_walk(&mut self) {
+        self.epoch += 1;
+    }
+
+    #[inline]
+    fn add(&mut self, w: Node, delta: f64) {
+        let i = w as usize;
+        let m = self.mark[i];
+        if m == self.epoch {
+            return; // a repeat within the walk
+        }
+        self.mark[i] = self.epoch;
+        if m >= self.user_epoch {
+            self.acc[i] += delta;
+        } else {
+            self.acc[i] = delta;
+            self.order.push(w);
+        }
+    }
+}
+
 /// Walk-based estimator of `b̂_qv^{(t)}[S]` for a per-node walk arena
 /// (Algorithm 4). The estimate for `v` is the mean end-node value of the
 /// `λ_v` truncated walks starting at `v` (Theorems 9–10), maintained
@@ -111,8 +195,29 @@ impl<'a> OpinionEstimator<'a> {
         let n = arena
             .num_groups()
             .expect("OpinionEstimator requires a per-node (grouped) arena");
+        OpinionEstimator::with_truncation(arena, b0, Truncation::new(arena, n))
+    }
+
+    /// [`OpinionEstimator::new`] over a pristine truncation of `arena`
+    /// built earlier (a fresh [`Truncation::new`], or one returned by
+    /// [`OpinionEstimator::into_truncation`] and [`Truncation::reset`]),
+    /// so consecutive estimators over one arena build its occurrence
+    /// index once.
+    ///
+    /// # Panics
+    /// If the arena has no start groups, `b0` length mismatches, or the
+    /// truncation has seeds or another walk count.
+    pub fn with_truncation(arena: &'a WalkArena, b0: &[f64], trunc: Truncation) -> Self {
+        let n = arena
+            .num_groups()
+            .expect("OpinionEstimator requires a per-node (grouped) arena");
         assert_eq!(b0.len(), n, "b0 length must equal node count");
-        let trunc = Truncation::new(arena, n);
+        assert!(trunc.seeds().is_empty(), "the truncation must be pristine");
+        assert_eq!(
+            trunc.parts().0.len(),
+            arena.num_walks(),
+            "the truncation must be built over this arena"
+        );
         let mut sums = vec![0.0f64; n];
         let mut lambda = vec![0u32; n];
         let mut walk_start = vec![0 as Node; arena.num_walks()];
@@ -136,6 +241,12 @@ impl<'a> OpinionEstimator<'a> {
             walk_start,
             walk_gain,
         }
+    }
+
+    /// Gives up the estimator, returning its truncation (seeds applied)
+    /// for [`Truncation::reset`] and reuse over the same arena.
+    pub fn into_truncation(self) -> Truncation {
+        self.trunc
     }
 
     /// Number of users.
@@ -289,6 +400,10 @@ impl<'a> OpinionEstimator<'a> {
     /// every prefix. The visit set and order match the scan exactly
     /// (first occurrences only, dead walks skipped), so sums taken here
     /// are bit-identical to the scan-based gains.
+    ///
+    /// A walk with positive gain was never truncated (truncation ends it
+    /// at a seed, which zeroes its gain), so its live prefix is the whole
+    /// walk and holds every occurrence.
     #[inline]
     fn visit_candidate_walks<F: FnMut(usize, Node, f64)>(&self, w: Node, mut visit: F) {
         debug_assert!(!self.trunc.is_seed(w));
@@ -299,10 +414,86 @@ impl<'a> OpinionEstimator<'a> {
             if gain <= 0.0 {
                 continue; // walk already ends at a seed (or at value 1)
             }
-            if pos as usize > self.trunc.end_pos(walk) {
-                continue; // beyond the live prefix
-            }
+            debug_assert!(pos as usize <= self.trunc.end_pos(walk));
             visit(walk, self.walk_start[walk], gain);
+        }
+    }
+
+    /// The merged pairs of every user over the current live walks, for
+    /// the user-major rank greedy: one pass over the live walks, slots
+    /// sized to the lists.
+    pub fn user_pairs(&self) -> UserPairs {
+        let n = self.num_nodes();
+        // The live walk nodes bound the pairs. Reserving the bound
+        // touches only the pages the pairs fill, and the final shrink
+        // releases the rest without the copies of a growing vector.
+        let bound: usize = (0..self.arena.num_walks())
+            .filter(|&i| self.walk_gain[i] > 0.0)
+            .map(|i| self.arena.walk(i).len())
+            .sum();
+        let mut pairs = UserPairs {
+            off: Vec::with_capacity(n + 1),
+            len: Vec::with_capacity(n),
+            cand: Vec::with_capacity(bound),
+            delta: Vec::with_capacity(bound),
+            merge: PairMerge::default(),
+        };
+        pairs.off.push(0);
+        for v in 0..n as Node {
+            self.merge_user(v, &mut pairs.merge);
+            let merge = &pairs.merge;
+            pairs.cand.extend_from_slice(&merge.order);
+            pairs
+                .delta
+                .extend(merge.order.iter().map(|&w| merge.acc[w as usize]));
+            pairs.len.push(merge.order.len() as u32);
+            pairs.off.push(pairs.cand.len());
+        }
+        pairs.cand.shrink_to_fit();
+        pairs.delta.shrink_to_fit();
+        pairs
+    }
+
+    /// Rebuilds the listed users' pairs in place after a seed commit
+    /// (pass the commit's changed-users report). Users not listed keep
+    /// their lists: a commit changes only the walks it truncates, and
+    /// their start users are exactly the report.
+    pub fn refresh_user_pairs(&self, pairs: &mut UserPairs, users: &[Node]) {
+        for &v in users {
+            self.merge_user(v, &mut pairs.merge);
+            let s = pairs.off[v as usize];
+            let m = pairs.merge.order.len();
+            assert!(
+                s + m <= pairs.off[v as usize + 1],
+                "a user's pair list only shrinks"
+            );
+            for (j, &w) in pairs.merge.order.iter().enumerate() {
+                pairs.cand[s + j] = w;
+                pairs.delta[s + j] = pairs.merge.acc[w as usize];
+            }
+            pairs.len[v as usize] = m as u32;
+        }
+    }
+
+    /// Merges user `v`'s live walks into `merge.order` / `merge.acc`, in
+    /// walk order.
+    fn merge_user(&self, v: Node, merge: &mut PairMerge) {
+        merge.begin_user(self.num_nodes());
+        let lambda = self.lambda[v as usize] as f64;
+        for i in self.arena.group_range(v).expect("grouped arena") {
+            let gain = self.walk_gain[i];
+            if gain <= 0.0 {
+                continue;
+            }
+            // Live, hence never truncated: the live prefix is the walk.
+            let prefix = self.trunc.prefix(self.arena, i);
+            debug_assert_eq!(prefix.len(), self.arena.walk(i).len());
+            let delta = gain / lambda;
+            merge.begin_walk();
+            for &w in prefix {
+                debug_assert!(!self.trunc.is_seed(w));
+                merge.add(w, delta);
+            }
         }
     }
 

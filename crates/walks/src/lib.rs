@@ -59,7 +59,7 @@ pub mod lambda;
 pub mod truncation;
 
 pub use arena::{WalkArena, WalkArenaBuilder};
-pub use estimator::{DeltaScratch, OpinionEstimator};
+pub use estimator::{DeltaScratch, OpinionEstimator, UserPairs};
 pub use generator::{Lambda, WalkGenerator};
 pub use truncation::Truncation;
 

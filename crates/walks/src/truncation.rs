@@ -19,9 +19,12 @@ use vom_persist::FlatBuf;
 /// each `add_seed` costs `O(#occurrences of the seed)`.
 ///
 /// The occurrence index is immutable after construction and shared
-/// behind an `Arc`, so cloning a `Truncation` (the prepared engines
-/// clone per query) copies only the `O(θ + n)` mutable state, not the
-/// `O(total walk length)` index.
+/// behind an `Arc`, so cloning a `Truncation` copies only the
+/// `O(θ + n)` mutable state, not the `O(total walk length)` index: the
+/// RS engine resets its working sketch from the pristine one per query
+/// this way. The RW engine keeps one truncation per query session and
+/// returns it to pristine with [`Truncation::reset`] between
+/// estimators, so a query builds the index at most once.
 #[derive(Debug)]
 pub struct Truncation {
     end_pos: Vec<u32>,
@@ -124,8 +127,8 @@ impl Truncation {
         if end_pos.len() != walks {
             return Err("end positions must cover every walk");
         }
-        if (0..walks).any(|i| end_pos[i] as usize >= arena.walk(i).len()) {
-            return Err("end position beyond its walk");
+        if (0..walks).any(|i| end_pos[i] as usize + 1 != arena.walk(i).len()) {
+            return Err("a pristine end position is its walk's last node");
         }
         if occ_off.len() != n + 1 || occ_off[0] != 0 {
             return Err("occurrence offsets must span every node");
@@ -164,6 +167,21 @@ impl Truncation {
             &self.index.occ_walk,
             &self.index.occ_pos,
         )
+    }
+
+    /// Returns the truncation to pristine: every walk ends at its last
+    /// node again and no node is a seed, in `O(walks + seeds)`. The
+    /// occurrence index is kept, so `arena` must be the arena it was
+    /// built over.
+    pub fn reset(&mut self, arena: &WalkArena) {
+        debug_assert_eq!(self.end_pos.len(), arena.num_walks());
+        for (i, end) in self.end_pos.iter_mut().enumerate() {
+            *end = (arena.walk(i).len() - 1) as u32;
+        }
+        for &s in &self.seeds {
+            self.is_seed[s as usize] = false;
+        }
+        self.seeds.clear();
     }
 
     /// Seeds applied so far, in insertion order.

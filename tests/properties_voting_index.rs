@@ -3,7 +3,9 @@
 //! `beta_with_target` scan, and the delta-driven accumulators must
 //! reproduce from-scratch `score_with_target_row` evaluations after
 //! arbitrary update sequences, for all four competitive scoring
-//! functions (plurality, p-approval, positional-p-approval, Copeland).
+//! functions (plurality, p-approval, positional-p-approval, Copeland),
+//! and a positional accumulator's threshold `τ` must bound exactly the
+//! moves that leave a user's contribution unchanged.
 
 use proptest::prelude::*;
 use vom::core::greedy::score_with_target_row;
@@ -149,5 +151,46 @@ proptest! {
         let previewed = acc.preview_wins(&index, moves.into_iter(), &mut scratch);
         let reference = score_with_target_row(&ScoringFunction::Copeland, &b, q, &row);
         prop_assert_eq!(previewed as f64, reference);
+    }
+
+    #[test]
+    fn previews_up_to_the_threshold_keep_the_contribution_bits(
+        (b, q) in arb_matrix(),
+        fractions in proptest::collection::vec(0.0f64..=1.0, 4),
+    ) {
+        let n = b.num_users();
+        let r = b.num_candidates();
+        let index = RankIndex::build(&b, q);
+        for score in scores(r).into_iter().filter(|s| s.approval_depth().is_some()) {
+            let mut acc = PositionalAccumulator::new(&score, n);
+            for v in 0..n as Node {
+                acc.set_user(&index, v, b.get(q, v), 1.0);
+            }
+            for v in 0..n as Node {
+                let (value, tau) = (acc.value(v), acc.threshold(v));
+                prop_assert!(tau >= value, "{} v={} τ={} below value {}", score, v, tau, value);
+                // Moves up to τ: the threshold itself, the current value,
+                // and random points between (or above, when τ = +∞).
+                let span = if tau.is_finite() { tau - value } else { 2.0 };
+                let mut probes = vec![value];
+                if tau.is_finite() {
+                    probes.push(tau);
+                }
+                probes.extend(fractions.iter().map(|f| (value + f * span).min(tau)));
+                for x in probes {
+                    prop_assert_eq!(
+                        acc.preview(&index, v, x).to_bits(),
+                        acc.contribution(v).to_bits(),
+                        "{} v={} value={} τ={} x={}", score, v, value, tau, x
+                    );
+                }
+                // τ is tight: one ulp above it the rank improves.
+                if tau.is_finite() {
+                    let above = f64::from_bits(tau.to_bits() + 1);
+                    prop_assert!(index.rank(v, above) < index.rank(v, value),
+                        "{} v={} τ={} is not where the rank first moves", score, v, tau);
+                }
+            }
+        }
     }
 }

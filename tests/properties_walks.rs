@@ -2,6 +2,7 @@
 //! generators shard through: `Lambda` count/total consistency, and
 //! `WalkArenaBuilder` push/append/build round-trips under arbitrary
 //! shard interleavings — the exact merge pattern the rayon pool drives.
+//! Also: a truncation reset to pristine is a fresh truncation.
 //!
 //! This suite is what surfaced the derived-`Default` bug in
 //! `WalkArenaBuilder` (an empty default builder lacked the leading 0
@@ -9,7 +10,7 @@
 
 use proptest::prelude::*;
 use vom::graph::Node;
-use vom::walks::{Lambda, WalkArena, WalkArenaBuilder};
+use vom::walks::{Lambda, OpinionEstimator, Truncation, WalkArena, WalkArenaBuilder};
 
 /// Arbitrary non-empty walks (each at least its start node).
 fn arb_walks() -> impl Strategy<Value = Vec<Vec<Node>>> {
@@ -156,6 +157,63 @@ proptest! {
             }
         }
         prop_assert_eq!(covered, arena.num_walks(), "ranges must cover the arena");
+    }
+}
+
+/// Builds a grouped arena from per-node walk lists.
+fn grouped_arena(grouped: &[Vec<Vec<Node>>]) -> WalkArena {
+    let flat: Vec<Vec<Node>> = grouped.iter().flatten().cloned().collect();
+    let mut groups = vec![0usize];
+    for walks in grouped {
+        groups.push(groups.last().unwrap() + walks.len());
+    }
+    build_chunked(&flat, flat.len().max(1), Some(groups))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// A truncation reset to pristine after some seeds equals a fresh
+    /// one in end positions and seeds, and an estimator over it gives
+    /// the fresh estimator's bits under a second seed sequence.
+    #[test]
+    fn reset_truncation_equals_a_fresh_one(
+        grouped in arb_grouped_walks(),
+        cells in proptest::collection::vec(0u32..21, 6),
+        first in proptest::collection::vec(0u32..6, 0..4),
+        second in proptest::collection::vec(0u32..6, 0..4),
+    ) {
+        let n = grouped.len();
+        let arena = grouped_arena(&grouped);
+        let b0: Vec<f64> = (0..n).map(|v| f64::from(cells[v]) / 20.0).collect();
+        let fresh = Truncation::new(&arena, n);
+
+        let mut used = OpinionEstimator::with_truncation(&arena, &b0, Truncation::new(&arena, n));
+        for &s in &first {
+            used.add_seed(s % n as Node);
+        }
+        let mut trunc = used.into_truncation();
+        trunc.reset(&arena);
+        prop_assert_eq!(trunc.parts(), fresh.parts());
+        prop_assert!(trunc.seeds().is_empty());
+        for v in 0..n as Node {
+            prop_assert!(!trunc.is_seed(v), "node {} still a seed", v);
+        }
+
+        let mut reused = OpinionEstimator::with_truncation(&arena, &b0, trunc);
+        let mut reference = OpinionEstimator::new(&arena, &b0);
+        for &s in &second {
+            let s = s % n as Node;
+            prop_assert_eq!(reused.add_seed(s), reference.add_seed(s));
+        }
+        for v in 0..n as Node {
+            prop_assert_eq!(reused.estimate(v).to_bits(), reference.estimate(v).to_bits());
+            prop_assert_eq!(
+                reused.cumulative_gain_of(v).to_bits(),
+                reference.cumulative_gain_of(v).to_bits()
+            );
+        }
+        prop_assert_eq!(reused.seeds(), reference.seeds());
     }
 }
 
