@@ -1,12 +1,12 @@
 //! A common interface over the RW and RS opinion estimators.
 //!
-//! The greedy loop for the rank-based scores is identical for walk-based
-//! (per-node) and sketch-based (sampled) estimates; this trait is the seam
-//! that lets [`crate::greedy`] implement it once.
+//! The greedy loops are identical for walk-based (per-node) and
+//! sketch-based (sampled) estimates; this trait is the seam that lets
+//! [`crate::greedy`] implement them once. It declares what those loops
+//! call and nothing more.
 
 use vom_graph::Node;
 use vom_sketch::SketchSet;
-use vom_walks::estimator::PairDelta;
 use vom_walks::{DeltaScratch, OpinionEstimator, UserPairs};
 
 /// An incremental estimate of the target candidate's opinions under a
@@ -23,25 +23,8 @@ pub trait OpinionEstimate {
     /// estimates (every user counts once); `count_v · n/θ` for sketches.
     fn user_weight(&self, v: Node) -> f64;
 
-    /// Estimated cumulative score of the current seed set.
-    fn estimated_cumulative(&self) -> f64;
-
-    /// Estimated cumulative score over the users in `mask` only.
-    fn estimated_cumulative_masked(&self, mask: &[bool]) -> f64;
-
-    /// Marginal estimated-cumulative gain of every candidate seed.
-    fn cumulative_gains(&self) -> Vec<f64>;
-
-    /// [`OpinionEstimate::cumulative_gains`] restricted to contributions
-    /// from users in `mask`.
-    fn cumulative_gains_masked(&self, mask: &[bool]) -> Vec<f64>;
-
-    /// Per-(candidate seed, user) estimate deltas, sorted by seed.
-    fn pair_deltas(&self) -> Vec<PairDelta>;
-
-    /// Marginal estimated-cumulative gain of one candidate seed,
-    /// bit-identical to `cumulative_gains()[w]` but `O(occurrences of
-    /// w)` — the index-lookup half of the incremental scoring engine.
+    /// Marginal estimated-cumulative gain of one candidate seed, from
+    /// its occurrences alone (`O(occurrences of w)`); `0.0` for seeds.
     fn cumulative_gain_of(&self, w: Node) -> f64;
 
     /// [`OpinionEstimate::cumulative_gain_of`] restricted to
@@ -58,25 +41,17 @@ pub trait OpinionEstimate {
         per_candidate_gains(self, nodes, mask, gains);
     }
 
-    /// Every user's merged `(candidate, Δ)` pairs, for the user-major
-    /// rank greedy, when the estimator's walks are grouped by user (RW).
-    /// `None` keeps the candidate-major loop: sketch starts are sampled,
-    /// not grouped by user.
-    fn user_pairs(&self) -> Option<UserPairs> {
-        None
-    }
+    /// Every user's merged `(candidate, Δ)` pairs over the live walks or
+    /// sketches, for the user-major rank greedy.
+    fn user_pairs(&self) -> UserPairs;
 
-    /// Rebuilds the listed users' pairs after a commit. Only called on
-    /// pairs [`OpinionEstimate::user_pairs`] returned.
-    fn refresh_user_pairs(&self, pairs: &mut UserPairs, users: &[Node]) {
-        let _ = (pairs, users);
-        unreachable!("refresh_user_pairs without user_pairs");
-    }
+    /// Rebuilds the listed users' pairs after a commit (pass the
+    /// commit's changed-users report).
+    fn refresh_user_pairs(&self, pairs: &mut UserPairs, users: &[Node]);
 
-    /// Visits the merged per-user estimate deltas of one candidate seed
-    /// (ascending user order) — the `seed == w` run of
-    /// [`OpinionEstimate::pair_deltas`] without scanning any other
-    /// candidate's walks.
+    /// Visits the merged per-user estimate deltas of one candidate seed,
+    /// in ascending user order, without scanning any other candidate's
+    /// walks.
     fn for_candidate_deltas<F: FnMut(Node, f64)>(
         &self,
         w: Node,
@@ -84,29 +59,12 @@ pub trait OpinionEstimate {
         visit: F,
     );
 
-    /// [`OpinionEstimate::for_candidate_deltas`] that also returns the
-    /// candidate's estimated-cumulative gain (bit-identical to
-    /// [`OpinionEstimate::cumulative_gain_of`]) from the same pass — the
-    /// rank greedy's primary gain and its tie-break in one scan.
-    fn for_candidate_deltas_cum<F: FnMut(Node, f64)>(
-        &self,
-        w: Node,
-        scratch: &mut DeltaScratch,
-        visit: F,
-    ) -> f64;
-
-    /// Commits `u` as a seed; returns users whose estimates changed.
-    fn add_seed(&mut self, u: Node) -> Vec<Node>;
-
-    /// [`OpinionEstimate::add_seed`] writing the changed-users report
-    /// into a reusable buffer (cleared first; sorted, deduplicated).
+    /// Commits `u` as a seed, writing the users whose estimates changed
+    /// into `touched` (cleared first; sorted, deduplicated).
     fn add_seed_into(&mut self, u: Node, touched: &mut Vec<Node>);
 
     /// Whether `v` is already a seed.
     fn is_seed(&self, v: Node) -> bool;
-
-    /// Seeds committed so far, in selection order.
-    fn seeds(&self) -> &[Node];
 }
 
 /// The per-node evaluation behind [`OpinionEstimate::cumulative_gains_of`].
@@ -134,29 +92,14 @@ impl OpinionEstimate for OpinionEstimator<'_> {
     fn user_weight(&self, _v: Node) -> f64 {
         1.0
     }
-    fn estimated_cumulative(&self) -> f64 {
-        OpinionEstimator::estimated_cumulative(self)
-    }
-    fn estimated_cumulative_masked(&self, mask: &[bool]) -> f64 {
-        OpinionEstimator::estimated_cumulative_masked(self, mask)
-    }
-    fn cumulative_gains(&self) -> Vec<f64> {
-        OpinionEstimator::cumulative_gains(self)
-    }
-    fn cumulative_gains_masked(&self, mask: &[bool]) -> Vec<f64> {
-        OpinionEstimator::cumulative_gains_masked(self, mask)
-    }
-    fn pair_deltas(&self) -> Vec<PairDelta> {
-        OpinionEstimator::pair_deltas(self)
-    }
     fn cumulative_gain_of(&self, w: Node) -> f64 {
         OpinionEstimator::cumulative_gain_of(self, w)
     }
     fn cumulative_gain_of_masked(&self, w: Node, mask: &[bool]) -> f64 {
         OpinionEstimator::cumulative_gain_of_masked(self, w, mask)
     }
-    fn user_pairs(&self) -> Option<UserPairs> {
-        Some(OpinionEstimator::user_pairs(self))
+    fn user_pairs(&self) -> UserPairs {
+        OpinionEstimator::user_pairs(self)
     }
     fn refresh_user_pairs(&self, pairs: &mut UserPairs, users: &[Node]) {
         OpinionEstimator::refresh_user_pairs(self, pairs, users)
@@ -169,25 +112,11 @@ impl OpinionEstimate for OpinionEstimator<'_> {
     ) {
         OpinionEstimator::for_candidate_deltas(self, w, scratch, visit)
     }
-    fn for_candidate_deltas_cum<F: FnMut(Node, f64)>(
-        &self,
-        w: Node,
-        scratch: &mut DeltaScratch,
-        visit: F,
-    ) -> f64 {
-        OpinionEstimator::for_candidate_deltas_cum(self, w, scratch, visit)
-    }
-    fn add_seed(&mut self, u: Node) -> Vec<Node> {
-        OpinionEstimator::add_seed(self, u)
-    }
     fn add_seed_into(&mut self, u: Node, touched: &mut Vec<Node>) {
         OpinionEstimator::add_seed_into(self, u, touched)
     }
     fn is_seed(&self, v: Node) -> bool {
         OpinionEstimator::is_seed(self, v)
-    }
-    fn seeds(&self) -> &[Node] {
-        OpinionEstimator::seeds(self)
     }
 }
 
@@ -200,21 +129,6 @@ impl OpinionEstimate for SketchSet {
     }
     fn user_weight(&self, v: Node) -> f64 {
         SketchSet::user_weight(self, v)
-    }
-    fn estimated_cumulative(&self) -> f64 {
-        SketchSet::estimated_cumulative(self)
-    }
-    fn estimated_cumulative_masked(&self, mask: &[bool]) -> f64 {
-        SketchSet::estimated_cumulative_masked(self, mask)
-    }
-    fn cumulative_gains(&self) -> Vec<f64> {
-        SketchSet::cumulative_gains(self)
-    }
-    fn cumulative_gains_masked(&self, mask: &[bool]) -> Vec<f64> {
-        SketchSet::cumulative_gains_masked(self, mask)
-    }
-    fn pair_deltas(&self) -> Vec<PairDelta> {
-        SketchSet::pair_deltas(self)
     }
     fn cumulative_gain_of(&self, w: Node) -> f64 {
         SketchSet::cumulative_gain_of(self, w)
@@ -237,6 +151,12 @@ impl OpinionEstimate for SketchSet {
             *g = all[v as usize];
         }
     }
+    fn user_pairs(&self) -> UserPairs {
+        SketchSet::user_pairs(self)
+    }
+    fn refresh_user_pairs(&self, pairs: &mut UserPairs, users: &[Node]) {
+        SketchSet::refresh_user_pairs(self, pairs, users)
+    }
     fn for_candidate_deltas<F: FnMut(Node, f64)>(
         &self,
         w: Node,
@@ -245,25 +165,11 @@ impl OpinionEstimate for SketchSet {
     ) {
         SketchSet::for_candidate_deltas(self, w, scratch, visit)
     }
-    fn for_candidate_deltas_cum<F: FnMut(Node, f64)>(
-        &self,
-        w: Node,
-        scratch: &mut DeltaScratch,
-        visit: F,
-    ) -> f64 {
-        SketchSet::for_candidate_deltas_cum(self, w, scratch, visit)
-    }
-    fn add_seed(&mut self, u: Node) -> Vec<Node> {
-        SketchSet::add_seed(self, u)
-    }
     fn add_seed_into(&mut self, u: Node, touched: &mut Vec<Node>) {
         SketchSet::add_seed_into(self, u, touched)
     }
     fn is_seed(&self, v: Node) -> bool {
         SketchSet::is_seed(self, v)
-    }
-    fn seeds(&self) -> &[Node] {
-        SketchSet::seeds(self)
     }
 }
 
@@ -285,13 +191,13 @@ mod tests {
         let mut walks = OpinionEstimator::new(&arena, &b0);
         let mut sketch = SketchSet::generate(&g, &d, &b0, 1, 120_000, 5);
 
-        fn exercise<E: OpinionEstimate>(e: &mut E) -> (f64, f64) {
-            let before = e.estimated_cumulative();
-            e.add_seed(2);
-            (before, e.estimated_cumulative())
+        fn seed_two<E: OpinionEstimate>(e: &mut E) {
+            e.add_seed_into(2, &mut Vec::new());
         }
-        let (w0, w1) = exercise(&mut walks);
-        let (s0, s1) = exercise(&mut sketch);
+        let (w0, s0) = (walks.estimated_cumulative(), sketch.estimated_cumulative());
+        seed_two(&mut walks);
+        seed_two(&mut sketch);
+        let (w1, s1) = (walks.estimated_cumulative(), sketch.estimated_cumulative());
         // Both estimate the same exact quantities (2.55 and 3.15).
         assert!((w0 - s0).abs() < 0.06, "{w0} vs {s0}");
         assert!((w1 - s1).abs() < 0.06, "{w1} vs {s1}");

@@ -16,18 +16,20 @@
 //!   iterations; after a seed commits, only the users named in the
 //!   estimator's changed-users delta report are refreshed (`O(Δ·log r)`
 //!   instead of `O(n·r)`). Each user's threshold `τ` bounds the moves
-//!   that cannot change its contribution, so the rank loops skip their
+//!   that cannot change its contribution, so the rank greedy skips those
 //!   previews;
-//! * the RW rank greedy runs **user-major**: once per run it merges each
-//!   user's live walks into `(candidate, Δ)` pairs
-//!   ([`vom_walks::UserPairs`]), each iteration is one pass over those
-//!   pairs adding `preview − contribution` into the candidates' gains in
-//!   ascending user order, and a commit rebuilds only the touched users'
-//!   lists. The cumulative tie-break is computed only for the candidates
-//!   tied at the maximum gain;
-//! * the RS rank greedy stays **candidate-major**: sketch starts are
-//!   sampled, not grouped by user, so each candidate's deltas are merged
-//!   from its occurrence list ([`OpinionEstimate::for_candidate_deltas_cum`]);
+//! * the rank greedy runs **user-major** over RW and RS alike: once per
+//!   run it merges each user's live walks or sketches into
+//!   `(candidate, Δ)` pairs ([`vom_walks::UserPairs`]; sampled sketch
+//!   starts are grouped by one counting sort), each iteration is one
+//!   pass over those pairs adding `preview − contribution` into the
+//!   candidates' gains in ascending user order, and a commit rebuilds
+//!   only the touched users' lists. The cumulative tie-break is computed
+//!   only for the candidates tied at the maximum gain;
+//! * Copeland stays **candidate-major**: each candidate's per-user
+//!   deltas are merged from its occurrence list
+//!   ([`OpinionEstimate::for_candidate_deltas`]) into `r − 1` duel nets,
+//!   where a user-major pass would hold `n·(r − 1)`;
 //! * the submodular cumulative objectives run a lazy (CELF-style)
 //!   greedy over per-candidate gains
 //!   ([`OpinionEstimate::cumulative_gains_of`]): a candidate is only
@@ -51,7 +53,7 @@ use vom_diffusion::OpinionMatrix;
 use vom_graph::{Candidate, Node};
 use vom_voting::rank::beta_with_target;
 use vom_voting::{PositionalAccumulator, RankIndex, ScoringFunction};
-use vom_walks::{DeltaScratch, UserPairs};
+use vom_walks::DeltaScratch;
 
 /// The competitor-opinion artifacts a competitive-score greedy consumes:
 /// the exact non-target opinion matrix and its rank index. Built once
@@ -146,7 +148,8 @@ pub fn greedy_on_estimate<E: OpinionEstimate>(
         | ScoringFunction::PApproval { .. }
         | ScoringFunction::PositionalPApproval { .. } => {
             let comp = comp.expect("competitive score needs competitor opinions");
-            rank_greedy(est, k, score, comp.ranks, meter)
+            let picks = rank_greedy(est, k, score, comp.ranks, meter);
+            picks.into_iter().map(|(w, _, _)| w).collect()
         }
         ScoringFunction::Copeland => {
             let comp = comp.expect("competitive score needs competitor opinions");
@@ -221,196 +224,58 @@ fn lazy_greedy_fill<E: OpinionEstimate>(
 // Rank-based scores: delta-driven accumulator greedy
 // ---------------------------------------------------------------------
 
-/// The persistent per-user scoring state of a rank-based greedy run: the
-/// current estimates and positional contributions, refreshed only for
-/// users the truncation reports as changed.
-pub(crate) struct RankState {
-    acc: PositionalAccumulator,
-    scratch: DeltaScratch,
-}
-
-impl RankState {
-    /// Builds the state from the estimator's current per-user estimates
-    /// (`O(n·log r)`, once per greedy run).
-    pub(crate) fn init<E: OpinionEstimate>(
-        est: &E,
-        score: &ScoringFunction,
-        index: &RankIndex,
-    ) -> RankState {
-        let n = est.num_nodes();
-        let mut acc = PositionalAccumulator::new(score, n);
-        for v in 0..n as Node {
-            if let Some(e) = est.estimate(v) {
-                let w = est.user_weight(v);
-                if w > 0.0 {
-                    acc.set_user(index, v, e, w);
-                }
+/// Sets the listed users' current estimates in `acc` (`O(log r)` each):
+/// every user once per greedy run, then the changed-users report after
+/// each commit.
+fn refresh_users<E: OpinionEstimate>(
+    est: &E,
+    acc: &mut PositionalAccumulator,
+    index: &RankIndex,
+    users: impl Iterator<Item = Node>,
+) {
+    for v in users {
+        if let Some(e) = est.estimate(v) {
+            let w = est.user_weight(v);
+            if w > 0.0 {
+                acc.set_user(index, v, e, w);
             }
         }
-        RankState {
-            acc,
-            scratch: DeltaScratch::default(),
-        }
-    }
-
-    /// Re-reads the listed users' estimates from the estimator
-    /// (`O(Δ·log r)`), after a seed commit.
-    pub(crate) fn refresh<E: OpinionEstimate>(
-        &mut self,
-        est: &E,
-        index: &RankIndex,
-        users: impl Iterator<Item = Node>,
-    ) {
-        for v in users {
-            if let Some(e) = est.estimate(v) {
-                let w = est.user_weight(v);
-                if w > 0.0 {
-                    self.acc.set_user(index, v, e, w);
-                }
-            }
-        }
-    }
-
-    /// The marginal estimated-score gain of candidate seed `w` plus its
-    /// estimated-cumulative gain (the tie-break criterion), from one
-    /// pass over `w`'s occurrences: the merged per-user deltas are
-    /// applied against the accumulator, re-ranking only the affected
-    /// users whose move passes their threshold (`O(Δ_w·log r)` at most).
-    pub(crate) fn gain_and_cum<E: OpinionEstimate>(
-        &mut self,
-        est: &E,
-        index: &RankIndex,
-        w: Node,
-    ) -> (f64, f64) {
-        let acc = &self.acc;
-        let mut gain = 0.0;
-        let cum = est.for_candidate_deltas_cum(w, &mut self.scratch, |user, delta| {
-            if acc.weight(user) <= 0.0 {
-                return;
-            }
-            let x = acc.value(user) + delta;
-            if x > acc.threshold(user) {
-                gain += acc.preview(index, user, x) - acc.contribution(user);
-            }
-        });
-        (gain, cum)
     }
 }
 
 /// One committed seed of a rank greedy with its winning rank gain and
 /// cumulative tie-break gain.
-pub(crate) type Pick = (Node, f64, f64);
+type Pick = (Node, f64, f64);
 
-/// Greedy for the plurality variants. The discrete score is flat almost
-/// everywhere, so ties break by the estimated-cumulative gain (still
-/// moving opinions toward the target helps later iterations and the true
-/// objective). Estimators whose walks are grouped by user (RW) score
-/// user-major ([`rank_picks_user_major`]); the others (RS) candidate-major
-/// ([`rank_picks_candidate_major`]). Both select the same seeds.
+/// Greedy for the plurality variants, returning each pick with its
+/// winning gains. The discrete score is flat almost everywhere, so ties
+/// break by the estimated-cumulative gain (still moving opinions toward
+/// the target helps later iterations and the true objective).
+///
+/// It runs user-major over the estimator's
+/// [`OpinionEstimate::user_pairs`]. Per iteration, one pass over the
+/// users in ascending order adds each pair's `preview − contribution`
+/// into its candidate's gain — per candidate, the terms and order of a
+/// merge over its occurrences, minus the exact `+0.0` terms of moves
+/// that stay within the user's threshold. The argmax then takes the
+/// largest gain and computes the cumulative tie-break only for the
+/// candidates tied at it, lowest id first: the node a sequential scan
+/// keeping the first largest `(gain, cum)` picks. A commit refreshes
+/// the touched users' accumulator entries and pairs.
 fn rank_greedy<E: OpinionEstimate>(
     est: &mut E,
     k: usize,
     score: &ScoringFunction,
     index: &RankIndex,
     meter: Option<&CostMeter>,
-) -> Vec<Node> {
+) -> Vec<Pick> {
     // audit:allow(d-wall-clock, "phase timer: elapsed feeds reported timings, never selection order")
     let started = Instant::now();
     let mut truncating = Duration::ZERO;
-    let picks = match est.user_pairs() {
-        Some(pairs) => rank_picks_user_major(est, pairs, k, score, index, meter, &mut truncating),
-        None => rank_picks_candidate_major(est, k, score, index, meter, &mut truncating),
-    };
-    phases::record(Phase::Truncation, truncating);
-    phases::record(Phase::Scoring, started.elapsed().saturating_sub(truncating));
-    picks.into_iter().map(|(w, _, _)| w).collect()
-}
-
-/// Commits `w` and refreshes the accumulator from the changed-users
-/// report left in `touched`, adding the commit's time to `truncating`.
-fn commit_pick<E: OpinionEstimate>(
-    est: &mut E,
-    state: &mut RankState,
-    index: &RankIndex,
-    w: Node,
-    touched: &mut Vec<Node>,
-    truncating: &mut Duration,
-) {
-    // audit:allow(d-wall-clock, "phase timer: elapsed feeds reported timings, never selection order")
-    let t = Instant::now();
-    est.add_seed_into(w, touched);
-    *truncating += t.elapsed();
-    state.refresh(est, index, touched.iter().copied().chain([w]));
-}
-
-/// The candidate-major rank greedy: per iteration, every non-seed
-/// candidate's `(gain, cum)` from one pass over its occurrences, and a
-/// sequential argmax (ties: larger `cum`, then smaller id).
-pub(crate) fn rank_picks_candidate_major<E: OpinionEstimate>(
-    est: &mut E,
-    k: usize,
-    score: &ScoringFunction,
-    index: &RankIndex,
-    meter: Option<&CostMeter>,
-    truncating: &mut Duration,
-) -> Vec<Pick> {
     let n = est.num_nodes();
-    let mut state = RankState::init(est, score, index);
-    let mut picks = Vec::with_capacity(k);
-    let mut touched: Vec<Node> = Vec::new();
-    for _ in 0..k {
-        // Sequential checkpoint: per-iteration commits mean stopping here
-        // leaves the picks a prefix of the full-budget selection.
-        if meter.is_some_and(|m| m.exhausted()) {
-            break;
-        }
-        let mut best: Option<Pick> = None;
-        let mut scanned = 0u64;
-        for w in 0..n as Node {
-            if est.is_seed(w) {
-                continue;
-            }
-            scanned += 1;
-            let (gain, cum) = state.gain_and_cum(est, index, w);
-            let better = match best {
-                None => true,
-                Some((_, bg, bs)) => gain > bg || (gain == bg && cum > bs),
-            };
-            if better {
-                best = Some((w, gain, cum));
-            }
-        }
-        if let Some(m) = meter {
-            m.charge(scanned); // one tick per scored candidate
-        }
-        let Some(pick) = best else { break };
-        commit_pick(est, &mut state, index, pick.0, &mut touched, truncating);
-        picks.push(pick);
-    }
-    picks
-}
-
-/// The user-major rank greedy over `pairs` (the estimator's
-/// [`OpinionEstimate::user_pairs`]). Per iteration, one pass over the
-/// users in ascending order adds each pair's `preview − contribution`
-/// into its candidate's gain — the terms and order of the candidate-major
-/// merge, minus the exact `+0.0` terms of moves that stay within the
-/// user's threshold. The argmax then takes the largest gain and computes
-/// the cumulative tie-break only for the candidates tied at it, lowest id
-/// first: the same node the sequential `(gain, cum)` scan picks. A
-/// commit rebuilds the touched users' pairs, and `pairs` is dropped on
-/// return.
-pub(crate) fn rank_picks_user_major<E: OpinionEstimate>(
-    est: &mut E,
-    mut pairs: UserPairs,
-    k: usize,
-    score: &ScoringFunction,
-    index: &RankIndex,
-    meter: Option<&CostMeter>,
-    truncating: &mut Duration,
-) -> Vec<Pick> {
-    let n = est.num_nodes();
-    let mut state = RankState::init(est, score, index);
+    let mut acc = PositionalAccumulator::new(score, n);
+    refresh_users(est, &mut acc, index, 0..n as Node);
+    let mut pairs = est.user_pairs();
     let mut picks = Vec::with_capacity(k);
     let mut touched: Vec<Node> = Vec::new();
     let mut gains = vec![0.0f64; n];
@@ -422,7 +287,6 @@ pub(crate) fn rank_picks_user_major<E: OpinionEstimate>(
             break;
         }
         gains.iter_mut().for_each(|g| *g = 0.0);
-        let acc = &state.acc;
         for v in 0..n as Node {
             if acc.weight(v) <= 0.0 {
                 continue;
@@ -466,10 +330,21 @@ pub(crate) fn rank_picks_user_major<E: OpinionEstimate>(
                 pick = (w, gains[w as usize], cum);
             }
         }
-        commit_pick(est, &mut state, index, pick.0, &mut touched, truncating);
+        // audit:allow(d-wall-clock, "phase timer: elapsed feeds reported timings, never selection order")
+        let t = Instant::now();
+        est.add_seed_into(pick.0, &mut touched);
+        truncating += t.elapsed();
+        refresh_users(
+            est,
+            &mut acc,
+            index,
+            touched.iter().copied().chain([pick.0]),
+        );
         est.refresh_user_pairs(&mut pairs, &touched);
         picks.push(pick);
     }
+    phases::record(Phase::Truncation, truncating);
+    phases::record(Phase::Scoring, started.elapsed().saturating_sub(truncating));
     picks
 }
 
@@ -646,6 +521,7 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
     use vom_graph::builder::graph_from_edges;
+    use vom_sketch::SketchSet;
     use vom_walks::{Lambda, OpinionEstimator, WalkGenerator};
 
     fn running_example() -> (vom_graph::SocialGraph, Vec<f64>, Vec<f64>, OpinionMatrix) {
@@ -659,6 +535,74 @@ mod tests {
 
     fn competitors(others: &OpinionMatrix) -> (RankIndex, ()) {
         (RankIndex::build(others, 0), ())
+    }
+
+    /// A fresh accumulator over the estimator's current estimates.
+    fn accumulator<E: OpinionEstimate>(
+        est: &E,
+        score: &ScoringFunction,
+        index: &RankIndex,
+    ) -> PositionalAccumulator {
+        let mut acc = PositionalAccumulator::new(score, est.num_nodes());
+        refresh_users(est, &mut acc, index, 0..est.num_nodes() as Node);
+        acc
+    }
+
+    /// Candidate `w`'s rank gain, merged from its occurrences and
+    /// previewing every move, within the user's threshold or not.
+    fn candidate_gain<E: OpinionEstimate>(
+        est: &E,
+        acc: &PositionalAccumulator,
+        index: &RankIndex,
+        w: Node,
+        scratch: &mut DeltaScratch,
+    ) -> f64 {
+        let mut gain = 0.0;
+        est.for_candidate_deltas(w, scratch, |user, delta| {
+            if acc.weight(user) > 0.0 {
+                gain += acc.preview(index, user, acc.value(user) + delta) - acc.contribution(user);
+            }
+        });
+        gain
+    }
+
+    /// The candidate-major reference for [`rank_greedy`]: per iteration,
+    /// every non-seed candidate's [`candidate_gain`] and
+    /// `cumulative_gain_of`, and a sequential argmax keeping the first
+    /// largest `(gain, cum)`.
+    fn candidate_major_picks<E: OpinionEstimate>(
+        est: &mut E,
+        k: usize,
+        score: &ScoringFunction,
+        index: &RankIndex,
+    ) -> Vec<Pick> {
+        let mut acc = accumulator(est, score, index);
+        let mut scratch = DeltaScratch::default();
+        let mut touched = Vec::new();
+        let mut picks = Vec::new();
+        for _ in 0..k {
+            let mut best: Option<Pick> = None;
+            for w in 0..est.num_nodes() as Node {
+                if est.is_seed(w) {
+                    continue;
+                }
+                let gain = candidate_gain(est, &acc, index, w, &mut scratch);
+                let cum = est.cumulative_gain_of(w);
+                if best.is_none_or(|(_, bg, bc)| gain > bg || (gain == bg && cum > bc)) {
+                    best = Some((w, gain, cum));
+                }
+            }
+            let Some(pick) = best else { break };
+            est.add_seed_into(pick.0, &mut touched);
+            refresh_users(
+                est,
+                &mut acc,
+                index,
+                touched.iter().copied().chain([pick.0]),
+            );
+            picks.push(pick);
+        }
+        picks
     }
 
     #[test]
@@ -770,15 +714,16 @@ mod tests {
         let index = RankIndex::build(&others, 0);
 
         // Gain of node 1 on the empty set: 0.
+        let mut scratch = DeltaScratch::default();
         let est0 = OpinionEstimator::new(&arena, &b0);
-        let mut state0 = RankState::init(&est0, &score, &index);
-        assert_eq!(state0.gain_and_cum(&est0, &index, 1).0, 0.0);
+        let acc0 = accumulator(&est0, &score, &index);
+        assert_eq!(candidate_gain(&est0, &acc0, &index, 1, &mut scratch), 0.0);
 
         // Gain of node 1 once node 0 is seeded: 1 (user 2 flips).
         let mut est1 = OpinionEstimator::new(&arena, &b0);
         est1.add_seed(0);
-        let mut state1 = RankState::init(&est1, &score, &index);
-        let g1 = state1.gain_and_cum(&est1, &index, 1).0;
+        let acc1 = accumulator(&est1, &score, &index);
+        let g1 = candidate_gain(&est1, &acc1, &index, 1, &mut scratch);
         assert!((g1 - 1.0).abs() < 0.1, "gain {g1}");
     }
 
@@ -842,7 +787,8 @@ mod tests {
         assert_eq!(seeds, ref_seeds);
     }
 
-    /// One random rank-greedy case on a start-grouped arena.
+    /// One random rank-greedy case: a grouped walk arena and a sketch
+    /// set over the same instance.
     #[derive(Debug, Clone)]
     struct RankCase {
         graph: vom_graph::SocialGraph,
@@ -853,13 +799,15 @@ mod tests {
         others: OpinionMatrix,
         t: usize,
         lambda: Lambda,
+        theta: usize,
         fixed: Vec<Node>,
         walk_seed: u64,
     }
 
     /// Strategy: n ≤ 60 nodes, uniform or per-node λ (zeros allowed),
-    /// t in 0..6, up to three fixed target seeds. Opinions sit on a
-    /// 1/20 grid so estimates tie with competitor values now and then.
+    /// θ in 1..400, t in 0..6, up to three fixed target seeds. Opinions
+    /// sit on a 1/20 grid so estimates tie with competitor values now
+    /// and then.
     fn arb_rank_case() -> impl Strategy<Value = RankCase> {
         (2usize..=60).prop_flat_map(|n| {
             let edges =
@@ -868,10 +816,10 @@ mod tests {
             let stubbornness = proptest::collection::vec(0.0f64..=1.0, n);
             let lambda = (0u32..2, 1usize..10, proptest::collection::vec(0u32..10, n));
             let fixed = proptest::collection::vec(0..n as Node, 0..4);
-            let walks = (lambda, 0usize..6, fixed, 0u64..1_000);
+            let walks = (lambda, 1usize..400, 0usize..6, fixed, 0u64..1_000);
             (edges, opinions, stubbornness, walks).prop_map(
                 move |(edges, opinions, stubbornness, walks)| {
-                    let ((kind, uniform, per_node), t, fixed, walk_seed) = walks;
+                    let ((kind, uniform, per_node), theta, t, fixed, walk_seed) = walks;
                     let grid = |i: usize| f64::from(opinions[i]) / 20.0;
                     let others = OpinionMatrix::from_rows(
                         (0..4)
@@ -894,6 +842,7 @@ mod tests {
                         } else {
                             Lambda::PerNode(per_node)
                         },
+                        theta,
                         fixed,
                         walk_seed,
                     }
@@ -902,43 +851,97 @@ mod tests {
         })
     }
 
+    /// Every user's pairs hold exactly the `(candidate, user, Δ)` triples
+    /// [`OpinionEstimate::for_candidate_deltas`] merges, bit for bit.
+    fn pairs_match_candidate_deltas<E: OpinionEstimate>(est: &E, pairs: &vom_walks::UserPairs) {
+        let n = est.num_nodes() as Node;
+        let mut listed: Vec<(Node, Node, u64)> = Vec::new();
+        for v in 0..n {
+            let (cands, deltas) = pairs.user(v);
+            listed.extend(cands.iter().zip(deltas).map(|(&w, d)| (w, v, d.to_bits())));
+        }
+        listed.sort_unstable();
+        let mut merged = Vec::new();
+        let mut scratch = DeltaScratch::default();
+        for w in (0..n).filter(|&w| !est.is_seed(w)) {
+            est.for_candidate_deltas(w, &mut scratch, |v, d| merged.push((w, v, d.to_bits())));
+        }
+        assert_eq!(listed, merged);
+    }
+
+    /// The user-major loop against the candidate-major reference on
+    /// estimators from `make` (fixed seeds applied): the same seeds and
+    /// per-iteration winning `(gain, cum)` bits, and pair lists equal
+    /// to the per-candidate merge after the build and every refresh.
+    fn check_rank_loops<E: OpinionEstimate>(make: impl Fn() -> E, index: &RankIndex) {
+        let k = make().num_nodes().min(8);
+        for score in [
+            ScoringFunction::Plurality,
+            ScoringFunction::PApproval { p: 2 },
+            ScoringFunction::PositionalPApproval {
+                p: 3,
+                weights: vec![1.0, 0.6, 0.15, 0.0],
+            },
+        ] {
+            let want = candidate_major_picks(&mut make(), k, &score, index);
+            let got = rank_greedy(&mut make(), k, &score, index, None);
+            assert_eq!(got.len(), want.len(), "{score}");
+            for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+                assert_eq!(g.0, w.0, "{score} iteration {i}");
+                assert_eq!(g.1.to_bits(), w.1.to_bits(), "{score} gain at {i}");
+                assert_eq!(g.2.to_bits(), w.2.to_bits(), "{score} cum at {i}");
+            }
+            let mut est = make();
+            let mut pairs = est.user_pairs();
+            pairs_match_candidate_deltas(&est, &pairs);
+            let mut touched = Vec::new();
+            for &(w, _, _) in &got {
+                est.add_seed_into(w, &mut touched);
+                est.refresh_user_pairs(&mut pairs, &touched);
+                pairs_match_candidate_deltas(&est, &pairs);
+            }
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
-        /// The user-major RW rank greedy picks the candidate-major loop's
-        /// seeds, with the same winning `(gain, cum)` bits per iteration.
+        /// The user-major rank greedy picks the candidate-major loop's
+        /// seeds, with the same winning `(gain, cum)` bits per iteration,
+        /// over RW walks and RS sketches.
         #[test]
         fn user_major_rank_greedy_matches_candidate_major(case in arb_rank_case()) {
+            let index = RankIndex::build(&case.others, 0);
             let gen = WalkGenerator::new(&case.graph, &case.stubbornness, case.t);
             let arena = gen.generate_per_node(&case.lambda, case.walk_seed);
-            let index = RankIndex::build(&case.others, 0);
-            let n = case.b0.len();
-            let k = n.min(8);
-            for score in [
-                ScoringFunction::Plurality,
-                ScoringFunction::PApproval { p: 2 },
-                ScoringFunction::PositionalPApproval { p: 3, weights: vec![1.0, 0.6, 0.15, 0.0] },
-            ] {
-                let estimator = || {
+            check_rank_loops(
+                || {
                     let mut est = OpinionEstimator::new(&arena, &case.b0);
                     for &s in &case.fixed {
                         est.add_seed(s);
                     }
                     est
-                };
-                let mut spent = Duration::ZERO;
-                let mut est_c = estimator();
-                let want = rank_picks_candidate_major(&mut est_c, k, &score, &index, None, &mut spent);
-                let mut est_u = estimator();
-                let pairs = est_u.user_pairs();
-                let got = rank_picks_user_major(&mut est_u, pairs, k, &score, &index, None, &mut spent);
-                prop_assert_eq!(got.len(), want.len(), "{}", score);
-                for (i, (g, w)) in got.iter().zip(&want).enumerate() {
-                    prop_assert_eq!(g.0, w.0, "{} iteration {}", score, i);
-                    prop_assert_eq!(g.1.to_bits(), w.1.to_bits(), "{} gain at {}", score, i);
-                    prop_assert_eq!(g.2.to_bits(), w.2.to_bits(), "{} cum at {}", score, i);
-                }
-            }
+                },
+                &index,
+            );
+            let sketch = SketchSet::generate(
+                &case.graph,
+                &case.stubbornness,
+                &case.b0,
+                case.t,
+                case.theta,
+                case.walk_seed,
+            );
+            check_rank_loops(
+                || {
+                    let mut est = sketch.clone();
+                    for &s in &case.fixed {
+                        est.add_seed(s);
+                    }
+                    est
+                },
+                &index,
+            );
         }
     }
 }

@@ -72,20 +72,35 @@ where
     F: FnMut(&Problem<'_>) -> Result<Vec<Node>, E>,
 {
     let others = problem.non_target_opinions();
-    let wins = |seeds: &[Node]| wins(problem, &others, seeds);
+    budget_search(
+        problem.num_nodes(),
+        |seeds| wins(problem, &others, seeds),
+        |k| select(&problem.with_budget(k)),
+    )
+}
+
+/// The budget search of Algorithm 2 behind both FJ-Vote-Win variants:
+/// doubling from `k = 1` to the first winning budget, then binary search
+/// between the last losing and the first winning one. `wins` tells
+/// whether a seed set makes the target the strict winner, `select` picks
+/// the seeds for a budget, and `n` caps the budget.
+pub(crate) fn budget_search<E>(
+    n: usize,
+    wins: impl Fn(&[Node]) -> bool,
+    mut select: impl FnMut(usize) -> Result<Vec<Node>, E>,
+) -> Result<Option<WinResult>, E> {
     if wins(&[]) {
         return Ok(Some(WinResult {
             k: 0,
             seeds: Vec::new(),
         }));
     }
-    let n = problem.num_nodes();
     // Exponential phase: find a winning upper bound.
     let mut lo = 0usize;
     let mut k = 1usize;
     let mut best = loop {
         let k_probe = k.min(n);
-        let seeds = select(&problem.with_budget(k_probe))?;
+        let seeds = select(k_probe)?;
         if wins(&seeds) {
             break WinResult { k: k_probe, seeds };
         }
@@ -99,7 +114,7 @@ where
     let mut hi = best.k;
     while hi - lo > 1 {
         let mid = (lo + hi) / 2;
-        let seeds = select(&problem.with_budget(mid))?;
+        let seeds = select(mid)?;
         if wins(&seeds) {
             hi = mid;
             best = WinResult { k: mid, seeds };

@@ -2,10 +2,10 @@
 //! [`OpinionScore`] trait — the extended-rule counterpart of [`crate::win`].
 
 use crate::dm_ext::generic_greedy;
-use crate::win::WinResult;
+use crate::win::{budget_search, WinResult};
 use crate::{CoreError, Result};
 use vom_diffusion::{Instance, OpinionMatrix};
-use vom_graph::{Candidate, Node};
+use vom_graph::Candidate;
 use vom_voting::OpinionScore;
 
 /// Whether `seeds` for `target` make it the **strict** winner under
@@ -32,8 +32,8 @@ pub fn wins_rule<S: OpinionScore + ?Sized>(
 
 /// Algorithm 2 with the exact generic greedy as the inner selector:
 /// the minimum budget `k*` (up to greedy approximation — §III-C Remark 2)
-/// for `target` to strictly win under `rule` at the horizon. Same
-/// doubling-then-binary-search schedule as [`crate::win::min_seeds_to_win`].
+/// for `target` to strictly win under `rule` at the horizon, by the
+/// budget search [`crate::win::min_seeds_to_win`] runs.
 /// Returns `Ok(None)` if the target cannot win even with all `n` nodes
 /// seeded. The competitors' rows are solved once per search; each probe
 /// solves only the target campaign.
@@ -48,40 +48,11 @@ pub fn min_seeds_to_win_rule<S: OpinionScore + ?Sized>(
         return Err(CoreError::BadTarget { target, r });
     }
     let others = instance.non_target_opinions(horizon, target);
-    let wins = |seeds: &[Node]| wins_rule(instance, target, horizon, &others, seeds, rule);
-    if wins(&[]) {
-        return Ok(Some(WinResult {
-            k: 0,
-            seeds: Vec::new(),
-        }));
-    }
-    let n = instance.num_nodes();
-    let mut lo = 0usize;
-    let mut k = 1usize;
-    let mut best = loop {
-        let k_probe = k.min(n);
-        let seeds = generic_greedy(instance, target, k_probe, horizon, rule)?;
-        if wins(&seeds) {
-            break WinResult { k: k_probe, seeds };
-        }
-        lo = k_probe;
-        if k_probe == n {
-            return Ok(None);
-        }
-        k *= 2;
-    };
-    let mut hi = best.k;
-    while hi - lo > 1 {
-        let mid = (lo + hi) / 2;
-        let seeds = generic_greedy(instance, target, mid, horizon, rule)?;
-        if wins(&seeds) {
-            hi = mid;
-            best = WinResult { k: mid, seeds };
-        } else {
-            lo = mid;
-        }
-    }
-    Ok(Some(best))
+    budget_search(
+        instance.num_nodes(),
+        |seeds| wins_rule(instance, target, horizon, &others, seeds, rule),
+        |k| generic_greedy(instance, target, k, horizon, rule),
+    )
 }
 
 #[cfg(test)]
@@ -90,6 +61,7 @@ mod tests {
     use std::sync::Arc;
     use vom_diffusion::OpinionMatrix;
     use vom_graph::builder::graph_from_edges;
+    use vom_graph::Node;
     use vom_voting::{ExtendedRule, ScoringFunction};
 
     /// [`wins_rule`] with freshly solved competitor rows.

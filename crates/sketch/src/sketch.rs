@@ -9,7 +9,7 @@ use vom_graph::{Candidate, Node, SocialGraph};
 use vom_voting::rank::beta_with_target;
 use vom_voting::ScoringFunction;
 use vom_walks::estimator::{DeltaScratch, PairDelta};
-use vom_walks::{Truncation, WalkArena, WalkGenerator};
+use vom_walks::{Truncation, UserPairs, WalkArena, WalkGenerator};
 
 /// θ reverse random walks from uniformly sampled starts, with incremental
 /// seed truncation (Algorithm 5 state).
@@ -106,9 +106,9 @@ impl SketchSet {
 
     /// Reassembles a *pristine* (seedless) sketch set from persisted
     /// parts: the shared walk arena, its truncation state, and the pooled
-    /// end-value arrays (snapshot load). Shapes are validated against the
-    /// arena; the pooled values themselves are whatever the generation
-    /// produced and are restored bit-for-bit.
+    /// end-value arrays (snapshot load). Shapes and start counts are
+    /// validated against the arena; the pooled sums are whatever the
+    /// generation produced and are restored bit-for-bit.
     pub fn from_parts(
         arena: Arc<WalkArena>,
         trunc: Truncation,
@@ -125,6 +125,14 @@ impl SketchSet {
         }
         if arena.walks().any(|w| w.iter().any(|&v| (v as usize) >= n)) {
             return Err("sketch walk node out of range");
+        }
+        // The rank greedy groups sketches by start with these counts.
+        let mut counts = vec![0u32; n];
+        for j in 0..arena.num_walks() {
+            counts[arena.start(j) as usize] += 1;
+        }
+        if counts != start_count {
+            return Err("start counts must count the sketches at each start");
         }
         Ok(SketchSet {
             arena,
@@ -309,16 +317,6 @@ impl SketchSet {
         gains
     }
 
-    /// Restricted cumulative estimate over the users in `mask`
-    /// (`(n/θ) Σ_{j: mask[v_j]} b̂`), for the sandwich lower bound.
-    pub fn estimated_cumulative_masked(&self, mask: &[bool]) -> f64 {
-        let sum: f64 = (0..self.n)
-            .filter(|&v| mask[v])
-            .map(|v| self.start_sum[v])
-            .sum();
-        sum * self.n as f64 / self.theta() as f64
-    }
-
     /// [`SketchSet::cumulative_gains`] restricted to sketches whose start
     /// node is in `mask`.
     pub fn cumulative_gains_masked(&self, mask: &[bool]) -> Vec<f64> {
@@ -434,28 +432,42 @@ impl SketchSet {
         scratch.drain_sorted(&mut visit);
     }
 
-    /// [`SketchSet::for_candidate_deltas`] that *also* accumulates the
-    /// candidate's estimated-cumulative gain in occurrence order — one
-    /// pass serves both the rank gain and its cumulative tie-break
-    /// (bit-identical to [`SketchSet::cumulative_gain_of`]).
-    pub fn for_candidate_deltas_cum<F: FnMut(Node, f64)>(
-        &self,
-        w: Node,
-        scratch: &mut DeltaScratch,
-        mut visit: F,
-    ) -> f64 {
-        if self.trunc.is_seed(w) {
-            return 0.0;
+    /// The merged pairs of every user over the current live sketches,
+    /// for the user-major rank greedy. One counting sort groups the
+    /// sketches by start, in sketch order within each start, so a pair
+    /// folds `gain/count_v` in the order [`SketchSet::for_candidate_deltas`]
+    /// merges it.
+    pub fn user_pairs(&self) -> UserPairs {
+        let mut walk_off = vec![0usize; self.n + 1];
+        for v in 0..self.n {
+            walk_off[v + 1] = walk_off[v] + self.start_count[v] as usize;
         }
-        let scale = self.n as f64 / self.theta() as f64;
-        let mut cum = 0.0;
-        scratch.begin(self.n);
-        self.visit_candidate_walks(w, |_, start, g| {
-            cum += g * scale;
-            scratch.add(start, g / self.start_count[start as usize] as f64);
-        });
-        scratch.drain_sorted(&mut visit);
-        cum
+        let mut next = walk_off.clone();
+        let mut walk_ids = vec![0u32; self.theta()];
+        for j in 0..self.theta() {
+            let slot = &mut next[self.arena.start(j) as usize];
+            walk_ids[*slot] = j as u32;
+            *slot += 1;
+        }
+        UserPairs::build(walk_off, walk_ids, |v, j| self.live_sketch(v, j))
+    }
+
+    /// Rebuilds the listed users' pairs in place after a seed commit
+    /// (pass the commit's changed-users report).
+    pub fn refresh_user_pairs(&self, pairs: &mut UserPairs, users: &[Node]) {
+        pairs.refresh(users, |v, j| self.live_sketch(v, j));
+    }
+
+    /// Sketch `j` of user `v` and its pooled delta `gain/count_v`, while
+    /// it is live (a live sketch was never truncated).
+    fn live_sketch(&self, v: Node, j: usize) -> Option<(&[Node], f64)> {
+        let gain = 1.0 - self.walk_value(j);
+        if gain <= 0.0 {
+            return None;
+        }
+        let walk = self.arena.walk(j);
+        debug_assert_eq!(self.trunc.end_pos(j) + 1, walk.len());
+        Some((walk, gain / self.start_count[v as usize] as f64))
     }
 
     /// Visits `(candidate seed w, walk start, 1 − end_value)` for the

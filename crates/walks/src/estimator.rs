@@ -77,17 +77,23 @@ impl DeltaScratch {
     }
 }
 
-/// Per-user merged `(candidate, Δb̂_qv)` pairs over the live walks of a
-/// grouped arena: the user-major layout of the RW rank greedy
-/// ([`OpinionEstimator::user_pairs`]).
+/// Per-user merged `(candidate, Δb̂_qv)` pairs over an estimator's live
+/// walks: the user-major layout of the rank greedy
+/// ([`OpinionEstimator::user_pairs`] and `SketchSet::user_pairs`).
 ///
 /// User `v`'s list holds one pair per candidate `w` that occurs in one
-/// of `v`'s live walks. Its delta folds `gain/λ_v` over those walks in
-/// walk order, the fold [`OpinionEstimator::for_candidate_deltas_cum`]
-/// merges per user, so both layouts hold the same bits. Lists sit in
+/// of `v`'s live walks. Its delta folds the walks' deltas in walk order,
+/// starting from the first walk's term: the fold
+/// [`OpinionEstimator::for_candidate_deltas`] applies per user to `w`'s
+/// occurrences, so both layouts hold the same bits. Lists sit in
 /// per-user slots sized to the list at build time. A commit only kills
-/// walks, so a rebuilt list ([`OpinionEstimator::refresh_user_pairs`])
-/// never outgrows its slot.
+/// walks, so a rebuilt list ([`UserPairs::refresh`]) never outgrows its
+/// slot.
+///
+/// The estimator names each user's walks and supplies, per walk, its
+/// nodes and delta when it is live. A grouped arena's walks are its
+/// start groups; sampled starts are grouped once per build by a
+/// counting sort that keeps walk order within each start.
 #[derive(Debug)]
 pub struct UserPairs {
     /// Slot start per user, `n + 1` entries.
@@ -96,10 +102,85 @@ pub struct UserPairs {
     len: Vec<u32>,
     cand: Vec<Node>,
     delta: Vec<f64>,
+    /// User `v`'s walks are `walk_ids[walk_off[v]..walk_off[v + 1]]`,
+    /// or that range itself when `walk_ids` is empty (a grouped arena).
+    walk_off: Vec<usize>,
+    walk_ids: Vec<u32>,
     merge: PairMerge,
 }
 
 impl UserPairs {
+    /// Merges every user's live walks into its list. `walk_off` and
+    /// `walk_ids` name each user's walks, in walk order (see the field
+    /// docs); `live(v, i)` returns walk `i`'s nodes and its delta for
+    /// user `v`, or `None` once the walk is dead. A live walk holds no
+    /// seed.
+    pub fn build<'a, F>(walk_off: Vec<usize>, walk_ids: Vec<u32>, mut live: F) -> UserPairs
+    where
+        F: FnMut(Node, usize) -> Option<(&'a [Node], f64)>,
+    {
+        let n = walk_off.len() - 1;
+        let mut pairs = UserPairs {
+            off: Vec::with_capacity(n + 1),
+            len: Vec::with_capacity(n),
+            cand: Vec::new(),
+            delta: Vec::new(),
+            walk_off,
+            walk_ids,
+            merge: PairMerge::default(),
+        };
+        // The live walk nodes bound the pairs. Reserving the bound
+        // touches only the pages the pairs fill, and the final shrink
+        // releases the rest without the copies of a growing vector.
+        let mut bound = 0;
+        for v in 0..n as Node {
+            for i in user_walks(&pairs.walk_off, &pairs.walk_ids, v) {
+                bound += live(v, i).map_or(0, |(walk, _)| walk.len());
+            }
+        }
+        pairs.cand.reserve_exact(bound);
+        pairs.delta.reserve_exact(bound);
+        pairs.off.push(0);
+        for v in 0..n as Node {
+            pairs.merge_user(v, &mut live);
+            let merge = &pairs.merge;
+            pairs.cand.extend_from_slice(&merge.order);
+            pairs
+                .delta
+                .extend(merge.order.iter().map(|&w| merge.acc[w as usize]));
+            pairs.len.push(merge.order.len() as u32);
+            pairs.off.push(pairs.cand.len());
+        }
+        pairs.cand.shrink_to_fit();
+        pairs.delta.shrink_to_fit();
+        pairs
+    }
+
+    /// Rebuilds the listed users' lists in place after a seed commit
+    /// (pass the commit's changed-users report and the `live` of
+    /// [`UserPairs::build`]). Users not listed keep their lists: a
+    /// commit changes only the walks it truncates, and their start
+    /// users are exactly the report.
+    pub fn refresh<'a, F>(&mut self, users: &[Node], mut live: F)
+    where
+        F: FnMut(Node, usize) -> Option<(&'a [Node], f64)>,
+    {
+        for &v in users {
+            self.merge_user(v, &mut live);
+            let s = self.off[v as usize];
+            let m = self.merge.order.len();
+            assert!(
+                s + m <= self.off[v as usize + 1],
+                "a user's pair list only shrinks"
+            );
+            for (j, &w) in self.merge.order.iter().enumerate() {
+                self.cand[s + j] = w;
+                self.delta[s + j] = self.merge.acc[w as usize];
+            }
+            self.len[v as usize] = m as u32;
+        }
+    }
+
     /// User `v`'s live pairs: candidates and their deltas, in the order
     /// the user's walks first reach them.
     #[inline]
@@ -108,6 +189,40 @@ impl UserPairs {
         let e = s + self.len[v as usize] as usize;
         (&self.cand[s..e], &self.delta[s..e])
     }
+
+    /// Merges user `v`'s live walks into `merge.order` / `merge.acc`, in
+    /// walk order.
+    fn merge_user<'a, F>(&mut self, v: Node, live: &mut F)
+    where
+        F: FnMut(Node, usize) -> Option<(&'a [Node], f64)>,
+    {
+        let UserPairs {
+            walk_off,
+            walk_ids,
+            merge,
+            ..
+        } = self;
+        merge.begin_user(walk_off.len() - 1);
+        for i in user_walks(walk_off, walk_ids, v) {
+            if let Some((walk, delta)) = live(v, i) {
+                merge.begin_walk();
+                for &w in walk {
+                    merge.add(w, delta);
+                }
+            }
+        }
+    }
+}
+
+/// User `v`'s walks in walk order, from [`UserPairs`]' `walk_off` and
+/// `walk_ids`.
+fn user_walks<'s>(
+    walk_off: &'s [usize],
+    walk_ids: &'s [u32],
+    v: Node,
+) -> impl Iterator<Item = usize> + 's {
+    let slots = walk_off[v as usize]..walk_off[v as usize + 1];
+    slots.map(|slot| walk_ids.get(slot).map_or(slot, |&i| i as usize))
 }
 
 /// Per-user merge buffers for [`UserPairs`]: a delta per candidate and an
@@ -264,11 +379,6 @@ impl<'a> OpinionEstimator<'a> {
         self.trunc.is_seed(v)
     }
 
-    /// Walks per node `λ_v`.
-    pub fn lambda(&self, v: Node) -> u32 {
-        self.lambda[v as usize]
-    }
-
     /// Estimated opinion `b̂_qv^{(t)}[S]` for the current seed set.
     ///
     /// Seeds estimate exactly 1 (their walks truncate at position 0).
@@ -287,26 +397,9 @@ impl<'a> OpinionEstimator<'a> {
         }
     }
 
-    /// All per-node estimates.
-    pub fn estimates(&self) -> Vec<f64> {
-        (0..self.num_nodes() as Node)
-            .map(|v| self.estimate(v))
-            .collect()
-    }
-
     /// Estimated cumulative score `Σ_v b̂_qv^{(t)}[S]`.
     pub fn estimated_cumulative(&self) -> f64 {
         (0..self.num_nodes() as Node)
-            .map(|v| self.estimate(v))
-            .sum()
-    }
-
-    /// Restricted cumulative estimate `Σ_{v: mask[v]} b̂_qv^{(t)}[S]` —
-    /// the sandwich lower bound aggregates only over the favorable users
-    /// set `V_q^{(t)}` (Definition 3).
-    pub fn estimated_cumulative_masked(&self, mask: &[bool]) -> f64 {
-        (0..self.num_nodes() as Node)
-            .filter(|&v| mask[v as usize])
             .map(|v| self.estimate(v))
             .sum()
     }
@@ -420,81 +513,30 @@ impl<'a> OpinionEstimator<'a> {
     }
 
     /// The merged pairs of every user over the current live walks, for
-    /// the user-major rank greedy: one pass over the live walks, slots
-    /// sized to the lists.
+    /// the user-major rank greedy. A user's walks are its start group.
     pub fn user_pairs(&self) -> UserPairs {
-        let n = self.num_nodes();
-        // The live walk nodes bound the pairs. Reserving the bound
-        // touches only the pages the pairs fill, and the final shrink
-        // releases the rest without the copies of a growing vector.
-        let bound: usize = (0..self.arena.num_walks())
-            .filter(|&i| self.walk_gain[i] > 0.0)
-            .map(|i| self.arena.walk(i).len())
-            .sum();
-        let mut pairs = UserPairs {
-            off: Vec::with_capacity(n + 1),
-            len: Vec::with_capacity(n),
-            cand: Vec::with_capacity(bound),
-            delta: Vec::with_capacity(bound),
-            merge: PairMerge::default(),
-        };
-        pairs.off.push(0);
-        for v in 0..n as Node {
-            self.merge_user(v, &mut pairs.merge);
-            let merge = &pairs.merge;
-            pairs.cand.extend_from_slice(&merge.order);
-            pairs
-                .delta
-                .extend(merge.order.iter().map(|&w| merge.acc[w as usize]));
-            pairs.len.push(merge.order.len() as u32);
-            pairs.off.push(pairs.cand.len());
-        }
-        pairs.cand.shrink_to_fit();
-        pairs.delta.shrink_to_fit();
-        pairs
+        let (_, _, groups) = self.arena.parts();
+        let groups = groups.expect("grouped arena").to_vec();
+        UserPairs::build(groups, Vec::new(), |v, i| self.live_walk(v, i))
     }
 
     /// Rebuilds the listed users' pairs in place after a seed commit
-    /// (pass the commit's changed-users report). Users not listed keep
-    /// their lists: a commit changes only the walks it truncates, and
-    /// their start users are exactly the report.
+    /// (pass the commit's changed-users report).
     pub fn refresh_user_pairs(&self, pairs: &mut UserPairs, users: &[Node]) {
-        for &v in users {
-            self.merge_user(v, &mut pairs.merge);
-            let s = pairs.off[v as usize];
-            let m = pairs.merge.order.len();
-            assert!(
-                s + m <= pairs.off[v as usize + 1],
-                "a user's pair list only shrinks"
-            );
-            for (j, &w) in pairs.merge.order.iter().enumerate() {
-                pairs.cand[s + j] = w;
-                pairs.delta[s + j] = pairs.merge.acc[w as usize];
-            }
-            pairs.len[v as usize] = m as u32;
-        }
+        pairs.refresh(users, |v, i| self.live_walk(v, i));
     }
 
-    /// Merges user `v`'s live walks into `merge.order` / `merge.acc`, in
-    /// walk order.
-    fn merge_user(&self, v: Node, merge: &mut PairMerge) {
-        merge.begin_user(self.num_nodes());
-        let lambda = self.lambda[v as usize] as f64;
-        for i in self.arena.group_range(v).expect("grouped arena") {
-            let gain = self.walk_gain[i];
-            if gain <= 0.0 {
-                continue;
-            }
-            // Live, hence never truncated: the live prefix is the walk.
-            let prefix = self.trunc.prefix(self.arena, i);
-            debug_assert_eq!(prefix.len(), self.arena.walk(i).len());
-            let delta = gain / lambda;
-            merge.begin_walk();
-            for &w in prefix {
-                debug_assert!(!self.trunc.is_seed(w));
-                merge.add(w, delta);
-            }
+    /// Walk `i` of user `v` and its delta `gain/λ_v`, while it is live.
+    fn live_walk(&self, v: Node, i: usize) -> Option<(&'a [Node], f64)> {
+        let gain = self.walk_gain[i];
+        if gain <= 0.0 {
+            return None;
         }
+        // Live, hence never truncated: the live prefix is the walk.
+        let walk = self.arena.walk(i);
+        debug_assert_eq!(self.trunc.end_pos(i) + 1, walk.len());
+        debug_assert!(walk.iter().all(|&w| !self.trunc.is_seed(w)));
+        Some((walk, gain / self.lambda[v as usize] as f64))
     }
 
     /// The marginal estimated-cumulative gain of a single candidate seed
@@ -559,41 +601,6 @@ impl<'a> OpinionEstimator<'a> {
         if let Some((user, acc)) = current {
             visit(user, acc);
         }
-    }
-
-    /// [`OpinionEstimator::for_candidate_deltas`] that *also*
-    /// accumulates the candidate's estimated-cumulative gain in
-    /// occurrence order — one pass serves both the rank gain and its
-    /// cumulative tie-break (bit-identical to
-    /// [`OpinionEstimator::cumulative_gain_of`]).
-    pub fn for_candidate_deltas_cum<F: FnMut(Node, f64)>(
-        &self,
-        w: Node,
-        _scratch: &mut DeltaScratch,
-        mut visit: F,
-    ) -> f64 {
-        if self.trunc.is_seed(w) {
-            return 0.0;
-        }
-        let mut cum = 0.0;
-        let mut current: Option<(Node, f64)> = None;
-        self.visit_candidate_walks(w, |_, start, g| {
-            let delta = g / self.lambda[start as usize] as f64;
-            cum += delta;
-            match &mut current {
-                Some((user, acc)) if *user == start => *acc += delta,
-                _ => {
-                    if let Some((user, acc)) = current.take() {
-                        visit(user, acc);
-                    }
-                    current = Some((start, delta));
-                }
-            }
-        });
-        if let Some((user, acc)) = current {
-            visit(user, acc);
-        }
-        cum
     }
 
     /// Visits `(candidate seed w, walk start, walk-level gain)` for the

@@ -67,18 +67,12 @@ struct OccurrenceIndex {
 impl Truncation {
     /// Builds the truncation index for `arena` over `n` nodes.
     pub fn new(arena: &WalkArena, n: usize) -> Self {
-        let mut end_pos = Vec::with_capacity(arena.num_walks());
+        let end_pos = (0..arena.num_walks())
+            .map(|i| (arena.walk(i).len() - 1) as u32)
+            .collect();
         // Count first occurrences per node.
         let mut counts = vec![0usize; n + 1];
-        for i in 0..arena.num_walks() {
-            let w = arena.walk(i);
-            end_pos.push((w.len() - 1) as u32);
-            for (pos, &v) in w.iter().enumerate() {
-                if first_occurrence(w, pos, v) {
-                    counts[v as usize + 1] += 1;
-                }
-            }
-        }
+        each_first_occurrence(arena, |_, _, v| counts[v as usize + 1] += 1);
         for i in 0..n {
             counts[i + 1] += counts[i];
         }
@@ -87,17 +81,12 @@ impl Truncation {
         let mut cursor = occ_off.clone();
         let mut occ_walk = vec![0u32; total];
         let mut occ_pos = vec![0u32; total];
-        for i in 0..arena.num_walks() {
-            let w = arena.walk(i);
-            for (pos, &v) in w.iter().enumerate() {
-                if first_occurrence(w, pos, v) {
-                    let slot = cursor[v as usize];
-                    occ_walk[slot] = i as u32;
-                    occ_pos[slot] = pos as u32;
-                    cursor[v as usize] += 1;
-                }
-            }
-        }
+        each_first_occurrence(arena, |i, pos, v| {
+            let slot = cursor[v as usize];
+            occ_walk[slot] = i as u32;
+            occ_pos[slot] = pos as u32;
+            cursor[v as usize] += 1;
+        });
         Truncation {
             end_pos,
             index: Arc::new(OccurrenceIndex {
@@ -112,9 +101,10 @@ impl Truncation {
 
     /// Reassembles a *pristine* (seedless) truncation from its persisted
     /// arrays: per-walk end positions plus the first-occurrence CSR.
-    /// Every index is bounds-validated against `arena` up front, so a
+    /// The arrays must equal the ones [`Truncation::new`] builds from
+    /// `arena` (checked entry by entry, without building them), so a
     /// corrupt-but-digest-valid snapshot fails closed here instead of
-    /// panicking inside a later query.
+    /// panicking or truncating at the wrong node inside a later query.
     pub fn from_parts(
         arena: &WalkArena,
         n: usize,
@@ -140,11 +130,24 @@ impl Truncation {
         if occ_walk.len() != total || occ_pos.len() != total {
             return Err("occurrence arrays must match their offsets");
         }
-        for slot in 0..total {
-            let w = occ_walk[slot] as usize;
-            if w >= walks || occ_pos[slot] as usize >= arena.walk(w).len() {
-                return Err("occurrence beyond its walk");
+        // Replay `new`'s fill: each first occurrence, in walk order, must
+        // be the next entry of its node's list, and every list must end
+        // where its offsets say.
+        let mut cursor = occ_off.to_vec();
+        let mut matches = true;
+        each_first_occurrence(arena, |i, pos, v| {
+            let v = v as usize;
+            matches = matches
+                && v < n
+                && cursor[v] < occ_off[v + 1]
+                && occ_walk[cursor[v]] as usize == i
+                && occ_pos[cursor[v]] as usize == pos;
+            if matches {
+                cursor[v] += 1;
             }
+        });
+        if !matches || (0..n).any(|v| cursor[v] != occ_off[v + 1]) {
+            return Err("occurrence index differs from the arena's first occurrences");
         }
         Ok(Truncation {
             end_pos,
@@ -304,10 +307,17 @@ impl Truncation {
     }
 }
 
-/// Whether position `pos` holds the first occurrence of `v` in `w`.
-#[inline]
-fn first_occurrence(w: &[Node], pos: usize, v: Node) -> bool {
-    !w[..pos].contains(&v)
+/// Calls `visit(walk, pos, node)` for the first occurrence of every node
+/// in every walk, in walk order and then position order.
+fn each_first_occurrence(arena: &WalkArena, mut visit: impl FnMut(usize, usize, Node)) {
+    for i in 0..arena.num_walks() {
+        let w = arena.walk(i);
+        for (pos, &v) in w.iter().enumerate() {
+            if !w[..pos].contains(&v) {
+                visit(i, pos, v);
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -395,6 +405,43 @@ mod tests {
         t.add_seed(&a, 1, |_, _| calls += 1);
         assert_eq!(calls, 0);
         assert_eq!(t.end_pos(1), 0);
+    }
+
+    #[test]
+    fn from_parts_accepts_only_the_built_index() {
+        let a = arena();
+        let built = Truncation::new(&a, 4);
+        let (end_pos, occ_off, occ_walk, occ_pos) = built.parts();
+        let load = |walk: Vec<u32>, pos: Vec<u32>| {
+            Truncation::from_parts(
+                &a,
+                4,
+                end_pos.to_vec(),
+                occ_off.to_vec().into(),
+                walk.into(),
+                pos.into(),
+            )
+        };
+        assert!(load(occ_walk.to_vec(), occ_pos.to_vec()).is_ok());
+        // Node 2 occurs in walks 0, 1, 2 at positions 1, 0, 1.
+        let s = occ_off[2];
+        assert_eq!(
+            (&occ_walk[s..s + 3], &occ_pos[s..s + 3]),
+            (&[0, 1, 2][..], &[1, 0, 1][..])
+        );
+        // In bounds, but another node's position (walk 0 holds 0 there).
+        let mut pos = occ_pos.to_vec();
+        pos[s] = 2;
+        assert!(load(occ_walk.to_vec(), pos).is_err());
+        // Node 2's later occurrence in walk 2.
+        let mut pos = occ_pos.to_vec();
+        pos[s + 2] = 3;
+        assert!(load(occ_walk.to_vec(), pos).is_err());
+        // Node 2's walks out of order.
+        let (mut walk, mut pos) = (occ_walk.to_vec(), occ_pos.to_vec());
+        walk.swap(s, s + 1);
+        pos.swap(s, s + 1);
+        assert!(load(walk, pos).is_err());
     }
 
     #[test]

@@ -133,3 +133,49 @@ fn selection_is_deterministic_given_seed() {
         assert_eq!(a, b, "{}", method.name());
     }
 }
+
+/// Pins the RW and RS rank-greedy selections on a small Yelp replica
+/// (n = 386, t = 20): one FNV-1a 64 digest over the seeds of sixteen
+/// queries per index (plurality and 2-approval, k = 5 and 8, auto and
+/// plain), each seed as a `u64` LE and each query closed by `u64::MAX`.
+#[test]
+fn rank_selections_are_pinned() {
+    use std::sync::Arc;
+    use vom::core::{Query, QuerySession};
+    let ds = yelp_like(&ReplicaParams::at_scale(0.0004, 2023));
+    let target = ds.default_target;
+    let p = Problem::new(&ds.instance, target, 8, 20, ScoringFunction::Plurality).unwrap();
+    let engines = [
+        Engine::Rw(RwConfig {
+            seed: 2023,
+            max_lambda: 150,
+            gamma_floor: 0.1,
+            ..RwConfig::default()
+        }),
+        Engine::Rs(RsConfig {
+            seed: 2023,
+            ..RsConfig::default()
+        }),
+    ];
+    let mut digest = vom::persist::Digest::new();
+    for engine in engines {
+        let mut session = QuerySession::new(Arc::new(engine.prepare_index(&p).unwrap()));
+        for rule in [
+            ScoringFunction::Plurality,
+            ScoringFunction::PApproval { p: 2 },
+        ] {
+            for k in [5, 8] {
+                for query in [
+                    Query::new(k, rule.clone(), target),
+                    Query::plain(k, rule.clone(), target),
+                ] {
+                    for &v in &session.select(&query).unwrap().seeds {
+                        digest.update_u64(u64::from(v));
+                    }
+                    digest.update_u64(u64::MAX);
+                }
+            }
+        }
+    }
+    assert_eq!(format!("{:016x}", digest.finish()), "466a755c5e29775e");
+}

@@ -200,6 +200,87 @@ fn corrupted_snapshots_fail_closed_and_the_rebuild_fallback_matches() {
     std::fs::remove_file(&path).ok();
 }
 
+/// The byte range of section `(kind, id)` in a snapshot file, read from
+/// its section table.
+fn section_bytes(file: &[u8], kind: u32, id: u64) -> std::ops::Range<usize> {
+    let word = |at: usize| u64::from_le_bytes(file[at..at + 8].try_into().unwrap()) as usize;
+    (0..word(48))
+        .map(|i| vom::persist::HEADER_BYTES + i * vom::persist::ENTRY_BYTES)
+        .find(|&at| word(at) == kind as usize && word(at + 8) as u64 == id)
+        .map(|at| word(at + 16)..word(at + 16) + word(at + 24))
+        .expect("section present")
+}
+
+#[test]
+fn resealed_snapshots_with_inconsistent_sketch_parts_fail_closed() {
+    use vom::core::persist::kind;
+    let _guard = pool_lock();
+    let inst = instance();
+    let rule = ScoringFunction::Plurality;
+    let engine = Engine::Rs(RsConfig {
+        seed: 12,
+        ..RsConfig::default()
+    });
+    let spec = Problem::new(&inst, 0, K_MAX, HORIZON, rule.clone()).unwrap();
+    let index = Arc::new(engine.prepare_index(&spec).unwrap());
+    selections(&index, &rule);
+    let path = scratch("inconsistent-sketch");
+    index.save(&path).unwrap();
+    let pristine = std::fs::read(&path).unwrap();
+    let u32_at = |file: &[u8], at: usize| u32::from_le_bytes(file[at..at + 4].try_into().unwrap());
+    let u64_at = |file: &[u8], at: usize| u64::from_le_bytes(file[at..at + 8].try_into().unwrap());
+    // Reseals the payload digest (header word 2), so only the loader's
+    // consistency checks can object, and loads the edited file.
+    let load_resealed = |mut file: Vec<u8>| {
+        let digest = vom::persist::fnv1a(&file[vom::persist::HEADER_BYTES..]);
+        file[16..24].copy_from_slice(&digest.to_le_bytes());
+        std::fs::write(&path, &file).unwrap();
+        PreparedIndex::load(Arc::clone(&inst), IndexSource::File(&path)).err()
+    };
+
+    // Move the first occurrence entry whose walk has two or more nodes to
+    // the walk's next position: still inside the walk, but not where its
+    // node first occurs.
+    let mut file = pristine.clone();
+    let walks = section_bytes(&file, kind::SK_OCC_WALK, 0);
+    let positions = section_bytes(&file, kind::SK_OCC_POS, 0);
+    let offsets = section_bytes(&file, kind::SK_OFFSETS, 0).start;
+    let walk_len = |file: &[u8], slot: usize| {
+        let w = u32_at(file, walks.start + 4 * slot) as usize;
+        (u64_at(file, offsets + 8 * (w + 1)) - u64_at(file, offsets + 8 * w)) as u32
+    };
+    let slot = (0..walks.len() / 4)
+        .find(|&s| walk_len(&file, s) >= 2)
+        .expect("a walk of two or more nodes");
+    let at = positions.start + 4 * slot;
+    let moved = (u32_at(&file, at) + 1) % walk_len(&file, slot);
+    file[at..at + 4].copy_from_slice(&moved.to_le_bytes());
+    let err = load_resealed(file).expect("a moved occurrence must not load");
+    assert!(
+        matches!(err, PersistError::BadValue { .. }),
+        "unexpected error for a moved occurrence: {err}"
+    );
+
+    // Move one sketch from the first sampled start's count to the next
+    // user's: the total stays θ, but the counts no longer match the starts.
+    let mut file = pristine.clone();
+    let counts = section_bytes(&file, kind::SK_START_COUNT, 0).start;
+    let v = (0..inst.num_nodes())
+        .find(|&v| u32_at(&file, counts + 4 * v) > 0)
+        .expect("a sampled start");
+    let w = (v + 1) % inst.num_nodes();
+    for (user, step) in [(v, -1i64), (w, 1)] {
+        let c = (i64::from(u32_at(&file, counts + 4 * user)) + step) as u32;
+        file[counts + 4 * user..counts + 4 * user + 4].copy_from_slice(&c.to_le_bytes());
+    }
+    let err = load_resealed(file).expect("miscounted starts must not load");
+    assert!(
+        matches!(err, PersistError::BadValue { .. }),
+        "unexpected error for miscounted starts: {err}"
+    );
+    std::fs::remove_file(&path).ok();
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 

@@ -2,12 +2,16 @@
 //! column-stochasticity, opinion range/monotonicity, cumulative
 //! submodularity (Theorem 3), estimator unbiasedness, bound
 //! domination, bit-identity of the target-only exact evaluation, and
-//! the sandwich upper bound: lane-parallel coverage marginals, the lazy
-//! coverage greedy against a plain one, and a brute-force bracket.
+//! the sandwich bounds: lane-parallel coverage marginals, the lazy
+//! coverage greedy against a plain one, and brute-force brackets of the
+//! upper and lower bounds.
 
 use proptest::prelude::*;
 use std::sync::Arc;
-use vom::core::bounds::{evaluate_upper_bound, greedy_upper_bound, upper_bound_parts};
+use vom::core::bounds::{
+    evaluate_upper_bound, favorable_users, greedy_upper_bound, upper_bound_parts,
+};
+use vom::core::dm::dm_greedy_masked_cumulative;
 use vom::core::Problem;
 use vom::diffusion::{DiffusionSystem, Instance, OpinionMatrix, SolveOptions, Solver, SolverPool};
 use vom::graph::bfs::{bounded_out_bfs, HopCoverage};
@@ -379,6 +383,53 @@ proptest! {
             prop_assert!(
                 ub_su + 1e-9 >= floor,
                 "{score}: UB(S_U) {ub_su} < (1 − 1/e)·{best_ub} for S_U {s_u:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn sandwich_lower_bound_brackets_the_brute_force_score(
+        instance in arb_instance(),
+        t in 0usize..6,
+        k_draw in 1usize..=3,
+    ) {
+        // The lower side, on the same instances: LB(S) = ω[p]·Σ_{v∈V_q}
+        // b_qv[S] <= F(S) for every |S| <= k (Definition 3), and the exact
+        // masked-cumulative greedy S_L reaches (1 − 1/e) of the best LB
+        // over |S| = k (LB is monotone submodular by Theorem 3).
+        let inst = three_campaigns(instance);
+        let n = inst.num_nodes();
+        let k = k_draw.min(n);
+        let sets: Vec<Vec<Node>> = (0u32..1 << n)
+            .filter(|mask| mask.count_ones() as usize <= k)
+            .map(|mask| (0..n as Node).filter(|&v| mask >> v & 1 == 1).collect())
+            .collect();
+        for score in [ScoringFunction::Plurality, ScoringFunction::PApproval { p: 2 }] {
+            let p = Problem::new(&inst, 0, k, t, score.clone()).unwrap();
+            let depth = score.approval_depth().unwrap();
+            let mut favorable = vec![false; n];
+            for v in favorable_users(&p.opinions(&[]), 0, depth) {
+                favorable[v as usize] = true;
+            }
+            let lb = |seeds: &[Node]| {
+                let row = inst.opinions_of(0, t, seeds);
+                let sum: f64 = (0..n).filter(|&v| favorable[v]).map(|v| row[v]).sum();
+                score.position_weight(depth) * sum
+            };
+            let mut best_lb = f64::NEG_INFINITY;
+            for seeds in &sets {
+                let (lb_s, f) = (lb(seeds), p.exact_score(seeds));
+                prop_assert!(lb_s <= f + 1e-9, "{score}: LB {lb_s} > F {f} for {seeds:?}");
+                if seeds.len() == k {
+                    best_lb = best_lb.max(lb_s);
+                }
+            }
+            let s_l = dm_greedy_masked_cumulative(&p, Some(&favorable), &SolverPool::new(), None);
+            let lb_sl = lb(&s_l);
+            let floor = (1.0 - (-1.0f64).exp()) * best_lb;
+            prop_assert!(
+                lb_sl + 1e-9 >= floor,
+                "{score}: LB(S_L) {lb_sl} < (1 − 1/e)·{best_lb} for S_L {s_l:?}"
             );
         }
     }
