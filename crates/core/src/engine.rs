@@ -90,7 +90,7 @@ use vom_diffusion::{DiffusionSystem, OpinionMatrix, SolverCounters, SolverPool};
 use vom_graph::{Candidate, Node};
 use vom_sketch::SketchSet;
 use vom_voting::{RankIndex, ScoringFunction};
-use vom_walks::{OpinionEstimator, Truncation, WalkArena};
+use vom_walks::{OccurrenceIndex, OpinionEstimator, Truncation, WalkArena};
 
 /// The three proposed selection engines behind the prepared lifecycle
 /// (§VIII compares them as DM, RW, RS).
@@ -399,12 +399,14 @@ pub trait IndexBackend: Send + Sync {
 /// Reusable per-session buffers the query paths fill on every select:
 /// sandwich masks, the RS working sketch and the RW truncation. Contents
 /// are pure scratch — they never influence results, only allocation
-/// traffic and rebuilds — so a fresh default scratch and a warm one
-/// answer queries identically.
+/// traffic — so a fresh default scratch and a warm one answer queries
+/// identically.
 ///
-/// A scratch serves one index (its session's): the RW truncation is
-/// keyed by its arena's address, which names one arena only while the
-/// index holding that arena is alive.
+/// The spare RW truncation holds an `Arc` of the occurrence index it
+/// reads, so it is reused exactly when a query asks for that same index
+/// (`Arc::ptr_eq`); the index lives next to its arena in the prepared
+/// RW index, so the pointer names one arena for as long as the scratch
+/// keeps it.
 #[derive(Debug, Default)]
 pub struct SessionScratch {
     /// Favorable-user mask for the sandwich lower bound.
@@ -413,9 +415,8 @@ pub struct SessionScratch {
     mask_all: Vec<bool>,
     /// RS working sketch from the previous query, keyed by its θ.
     rs_sketch: Option<(usize, SketchSet)>,
-    /// The last RW estimator's truncation (occurrence index included),
-    /// keyed by its arena's address. At most one per session.
-    rw_trunc: Option<(usize, Truncation)>,
+    /// The last RW estimator's truncation. At most one per session.
+    rw_trunc: Option<Truncation>,
     /// Pooled exact-diffusion solvers (single and lane iteration
     /// buffers), reused across DM's `(k, trial)` loop and across queries
     /// on the same session.
@@ -441,34 +442,28 @@ impl SessionScratch {
         self.rs_sketch = Some((theta, sketch));
     }
 
-    /// A pristine truncation of `arena`: the previous estimator's, reset
-    /// in `O(walks + seeds)`, when it was built over the same arena, else
-    /// a fresh build of the occurrence index (dropping the old one first).
-    /// Pair with [`SessionScratch::return_truncation`].
-    pub fn checkout_truncation(&mut self, arena: &WalkArena) -> Truncation {
-        let key = arena_key(arena);
+    /// A pristine truncation of `arena` over its shared `index`: the
+    /// previous estimator's, reset in `O(walks + seeds)`, when it reads
+    /// the same index, else fresh `O(walks + n)` state over it. Pair with
+    /// [`SessionScratch::return_truncation`].
+    pub fn checkout_truncation(
+        &mut self,
+        arena: &WalkArena,
+        index: &Arc<OccurrenceIndex>,
+    ) -> Truncation {
         match self.rw_trunc.take() {
-            Some((k, mut trunc)) if k == key => {
+            Some(mut trunc) if Arc::ptr_eq(trunc.index(), index) => {
                 trunc.reset(arena);
                 trunc
             }
-            stale => {
-                drop(stale);
-                let n = arena.num_groups().expect("RW arenas are grouped by start");
-                Truncation::new(arena, n)
-            }
+            _ => Truncation::new(arena, Arc::clone(index)),
         }
     }
 
-    /// Keeps a used truncation of `arena` for the next checkout.
-    pub fn return_truncation(&mut self, arena: &WalkArena, trunc: Truncation) {
-        self.rw_trunc = Some((arena_key(arena), trunc));
+    /// Keeps a used truncation for the next checkout.
+    pub fn return_truncation(&mut self, trunc: Truncation) {
+        self.rw_trunc = Some(trunc);
     }
-}
-
-/// The scratch key of an arena: its address (see [`SessionScratch`]).
-fn arena_key(arena: &WalkArena) -> usize {
-    std::ptr::from_ref(arena) as usize
 }
 
 /// An immutable prepared index: the shared artifacts of one method for
@@ -1167,19 +1162,45 @@ impl IndexBackend for DmIndex {
 // RW backend
 // ---------------------------------------------------------------------
 
-/// Cached walk arenas, one per rule class (the λ schedule differs), plus
-/// the γ* pilot shared by the two competitive classes. Lazy per-class
-/// builds go through `OnceLock`, so concurrent sessions racing to add a
-/// class still build it exactly once (losers block until the winner's
-/// arena is ready).
+/// Cached walk arenas, one per rule class (the λ schedule differs), each
+/// with its occurrence index, plus the γ* pilot shared by the two
+/// competitive classes. Lazy per-class builds go through `OnceLock`, so
+/// concurrent sessions racing to add a class still build it exactly once
+/// (losers block until the winner's arena and index are ready).
 pub(crate) struct RwIndex {
     pub(crate) cfg: RwConfig,
     /// The prepared budget: the γ* pilot depth derives from it (pin
     /// `RwConfig::gamma_pilot` to decouple artifacts from the budget).
     pub(crate) budget: usize,
     pub(crate) gammas: OnceLock<Vec<f64>>,
-    pub(crate) arenas: [OnceLock<WalkArena>; 3],
+    pub(crate) arenas: [OnceLock<RwArena>; 3],
     pub(crate) builds: AtomicUsize,
+}
+
+/// One rule class's walk arena and the occurrence index every session's
+/// truncation shares. The index is derived from the arena, on a build
+/// and on a snapshot load alike.
+pub(crate) struct RwArena {
+    walks: WalkArena,
+    index: Arc<OccurrenceIndex>,
+}
+
+impl RwArena {
+    /// Indexes a grouped arena (one start group per node).
+    pub(crate) fn new(walks: WalkArena) -> RwArena {
+        let n = walks.num_groups().expect("RW arenas are grouped by start");
+        let index = Arc::new(OccurrenceIndex::new(&walks, n));
+        RwArena { walks, index }
+    }
+
+    /// The walks.
+    pub(crate) fn walks(&self) -> &WalkArena {
+        &self.walks
+    }
+
+    fn heap_bytes(&self) -> usize {
+        self.walks.heap_bytes() + self.index.heap_bytes()
+    }
 }
 
 impl RwIndex {
@@ -1195,7 +1216,7 @@ impl RwIndex {
         backend
     }
 
-    fn ensure_arena(&self, problem: &Problem<'_>, others: Option<&OpinionMatrix>) -> &WalkArena {
+    fn ensure_arena(&self, problem: &Problem<'_>, others: Option<&OpinionMatrix>) -> &RwArena {
         let class = RuleClass::of(&problem.score);
         self.arenas[class as usize].get_or_init(|| {
             let arena = match class {
@@ -1214,7 +1235,7 @@ impl RwIndex {
                 }
             };
             self.builds.fetch_add(1, Ordering::Relaxed);
-            arena
+            RwArena::new(arena)
         })
     }
 
@@ -1223,13 +1244,13 @@ impl RwIndex {
     /// [`SessionScratch::return_truncation`]).
     fn estimator<'s>(
         &self,
-        arena: &'s WalkArena,
+        arena: &'s RwArena,
         problem: &Problem<'s>,
         scratch: &mut SessionScratch,
     ) -> OpinionEstimator<'s> {
         let cand = problem.instance.candidate(problem.target);
-        let trunc = scratch.checkout_truncation(arena);
-        let mut est = OpinionEstimator::with_truncation(arena, &cand.initial, trunc);
+        let trunc = scratch.checkout_truncation(&arena.walks, &arena.index);
+        let mut est = OpinionEstimator::with_truncation(&arena.walks, &cand.initial, trunc);
         for &s in &cand.fixed_seeds {
             est.add_seed(s);
         }
@@ -1241,8 +1262,8 @@ impl IndexBackend for RwIndex {
     fn heap_bytes(&self) -> usize {
         self.arenas
             .iter()
-            .filter_map(|a| a.get())
-            .map(|a| a.heap_bytes())
+            .filter_map(OnceLock::get)
+            .map(RwArena::heap_bytes)
             .sum::<usize>()
             + self
                 .gammas
@@ -1271,7 +1292,7 @@ impl IndexBackend for RwIndex {
             problem.target,
             meter,
         );
-        scratch.return_truncation(arena, est.into_truncation());
+        scratch.return_truncation(est.into_truncation());
         Ok(seeds)
     }
 
@@ -1287,7 +1308,7 @@ impl IndexBackend for RwIndex {
         let arena = self.ensure_arena(problem, comp.map(|c| c.matrix));
         let mut est = self.estimator(arena, problem, scratch);
         let seeds = crate::greedy::greedy_masked_cumulative(&mut est, problem.k, mask);
-        scratch.return_truncation(arena, est.into_truncation());
+        scratch.return_truncation(est.into_truncation());
         Ok(seeds)
     }
 
@@ -1532,14 +1553,14 @@ mod tests {
         // Four sessions race to be the first to need the Rank-class
         // arena; it must be built exactly once and every session must
         // agree on the selection.
-        let selections = std::thread::scope(|s| {
+        let answered = std::thread::scope(|s| {
             let handles: Vec<_> = (0..4)
                 .map(|_| {
                     let index = Arc::clone(&index);
                     s.spawn(move || {
                         let mut session = QuerySession::new(Arc::clone(&index));
                         let q = Query::new(1, ScoringFunction::Plurality, 0);
-                        session.select(&q).unwrap().seeds
+                        (session.select(&q).unwrap().seeds, session)
                     })
                 })
                 .collect();
@@ -1549,7 +1570,37 @@ mod tests {
                 .collect::<Vec<_>>()
         });
         assert_eq!(index.build_stats().artifact_builds, 2);
-        assert!(selections.windows(2).all(|w| w[0] == w[1]));
+        assert!(answered.windows(2).all(|w| w[0].0 == w[1].0));
+        // Every session truncated over the one occurrence index built
+        // with the arena.
+        let rw = index.backend().as_any().unwrap();
+        let rw = rw.downcast_ref::<RwIndex>().unwrap();
+        let shared = &rw.arenas[RuleClass::Rank as usize].get().unwrap().index;
+        for (_, session) in &answered {
+            let trunc = session
+                .scratch
+                .rw_trunc
+                .as_ref()
+                .expect("a spare truncation");
+            assert!(Arc::ptr_eq(trunc.index(), shared));
+        }
+    }
+
+    #[test]
+    fn rw_heap_bytes_include_the_occurrence_index_from_build_time() {
+        let inst = instance();
+        let spec = Problem::new(&inst, 0, 1, 1, ScoringFunction::Cumulative).unwrap();
+        let index = Engine::rw_default().prepare_index(&spec).unwrap();
+        let rw = index.backend().as_any().unwrap();
+        let rw = rw.downcast_ref::<RwIndex>().unwrap();
+        let arena = rw.arenas[RuleClass::Cumulative as usize]
+            .get()
+            .expect("built at prepare");
+        assert!(arena.index.heap_bytes() > 0);
+        assert_eq!(
+            index.build_stats().heap_bytes,
+            arena.walks.heap_bytes() + arena.index.heap_bytes()
+        );
     }
 
     fn meter(ticks: u64) -> Arc<CostMeter> {

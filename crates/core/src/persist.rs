@@ -6,21 +6,26 @@
 //! arenas and γ*, RS's sketch sets with their truncation and end-value
 //! pools — together with every exact-matrix cache that happens to be
 //! materialized (competitor opinions, the rank index, seedless opinions,
-//! sandwich upper-bound orders). All large arrays are written verbatim in
-//! the `vom-persist` section format, so saving is a straight copy of the
-//! existing flat buffers.
+//! sandwich upper-bound orders). Large arrays are written verbatim in
+//! the `vom-persist` section format, so saving is mostly a straight copy
+//! of the existing flat buffers; a sketch's occurrence positions, which
+//! the index does not keep, are regenerated from its arena.
 //!
 //! [`PreparedIndex::load`] reconstructs an index that answers queries
 //! **bit-identically** to a freshly built one: the artifacts are the
 //! actual build outputs, not re-derived approximations, and everything
 //! the snapshot does not carry (a rule class never queried before the
 //! save, say) is lazily built on first use exactly as on a fresh index.
+//! What the file stores but the instance or an arena determines is
+//! checked against it, or derived: DM's system must equal the target
+//! candidate's own, and RW occurrence indexes are built from the loaded
+//! arenas.
 //! The file's graph digest must match the instance the caller supplies —
 //! a snapshot can never be silently applied to a different graph — and
 //! any corruption fails closed with a typed [`PersistError`], leaving
 //! the caller to fall back to a rebuild.
 
-use crate::engine::{DmIndex, IndexBackend, PreparedIndex, RsIndex, RwIndex};
+use crate::engine::{DmIndex, IndexBackend, PreparedIndex, RsIndex, RwArena, RwIndex};
 use crate::problem::ProblemSpec;
 use crate::registry::MethodId;
 use crate::rs::RsConfig;
@@ -29,7 +34,7 @@ use std::path::Path;
 use std::sync::atomic::AtomicUsize;
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
-use vom_diffusion::{DiffusionSystem, Instance, OpinionMatrix};
+use vom_diffusion::{Instance, OpinionMatrix};
 use vom_graph::Node;
 use vom_persist::{Digest, LoadMode, PersistError, Result, Snapshot, SnapshotWriter};
 use vom_sketch::SketchSet;
@@ -362,7 +367,7 @@ fn save_rw(w: &mut SnapshotWriter, rw: &RwIndex) {
     }
     for (class, cell) in rw.arenas.iter().enumerate() {
         if let Some(arena) = cell.get() {
-            let (nodes, offsets, groups) = arena.parts();
+            let (nodes, offsets, groups) = arena.walks().parts();
             w.section::<u32>(kind::ARENA_NODES, class as u64, nodes);
             w.section::<usize>(kind::ARENA_OFFSETS, class as u64, offsets);
             if let Some(groups) = groups {
@@ -401,11 +406,11 @@ fn save_rs(w: &mut SnapshotWriter, rs: &RsIndex) {
         if let Some(groups) = groups {
             w.section::<usize>(kind::SK_GROUPS, slot, groups);
         }
-        let (end_pos, occ_off, occ_walk, occ_pos) = trunc.parts();
+        let (end_pos, occ_off, occ_walk) = trunc.parts();
         w.section::<u32>(kind::SK_END_POS, slot, end_pos);
         w.section::<usize>(kind::SK_OCC_OFF, slot, occ_off);
         w.section::<u32>(kind::SK_OCC_WALK, slot, occ_walk);
-        w.section::<u32>(kind::SK_OCC_POS, slot, occ_pos);
+        w.section::<u32>(kind::SK_OCC_POS, slot, &trunc.index().positions(arena));
         w.section::<f64>(kind::SK_B0, slot, b0);
         w.section::<f64>(kind::SK_START_SUM, slot, start_sum);
         w.section::<u32>(kind::SK_START_COUNT, slot, start_count);
@@ -530,24 +535,29 @@ pub fn load_snapshot(instance: Arc<Instance>, snap: &Snapshot) -> Result<Prepare
     ))
 }
 
+/// Whether two float arrays hold the same bits.
+fn same_bits(a: &[f64], b: &[f64]) -> bool {
+    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
+}
+
 fn load_dm(snap: &Snapshot, spec: &ProblemSpec, n: usize) -> Result<DmIndex> {
-    let system = DiffusionSystem::from_parts(
-        n,
-        snap.section::<usize>(kind::DM_IN_OFF, 0)?,
-        snap.section::<u32>(kind::DM_IN_SRC, 0)?,
-        snap.section::<f64>(kind::DM_IN_W, 0)?,
-        snap.section::<f64>(kind::DM_B0, 0)?,
-        snap.section::<f64>(kind::DM_D, 0)?,
-    )
-    .map_err(bad("diffusion system"))?;
-    // Install the loaded system as the candidate's canonical one (an
-    // already-built cache wins — it is bit-identical by construction, and
-    // queries assert pointer equality with the candidate cache).
-    let system = Arc::clone(
-        spec.instance
-            .candidate(spec.target)
-            .install_system(Arc::new(system)),
-    );
+    // The index runs on the candidate's own system, which every other
+    // index over the instance shares; the file's copy is only checked
+    // against it, so a forged file can never change another index's
+    // answers.
+    let system = Arc::clone(spec.instance.candidate(spec.target).system());
+    let (in_off, in_src, in_w) = system.parts();
+    let same = *snap.section::<usize>(kind::DM_IN_OFF, 0)? == *in_off
+        && *snap.section::<u32>(kind::DM_IN_SRC, 0)? == *in_src
+        && same_bits(&snap.section::<f64>(kind::DM_IN_W, 0)?, in_w)
+        && same_bits(&snap.section::<f64>(kind::DM_B0, 0)?, system.initial())
+        && same_bits(&snap.section::<f64>(kind::DM_D, 0)?, system.stubbornness());
+    if !same {
+        return Err(PersistError::BadValue {
+            what: "diffusion system",
+            detail: "differs from the target candidate's own system".to_string(),
+        });
+    }
     let cum_order = OnceLock::new();
     if let Some(order) = snap.maybe_section::<u32>(kind::DM_CUM_ORDER, 0)? {
         check_nodes("cumulative CELF order", &order, n)?;
@@ -613,7 +623,15 @@ fn load_rw(snap: &Snapshot, n: usize) -> Result<RwIndex> {
                 class as u64,
                 n,
             )?;
-            let _ = cell.set(arena);
+            if arena.num_groups() != Some(n) {
+                return Err(PersistError::BadValue {
+                    what: "walk arena",
+                    detail: format!("{:?} start groups, need {n}", arena.num_groups()),
+                });
+            }
+            // Deriving the occurrence index is part of the load, not an
+            // artifact build.
+            let _ = cell.set(RwArena::new(arena));
             loaded += 1;
         }
     }

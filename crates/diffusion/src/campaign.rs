@@ -99,15 +99,6 @@ impl CandidateData {
             )
         })
     }
-
-    /// Installs a prebuilt system into the lazy cache — the snapshot-load
-    /// path hands the deserialized [`DiffusionSystem`] here so every
-    /// solver over this candidate shares one `Arc` (the DM backend
-    /// asserts that identity). Returns the cached system: the existing
-    /// one wins if the cache was already populated.
-    pub fn install_system(&self, system: Arc<DiffusionSystem>) -> &Arc<DiffusionSystem> {
-        self.system.get_or_init(|| system)
-    }
 }
 
 /// A full FJ-Vote problem instance: `r` concurrent, independent campaigns

@@ -122,9 +122,9 @@ impl SolverCounters {
 /// order, and the per-node `b⁰`/`d` vectors. Built once per candidate
 /// (see [`crate::CandidateData::system`]) and shared by `Arc`; immutable
 /// and `Send + Sync`.
-/// The flat arrays live in [`FlatBuf`]s so a snapshot load (`vom-persist`)
-/// can borrow them zero-copy from the mapped file region; the folded
-/// constants are always recomputed, bitwise identically, from `b0`/`d`.
+/// A DM snapshot stores the flat arrays, but its load only checks them
+/// against the candidate's own system, so a system is always built from
+/// its candidate's inputs.
 #[derive(Debug)]
 pub struct DiffusionSystem {
     n: usize,
@@ -173,75 +173,23 @@ impl DiffusionSystem {
             }
             in_offsets.push(in_sources.len());
         }
-        Ok(Self::assemble(
-            n,
-            in_offsets.into(),
-            in_sources.into(),
-            in_weights.into(),
-            b0.to_vec().into(),
-            d.to_vec().into(),
-        ))
-    }
-
-    /// Reassembles a system from its persisted arrays (snapshot load).
-    /// The CSR shape and every node id are validated up front so a
-    /// corrupt-but-digest-valid snapshot fails closed here; the folded
-    /// per-node constants are recomputed from `b0`/`d` with the same
-    /// expressions [`DiffusionSystem::new`] folds, which is bitwise
-    /// identical to having persisted them.
-    pub fn from_parts(
-        n: usize,
-        in_offsets: FlatBuf<usize>,
-        in_sources: FlatBuf<Node>,
-        in_weights: FlatBuf<f64>,
-        b0: FlatBuf<f64>,
-        d: FlatBuf<f64>,
-    ) -> std::result::Result<Self, &'static str> {
-        if in_offsets.len() != n + 1
-            || in_offsets.first() != Some(&0)
-            || in_offsets.last() != Some(&in_sources.len())
-            || !in_offsets.windows(2).all(|w| w[0] <= w[1])
-        {
-            return Err("adjacency offsets must span their arrays");
-        }
-        if in_weights.len() != in_sources.len() {
-            return Err("in-weights must parallel in-sources");
-        }
-        if in_sources.iter().any(|&v| (v as usize) >= n) {
-            return Err("adjacency node id out of range");
-        }
-        if b0.len() != n || d.len() != n {
-            return Err("per-node arrays must have length n");
-        }
-        Ok(Self::assemble(n, in_offsets, in_sources, in_weights, b0, d))
-    }
-
-    /// Folds the per-node update constants; shared by both constructors
-    /// so a loaded system is bitwise the built one.
-    fn assemble(
-        n: usize,
-        in_offsets: FlatBuf<usize>,
-        in_sources: FlatBuf<Node>,
-        in_weights: FlatBuf<f64>,
-        b0: FlatBuf<f64>,
-        d: FlatBuf<f64>,
-    ) -> DiffusionSystem {
+        // The per-node update constants, folded once.
         let omd: Vec<f64> = d.iter().map(|&dv| 1.0 - dv).collect();
-        let db0: Vec<f64> = d.iter().zip(b0.iter()).map(|(&dv, &bv)| dv * bv).collect();
-        DiffusionSystem {
+        let db0: Vec<f64> = d.iter().zip(b0).map(|(&dv, &bv)| dv * bv).collect();
+        Ok(DiffusionSystem {
             n,
-            in_offsets,
-            in_sources,
-            in_weights,
-            b0,
-            d,
+            in_offsets: in_offsets.into(),
+            in_sources: in_sources.into(),
+            in_weights: in_weights.into(),
+            b0: b0.to_vec().into(),
+            d: d.to_vec().into(),
             omd,
             db0,
-        }
+        })
     }
 
-    /// The persisted arrays `(in_offsets, in_sources, in_weights)` — the
-    /// exact buffers a snapshot writer serializes verbatim (plus
+    /// The in-CSR `(in_offsets, in_sources, in_weights)` — the buffers a
+    /// snapshot writer serializes verbatim and a load compares (plus
     /// [`DiffusionSystem::initial`] and [`DiffusionSystem::stubbornness`]).
     pub fn parts(&self) -> (&[usize], &[Node], &[f64]) {
         (&self.in_offsets, &self.in_sources, &self.in_weights)
@@ -271,9 +219,8 @@ impl DiffusionSystem {
         &self.d
     }
 
-    /// Exact owned heap footprint in bytes: `FlatBuf` capacities (zero
-    /// for zero-copy snapshot borrows) plus the `Vec` capacities of the
-    /// folded constants, so slack is never hidden.
+    /// Exact owned heap footprint in bytes: `FlatBuf` and `Vec`
+    /// capacities, so slack is never hidden.
     pub fn heap_bytes(&self) -> usize {
         use std::mem::size_of;
         self.in_offsets.heap_bytes()

@@ -9,7 +9,7 @@ use vom_graph::{Candidate, Node, SocialGraph};
 use vom_voting::rank::beta_with_target;
 use vom_voting::ScoringFunction;
 use vom_walks::estimator::{DeltaScratch, PairDelta};
-use vom_walks::{Truncation, UserPairs, WalkArena, WalkGenerator};
+use vom_walks::{OccurrenceIndex, Truncation, UserPairs, WalkArena, WalkGenerator};
 
 /// θ reverse random walks from uniformly sampled starts, with incremental
 /// seed truncation (Algorithm 5 state).
@@ -78,7 +78,7 @@ impl SketchSet {
         let starts: Vec<Node> = (0..theta).map(|_| rng.gen_range(0..n) as Node).collect();
         let gen = WalkGenerator::new(graph, stubbornness, t);
         let arena = gen.generate_for_starts(&starts, seed.wrapping_add(1));
-        let trunc = Truncation::new(&arena, n);
+        let trunc = Truncation::new(&arena, Arc::new(OccurrenceIndex::new(&arena, n)));
         // End values are independent per sketch, so they run on the
         // pool; the pooled accumulation folds sequentially in sketch
         // order, keeping the float sums schedule-independent (the
@@ -106,9 +106,10 @@ impl SketchSet {
 
     /// Reassembles a *pristine* (seedless) sketch set from persisted
     /// parts: the shared walk arena, its truncation state, and the pooled
-    /// end-value arrays (snapshot load). Shapes and start counts are
-    /// validated against the arena; the pooled sums are whatever the
-    /// generation produced and are restored bit-for-bit.
+    /// end-value arrays (snapshot load). Shapes, start counts and pooled
+    /// sums are validated against the arena: each start's sum must be
+    /// bit for bit the sketch-order fold of its pristine end values, as
+    /// [`SketchSet::generate`] folds it.
     pub fn from_parts(
         arena: Arc<WalkArena>,
         trunc: Truncation,
@@ -133,6 +134,17 @@ impl SketchSet {
         }
         if counts != start_count {
             return Err("start counts must count the sketches at each start");
+        }
+        let mut sums = vec![0.0f64; n];
+        for j in 0..arena.num_walks() {
+            sums[arena.start(j) as usize] += trunc.end_value(&arena, &b0, j);
+        }
+        if sums
+            .iter()
+            .zip(&start_sum)
+            .any(|(a, b)| a.to_bits() != b.to_bits())
+        {
+            return Err("start sums must fold the sketches' pristine end values");
         }
         Ok(SketchSet {
             arena,
@@ -365,20 +377,18 @@ impl SketchSet {
     #[inline]
     fn visit_candidate_walks<F: FnMut(usize, Node, f64)>(&self, w: Node, mut visit: F) {
         debug_assert!(!self.trunc.is_seed(w));
-        let (walks, positions) = self.trunc.first_occurrences(w);
-        for (&walk, &pos) in walks.iter().zip(positions) {
-            let walk = walk as usize;
+        self.trunc.index().for_each_walk(&self.arena, w, |walk| {
             // Derived, not cached: a sketch's gain is `1 − end_value` at
             // all times (end_value pins to 1 once the end is a seed), so
             // no θ-sized gain array is kept. Same value, same check
             // order as the historical cached-gain path — bit-identical.
             let gain = 1.0 - self.trunc.end_value(&self.arena, &self.b0, walk);
             if gain <= 0.0 {
-                continue;
+                return;
             }
-            debug_assert!(pos as usize <= self.trunc.end_pos(walk));
+            debug_assert!(self.trunc.prefix(&self.arena, walk).contains(&w));
             visit(walk, self.arena.start(walk), gain);
-        }
+        });
     }
 
     /// The marginal gain of candidate seed `w` in the estimated

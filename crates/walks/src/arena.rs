@@ -36,8 +36,9 @@ impl WalkArena {
 
     /// Reassembles an arena from flat buffers (a fresh build or a
     /// snapshot load); validates the offsets invariant the accessors
-    /// index by, so a corrupt-but-digest-valid snapshot cannot panic
-    /// later.
+    /// index by and that every walk of group `v` starts at `v`, so a
+    /// corrupt-but-digest-valid snapshot cannot panic or misattribute
+    /// walks later.
     pub fn from_parts(
         nodes: FlatBuf<Node>,
         offsets: FlatBuf<usize>,
@@ -59,6 +60,11 @@ impl WalkArena {
             }
             if g.windows(2).any(|w| w[1] < w[0]) {
                 return Err("group offsets must be non-decreasing");
+            }
+            // The occurrence index leaves each node's own group implicit.
+            let starts_at = |v: usize| (g[v]..g[v + 1]).all(|i| nodes[offsets[i]] as usize == v);
+            if !(0..g.len() - 1).all(starts_at) {
+                return Err("every walk of group v must start at v");
             }
         }
         Ok(WalkArena {
@@ -273,6 +279,24 @@ mod tests {
         assert_eq!(a.num_groups(), Some(2));
         assert_eq!(a.group_range(0), Some(0..2));
         assert_eq!(a.group_range(1), Some(2..3));
+    }
+
+    #[test]
+    fn from_parts_rejects_walks_outside_their_start_group() {
+        let (nodes, offsets) = (vec![0 as Node, 0, 1], vec![0usize, 1, 2, 3]);
+        let load = |groups: Vec<usize>| {
+            WalkArena::from_parts(
+                nodes.clone().into(),
+                offsets.clone().into(),
+                Some(groups.into()),
+            )
+        };
+        assert!(load(vec![0, 2, 3]).is_ok());
+        // A boundary moved by one walk, either way.
+        assert!(load(vec![0, 1, 3]).is_err());
+        assert!(load(vec![0, 3, 3]).is_err());
+        // One group short: walk 2 (start 1) falls into node 0's group.
+        assert!(load(vec![0, 3]).is_err());
     }
 
     #[test]

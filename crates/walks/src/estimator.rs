@@ -1,7 +1,8 @@
 //! Per-node opinion estimates and greedy marginal-gain scans.
 
 use crate::arena::WalkArena;
-use crate::truncation::Truncation;
+use crate::truncation::{OccurrenceIndex, Truncation};
+use std::sync::Arc;
 use vom_graph::Node;
 
 /// One `(candidate seed, affected user, opinion delta)` triple produced by
@@ -310,14 +311,15 @@ impl<'a> OpinionEstimator<'a> {
         let n = arena
             .num_groups()
             .expect("OpinionEstimator requires a per-node (grouped) arena");
-        OpinionEstimator::with_truncation(arena, b0, Truncation::new(arena, n))
+        let index = Arc::new(OccurrenceIndex::new(arena, n));
+        OpinionEstimator::with_truncation(arena, b0, Truncation::new(arena, index))
     }
 
     /// [`OpinionEstimator::new`] over a pristine truncation of `arena`
-    /// built earlier (a fresh [`Truncation::new`], or one returned by
-    /// [`OpinionEstimator::into_truncation`] and [`Truncation::reset`]),
-    /// so consecutive estimators over one arena build its occurrence
-    /// index once.
+    /// (a [`Truncation::new`] over the arena's shared occurrence index,
+    /// or one returned by [`OpinionEstimator::into_truncation`] and
+    /// [`Truncation::reset`]), so estimators over one arena share one
+    /// index.
     ///
     /// # Panics
     /// If the arena has no start groups, `b0` length mismatches, or the
@@ -500,16 +502,14 @@ impl<'a> OpinionEstimator<'a> {
     #[inline]
     fn visit_candidate_walks<F: FnMut(usize, Node, f64)>(&self, w: Node, mut visit: F) {
         debug_assert!(!self.trunc.is_seed(w));
-        let (walks, positions) = self.trunc.first_occurrences(w);
-        for (&walk, &pos) in walks.iter().zip(positions) {
-            let walk = walk as usize;
+        self.trunc.index().for_each_walk(self.arena, w, |walk| {
             let gain = self.walk_gain[walk];
             if gain <= 0.0 {
-                continue; // walk already ends at a seed (or at value 1)
+                return; // walk already ends at a seed (or at value 1)
             }
-            debug_assert!(pos as usize <= self.trunc.end_pos(walk));
+            debug_assert!(self.trunc.prefix(self.arena, walk).contains(&w));
             visit(walk, self.walk_start[walk], gain);
-        }
+        });
     }
 
     /// The merged pairs of every user over the current live walks, for

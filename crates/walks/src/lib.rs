@@ -21,8 +21,9 @@
 //!   per-node batches (RW, Algorithm 4), arbitrary start lists (sketches,
 //!   Algorithm 5) and seed-aware *Direct Generation* (used as the ablation
 //!   baseline for truncation);
-//! * [`Truncation`] — incremental first-seed-occurrence truncation with a
-//!   per-(walk, node) first-occurrence index;
+//! * [`Truncation`] — incremental first-seed-occurrence truncation over
+//!   an [`OccurrenceIndex`] of the walks containing each node, built once
+//!   per arena and shared;
 //! * [`OpinionEstimator`] — per-start-node opinion estimates plus the
 //!   marginal-gain scans the greedy selectors consume;
 //! * [`lambda`] — the walk-count bounds of Theorems 10–12 and the `γ*`
@@ -61,7 +62,7 @@ pub mod truncation;
 pub use arena::{WalkArena, WalkArenaBuilder};
 pub use estimator::{DeltaScratch, OpinionEstimator, UserPairs};
 pub use generator::{Lambda, WalkGenerator};
-pub use truncation::Truncation;
+pub use truncation::{OccurrenceIndex, Truncation};
 
 /// Mixes a base seed with a stream index into an independent RNG seed
 /// (SplitMix64 finalizer). Used to give every node/walk its own

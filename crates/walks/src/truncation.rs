@@ -1,4 +1,5 @@
-//! Post-generation truncation (Theorem 9).
+//! Post-generation truncation (Theorem 9) over a shared first-occurrence
+//! index.
 
 use crate::arena::WalkArena;
 use std::sync::Arc;
@@ -14,17 +15,15 @@ use vom_persist::FlatBuf;
 ///
 /// Seeds arrive one at a time (greedy adds one seed per iteration —
 /// Algorithm 4 line 8 "truncate all walks containing u at u"), so the
-/// state keeps, per walk, the current end position, plus an index from
-/// node to its first occurrence in every walk. Ends only move leftwards;
-/// each `add_seed` costs `O(#occurrences of the seed)`.
+/// state keeps, per walk, the current end position. Ends only move
+/// leftwards; each `add_seed` costs `O(walks containing the seed · t)`.
 ///
-/// The occurrence index is immutable after construction and shared
-/// behind an `Arc`, so cloning a `Truncation` copies only the
-/// `O(θ + n)` mutable state, not the `O(total walk length)` index: the
-/// RS engine resets its working sketch from the pristine one per query
-/// this way. The RW engine keeps one truncation per query session and
-/// returns it to pristine with [`Truncation::reset`] between
-/// estimators, so a query builds the index at most once.
+/// A truncation owns only that `O(θ + n)` mutable state: the end
+/// positions, the seed flags and the seed list. The walks containing
+/// each node come from an [`OccurrenceIndex`] it shares behind an `Arc`.
+/// The index depends on the arena alone, so a prepared index builds it
+/// once next to its arena, and every query session's truncation, and
+/// every clone, reads the same one.
 #[derive(Debug)]
 pub struct Truncation {
     end_pos: Vec<u32>,
@@ -54,57 +53,138 @@ impl Clone for Truncation {
     }
 }
 
-/// First-occurrence positions of every node in every walk (CSR by node).
-/// The arrays sit in [`FlatBuf`]s so a snapshot load can borrow them from
-/// the mapped file region instead of copying.
+/// The walks in which each node occurs, for truncating at a seed: an
+/// immutable, seed-independent CSR by node, built once per arena.
+///
+/// Node `u`'s list holds each walk containing `u` once, in ascending walk
+/// order. It stores no positions: [`Truncation::add_seed`] finds `u`'s
+/// first occurrence by scanning the walk's live prefix (at most `t + 1`
+/// nodes), and everything else needs only the walk.
+///
+/// Over a grouped arena (one walk group per start node), every walk of
+/// node `v`'s group starts at `v`, so the group is one contiguous run of
+/// `v`'s list. Such an index stores only the other entries, and
+/// [`OccurrenceIndex::for_each_walk`] splices the group range back in at
+/// its place in walk order. Every list then yields the same walks in the
+/// same order as the full one, so sums taken over it keep their bits.
+///
+/// The arrays sit in [`FlatBuf`]s so a sketch snapshot load can borrow
+/// them from the mapped file region instead of copying.
 #[derive(Debug)]
-struct OccurrenceIndex {
+pub struct OccurrenceIndex {
     occ_off: FlatBuf<usize>,
     occ_walk: FlatBuf<u32>,
-    occ_pos: FlatBuf<u32>,
+    /// Whether each node's own start group is left out of its list.
+    implicit_groups: bool,
 }
 
-impl Truncation {
-    /// Builds the truncation index for `arena` over `n` nodes.
+impl OccurrenceIndex {
+    /// Builds the index of `arena` over `n` nodes. A grouped arena must
+    /// have exactly `n` groups; its own-group entries are left implicit.
     pub fn new(arena: &WalkArena, n: usize) -> Self {
-        let end_pos = (0..arena.num_walks())
-            .map(|i| (arena.walk(i).len() - 1) as u32)
-            .collect();
-        // Count first occurrences per node.
+        let implicit_groups = arena.has_groups();
+        if implicit_groups {
+            assert_eq!(arena.num_groups(), Some(n), "one start group per node");
+        }
+        // Position 0 of a grouped arena's walk is its group's node.
+        let first = usize::from(implicit_groups);
         let mut counts = vec![0usize; n + 1];
-        each_first_occurrence(arena, |_, _, v| counts[v as usize + 1] += 1);
+        each_first_occurrence(arena, first, |_, _, v| counts[v as usize + 1] += 1);
         for i in 0..n {
             counts[i + 1] += counts[i];
         }
         let occ_off = counts;
-        let total = *occ_off.last().unwrap();
         let mut cursor = occ_off.clone();
-        let mut occ_walk = vec![0u32; total];
-        let mut occ_pos = vec![0u32; total];
-        each_first_occurrence(arena, |i, pos, v| {
-            let slot = cursor[v as usize];
-            occ_walk[slot] = i as u32;
-            occ_pos[slot] = pos as u32;
+        let mut occ_walk = vec![0u32; occ_off[n]];
+        each_first_occurrence(arena, first, |i, _, v| {
+            occ_walk[cursor[v as usize]] = i as u32;
             cursor[v as usize] += 1;
         });
+        OccurrenceIndex {
+            occ_off: occ_off.into(),
+            occ_walk: occ_walk.into(),
+            implicit_groups,
+        }
+    }
+
+    /// Number of nodes indexed.
+    fn num_nodes(&self) -> usize {
+        self.occ_off.len() - 1
+    }
+
+    /// Calls `visit(walk)` for every walk of `arena` (the arena the index
+    /// was built over) that contains `u`, in ascending walk order.
+    #[inline]
+    pub fn for_each_walk(&self, arena: &WalkArena, u: Node, mut visit: impl FnMut(usize)) {
+        let stored = &self.occ_walk[self.occ_off[u as usize]..self.occ_off[u as usize + 1]];
+        if !self.implicit_groups {
+            stored.iter().for_each(|&i| visit(i as usize));
+            return;
+        }
+        let group = arena
+            .group_range(u)
+            .expect("an implicit group needs a grouped arena");
+        let split = stored.partition_point(|&i| (i as usize) < group.start);
+        stored[..split].iter().for_each(|&i| visit(i as usize));
+        group.for_each(&mut visit);
+        stored[split..].iter().for_each(|&i| visit(i as usize));
+    }
+
+    /// The stored CSR `(offsets, walks)`. Over a grouped arena the lists
+    /// leave out each node's own start group; otherwise they are the
+    /// snapshot's `SK_OCC_OFF` and `SK_OCC_WALK` sections verbatim.
+    pub fn parts(&self) -> (&[usize], &[u32]) {
+        (&self.occ_off, &self.occ_walk)
+    }
+
+    /// The position of each stored entry's node in its walk (its first
+    /// occurrence), parallel to the walks of [`OccurrenceIndex::parts`]:
+    /// regenerated from `arena` for a snapshot writer, never kept.
+    pub fn positions(&self, arena: &WalkArena) -> Vec<u32> {
+        let mut positions = Vec::with_capacity(self.occ_walk.len());
+        for u in 0..self.num_nodes() {
+            let stored = &self.occ_walk[self.occ_off[u]..self.occ_off[u + 1]];
+            positions.extend(stored.iter().map(|&i| {
+                let walk = arena.walk(i as usize);
+                walk.iter()
+                    .position(|&v| v as usize == u)
+                    .expect("an indexed walk holds its node") as u32
+            }));
+        }
+        positions
+    }
+
+    /// Exact owned heap footprint in bytes: the [`FlatBuf`] capacities,
+    /// zero for buffers borrowed from a snapshot.
+    pub fn heap_bytes(&self) -> usize {
+        self.occ_off.heap_bytes() + self.occ_walk.heap_bytes()
+    }
+}
+
+impl Truncation {
+    /// A pristine truncation of `arena`, over `index` built from that
+    /// arena: every walk ends at its last node and no node is a seed.
+    pub fn new(arena: &WalkArena, index: Arc<OccurrenceIndex>) -> Self {
+        let end_pos = (0..arena.num_walks())
+            .map(|i| (arena.walk(i).len() - 1) as u32)
+            .collect();
+        let n = index.num_nodes();
         Truncation {
             end_pos,
-            index: Arc::new(OccurrenceIndex {
-                occ_off: occ_off.into(),
-                occ_walk: occ_walk.into(),
-                occ_pos: occ_pos.into(),
-            }),
+            index,
             is_seed: vec![false; n],
             seeds: Vec::new(),
         }
     }
 
     /// Reassembles a *pristine* (seedless) truncation from its persisted
-    /// arrays: per-walk end positions plus the first-occurrence CSR.
-    /// The arrays must equal the ones [`Truncation::new`] builds from
-    /// `arena` (checked entry by entry, without building them), so a
-    /// corrupt-but-digest-valid snapshot fails closed here instead of
-    /// panicking or truncating at the wrong node inside a later query.
+    /// arrays: per-walk end positions plus the full first-occurrence CSR
+    /// of `arena` (no implicit groups) with each entry's position. The
+    /// arrays are checked entry by entry against `arena`, without
+    /// building them, so a corrupt-but-digest-valid snapshot fails closed
+    /// here instead of panicking or truncating at the wrong node inside a
+    /// later query. The positions are checked, then dropped: the loaded
+    /// index keeps the offsets and walks only.
     pub fn from_parts(
         arena: &WalkArena,
         n: usize,
@@ -130,12 +210,12 @@ impl Truncation {
         if occ_walk.len() != total || occ_pos.len() != total {
             return Err("occurrence arrays must match their offsets");
         }
-        // Replay `new`'s fill: each first occurrence, in walk order, must
-        // be the next entry of its node's list, and every list must end
+        // Replay the fill: each first occurrence, in walk order, must be
+        // the next entry of its node's list, and every list must end
         // where its offsets say.
         let mut cursor = occ_off.to_vec();
         let mut matches = true;
-        each_first_occurrence(arena, |i, pos, v| {
+        each_first_occurrence(arena, 0, |i, pos, v| {
             let v = v as usize;
             matches = matches
                 && v < n
@@ -149,27 +229,24 @@ impl Truncation {
         if !matches || (0..n).any(|v| cursor[v] != occ_off[v + 1]) {
             return Err("occurrence index differs from the arena's first occurrences");
         }
-        Ok(Truncation {
-            end_pos,
-            index: Arc::new(OccurrenceIndex {
-                occ_off,
-                occ_walk,
-                occ_pos,
-            }),
-            is_seed: vec![false; n],
-            seeds: Vec::new(),
-        })
+        let index = OccurrenceIndex {
+            occ_off,
+            occ_walk,
+            implicit_groups: false,
+        };
+        Ok(Truncation::new(arena, Arc::new(index)))
     }
 
-    /// The persisted arrays `(end_pos, occ_off, occ_walk, occ_pos)` — the
-    /// exact buffers a snapshot writer serializes verbatim.
-    pub fn parts(&self) -> (&[u32], &[usize], &[u32], &[u32]) {
-        (
-            &self.end_pos,
-            &self.index.occ_off,
-            &self.index.occ_walk,
-            &self.index.occ_pos,
-        )
+    /// The per-walk end positions and the stored occurrence CSR
+    /// `(end_pos, occ_off, occ_walk)`; see [`OccurrenceIndex::parts`].
+    pub fn parts(&self) -> (&[u32], &[usize], &[u32]) {
+        let (occ_off, occ_walk) = self.index.parts();
+        (&self.end_pos, occ_off, occ_walk)
+    }
+
+    /// The shared occurrence index this truncation reads.
+    pub fn index(&self) -> &Arc<OccurrenceIndex> {
+        &self.index
     }
 
     /// Returns the truncation to pristine: every walk ends at its last
@@ -230,35 +307,16 @@ impl Truncation {
         &arena.walk(i)[..=self.end_pos(i)]
     }
 
-    /// The first occurrence of node `u` in every walk that contains it:
-    /// parallel slices of walk indices (ascending) and the position of
-    /// the occurrence within the walk. This is the precomputed index
-    /// `add_seed` truncates through; the delta-driven greedy scans it to
-    /// evaluate one candidate in `O(occurrences)` instead of rescanning
-    /// every walk prefix. An occurrence is inside the *live* prefix iff
-    /// its position is `<= self.end_pos(walk)`.
-    #[inline]
-    pub fn first_occurrences(&self, u: Node) -> (&[u32], &[u32]) {
-        let (s, e) = (
-            self.index.occ_off[u as usize],
-            self.index.occ_off[u as usize + 1],
-        );
-        (&self.index.occ_walk[s..e], &self.index.occ_pos[s..e])
-    }
-
     /// Exact owned heap footprint in bytes: full `Vec` capacities for the
-    /// per-query mutable state plus the shared occurrence index's
-    /// [`FlatBuf`]s (capacity when owned, zero when borrowed from a
-    /// snapshot). The index is `Arc`-shared across clones; each clone
-    /// reports the whole index, which matches how one prepared engine
-    /// holds exactly one pristine truncation.
+    /// per-query mutable state plus the shared occurrence index (see
+    /// [`OccurrenceIndex::heap_bytes`]). The index is `Arc`-shared across
+    /// clones; each clone reports the whole index, which matches how one
+    /// prepared sketch set holds exactly one pristine truncation.
     pub fn heap_bytes(&self) -> usize {
         self.end_pos.capacity() * std::mem::size_of::<u32>()
             + self.is_seed.capacity()
             + self.seeds.capacity() * std::mem::size_of::<Node>()
-            + self.index.occ_off.heap_bytes()
-            + self.index.occ_walk.heap_bytes()
-            + self.index.occ_pos.heap_bytes()
+            + self.index.heap_bytes()
     }
 
     /// Adds `u` to the seed set, truncating every walk whose live prefix
@@ -271,7 +329,7 @@ impl Truncation {
     /// `on_change(walk, old_end_node)` fires with the pre-update end node,
     /// which is guaranteed not to have been a seed — walks already ending
     /// at a seed keep value 1, so no callback is needed for them even when
-    /// their end moves left.
+    /// their end moves left. Callbacks fire in ascending walk order.
     pub fn add_seed<F>(&mut self, arena: &WalkArena, u: Node, mut on_change: F)
     where
         F: FnMut(usize, Node),
@@ -279,40 +337,47 @@ impl Truncation {
         if self.is_seed[u as usize] {
             return;
         }
-        let (s, e) = (
-            self.index.occ_off[u as usize],
-            self.index.occ_off[u as usize + 1],
-        );
-        for idx in s..e {
-            let walk = self.index.occ_walk[idx] as usize;
-            let pos = self.index.occ_pos[idx];
-            let end = self.end_pos[walk];
-            if pos > end {
-                continue; // u lies beyond the live prefix
-            }
-            let old_node = arena.walk(walk)[end as usize];
+        let Truncation {
+            end_pos,
+            index,
+            is_seed,
+            seeds,
+        } = self;
+        index.for_each_walk(arena, u, |walk| {
+            let end = end_pos[walk] as usize;
+            let live = &arena.walk(walk)[..=end];
+            // `u`'s first occurrence; none means it lies beyond the live
+            // prefix.
+            let Some(pos) = live.iter().position(|&v| v == u) else {
+                return;
+            };
+            let old_node = live[end];
             // `u` is marked a seed only after this loop, so `is_seed`
             // reflects the state before this call (the old end can be a
             // later occurrence of `u` itself).
-            let old_was_seed = self.is_seed[old_node as usize];
             if pos < end {
-                self.end_pos[walk] = pos;
+                end_pos[walk] = pos as u32;
             }
-            if !old_was_seed {
+            if !is_seed[old_node as usize] {
                 on_change(walk, old_node);
             }
-        }
-        self.is_seed[u as usize] = true;
-        self.seeds.push(u);
+        });
+        is_seed[u as usize] = true;
+        seeds.push(u);
     }
 }
 
 /// Calls `visit(walk, pos, node)` for the first occurrence of every node
-/// in every walk, in walk order and then position order.
-fn each_first_occurrence(arena: &WalkArena, mut visit: impl FnMut(usize, usize, Node)) {
+/// in every walk at position `first` or later, in walk order and then
+/// position order.
+fn each_first_occurrence(
+    arena: &WalkArena,
+    first: usize,
+    mut visit: impl FnMut(usize, usize, Node),
+) {
     for i in 0..arena.num_walks() {
         let w = arena.walk(i);
-        for (pos, &v) in w.iter().enumerate() {
+        for (pos, &v) in w.iter().enumerate().skip(first) {
             if !w[..pos].contains(&v) {
                 visit(i, pos, v);
             }
@@ -346,10 +411,15 @@ mod tests {
         b.build(None)
     }
 
+    /// A pristine truncation of `a` over its own freshly built index.
+    fn fresh(a: &WalkArena) -> Truncation {
+        Truncation::new(a, Arc::new(OccurrenceIndex::new(a, 4)))
+    }
+
     #[test]
     fn initial_state_ends_at_walk_tails() {
         let a = arena();
-        let t = Truncation::new(&a, 4);
+        let t = fresh(&a);
         assert_eq!(t.end_node(&a, 0), 0);
         assert_eq!(t.end_node(&a, 1), 1);
         assert_eq!(t.end_node(&a, 2), 2);
@@ -360,7 +430,7 @@ mod tests {
     #[test]
     fn add_seed_truncates_at_first_occurrence() {
         let a = arena();
-        let mut t = Truncation::new(&a, 4);
+        let mut t = fresh(&a);
         let mut truncated = Vec::new();
         t.add_seed(&a, 2, |w, _| truncated.push(w));
         truncated.sort_unstable();
@@ -376,7 +446,7 @@ mod tests {
     fn end_values_use_seed_pinning() {
         let a = arena();
         let b0 = vec![0.1, 0.2, 0.3, 0.4];
-        let mut t = Truncation::new(&a, 4);
+        let mut t = fresh(&a);
         assert_eq!(t.end_value(&a, &b0, 0), 0.1);
         t.add_seed(&a, 2, |_, _| {});
         assert_eq!(t.end_value(&a, &b0, 0), 1.0);
@@ -386,7 +456,7 @@ mod tests {
     #[test]
     fn later_seed_can_shorten_further() {
         let a = arena();
-        let mut t = Truncation::new(&a, 4);
+        let mut t = fresh(&a);
         t.add_seed(&a, 1, |_, _| {});
         assert_eq!(t.end_pos(2), 2);
         t.add_seed(&a, 3, |_, _| {});
@@ -397,7 +467,7 @@ mod tests {
     #[test]
     fn seed_beyond_current_end_is_a_noop() {
         let a = arena();
-        let mut t = Truncation::new(&a, 4);
+        let mut t = fresh(&a);
         t.add_seed(&a, 2, |_, _| {});
         let mut calls = 0;
         // Node 1 only appears after the new ends in walks 1 and 2 — but in
@@ -410,8 +480,9 @@ mod tests {
     #[test]
     fn from_parts_accepts_only_the_built_index() {
         let a = arena();
-        let built = Truncation::new(&a, 4);
-        let (end_pos, occ_off, occ_walk, occ_pos) = built.parts();
+        let built = fresh(&a);
+        let (end_pos, occ_off, occ_walk) = built.parts();
+        let occ_pos = built.index().positions(&a);
         let load = |walk: Vec<u32>, pos: Vec<u32>| {
             Truncation::from_parts(
                 &a,
@@ -422,7 +493,9 @@ mod tests {
                 pos.into(),
             )
         };
-        assert!(load(occ_walk.to_vec(), occ_pos.to_vec()).is_ok());
+        let loaded = load(occ_walk.to_vec(), occ_pos.clone()).unwrap();
+        assert_eq!(loaded.parts(), built.parts());
+        assert_eq!(loaded.index().positions(&a), occ_pos);
         // Node 2 occurs in walks 0, 1, 2 at positions 1, 0, 1.
         let s = occ_off[2];
         assert_eq!(
@@ -430,24 +503,50 @@ mod tests {
             (&[0, 1, 2][..], &[1, 0, 1][..])
         );
         // In bounds, but another node's position (walk 0 holds 0 there).
-        let mut pos = occ_pos.to_vec();
+        let mut pos = occ_pos.clone();
         pos[s] = 2;
         assert!(load(occ_walk.to_vec(), pos).is_err());
         // Node 2's later occurrence in walk 2.
-        let mut pos = occ_pos.to_vec();
+        let mut pos = occ_pos.clone();
         pos[s + 2] = 3;
         assert!(load(occ_walk.to_vec(), pos).is_err());
         // Node 2's walks out of order.
-        let (mut walk, mut pos) = (occ_walk.to_vec(), occ_pos.to_vec());
+        let (mut walk, mut pos) = (occ_walk.to_vec(), occ_pos.clone());
         walk.swap(s, s + 1);
         pos.swap(s, s + 1);
         assert!(load(walk, pos).is_err());
     }
 
     #[test]
+    fn grouped_index_leaves_own_groups_implicit() {
+        // Node 0 starts walks 0..2, node 1 none, node 2 walk 2.
+        let mut b = WalkArenaBuilder::with_capacity(3, 3);
+        for walk in [&[0, 2][..], &[0, 0, 1], &[2, 0, 2]] {
+            for &v in walk {
+                b.push_node(v);
+            }
+            b.finish_walk();
+        }
+        let a = b.build(Some(vec![0, 2, 2, 3]));
+        let index = OccurrenceIndex::new(&a, 3);
+        let (off, walks) = index.parts();
+        // Stored: node 0 in walk 2, node 1 in walk 1, node 2 in walk 0.
+        assert_eq!((off, walks), (&[0, 1, 2, 3][..], &[2, 1, 0][..]));
+        assert_eq!(index.positions(&a), vec![1, 2, 1]);
+        let visit = |u: Node| {
+            let mut seen = Vec::new();
+            index.for_each_walk(&a, u, |i| seen.push(i));
+            seen
+        };
+        assert_eq!(visit(0), vec![0, 1, 2]);
+        assert_eq!(visit(1), vec![1]);
+        assert_eq!(visit(2), vec![0, 2]);
+    }
+
+    #[test]
     fn duplicate_seed_is_idempotent() {
         let a = arena();
-        let mut t = Truncation::new(&a, 4);
+        let mut t = fresh(&a);
         t.add_seed(&a, 2, |_, _| {});
         let ends: Vec<_> = (0..3).map(|i| t.end_pos(i)).collect();
         let mut calls = 0;

@@ -200,15 +200,50 @@ fn corrupted_snapshots_fail_closed_and_the_rebuild_fallback_matches() {
     std::fs::remove_file(&path).ok();
 }
 
+fn u64_at(file: &[u8], at: usize) -> u64 {
+    u64::from_le_bytes(file[at..at + 8].try_into().unwrap())
+}
+
+/// Where the section table entry `[kind, id, offset, len]` of section
+/// `(kind, id)` sits in a snapshot file.
+fn section_entry(file: &[u8], kind: u32, id: u64) -> usize {
+    (0..u64_at(file, 48) as usize)
+        .map(|i| vom::persist::HEADER_BYTES + i * vom::persist::ENTRY_BYTES)
+        .find(|&at| u64_at(file, at) == u64::from(kind) && u64_at(file, at + 8) == id)
+        .expect("section present")
+}
+
 /// The byte range of section `(kind, id)` in a snapshot file, read from
 /// its section table.
 fn section_bytes(file: &[u8], kind: u32, id: u64) -> std::ops::Range<usize> {
-    let word = |at: usize| u64::from_le_bytes(file[at..at + 8].try_into().unwrap()) as usize;
-    (0..word(48))
-        .map(|i| vom::persist::HEADER_BYTES + i * vom::persist::ENTRY_BYTES)
-        .find(|&at| word(at) == kind as usize && word(at + 8) as u64 == id)
-        .map(|at| word(at + 16)..word(at + 16) + word(at + 24))
-        .expect("section present")
+    let at = section_entry(file, kind, id);
+    let offset = u64_at(file, at + 16) as usize;
+    offset..offset + u64_at(file, at + 24) as usize
+}
+
+/// Reseals an edited snapshot's payload digest (header word 2), so only
+/// the loader's consistency checks can object, and loads it from `path`
+/// against `inst`.
+fn load_resealed(
+    inst: &Arc<Instance>,
+    path: &std::path::Path,
+    mut file: Vec<u8>,
+) -> Result<PreparedIndex, PersistError> {
+    let digest = vom::persist::fnv1a(&file[vom::persist::HEADER_BYTES..]);
+    file[16..24].copy_from_slice(&digest.to_le_bytes());
+    std::fs::write(path, &file).unwrap();
+    PreparedIndex::load(Arc::clone(inst), IndexSource::File(path))
+}
+
+/// Asserts that a load failed with `PersistError::BadValue`.
+fn assert_bad_value(loaded: Result<PreparedIndex, PersistError>, what: &str) {
+    match loaded {
+        Ok(_) => panic!("{what} must not load"),
+        Err(err) => assert!(
+            matches!(err, PersistError::BadValue { .. }),
+            "unexpected error for {what}: {err}"
+        ),
+    }
 }
 
 #[test]
@@ -228,15 +263,7 @@ fn resealed_snapshots_with_inconsistent_sketch_parts_fail_closed() {
     index.save(&path).unwrap();
     let pristine = std::fs::read(&path).unwrap();
     let u32_at = |file: &[u8], at: usize| u32::from_le_bytes(file[at..at + 4].try_into().unwrap());
-    let u64_at = |file: &[u8], at: usize| u64::from_le_bytes(file[at..at + 8].try_into().unwrap());
-    // Reseals the payload digest (header word 2), so only the loader's
-    // consistency checks can object, and loads the edited file.
-    let load_resealed = |mut file: Vec<u8>| {
-        let digest = vom::persist::fnv1a(&file[vom::persist::HEADER_BYTES..]);
-        file[16..24].copy_from_slice(&digest.to_le_bytes());
-        std::fs::write(&path, &file).unwrap();
-        PreparedIndex::load(Arc::clone(&inst), IndexSource::File(&path)).err()
-    };
+    let load_resealed = |file: Vec<u8>| load_resealed(&inst, &path, file).err();
 
     // Move the first occurrence entry whose walk has two or more nodes to
     // the walk's next position: still inside the walk, but not where its
@@ -278,6 +305,115 @@ fn resealed_snapshots_with_inconsistent_sketch_parts_fail_closed() {
         matches!(err, PersistError::BadValue { .. }),
         "unexpected error for miscounted starts: {err}"
     );
+
+    // One pooled start sum that is not the fold of its sketches' values.
+    let mut file = pristine.clone();
+    let sums = section_bytes(&file, kind::SK_START_SUM, 0).start;
+    file[sums..sums + 8].copy_from_slice(&123.5f64.to_le_bytes());
+    let err = load_resealed(file).expect("a forged start sum must not load");
+    assert!(
+        matches!(err, PersistError::BadValue { .. }),
+        "unexpected error for a forged start sum: {err}"
+    );
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
+fn resealed_rw_snapshots_with_a_bad_group_table_fail_closed() {
+    use vom::core::persist::kind;
+    let _guard = pool_lock();
+    let inst = instance();
+    let engine = Engine::Rw(RwConfig {
+        seed: 11,
+        ..RwConfig::default()
+    });
+    let spec = Problem::new(&inst, 0, K_MAX, HORIZON, ScoringFunction::Plurality).unwrap();
+    let index = Arc::new(engine.prepare_index(&spec).unwrap());
+    let path = scratch("bad-groups");
+    index.save(&path).unwrap();
+    let pristine = std::fs::read(&path).unwrap();
+    assert!(load_resealed(&inst, &path, pristine.clone()).is_ok());
+    // The plurality (rank-class) arena's group offsets.
+    let rank = 1;
+
+    // One entry short: a middle node's offset is dropped and the rest
+    // close up, so the table still spans every walk with n − 1 groups.
+    let mut file = pristine.clone();
+    let at = section_entry(&file, kind::ARENA_GROUPS, rank) + 24;
+    let groups = section_bytes(&file, kind::ARENA_GROUPS, rank);
+    let middle = groups.start + 8 * (inst.num_nodes() / 2);
+    file.copy_within(middle + 8..groups.end, middle);
+    let len = u64_at(&file, at) - 8;
+    file[at..at + 8].copy_from_slice(&len.to_le_bytes());
+    assert_bad_value(load_resealed(&inst, &path, file), "a short group table");
+
+    // A boundary moved by one walk: the first walk of a non-empty group
+    // joins the previous group.
+    let mut file = pristine.clone();
+    let groups = section_bytes(&file, kind::ARENA_GROUPS, rank).start;
+    let g = |file: &[u8], v: usize| u64_at(file, groups + 8 * v);
+    let v = (1..inst.num_nodes())
+        .find(|&v| g(&file, v) < g(&file, v + 1))
+        .expect("a non-empty group past node 0");
+    let moved = g(&file, v) + 1;
+    file[groups + 8 * v..groups + 8 * v + 8].copy_from_slice(&moved.to_le_bytes());
+    assert_bad_value(load_resealed(&inst, &path, file), "a moved group boundary");
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
+fn loading_any_snapshot_leaves_the_instance_opinions_unchanged() {
+    use vom::core::persist::kind;
+    let _guard = pool_lock();
+    let opinions = |inst: &Instance| -> Vec<Vec<u64>> {
+        (0..inst.num_candidates())
+            .map(|q| {
+                let row = inst.opinions_of(q, HORIZON, &[1, 2]);
+                row.iter().map(|x| x.to_bits()).collect()
+            })
+            .collect()
+    };
+    let want = opinions(&instance());
+    let path = scratch("opinions");
+    let mut dm_file = None;
+    for engine in engines() {
+        for rule in [ScoringFunction::Cumulative, ScoringFunction::Plurality] {
+            let inst = instance();
+            let spec = Problem::new(&inst, 0, K_MAX, HORIZON, rule.clone()).unwrap();
+            let index = Arc::new(engine.prepare_index(&spec).unwrap());
+            selections(&index, &rule);
+            index.save(&path).unwrap();
+            // A fresh instance has built no candidate system yet, so a
+            // load that installed the file's system would go unnoticed.
+            let fresh = instance();
+            PreparedIndex::load(Arc::clone(&fresh), IndexSource::File(&path)).unwrap();
+            assert_eq!(opinions(&fresh), want, "{} {rule}", engine.name());
+            if engine.name() == "DM" && rule == ScoringFunction::Cumulative {
+                dm_file = Some(std::fs::read(&path).unwrap());
+            }
+        }
+    }
+
+    // A DM snapshot whose in-edge weights are all halved, resealed.
+    let mut file = dm_file.expect("a DM cumulative snapshot");
+    for at in section_bytes(&file, kind::DM_IN_W, 0).step_by(8) {
+        let w = f64::from_le_bytes(file[at..at + 8].try_into().unwrap());
+        file[at..at + 8].copy_from_slice(&(w / 2.0).to_le_bytes());
+    }
+    let fresh = instance();
+    assert_bad_value(load_resealed(&fresh, &path, file), "a forged DM system");
+    assert_eq!(opinions(&fresh), want);
+    // Another index over the same instance still answers as on a clean one.
+    let rs = Engine::Rs(RsConfig {
+        seed: 12,
+        ..RsConfig::default()
+    });
+    let rule = ScoringFunction::Plurality;
+    let on = |inst: &Arc<Instance>| {
+        let spec = Problem::new(inst, 0, K_MAX, HORIZON, rule.clone()).unwrap();
+        selections(&Arc::new(rs.prepare_index(&spec).unwrap()), &rule)
+    };
+    assert_eq!(on(&fresh), on(&instance()));
     std::fs::remove_file(&path).ok();
 }
 

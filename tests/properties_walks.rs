@@ -2,15 +2,20 @@
 //! generators shard through: `Lambda` count/total consistency, and
 //! `WalkArenaBuilder` push/append/build round-trips under arbitrary
 //! shard interleavings — the exact merge pattern the rayon pool drives.
-//! Also: a truncation reset to pristine is a fresh truncation.
+//! Also: a truncation reset to pristine is a fresh truncation, and the
+//! shared occurrence index (compacted over grouped arenas) truncates
+//! exactly like the full first-occurrence lists.
 //!
 //! This suite is what surfaced the derived-`Default` bug in
 //! `WalkArenaBuilder` (an empty default builder lacked the leading 0
 //! offset, so appending into one shifted every walk boundary).
 
 use proptest::prelude::*;
+use std::sync::Arc;
 use vom::graph::Node;
-use vom::walks::{Lambda, OpinionEstimator, Truncation, WalkArena, WalkArenaBuilder};
+use vom::walks::{
+    Lambda, OccurrenceIndex, OpinionEstimator, Truncation, WalkArena, WalkArenaBuilder,
+};
 
 /// Arbitrary non-empty walks (each at least its start node).
 fn arb_walks() -> impl Strategy<Value = Vec<Vec<Node>>> {
@@ -186,15 +191,18 @@ proptest! {
         let n = grouped.len();
         let arena = grouped_arena(&grouped);
         let b0: Vec<f64> = (0..n).map(|v| f64::from(cells[v]) / 20.0).collect();
-        let fresh = Truncation::new(&arena, n);
+        let index = Arc::new(OccurrenceIndex::new(&arena, n));
+        let fresh = Truncation::new(&arena, Arc::clone(&index));
 
-        let mut used = OpinionEstimator::with_truncation(&arena, &b0, Truncation::new(&arena, n));
+        let mut used =
+            OpinionEstimator::with_truncation(&arena, &b0, Truncation::new(&arena, index));
         for &s in &first {
             used.add_seed(s % n as Node);
         }
         let mut trunc = used.into_truncation();
         trunc.reset(&arena);
         prop_assert_eq!(trunc.parts(), fresh.parts());
+        prop_assert!(Arc::ptr_eq(trunc.index(), fresh.index()));
         prop_assert!(trunc.seeds().is_empty());
         for v in 0..n as Node {
             prop_assert!(!trunc.is_seed(v), "node {} still a seed", v);
@@ -214,6 +222,108 @@ proptest! {
             );
         }
         prop_assert_eq!(reused.seeds(), reference.seeds());
+    }
+}
+
+/// The flat reference: every walk of `arena` containing `u`, ascending,
+/// with the position of `u`'s first occurrence in it.
+fn flat_occurrences(arena: &WalkArena, u: Node) -> Vec<(usize, usize)> {
+    (0..arena.num_walks())
+        .filter_map(|i| arena.walk(i).iter().position(|&v| v == u).map(|p| (i, p)))
+        .collect()
+}
+
+/// The reference truncation over the flat lists: cut each walk whose
+/// live prefix holds `u` at `u`'s first occurrence, reporting
+/// `(walk, old end node)` for every walk whose value changes.
+fn reference_add_seed(
+    arena: &WalkArena,
+    end: &mut [usize],
+    is_seed: &mut [bool],
+    u: Node,
+) -> Vec<(usize, Node)> {
+    let mut calls = Vec::new();
+    if is_seed[u as usize] {
+        return calls;
+    }
+    for (walk, pos) in flat_occurrences(arena, u) {
+        if pos > end[walk] {
+            continue;
+        }
+        let old = arena.walk(walk)[end[walk]];
+        end[walk] = pos;
+        if !is_seed[old as usize] {
+            calls.push((walk, old));
+        }
+    }
+    is_seed[u as usize] = true;
+    calls
+}
+
+/// Checks `arena`'s shared occurrence index against the flat reference:
+/// the visitor yields each node's walks in order, and every seed of
+/// `seeds` fires the reference's callbacks and leaves its end positions.
+fn check_against_flat_reference(arena: &WalkArena, n: usize, seeds: &[Node]) {
+    let index = Arc::new(OccurrenceIndex::new(arena, n));
+    for u in 0..n as Node {
+        let mut walks = Vec::new();
+        index.for_each_walk(arena, u, |i| walks.push(i));
+        let want: Vec<usize> = flat_occurrences(arena, u).iter().map(|&(i, _)| i).collect();
+        assert_eq!(walks, want, "node {}", u);
+    }
+    if !arena.has_groups() {
+        // Uncompacted, the stored lists are the reference's, positions
+        // included: what an RS snapshot writes.
+        let (off, walks) = index.parts();
+        let positions = index.positions(arena);
+        for u in 0..n {
+            let stored: Vec<(usize, usize)> = (off[u]..off[u + 1])
+                .map(|e| (walks[e] as usize, positions[e] as usize))
+                .collect();
+            assert_eq!(stored, flat_occurrences(arena, u as Node));
+        }
+    }
+    let mut trunc = Truncation::new(arena, index);
+    let mut end: Vec<usize> = (0..arena.num_walks())
+        .map(|i| arena.walk(i).len() - 1)
+        .collect();
+    let mut is_seed = vec![false; n];
+    for &s in seeds {
+        let s = s % n as Node;
+        let mut calls = Vec::new();
+        trunc.add_seed(arena, s, |walk, old| calls.push((walk, old)));
+        assert_eq!(calls, reference_add_seed(arena, &mut end, &mut is_seed, s));
+        for (i, &e) in end.iter().enumerate() {
+            assert_eq!(trunc.end_pos(i), e, "walk {} after seed {}", i, s);
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The compacted index of a grouped arena (empty groups and repeated
+    /// nodes included) and the full index of the same walks ungrouped
+    /// both truncate exactly like the flat reference.
+    #[test]
+    fn shared_index_truncates_like_the_flat_lists(
+        grouped in arb_grouped_walks(),
+        seeds in proptest::collection::vec(0u32..6, 0..8),
+    ) {
+        let n = grouped.len();
+        let flat: Vec<Vec<Node>> = grouped.iter().flatten().cloned().collect();
+        check_against_flat_reference(&grouped_arena(&grouped), n, &seeds);
+        check_against_flat_reference(&build_chunked(&flat, flat.len().max(1), None), n, &seeds);
+    }
+
+    /// The same on ungrouped arenas whose walks start anywhere, as RS
+    /// sketches do.
+    #[test]
+    fn shared_index_truncates_ungrouped_arenas_like_the_flat_lists(
+        walks in arb_walks(),
+        seeds in proptest::collection::vec(0u32..60, 0..12),
+    ) {
+        check_against_flat_reference(&build_chunked(&walks, 3, None), 60, &seeds);
     }
 }
 

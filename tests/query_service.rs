@@ -164,6 +164,67 @@ fn eight_threads_on_one_shared_index_match_the_sequential_baseline() {
 }
 
 #[test]
+fn sessions_racing_the_first_rw_query_share_one_index_at_every_width() {
+    let inst = instance();
+    let rw = &engines()[1];
+    let spec = Problem::new(&inst, 0, K_MAX, HORIZON, ScoringFunction::Cumulative).unwrap();
+    let query = Query::new(K_MAX, ScoringFunction::Plurality, 0);
+    let mut outcomes = Vec::new();
+    for threads in [1, 2, 8] {
+        rayon::set_thread_override(Some(threads));
+        // Prepared for the cumulative class only: the first plurality
+        // query builds the rank-class arena and its occurrence index
+        // while the other sessions wait for it.
+        let index = Arc::new(rw.prepare_index(&spec).unwrap());
+        let start = std::sync::Barrier::new(WORKERS);
+        let answers = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..WORKERS)
+                .map(|_| {
+                    let (index, query, start) = (Arc::clone(&index), &query, &start);
+                    s.spawn(move || {
+                        let mut session = QuerySession::new(index);
+                        start.wait();
+                        let res = session.select(query).unwrap();
+                        (res.seeds, res.exact_score.to_bits())
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().unwrap())
+                .collect::<Vec<Outcome>>()
+        });
+        rayon::set_thread_override(None);
+        assert!(answers.windows(2).all(|w| w[0] == w[1]), "width {threads}");
+        let stats = index.build_stats();
+        assert_eq!(stats.artifact_builds, 2, "width {threads}");
+        outcomes.push((answers[0].clone(), stats.heap_bytes));
+    }
+    assert!(outcomes.windows(2).all(|w| w[0] == w[1]), "{outcomes:?}");
+}
+
+#[test]
+fn repeated_rw_service_runs_answer_identically_on_build_time_memory() {
+    let service = VomService::new();
+    service.register("net", Arc::new(instance())).unwrap();
+    let req = ServiceRequest::new(
+        "net",
+        vom::core::MethodId::Rw,
+        HORIZON,
+        Query::new(3, ScoringFunction::Plurality, 0),
+    );
+    let first = service.run(&req).unwrap();
+    let heap = service.index_stats()[0].heap_bytes;
+    let second = service.run(&req).unwrap();
+    assert_eq!(first.seeds, second.seeds);
+    assert_eq!(first.exact_score.to_bits(), second.exact_score.to_bits());
+    // The occurrence index is counted when the index is admitted; the
+    // second request builds nothing more.
+    assert_eq!(service.index_stats()[0].heap_bytes, heap);
+    assert_eq!(service.index_count(), 1);
+}
+
+#[test]
 fn service_batches_match_solo_runs_and_memoize_indexes() {
     let inst = instance();
     let service = VomService::new();
