@@ -324,7 +324,7 @@ pub fn snapshot_writer(index: &PreparedIndex) -> Result<SnapshotWriter> {
             method: index.method_id().name().to_string(),
         })?;
     if let Some(dm) = backend.downcast_ref::<DmIndex>() {
-        save_dm(&mut w, dm);
+        save_dm(&mut w, spec, dm);
     } else if let Some(rw) = backend.downcast_ref::<RwIndex>() {
         save_rw(&mut w, rw);
     } else if let Some(rs) = backend.downcast_ref::<RsIndex>() {
@@ -337,13 +337,16 @@ pub fn snapshot_writer(index: &PreparedIndex) -> Result<SnapshotWriter> {
     Ok(w)
 }
 
-fn save_dm(w: &mut SnapshotWriter, dm: &DmIndex) {
-    let (in_off, in_src, in_w) = dm.system.parts();
+/// DM's system sections are the target candidate's graph and inputs,
+/// the data its [`vom_diffusion::DiffusionSystem`] is built from.
+fn save_dm(w: &mut SnapshotWriter, spec: &ProblemSpec, dm: &DmIndex) {
+    let cand = spec.instance.candidate(spec.target);
+    let (in_off, in_src, in_w) = cand.graph.in_csr();
     w.section::<usize>(kind::DM_IN_OFF, 0, in_off);
     w.section::<u32>(kind::DM_IN_SRC, 0, in_src);
     w.section::<f64>(kind::DM_IN_W, 0, in_w);
-    w.section::<f64>(kind::DM_B0, 0, dm.system.initial());
-    w.section::<f64>(kind::DM_D, 0, dm.system.stubbornness());
+    w.section::<f64>(kind::DM_B0, 0, &cand.initial);
+    w.section::<f64>(kind::DM_D, 0, &cand.stubbornness);
     if let Some(order) = dm.cum_order.get() {
         w.section::<u32>(kind::DM_CUM_ORDER, 0, order);
     }
@@ -542,22 +545,23 @@ fn same_bits(a: &[f64], b: &[f64]) -> bool {
 
 fn load_dm(snap: &Snapshot, spec: &ProblemSpec, n: usize) -> Result<DmIndex> {
     // The index runs on the candidate's own system, which every other
-    // index over the instance shares; the file's copy is only checked
-    // against it, so a forged file can never change another index's
-    // answers.
-    let system = Arc::clone(spec.instance.candidate(spec.target).system());
-    let (in_off, in_src, in_w) = system.parts();
+    // index over the instance shares. The file's sections are only
+    // compared with the graph and inputs that system is built from, so
+    // a forged file can never change another index's answers.
+    let cand = spec.instance.candidate(spec.target);
+    let (in_off, in_src, in_w) = cand.graph.in_csr();
     let same = *snap.section::<usize>(kind::DM_IN_OFF, 0)? == *in_off
         && *snap.section::<u32>(kind::DM_IN_SRC, 0)? == *in_src
         && same_bits(&snap.section::<f64>(kind::DM_IN_W, 0)?, in_w)
-        && same_bits(&snap.section::<f64>(kind::DM_B0, 0)?, system.initial())
-        && same_bits(&snap.section::<f64>(kind::DM_D, 0)?, system.stubbornness());
+        && same_bits(&snap.section::<f64>(kind::DM_B0, 0)?, &cand.initial)
+        && same_bits(&snap.section::<f64>(kind::DM_D, 0)?, &cand.stubbornness);
     if !same {
         return Err(PersistError::BadValue {
             what: "diffusion system",
-            detail: "differs from the target candidate's own system".to_string(),
+            detail: "differs from the target candidate's graph and inputs".to_string(),
         });
     }
+    let system = Arc::clone(cand.system());
     let cum_order = OnceLock::new();
     if let Some(order) = snap.maybe_section::<u32>(kind::DM_CUM_ORDER, 0)? {
         check_nodes("cumulative CELF order", &order, n)?;

@@ -2,9 +2,11 @@
 //!
 //! Every exact opinion computation — fixed-horizon, convergence-style,
 //! metered or not — runs over one [`DiffusionSystem`]: the candidate's
-//! influence system in a solver-owned in-CSR layout, built **once per
-//! candidate** and shared via `Arc` by every session and worker. Two
-//! entry points iterate it:
+//! influence system in a solver-owned in-CSR layout with its nodes
+//! relabelled by descending degree, built **once per candidate** and
+//! shared via `Arc` by every session and worker. Two entry points
+//! iterate it, both mapping seeds in and rows out, so callers see node
+//! order:
 //!
 //! * [`Solver::solve`] — one seed set, with **exact fixed-point
 //!   early exit**: iteration stops as soon as a step reproduces its
@@ -45,7 +47,6 @@ use crate::Result;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use vom_graph::{Node, SocialGraph};
-use vom_persist::FlatBuf;
 
 #[cfg(doc)]
 use crate::fj::FjEngine;
@@ -116,33 +117,66 @@ impl SolverCounters {
 // DiffusionSystem
 // ---------------------------------------------------------------------
 
-/// One candidate's influence system in the solver's own cache-friendly
-/// layout: flat in-CSR arrays (`in_offsets`/`in_sources`/`in_weights`)
-/// driving the FJ update in exactly the [`SocialGraph::in_entries`]
-/// order, and the per-node `b⁰`/`d` vectors. Built once per candidate
-/// (see [`crate::CandidateData::system`]) and shared by `Arc`; immutable
-/// and `Send + Sync`.
-/// A DM snapshot stores the flat arrays, but its load only checks them
-/// against the candidate's own system, so a system is always built from
-/// its candidate's inputs.
+/// One candidate's influence system in the solver's own layout, built
+/// once per candidate (see [`crate::CandidateData::system`]) and shared
+/// by `Arc`; immutable and `Send + Sync`.
+///
+/// The nodes are relabelled by descending total degree (in + out, ties
+/// by ascending id, one counting sort): node `v` sits at position
+/// `new_of[v]`. The flat in-CSR rows (`in_offsets` / `in_sources` /
+/// `in_weights`), `b⁰` and the folded update constants are stored in
+/// that order, and each row keeps its [`SocialGraph::in_entries`] order
+/// with its sources renamed. On a heavy-tailed graph most in-edges point
+/// at hubs, so the sweep's random gathers land in a small, cache-resident
+/// prefix of the row. [`Solver`] maps seeds in and rows out, so callers
+/// only ever see node order, and every value is bit-identical to the
+/// unpermuted iteration: each node's update reads the same in-edges in
+/// the same order with the same constants.
+///
+/// A DM snapshot stores the candidate's graph and inputs, not this
+/// layout, and its load only compares them with the candidate's own, so
+/// a system is always built from its candidate's inputs.
 #[derive(Debug)]
 pub struct DiffusionSystem {
     n: usize,
-    in_offsets: FlatBuf<usize>,
-    in_sources: FlatBuf<Node>,
-    in_weights: FlatBuf<f64>,
-    b0: FlatBuf<f64>,
-    d: FlatBuf<f64>,
+    new_of: Vec<u32>,
+    in_offsets: Vec<usize>,
+    in_sources: Vec<u32>,
+    in_weights: Vec<f64>,
+    b0: Vec<f64>,
     // Per-node constants of the update rule, folded once at build time
     // (bitwise the same values the per-step expressions would produce):
-    // `omd[v] = 1.0 - d[v]`, `db0[v] = d[v] * b0[v]`.
+    // `omd[p] = 1.0 - d[v]`, `db0[p] = d[v] * b0[v]` for `p = new_of[v]`.
     omd: Vec<f64>,
     db0: Vec<f64>,
 }
 
+/// The sweep order of [`DiffusionSystem`]: every node, by descending
+/// total degree (in + out), ties by ascending id, in one counting sort.
+fn degree_order(graph: &SocialGraph) -> Vec<Node> {
+    let degree = |v: Node| graph.in_degree(v) + graph.out_degree(v);
+    let max = graph.nodes().map(degree).max().unwrap_or(0);
+    // Bucket `max − degree`, so the highest degree comes first; `next`
+    // holds each bucket's first free position.
+    let mut next = vec![0usize; max + 2];
+    for v in graph.nodes() {
+        next[max - degree(v) + 1] += 1;
+    }
+    for b in 1..next.len() {
+        next[b] += next[b - 1];
+    }
+    let mut order = vec![0; graph.num_nodes()];
+    for v in graph.nodes() {
+        let slot = &mut next[max - degree(v)];
+        order[*slot] = v;
+        *slot += 1;
+    }
+    order
+}
+
 impl DiffusionSystem {
-    /// Copies the graph's adjacency and validates `b0`/`d` exactly like
-    /// [`FjEngine::new`].
+    /// Lays out the graph's in-edges and `b0`/`d` in the degree order,
+    /// after validating `b0`/`d` exactly like [`FjEngine::new`].
     pub fn new(graph: &SocialGraph, b0: &[f64], d: &[f64]) -> Result<Self> {
         let n = graph.num_nodes();
         if b0.len() != n {
@@ -161,38 +195,36 @@ impl DiffusionSystem {
         }
         validate_unit_range("initial opinion", b0)?;
         validate_unit_range("stubbornness", d)?;
+        let order = degree_order(graph);
+        let mut new_of = vec![0u32; n];
+        for (p, &v) in order.iter().enumerate() {
+            new_of[v as usize] = p as u32;
+        }
         let m = graph.num_edges();
         let mut in_offsets = Vec::with_capacity(n + 1);
         let mut in_sources = Vec::with_capacity(m);
         let mut in_weights = Vec::with_capacity(m);
         in_offsets.push(0);
-        for v in 0..n as Node {
+        for &v in &order {
             for (j, w) in graph.in_entries(v) {
-                in_sources.push(j);
+                in_sources.push(new_of[j as usize]);
                 in_weights.push(w);
             }
             in_offsets.push(in_sources.len());
         }
-        // The per-node update constants, folded once.
-        let omd: Vec<f64> = d.iter().map(|&dv| 1.0 - dv).collect();
-        let db0: Vec<f64> = d.iter().zip(b0).map(|(&dv, &bv)| dv * bv).collect();
         Ok(DiffusionSystem {
             n,
-            in_offsets: in_offsets.into(),
-            in_sources: in_sources.into(),
-            in_weights: in_weights.into(),
-            b0: b0.to_vec().into(),
-            d: d.to_vec().into(),
-            omd,
-            db0,
+            in_offsets,
+            in_sources,
+            in_weights,
+            b0: order.iter().map(|&v| b0[v as usize]).collect(),
+            omd: order.iter().map(|&v| 1.0 - d[v as usize]).collect(),
+            db0: order
+                .iter()
+                .map(|&v| d[v as usize] * b0[v as usize])
+                .collect(),
+            new_of,
         })
-    }
-
-    /// The in-CSR `(in_offsets, in_sources, in_weights)` — the buffers a
-    /// snapshot writer serializes verbatim and a load compares (plus
-    /// [`DiffusionSystem::initial`] and [`DiffusionSystem::stubbornness`]).
-    pub fn parts(&self) -> (&[usize], &[Node], &[f64]) {
-        (&self.in_offsets, &self.in_sources, &self.in_weights)
     }
 
     /// Number of nodes `n`.
@@ -207,29 +239,22 @@ impl DiffusionSystem {
         self.in_sources.len()
     }
 
-    /// Initial opinions `B⁰` (without seeds applied).
-    #[inline]
-    pub fn initial(&self) -> &[f64] {
-        &self.b0
-    }
-
-    /// Stubbornness diagonal `D` (without seeds applied).
-    #[inline]
-    pub fn stubbornness(&self) -> &[f64] {
-        &self.d
-    }
-
-    /// Exact owned heap footprint in bytes: `FlatBuf` and `Vec`
-    /// capacities, so slack is never hidden.
+    /// Exact owned heap footprint in bytes: `Vec` capacities, so slack
+    /// is never hidden.
     pub fn heap_bytes(&self) -> usize {
         use std::mem::size_of;
-        self.in_offsets.heap_bytes()
-            + self.in_sources.heap_bytes()
-            + self.in_weights.heap_bytes()
-            + self.b0.heap_bytes()
-            + self.d.heap_bytes()
-            + (self.omd.capacity() + self.db0.capacity()) * size_of::<f64>()
+        self.new_of.capacity() * size_of::<u32>()
+            + self.in_offsets.capacity() * size_of::<usize>()
+            + self.in_sources.capacity() * size_of::<u32>()
+            + (self.in_weights.capacity()
+                + self.b0.capacity()
+                + self.omd.capacity()
+                + self.db0.capacity())
+                * size_of::<f64>()
     }
+
+    // The kernels below index rows, seeds and pins by sweep position
+    // (`new_of`); `Solver` maps seed ids in and rows out.
 
     /// The FJ update of one node from the current row:
     /// `(1−d_v)·Σ w·cur + d_v·b⁰_v`, in-less nodes hold their value.
@@ -259,6 +284,16 @@ impl DiffusionSystem {
     /// bitwise)` so the caller gets residual and fixed-point detection
     /// for free. Used by tolerance-mode solves; exact solves take the
     /// leaner [`DiffusionSystem::step_exact`].
+    ///
+    /// The three step kernels are kept out of line on purpose. A build
+    /// that inlined them into `solve` read `yelp-dm-cumulative` query
+    /// p50 1.03–1.12 → 1.33–1.42 ms (worse in 6 of 6 alternating pairs,
+    /// 2-vCPU Xeon), yet the gap vanished when both builds aligned loops
+    /// to 64 bytes (`-C llvm-args=-align-loops=64`), when the kernels
+    /// stayed out of line, and in a 4,800-request session loop: it came
+    /// from where the hot loop landed in the binary, not from the code.
+    /// Out of line, the loop's placement no longer moves with `solve`.
+    #[inline(never)]
     fn step(&self, is_seed: &[bool], cur: &[f64], next: &mut [f64]) -> (f64, bool) {
         let mut residual = 0.0f64;
         let mut bits_equal = true;
@@ -286,7 +321,8 @@ impl DiffusionSystem {
     /// **sorted, deduplicated** node list walked with a cursor — a
     /// register compare per node instead of a byte load from a seed
     /// mask. This is the hot kernel of exact solves, where the residual
-    /// is never read.
+    /// is never read. Out of line, like [`DiffusionSystem::step`].
+    #[inline(never)]
     fn step_exact(&self, seeds_sorted: &[usize], cur: &[f64], next: &mut [f64]) -> bool {
         let mut diff_bits = 0u64;
         let mut start = 0usize;
@@ -312,7 +348,9 @@ impl DiffusionSystem {
     /// each lane's update is the scalar update, element by element, then
     /// the base pins (`seeds_sorted`, every lane) and the per-lane pins
     /// (`pins`: sorted `(node, lane mask)` pairs) overwrite it. Returns
-    /// whether every lane reproduced its input bitwise.
+    /// whether every lane reproduced its input bitwise. Out of line, like
+    /// [`DiffusionSystem::step`].
+    #[inline(never)]
     fn step_lanes(
         &self,
         seeds_sorted: &[usize],
@@ -428,17 +466,19 @@ pub struct SolveReport {
 #[derive(Debug)]
 pub struct Solver {
     system: Arc<DiffusionSystem>,
-    // Single-solve scratch: the two iteration rows and the seed bitmap.
+    // Single-solve scratch: the two iteration rows and the seed bitmap,
+    // all by sweep position until `solve` maps the final row back to
+    // node order.
     cur: Vec<f64>,
     next: Vec<f64>,
     is_seed: Vec<bool>,
-    seed_marks: Vec<Node>,
-    // Sorted, deduplicated seed list handed to the exact kernels (a
+    seed_marks: Vec<u32>,
+    // Sorted, deduplicated seed positions handed to the exact kernels (a
     // cursor walk beats a per-node mask load).
     seeds_sorted: Vec<usize>,
     // Batched-solve scratch, sized on the first `solve_lanes` call so
-    // solvers that never batch never pay for it: node-major lane rows
-    // and the sorted per-lane pins.
+    // solvers that never batch never pay for it: position-major lane
+    // rows and the sorted per-lane pins.
     lanes_cur: Vec<[f64; LANES]>,
     lanes_next: Vec<[f64; LANES]>,
     pins: Vec<(usize, u8)>,
@@ -488,19 +528,18 @@ impl Solver {
         meter: Option<&CostMeter>,
     ) -> SolveReport {
         let system = Arc::clone(&self.system);
+        self.cur.copy_from_slice(&system.b0);
         for &s in seeds {
-            if !self.is_seed[s as usize] {
-                self.is_seed[s as usize] = true;
-                self.seed_marks.push(s);
+            let p = system.new_of[s as usize];
+            if !self.is_seed[p as usize] {
+                self.is_seed[p as usize] = true;
+                self.seed_marks.push(p);
             }
-        }
-        self.cur.copy_from_slice(system.initial());
-        for &s in seeds {
-            self.cur[s as usize] = 1.0;
+            self.cur[p as usize] = 1.0;
         }
         self.seeds_sorted.clear();
         self.seeds_sorted
-            .extend(self.seed_marks.iter().map(|&s| s as usize));
+            .extend(self.seed_marks.iter().map(|&p| p as usize));
         self.seeds_sorted.sort_unstable();
         let mut steps = 0usize;
         let mut residual = 0.0f64;
@@ -524,9 +563,14 @@ impl Solver {
                 break;
             }
         }
-        for s in self.seed_marks.drain(..) {
-            self.is_seed[s as usize] = false;
+        for p in self.seed_marks.drain(..) {
+            self.is_seed[p as usize] = false;
         }
+        // Back to node order: gather into the spare row and swap.
+        for (out, &p) in self.next.iter_mut().zip(&system.new_of) {
+            *out = self.cur[p as usize];
+        }
+        std::mem::swap(&mut self.cur, &mut self.next);
         COLD_SOLVES.fetch_add(1, Ordering::Relaxed);
         COLD_STEPS.fetch_add(steps as u64, Ordering::Relaxed);
         SolveReport {
@@ -577,7 +621,8 @@ impl Solver {
             self.lanes_next = vec![[0.0; LANES]; n];
         }
         self.seeds_sorted.clear();
-        self.seeds_sorted.extend(base.iter().map(|&s| s as usize));
+        self.seeds_sorted
+            .extend(base.iter().map(|&s| system.new_of[s as usize] as usize));
         self.seeds_sorted.sort_unstable();
         self.seeds_sorted.dedup();
         // Unused lanes repeat lane 0, so they reach its fixed point with
@@ -585,7 +630,8 @@ impl Solver {
         self.pins.clear();
         for l in 0..LANES {
             let extra = extras.get(l).unwrap_or(&extras[0]);
-            self.pins.push((*extra as usize, 1 << l));
+            self.pins
+                .push((system.new_of[*extra as usize] as usize, 1 << l));
         }
         self.pins.sort_unstable();
         self.pins.dedup_by(|later, kept| {
@@ -595,7 +641,7 @@ impl Solver {
             }
             same
         });
-        for (row, &b) in self.lanes_cur.iter_mut().zip(system.initial()) {
+        for (row, &b) in self.lanes_cur.iter_mut().zip(&system.b0) {
             *row = [b; LANES];
         }
         for &s in &self.seeds_sorted {
@@ -647,7 +693,10 @@ impl Solver {
     /// If `lane` is not a real lane of that call.
     pub fn lane(&self, lane: usize) -> impl Iterator<Item = f64> + '_ {
         assert!(lane < self.lanes_used, "lane {lane} was not solved");
-        self.lanes_cur.iter().map(move |row| row[lane])
+        self.system
+            .new_of
+            .iter()
+            .map(move |&p| self.lanes_cur[p as usize][lane])
     }
 
     /// Copies lane `lane` into `row` (cleared first), for scorers that
@@ -782,16 +831,48 @@ mod tests {
         system(&g, &b0, &d)
     }
 
+    /// Hubs at the highest ids (so the degree order moves them to the
+    /// front), in-less nodes that only point at hubs, and isolated nodes.
+    fn hubs_last() -> (SocialGraph, Vec<f64>, Vec<f64>) {
+        let n = 40usize;
+        let hubs = [37, 38, 39];
+        let mut edges = vec![(37, 38, 1.0), (38, 39, 2.0), (39, 37, 1.0)];
+        // v % 4 == 0: isolated; 1: in-less; otherwise linked both ways.
+        for v in 0..37 as Node {
+            match v % 4 {
+                0 => {}
+                1 => edges.push((v, hubs[v as usize % 3], 1.0)),
+                _ => {
+                    edges.push((v, hubs[v as usize % 3], 1.0));
+                    edges.push((hubs[(v as usize + 1) % 3], v, 0.5 + v as f64));
+                    edges.push((v - 1, v, 1.0));
+                }
+            }
+        }
+        let g = graph_from_edges(n, &edges).unwrap();
+        let b0: Vec<f64> = (0..n).map(|i| ((i * 7) % 11) as f64 / 10.0).collect();
+        let d: Vec<f64> = (0..n).map(|i| ((i * 3) % 5) as f64 / 4.0).collect();
+        (g, b0, d)
+    }
+
     #[test]
     fn cold_solve_matches_fj_engine_bitwise() {
-        let (g, b0, d) = running_example();
-        let eng = FjEngine::new(&g, &b0, &d).unwrap();
-        let mut solver = Solver::new(system(&g, &b0, &d));
-        for t in 0..6 {
-            for seeds in [vec![], vec![0], vec![2], vec![0, 1]] {
-                solver.solve(&seeds, &SolveOptions::exact(t), None);
-                let reference = reference(&eng, t, &seeds);
-                assert_eq!(solver.opinions(), &reference[..], "t={t} seeds={seeds:?}");
+        let cases = [
+            (running_example(), [vec![], vec![0], vec![2], vec![0, 1]]),
+            (
+                hubs_last(),
+                [vec![], vec![39], vec![0, 1, 38], vec![5, 5, 37]],
+            ),
+        ];
+        for ((g, b0, d), seed_sets) in cases {
+            let eng = FjEngine::new(&g, &b0, &d).unwrap();
+            let mut solver = Solver::new(system(&g, &b0, &d));
+            for t in [0, 1, 2, 3, 4, 5, 30] {
+                for seeds in &seed_sets {
+                    solver.solve(seeds, &SolveOptions::exact(t), None);
+                    let reference = reference(&eng, t, seeds);
+                    assert_eq!(solver.opinions(), &reference[..], "t={t} seeds={seeds:?}");
+                }
             }
         }
     }
@@ -809,6 +890,11 @@ mod tests {
         for t in [1, 6, 40] {
             assert_lanes_match(&ring, &[], &[0, 17, 63, 99, 5, 6, 7, 8], t);
             assert_lanes_match(&ring, &[50, 3], &[0, 3, 3, 99], t);
+        }
+        let (g, b0, d) = hubs_last();
+        let hubs = system(&g, &b0, &d);
+        for t in [0, 1, 5, 30] {
+            assert_lanes_match(&hubs, &[1, 39], &[0, 37, 38, 2, 3, 4, 39, 0], t);
         }
     }
 
@@ -945,24 +1031,55 @@ mod tests {
     }
 
     #[test]
-    fn system_layout_matches_graph() {
+    fn degree_order_is_a_descending_permutation_with_ascending_ties() {
+        let (example, _, _) = running_example();
+        let (hub_graph, _, _) = hubs_last();
+        for g in [example, hub_graph] {
+            let order = degree_order(&g);
+            let mut seen = order.clone();
+            seen.sort_unstable();
+            assert_eq!(seen, g.nodes().collect::<Vec<_>>(), "a permutation");
+            let degree = |v: Node| g.in_degree(v) + g.out_degree(v);
+            for w in order.windows(2) {
+                let (a, b) = (degree(w[0]), degree(w[1]));
+                assert!(a > b || (a == b && w[0] < w[1]), "{w:?}: {a} then {b}");
+            }
+        }
+        let (g, _, _) = hubs_last();
+        assert_eq!(&degree_order(&g)[..3], &[37, 38, 39]);
+        // Node 2 of the running example has degree 3, the rest 1.
+        let (g, b0, d) = running_example();
+        assert_eq!(degree_order(&g), [2, 0, 1, 3]);
+        assert_eq!(
+            DiffusionSystem::new(&g, &b0, &d).unwrap().new_of,
+            [1, 2, 0, 3]
+        );
+    }
+
+    #[test]
+    fn system_rows_follow_the_degree_order() {
         let (g, b0, d) = running_example();
         let sys = DiffusionSystem::new(&g, &b0, &d).unwrap();
         assert_eq!(sys.num_nodes(), 4);
         assert_eq!(sys.num_edges(), 3);
-        // Capacity-exact accounting: `new` allocates the in-CSR arrays
-        // with exact capacities (n+1 offsets, m sources and weights) and
-        // four n-sized per-node arrays (b0, d, omd, db0).
+        // Capacity-exact accounting: `new` allocates exact capacities —
+        // n positions, n+1 offsets, m sources and weights, and three
+        // n-sized per-node arrays (b0, omd, db0).
         let (n, m) = (4usize, 3usize);
         assert_eq!(
             sys.heap_bytes(),
-            (n + 1) * std::mem::size_of::<usize>()
-                + m * std::mem::size_of::<Node>()
-                + (m + 4 * n) * std::mem::size_of::<f64>()
+            n * std::mem::size_of::<u32>()
+                + (n + 1) * std::mem::size_of::<usize>()
+                + m * std::mem::size_of::<u32>()
+                + (m + 3 * n) * std::mem::size_of::<f64>()
         );
-        let (off, src, w) = sys.parts();
-        assert_eq!(&src[off[2]..off[3]], &[0, 1]);
-        assert_eq!(&w[off[2]..off[3]], &[0.5, 0.5]);
+        // Node 2 sweeps first; its row keeps the graph's in-edge order
+        // (sources 0 then 1) with the sources renamed.
+        assert_eq!(sys.in_offsets, [0, 2, 2, 2, 3]);
+        assert_eq!(sys.in_sources, [1, 2, 0]);
+        assert_eq!(sys.in_weights, [0.5, 0.5, 1.0]);
+        assert_eq!(sys.b0, [0.60, 0.40, 0.80, 0.90]);
+        assert_eq!(sys.omd, [0.5, 1.0, 1.0, 0.5]);
         assert!(DiffusionSystem::new(&g, &b0[..3], &d).is_err());
         assert!(DiffusionSystem::new(&g, &[2.0, 0.0, 0.0, 0.0], &d).is_err());
     }

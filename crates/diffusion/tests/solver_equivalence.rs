@@ -3,7 +3,9 @@
 //! a batched solve must be bit-identical to the single solve of its seed
 //! set across random graphs, inputs and seed sets — the invariant that
 //! lets the DM greedy scan candidates in lanes while keeping selection
-//! digests byte-identical.
+//! digests byte-identical. Hub-heavy graphs with their hubs at the
+//! highest ids check that the solver's degree order maps seeds in and
+//! rows out without changing a bit.
 
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -25,18 +27,60 @@ fn arb_system() -> impl Strategy<Value = (SocialGraph, Vec<f64>, Vec<f64>)> {
     })
 }
 
+/// Strategy: hub-heavy digraphs whose hubs sit at the highest ids, so
+/// the solver's degree order moves them to the front. Every other node
+/// is isolated, in-less (it only points at a hub) or linked both ways
+/// with a random hub; the hubs form a cycle among themselves.
+fn arb_hub_system() -> impl Strategy<Value = (SocialGraph, Vec<f64>, Vec<f64>)> {
+    (6usize..40).prop_flat_map(|n| {
+        let hubs = 2 + n / 10;
+        let rest = n - hubs;
+        let links = proptest::collection::vec(
+            (0u8..3, 0..hubs as Node, 0..hubs as Node, 0.1f64..5.0),
+            rest,
+        );
+        let opinions = proptest::collection::vec(0.0f64..=1.0, n);
+        let stubbornness = proptest::collection::vec(0.0f64..=1.0, n);
+        (links, opinions, stubbornness).prop_map(move |(links, b0, d)| {
+            let first_hub = rest as Node;
+            let mut edges: Vec<(Node, Node, f64)> = (0..hubs as Node)
+                .map(|h| (first_hub + h, first_hub + (h + 1) % hubs as Node, 1.0))
+                .collect();
+            for (v, &(kind, to, from, w)) in links.iter().enumerate() {
+                let v = v as Node;
+                // kind 0: isolated; 1: in-less; 2: both ways.
+                if kind >= 1 {
+                    edges.push((v, first_hub + to, w));
+                }
+                if kind == 2 {
+                    edges.push((first_hub + from, v, w));
+                }
+            }
+            let g = graph_from_edges(n, &edges).expect("valid hub edges");
+            (g, b0, d)
+        })
+    })
+}
+
+/// Both graph families, half the cases each: small random digraphs and
+/// hub-heavy ones.
+fn arb_any_system() -> impl Strategy<Value = (SocialGraph, Vec<f64>, Vec<f64>)> {
+    (0u8..2, arb_system(), arb_hub_system())
+        .prop_map(|(pick, random, hubs)| if pick == 0 { random } else { hubs })
+}
+
 fn bits(xs: &[f64]) -> Vec<u64> {
     xs.iter().map(|x| x.to_bits()).collect()
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
+    #![proptest_config(ProptestConfig::with_cases(128))]
 
     #[test]
     fn cold_solve_is_bit_identical_to_fj_engine(
-        (g, b0, d) in arb_system(),
+        (g, b0, d) in arb_any_system(),
         t in 0usize..15,
-        raw_seeds in proptest::collection::vec(0u32..12, 0..4),
+        raw_seeds in proptest::collection::vec(0u32..40, 0..4),
     ) {
         let n = g.num_nodes() as Node;
         let seeds: Vec<Node> = raw_seeds.iter().map(|s| s % n).collect();
@@ -50,10 +94,10 @@ proptest! {
 
     #[test]
     fn every_lane_is_bit_identical_to_a_single_solve(
-        (g, b0, d) in arb_system(),
+        (g, b0, d) in arb_any_system(),
         t in 0usize..15,
-        base in proptest::collection::vec(0u32..12, 0..4),
-        extras in proptest::collection::vec(0u32..12, 1..=LANES),
+        base in proptest::collection::vec(0u32..40, 0..4),
+        extras in proptest::collection::vec(0u32..40, 1..=LANES),
     ) {
         // The greedy scan shape: many trial sets base ∪ {extra} from one
         // committed base. Raw ids wrap mod n, so small graphs get
@@ -81,7 +125,7 @@ proptest! {
 
     #[test]
     fn convergence_tolerance_bounds_the_residual(
-        (g, b0, d) in arb_system(),
+        (g, b0, d) in arb_any_system(),
         eps in 1e-9f64..1e-3,
     ) {
         let system = Arc::new(DiffusionSystem::new(&g, &b0, &d).unwrap());

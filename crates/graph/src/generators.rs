@@ -78,6 +78,12 @@ pub fn chung_lu<R: Rng>(n: usize, m: usize, gamma: f64, rng: &mut R) -> Vec<(Nod
 /// restricted to the valid off-diagonal square. Parallel picks are kept
 /// (the builder merges them into higher interaction counts, like
 /// [`chung_lu`]). Deterministic in the RNG: same seed, same edge list.
+///
+/// Each level sets its two bits by comparisons rather than a branch per
+/// quadrant, because a random quadrant is a branch the CPU cannot
+/// predict. One draw `x` per level picks top-left (`x < A`), top-right
+/// (`A ≤ x < A+B`), bottom-left (`A+B ≤ x < A+B+C`) or bottom-right,
+/// exactly as a branch chain on the same constants would.
 pub fn rmat<R: Rng>(n: usize, m: usize, rng: &mut R) -> Vec<(Node, Node, f64)> {
     assert!(n >= 2, "rmat needs at least 2 nodes");
     const A: f64 = 0.57;
@@ -91,19 +97,11 @@ pub fn rmat<R: Rng>(n: usize, m: usize, rng: &mut R) -> Vec<(Node, Node, f64)> {
         attempts += 1;
         let (mut u, mut v) = (0usize, 0usize);
         for _ in 0..levels {
-            u <<= 1;
-            v <<= 1;
             let x = rng.gen::<f64>();
-            if x < A {
-                // top-left: both high bits stay 0
-            } else if x < A + B {
-                v |= 1;
-            } else if x < A + B + C {
-                u |= 1;
-            } else {
-                u |= 1;
-                v |= 1;
-            }
+            let bottom = x >= A + B;
+            let right = (A..A + B).contains(&x) | (x >= A + B + C);
+            u = u << 1 | bottom as usize;
+            v = v << 1 | right as usize;
         }
         if u < n && v < n && u != v {
             edges.push((u as Node, v as Node, 1.0));
@@ -261,6 +259,38 @@ mod tests {
             max_in as f64 > 8.0 * mean_in,
             "expected a hub: max {max_in} vs mean {mean_in}"
         );
+    }
+
+    /// FNV-1a over every edge's `(src, dst, weight bits)`.
+    fn edge_digest(edges: &[(Node, Node, f64)]) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for &(u, v, w) in edges {
+            for word in [u as u64, v as u64, w.to_bits()] {
+                for byte in word.to_le_bytes() {
+                    h ^= byte as u64;
+                    h = h.wrapping_mul(0x0100_0000_01b3);
+                }
+            }
+        }
+        h
+    }
+
+    #[test]
+    fn rmat_edge_lists_are_pinned() {
+        // Every edge of `rmat(n, 4n)` is fixed by the seed; a rewrite of
+        // the quadrant choice must keep each one. 1300 and 50,000 are not
+        // powers of two, so rejection against the enclosing grid is
+        // covered too.
+        for (n, seed, want) in [
+            (1000, 9, 0x96c8_7c62_8e45_4f3a),
+            (1300, 21, 0x236b_c4c7_1fae_8054),
+            (4096, 3, 0xf73b_930e_85c0_a10b),
+            (50_000, 2023, 0xa95d_9044_6a62_6839),
+        ] {
+            let edges = rmat(n, 4 * n, &mut StdRng::seed_from_u64(seed));
+            assert_eq!(edges.len(), 4 * n);
+            assert_eq!(edge_digest(&edges), want, "n = {n}, seed = {seed}");
+        }
     }
 
     #[test]

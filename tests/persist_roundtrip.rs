@@ -247,6 +247,45 @@ fn assert_bad_value(loaded: Result<PreparedIndex, PersistError>, what: &str) {
 }
 
 #[test]
+fn dm_sections_are_the_target_candidates_graph_and_inputs() {
+    use vom::core::persist::kind;
+    let _guard = pool_lock();
+    let inst = instance();
+    let spec = Problem::new(&inst, 0, K_MAX, HORIZON, ScoringFunction::Cumulative).unwrap();
+    let path = scratch("dm-sections");
+    Engine::Dm
+        .prepare_index(&spec)
+        .unwrap()
+        .save(&path)
+        .unwrap();
+    let file = std::fs::read(&path).unwrap();
+    std::fs::remove_file(&path).ok();
+    let section = |kind: u32, width: usize| -> Vec<u64> {
+        file[section_bytes(&file, kind, 0)]
+            .chunks_exact(width)
+            .map(|b| b.iter().rev().fold(0u64, |acc, &x| acc << 8 | x as u64))
+            .collect()
+    };
+    // The system sweeps in its own node order; the file keeps the
+    // graph's in-CSR in node order, as `in_entries` reads it.
+    let cand = inst.candidate(0);
+    let (mut offsets, mut sources, mut weights) = (vec![0u64], Vec::new(), Vec::new());
+    for v in cand.graph.nodes() {
+        for (j, w) in cand.graph.in_entries(v) {
+            sources.push(j as u64);
+            weights.push(w.to_bits());
+        }
+        offsets.push(sources.len() as u64);
+    }
+    let bits = |xs: &[f64]| -> Vec<u64> { xs.iter().map(|x| x.to_bits()).collect() };
+    assert_eq!(section(kind::DM_IN_OFF, 8), offsets);
+    assert_eq!(section(kind::DM_IN_SRC, 4), sources);
+    assert_eq!(section(kind::DM_IN_W, 8), weights);
+    assert_eq!(section(kind::DM_B0, 8), bits(&cand.initial));
+    assert_eq!(section(kind::DM_D, 8), bits(&cand.stubbornness));
+}
+
+#[test]
 fn resealed_snapshots_with_inconsistent_sketch_parts_fail_closed() {
     use vom::core::persist::kind;
     let _guard = pool_lock();
