@@ -45,9 +45,9 @@ pub trait OpinionEstimate {
     /// sketches, for the user-major rank greedy.
     fn user_pairs(&self) -> UserPairs;
 
-    /// Rebuilds the listed users' pairs after a commit (pass the
-    /// commit's changed-users report).
-    fn refresh_user_pairs(&self, pairs: &mut UserPairs, users: &[Node]);
+    /// Walk or sketch `i` of user `v` and its delta, while it is live:
+    /// the `live` that brings [`UserPairs`] up to date.
+    fn live_walk(&self, v: Node, i: usize) -> Option<(&[Node], f64)>;
 
     /// Visits the merged per-user estimate deltas of one candidate seed,
     /// in ascending user order, without scanning any other candidate's
@@ -101,8 +101,8 @@ impl OpinionEstimate for OpinionEstimator<'_> {
     fn user_pairs(&self) -> UserPairs {
         OpinionEstimator::user_pairs(self)
     }
-    fn refresh_user_pairs(&self, pairs: &mut UserPairs, users: &[Node]) {
-        OpinionEstimator::refresh_user_pairs(self, pairs, users)
+    fn live_walk(&self, v: Node, i: usize) -> Option<(&[Node], f64)> {
+        OpinionEstimator::live_walk(self, v, i)
     }
     fn for_candidate_deltas<F: FnMut(Node, f64)>(
         &self,
@@ -154,8 +154,8 @@ impl OpinionEstimate for SketchSet {
     fn user_pairs(&self) -> UserPairs {
         SketchSet::user_pairs(self)
     }
-    fn refresh_user_pairs(&self, pairs: &mut UserPairs, users: &[Node]) {
-        SketchSet::refresh_user_pairs(self, pairs, users)
+    fn live_walk(&self, v: Node, i: usize) -> Option<(&[Node], f64)> {
+        SketchSet::live_sketch(self, v, i)
     }
     fn for_candidate_deltas<F: FnMut(Node, f64)>(
         &self,

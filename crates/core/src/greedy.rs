@@ -21,11 +21,15 @@
 //! * the rank greedy runs **user-major** over RW and RS alike: once per
 //!   run it merges each user's live walks or sketches into
 //!   `(candidate, Δ)` pairs ([`vom_walks::UserPairs`]; sampled sketch
-//!   starts are grouped by one counting sort), each iteration is one
+//!   starts are grouped by one counting sort), and each iteration is one
 //!   pass over those pairs adding `preview − contribution` into the
-//!   candidates' gains in ascending user order, and a commit rebuilds
-//!   only the touched users' lists. The cumulative tie-break is computed
-//!   only for the candidates tied at the maximum gain;
+//!   candidates' gains in ascending user order. A commit only marks the
+//!   changed users' lists touched; the next pass merges a touched list
+//!   again only if a stale pair can still cross the user's threshold,
+//!   and otherwise refolds the user's own pair and lets it score that
+//!   pair alone (a stale delta bounds the fresh one, as in Minoux's lazy
+//!   greedy). The cumulative tie-break is computed only for the
+//!   candidates tied at the maximum gain;
 //! * Copeland stays **candidate-major**: each candidate's per-user
 //!   deltas are merged from its occurrence list
 //!   ([`OpinionEstimate::for_candidate_deltas`]) into `r − 1` duel nets,
@@ -53,7 +57,7 @@ use vom_diffusion::OpinionMatrix;
 use vom_graph::{Candidate, Node};
 use vom_voting::rank::beta_with_target;
 use vom_voting::{PositionalAccumulator, RankIndex, ScoringFunction};
-use vom_walks::DeltaScratch;
+use vom_walks::{DeltaScratch, UserPairs};
 
 /// The competitor-opinion artifacts a competitive-score greedy consumes:
 /// the exact non-target opinion matrix and its rank index. Built once
@@ -253,15 +257,14 @@ type Pick = (Node, f64, f64);
 /// the target helps later iterations and the true objective).
 ///
 /// It runs user-major over the estimator's
-/// [`OpinionEstimate::user_pairs`]. Per iteration, one pass over the
-/// users in ascending order adds each pair's `preview − contribution`
-/// into its candidate's gain — per candidate, the terms and order of a
-/// merge over its occurrences, minus the exact `+0.0` terms of moves
-/// that stay within the user's threshold. The argmax then takes the
-/// largest gain and computes the cumulative tie-break only for the
-/// candidates tied at it, lowest id first: the node a sequential scan
-/// keeping the first largest `(gain, cum)` picks. A commit refreshes
-/// the touched users' accumulator entries and pairs.
+/// [`OpinionEstimate::user_pairs`]: each iteration is one
+/// [`gain_pass`], then an argmax that takes the largest gain and
+/// computes the cumulative tie-break only for the candidates tied at
+/// it, lowest id first: the node a sequential scan keeping the first
+/// largest `(gain, cum)` picks. A [`commit`] refreshes the changed
+/// users' accumulator entries and marks their pair lists touched; the
+/// next pass brings a touched list up to date only as far as its
+/// threshold needs.
 fn rank_greedy<E: OpinionEstimate>(
     est: &mut E,
     k: usize,
@@ -286,20 +289,7 @@ fn rank_greedy<E: OpinionEstimate>(
         if meter.is_some_and(|m| m.exhausted()) {
             break;
         }
-        gains.iter_mut().for_each(|g| *g = 0.0);
-        for v in 0..n as Node {
-            if acc.weight(v) <= 0.0 {
-                continue;
-            }
-            let (value, tau, contrib) = (acc.value(v), acc.threshold(v), acc.contribution(v));
-            let (cands, deltas) = pairs.user(v);
-            for (&w, &delta) in cands.iter().zip(deltas) {
-                let x = value + delta;
-                if x > tau {
-                    gains[w as usize] += acc.preview(index, v, x) - contrib;
-                }
-            }
-        }
+        gain_pass(est, &mut pairs, &acc, index, &mut gains);
         let mut top = 0.0;
         let mut scanned = 0u64;
         tied.clear();
@@ -330,22 +320,68 @@ fn rank_greedy<E: OpinionEstimate>(
                 pick = (w, gains[w as usize], cum);
             }
         }
-        // audit:allow(d-wall-clock, "phase timer: elapsed feeds reported timings, never selection order")
-        let t = Instant::now();
-        est.add_seed_into(pick.0, &mut touched);
-        truncating += t.elapsed();
-        refresh_users(
-            est,
-            &mut acc,
-            index,
-            touched.iter().copied().chain([pick.0]),
-        );
-        est.refresh_user_pairs(&mut pairs, &touched);
+        truncating += commit(est, &mut acc, &mut pairs, index, pick.0, &mut touched);
         picks.push(pick);
     }
     phases::record(Phase::Truncation, truncating);
     phases::record(Phase::Scoring, started.elapsed().saturating_sub(truncating));
     picks
+}
+
+/// One scoring pass of the rank greedy: settles the touched pair lists
+/// ([`UserPairs::settle`]), then overwrites `gains` with each
+/// candidate's rank gain. The users go in ascending order, and each adds
+/// `preview − contribution` for every scored pair whose move passes the
+/// user's threshold. Per candidate, these are the terms and order of a
+/// merge over its occurrences, minus exact `+0.0` terms: moves within
+/// the threshold, and the stale pairs of cold users.
+fn gain_pass<E: OpinionEstimate>(
+    est: &E,
+    pairs: &mut UserPairs,
+    acc: &PositionalAccumulator,
+    index: &RankIndex,
+    gains: &mut [f64],
+) {
+    pairs.settle(
+        |v| (acc.value(v), acc.threshold(v)),
+        |v, i| est.live_walk(v, i),
+    );
+    gains.iter_mut().for_each(|g| *g = 0.0);
+    for v in 0..est.num_nodes() as Node {
+        if acc.weight(v) <= 0.0 {
+            continue;
+        }
+        let (value, tau, contrib) = (acc.value(v), acc.threshold(v), acc.contribution(v));
+        let (cands, deltas) = pairs.scored(v);
+        for (&w, &delta) in cands.iter().zip(deltas) {
+            let x = value + delta;
+            if x > tau {
+                gains[w as usize] += acc.preview(index, v, x) - contrib;
+            }
+        }
+    }
+}
+
+/// Commits `pick` as a seed, refreshes the accumulator entries of the
+/// users whose estimates changed (the changed-users report and the pick)
+/// and marks their pair lists touched. Returns the time spent
+/// truncating.
+fn commit<E: OpinionEstimate>(
+    est: &mut E,
+    acc: &mut PositionalAccumulator,
+    pairs: &mut UserPairs,
+    index: &RankIndex,
+    pick: Node,
+    touched: &mut Vec<Node>,
+) -> Duration {
+    // audit:allow(d-wall-clock, "phase timer: elapsed feeds reported timings, never selection order")
+    let t = Instant::now();
+    est.add_seed_into(pick, touched);
+    let truncating = t.elapsed();
+    let changed = || touched.iter().copied().chain([pick]);
+    refresh_users(est, acc, index, changed());
+    pairs.touch(changed());
+    truncating
 }
 
 // ---------------------------------------------------------------------
@@ -851,29 +887,121 @@ mod tests {
         })
     }
 
-    /// Every user's pairs hold exactly the `(candidate, user, Δ)` triples
-    /// [`OpinionEstimate::for_candidate_deltas`] merges, bit for bit.
-    fn pairs_match_candidate_deltas<E: OpinionEstimate>(est: &E, pairs: &vom_walks::UserPairs) {
+    /// Each user's `(candidate, Δ bits)` pairs as the per-candidate
+    /// merge ([`OpinionEstimate::for_candidate_deltas`]) finds them over
+    /// the live walks, in ascending candidate order.
+    fn merged_pairs<E: OpinionEstimate>(est: &E) -> Vec<Vec<(Node, u64)>> {
         let n = est.num_nodes() as Node;
-        let mut listed: Vec<(Node, Node, u64)> = Vec::new();
-        for v in 0..n {
-            let (cands, deltas) = pairs.user(v);
-            listed.extend(cands.iter().zip(deltas).map(|(&w, d)| (w, v, d.to_bits())));
-        }
-        listed.sort_unstable();
-        let mut merged = Vec::new();
+        let mut merged = vec![Vec::new(); n as usize];
         let mut scratch = DeltaScratch::default();
         for w in (0..n).filter(|&w| !est.is_seed(w)) {
-            est.for_candidate_deltas(w, &mut scratch, |v, d| merged.push((w, v, d.to_bits())));
+            est.for_candidate_deltas(w, &mut scratch, |v, d| {
+                merged[v as usize].push((w, d.to_bits()))
+            });
         }
-        assert_eq!(listed, merged);
+        merged
+    }
+
+    /// How often the replays in [`check_rank_loops`] met each state.
+    #[derive(Debug, Default)]
+    struct LazyTally {
+        /// Users found cold after a pass: their stored list differs from
+        /// the merge.
+        cold: usize,
+        /// Touched lists the lazy rule had to merge again.
+        rebuilds: usize,
+    }
+
+    /// The reference for the lazy rule: the changed users whose stale
+    /// lists hold a non-own pair past the threshold, so the next pass
+    /// must merge them again.
+    fn crossing_users(
+        pairs: &UserPairs,
+        acc: &PositionalAccumulator,
+        changed: impl Iterator<Item = Node>,
+    ) -> Vec<Node> {
+        let mut users: Vec<Node> = changed
+            .filter(|&v| {
+                let (value, tau) = (acc.value(v), acc.threshold(v));
+                let (_, stale) = pairs.user(v);
+                acc.weight(v) > 0.0 && stale.iter().skip(1).any(|&d| value + d > tau)
+            })
+            .collect();
+        users.sort_unstable();
+        users.dedup();
+        users
+    }
+
+    /// After a gain pass, every user's list is fresh (bit-equal to the
+    /// per-candidate merge) or cold: the own pair opens the list with its
+    /// fresh delta, every fresh pair is listed with a stale delta at
+    /// least as large, and every fresh non-own move stays within the
+    /// user's threshold, so skipping it adds only `+0.0`. The users in
+    /// `crossing` must be fresh. Either way, the pairs the pass scores
+    /// that cross the threshold are exactly the fresh ones that do.
+    fn check_fresh_or_cold<E: OpinionEstimate>(
+        est: &E,
+        pairs: &UserPairs,
+        acc: &PositionalAccumulator,
+        crossing: &[Node],
+        tally: &mut LazyTally,
+    ) {
+        tally.rebuilds += crossing.len();
+        for (v, fresh) in merged_pairs(est).into_iter().enumerate() {
+            let v = v as Node;
+            let (value, tau) = (acc.value(v), acc.threshold(v));
+            let crosses = |&(_, bits): &(Node, u64)| value + f64::from_bits(bits) > tau;
+            let (cands, deltas) = pairs.scored(v);
+            let mut scored: Vec<(Node, u64)> = cands
+                .iter()
+                .zip(deltas)
+                .map(|(&w, d)| (w, d.to_bits()))
+                .filter(crosses)
+                .collect();
+            scored.sort_unstable();
+            let want: Vec<(Node, u64)> = fresh.iter().copied().filter(crosses).collect();
+            if acc.weight(v) > 0.0 {
+                assert_eq!(scored, want, "user {v}: scored pairs past τ");
+            }
+            let (cands, deltas) = pairs.user(v);
+            let mut stored: Vec<(Node, u64)> = cands
+                .iter()
+                .zip(deltas)
+                .map(|(&w, d)| (w, d.to_bits()))
+                .collect();
+            stored.sort_unstable();
+            if stored == fresh {
+                continue;
+            }
+            tally.cold += 1;
+            assert!(!crossing.contains(&v), "user {v}: crossing τ, not merged");
+            let own = fresh
+                .iter()
+                .find(|&&(w, _)| w == v)
+                .expect("a cold user has walks");
+            assert_eq!((cands[0], deltas[0].to_bits()), *own, "user {v}: own pair");
+            for &(w, bits) in fresh.iter().filter(|&&(w, _)| w != v) {
+                let d = f64::from_bits(bits);
+                let at = cands
+                    .iter()
+                    .position(|&c| c == w)
+                    .expect("fresh pair listed");
+                assert!(deltas[at] >= d, "user {v}, candidate {w}: stale < fresh");
+                assert!(value + d <= tau, "user {v}, candidate {w} crosses τ");
+            }
+        }
     }
 
     /// The user-major loop against the candidate-major reference on
     /// estimators from `make` (fixed seeds applied): the same seeds and
-    /// per-iteration winning `(gain, cum)` bits, and pair lists equal
-    /// to the per-candidate merge after the build and every refresh.
-    fn check_rank_loops<E: OpinionEstimate>(make: impl Fn() -> E, index: &RankIndex) {
+    /// per-iteration winning `(gain, cum)` bits. A replay of the loop's
+    /// passes and commits then checks every user fresh or cold after
+    /// each pass ([`check_fresh_or_cold`]).
+    fn check_rank_loops<E: OpinionEstimate>(
+        make: impl Fn() -> E,
+        index: &RankIndex,
+        tally: &mut LazyTally,
+    ) {
         let k = make().num_nodes().min(8);
         for score in [
             ScoringFunction::Plurality,
@@ -892,25 +1020,35 @@ mod tests {
                 assert_eq!(g.2.to_bits(), w.2.to_bits(), "{score} cum at {i}");
             }
             let mut est = make();
+            let mut acc = accumulator(&est, &score, index);
             let mut pairs = est.user_pairs();
-            pairs_match_candidate_deltas(&est, &pairs);
+            let mut gains = vec![0.0; est.num_nodes()];
             let mut touched = Vec::new();
+            let mut crossing = Vec::new();
             for &(w, _, _) in &got {
-                est.add_seed_into(w, &mut touched);
-                est.refresh_user_pairs(&mut pairs, &touched);
-                pairs_match_candidate_deltas(&est, &pairs);
+                gain_pass(&est, &mut pairs, &acc, index, &mut gains);
+                check_fresh_or_cold(&est, &pairs, &acc, &crossing, tally);
+                commit(&mut est, &mut acc, &mut pairs, index, w, &mut touched);
+                crossing = crossing_users(&pairs, &acc, touched.iter().copied().chain([w]));
             }
+            gain_pass(&est, &mut pairs, &acc, index, &mut gains);
+            check_fresh_or_cold(&est, &pairs, &acc, &crossing, tally);
         }
     }
 
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(64))]
-
-        /// The user-major rank greedy picks the candidate-major loop's
-        /// seeds, with the same winning `(gain, cum)` bits per iteration,
-        /// over RW walks and RS sketches.
-        #[test]
-        fn user_major_rank_greedy_matches_candidate_major(case in arb_rank_case()) {
+    /// The user-major rank greedy picks the candidate-major loop's
+    /// seeds, with the same winning `(gain, cum)` bits per iteration,
+    /// over RW walks and RS sketches, and leaves every user fresh or
+    /// cold after each pass. 64 deterministic cases of
+    /// [`arb_rank_case`]; both estimators must reach the cold state and
+    /// the lazy rebuild somewhere among them.
+    #[test]
+    fn user_major_rank_greedy_matches_candidate_major() {
+        const NAME: &str = "user_major_rank_greedy_matches_candidate_major";
+        let (mut walks, mut sketches) = (LazyTally::default(), LazyTally::default());
+        for i in 0..64 {
+            let case = arb_rank_case().generate(&mut proptest::TestRng::for_case(NAME, i));
+            let guard = proptest::CaseGuard::new(NAME, i);
             let index = RankIndex::build(&case.others, 0);
             let gen = WalkGenerator::new(&case.graph, &case.stubbornness, case.t);
             let arena = gen.generate_per_node(&case.lambda, case.walk_seed);
@@ -923,6 +1061,7 @@ mod tests {
                     est
                 },
                 &index,
+                &mut walks,
             );
             let sketch = SketchSet::generate(
                 &case.graph,
@@ -941,7 +1080,14 @@ mod tests {
                     est
                 },
                 &index,
+                &mut sketches,
             );
+            guard.disarm();
+        }
+        eprintln!("lazy pair lists: walks {walks:?}, sketches {sketches:?}");
+        for (name, tally) in [("walks", &walks), ("sketches", &sketches)] {
+            assert!(tally.cold > 0, "{name}: no case reached the cold state");
+            assert!(tally.rebuilds > 0, "{name}: no case rebuilt a list");
         }
     }
 }

@@ -519,7 +519,11 @@ pub fn load_snapshot(instance: Arc<Instance>, snap: &Snapshot) -> Result<Prepare
     let backend: Box<dyn IndexBackend> = match method {
         MethodId::Dm => Box::new(load_dm(snap, &spec, n)?),
         MethodId::Rw => Box::new(load_rw(snap, n)?),
-        MethodId::Rs => Box::new(load_rs(snap, n)?),
+        MethodId::Rs => Box::new(load_rs(
+            snap,
+            &spec.instance.candidate(spec.target).initial,
+            n,
+        )?),
         other => {
             return Err(PersistError::UnsupportedMethod {
                 method: other.name().to_string(),
@@ -651,7 +655,10 @@ fn load_rw(snap: &Snapshot, n: usize) -> Result<RwIndex> {
     })
 }
 
-fn load_rs(snap: &Snapshot, n: usize) -> Result<RsIndex> {
+/// Loads the RS sketches. Every sketch set folds the target candidate's
+/// own opinions `initial`, so a file whose `SK_B0` differs from them in
+/// any bit fails closed.
+fn load_rs(snap: &Snapshot, initial: &[f64], n: usize) -> Result<RsIndex> {
     let cfgw = snap.scalars(kind::RS_CFG, 0)?;
     if cfgw.len() != 5 {
         return Err(PersistError::BadValue {
@@ -709,10 +716,16 @@ fn load_rs(snap: &Snapshot, n: usize) -> Result<RsIndex> {
             snap.section::<u32>(kind::SK_OCC_POS, slot)?,
         )
         .map_err(bad("sketch truncation"))?;
+        if !same_bits(&snap.section::<f64>(kind::SK_B0, slot)?, initial) {
+            return Err(PersistError::BadValue {
+                what: "sketch set",
+                detail: "initial opinions differ from the target candidate's".to_string(),
+            });
+        }
         let sketch = SketchSet::from_parts(
             arena,
             trunc,
-            snap.section::<f64>(kind::SK_B0, slot)?.as_slice().to_vec(),
+            initial.to_vec(),
             n,
             snap.section::<f64>(kind::SK_START_SUM, slot)?
                 .as_slice()

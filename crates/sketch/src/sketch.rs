@@ -8,8 +8,7 @@ use vom_diffusion::OpinionMatrix;
 use vom_graph::{Candidate, Node, SocialGraph};
 use vom_voting::rank::beta_with_target;
 use vom_voting::ScoringFunction;
-use vom_walks::estimator::{DeltaScratch, PairDelta};
-use vom_walks::{OccurrenceIndex, Truncation, UserPairs, WalkArena, WalkGenerator};
+use vom_walks::{DeltaScratch, OccurrenceIndex, Truncation, UserPairs, WalkArena, WalkGenerator};
 
 /// θ reverse random walks from uniformly sampled starts, with incremental
 /// seed truncation (Algorithm 5 state).
@@ -342,31 +341,6 @@ impl SketchSet {
         gains
     }
 
-    /// Per-(seed, user) **pooled estimate** deltas, sorted by seed: adding
-    /// `seed` raises user `user`'s pooled estimate by `delta`. Mirrors
-    /// [`vom_walks::OpinionEstimator::pair_deltas`] so the rank-based
-    /// greedy can treat RW and RS estimates uniformly.
-    pub fn pair_deltas(&self) -> Vec<PairDelta> {
-        let mut deltas = Vec::new();
-        self.scan_prefixes(|w, start, gain| {
-            deltas.push(PairDelta {
-                seed: w,
-                user: start,
-                delta: gain / self.start_count[start as usize] as f64,
-            });
-        });
-        deltas.sort_unstable_by_key(|d| (d.seed, d.user));
-        deltas.dedup_by(|b, a| {
-            if a.seed == b.seed && a.user == b.user {
-                a.delta += b.delta;
-                true
-            } else {
-                false
-            }
-        });
-        deltas
-    }
-
     /// Visits `(sketch, start, 1 − end_value)` for every live sketch
     /// whose live prefix contains candidate `w`, in ascending sketch
     /// order — `w`'s occurrence list instead of a pass over all θ
@@ -422,10 +396,9 @@ impl SketchSet {
 
     /// Visits the merged per-user **pooled-estimate** deltas of one
     /// candidate seed `w` — `(user, Δb̂_qv)` pairs in ascending user
-    /// order, the `seed == w` run of [`SketchSet::pair_deltas`] —
-    /// without scanning any other candidate's sketches. Sketch starts
-    /// are sampled with replacement (not grouped), so the merge goes
-    /// through the caller's reusable [`DeltaScratch`].
+    /// order — without scanning any other candidate's sketches. Sketch
+    /// starts are sampled with replacement (not grouped), so the merge
+    /// goes through the caller's reusable [`DeltaScratch`].
     pub fn for_candidate_deltas<F: FnMut(Node, f64)>(
         &self,
         w: Node,
@@ -462,15 +435,10 @@ impl SketchSet {
         UserPairs::build(walk_off, walk_ids, |v, j| self.live_sketch(v, j))
     }
 
-    /// Rebuilds the listed users' pairs in place after a seed commit
-    /// (pass the commit's changed-users report).
-    pub fn refresh_user_pairs(&self, pairs: &mut UserPairs, users: &[Node]) {
-        pairs.refresh(users, |v, j| self.live_sketch(v, j));
-    }
-
     /// Sketch `j` of user `v` and its pooled delta `gain/count_v`, while
-    /// it is live (a live sketch was never truncated).
-    fn live_sketch(&self, v: Node, j: usize) -> Option<(&[Node], f64)> {
+    /// it is live (a live sketch was never truncated): the `live` of
+    /// [`UserPairs`].
+    pub fn live_sketch(&self, v: Node, j: usize) -> Option<(&[Node], f64)> {
         let gain = 1.0 - self.walk_value(j);
         if gain <= 0.0 {
             return None;
@@ -544,6 +512,27 @@ mod tests {
         ])
         .unwrap();
         (g, b0, d, exact)
+    }
+
+    /// The reference for the per-candidate merges: per-(seed, user)
+    /// pooled-estimate deltas `(w, v, Δb̂_qv)` from one scan over every
+    /// live prefix, sorted by seed and user, with a start's sketches
+    /// merged.
+    fn pair_deltas(s: &SketchSet) -> Vec<(Node, Node, f64)> {
+        let mut deltas = Vec::new();
+        s.scan_prefixes(|w, start, gain| {
+            deltas.push((w, start, gain / s.start_count[start as usize] as f64));
+        });
+        deltas.sort_unstable_by_key(|&(w, v, _)| (w, v));
+        deltas.dedup_by(|b, a| {
+            if (a.0, a.1) == (b.0, b.1) {
+                a.2 += b.2;
+                true
+            } else {
+                false
+            }
+        });
+        deltas
     }
 
     #[test]
@@ -658,17 +647,17 @@ mod tests {
     fn pair_deltas_predict_pooled_estimate_changes() {
         let (g, b0, d, _) = running_example();
         let s = SketchSet::generate(&g, &d, &b0, 2, 2_000, 31);
-        let deltas = s.pair_deltas();
+        let deltas = pair_deltas(&s);
         for pair in deltas.windows(2) {
-            assert!((pair[0].seed, pair[0].user) < (pair[1].seed, pair[1].user));
+            assert!((pair[0].0, pair[0].1) < (pair[1].0, pair[1].1));
         }
         // Realized check for seed 2.
         let before: Vec<_> = (0..4).map(|v| s.pooled_estimate(v)).collect();
         let mut clone = s.clone();
         clone.add_seed(2);
         let mut predicted: Vec<f64> = before.iter().map(|e| e.unwrap_or(0.0)).collect();
-        for pd in deltas.iter().filter(|d| d.seed == 2) {
-            predicted[pd.user as usize] += pd.delta;
+        for &(_, user, delta) in deltas.iter().filter(|d| d.0 == 2) {
+            predicted[user as usize] += delta;
         }
         for v in 0..4u32 {
             if v == 2 || before[v as usize].is_none() {
@@ -715,7 +704,7 @@ mod tests {
         let (g, b0, d, _) = running_example();
         let mut s = SketchSet::generate(&g, &d, &b0, 3, 2_000, 67);
         s.add_seed(0);
-        let all = s.pair_deltas();
+        let all = pair_deltas(&s);
         let mut scratch = DeltaScratch::default();
         for w in 0..4u32 {
             if s.is_seed(w) {
@@ -725,8 +714,8 @@ mod tests {
             s.for_candidate_deltas(w, &mut scratch, |user, delta| got.push((user, delta)));
             let want: Vec<(Node, f64)> = all
                 .iter()
-                .filter(|d| d.seed == w)
-                .map(|d| (d.user, d.delta))
+                .filter(|d| d.0 == w)
+                .map(|d| (d.1, d.2))
                 .collect();
             assert_eq!(got.len(), want.len(), "node {w}");
             for (g, w_) in got.iter().zip(&want) {

@@ -5,19 +5,6 @@ use crate::truncation::{OccurrenceIndex, Truncation};
 use std::sync::Arc;
 use vom_graph::Node;
 
-/// One `(candidate seed, affected user, opinion delta)` triple produced by
-/// [`OpinionEstimator::pair_deltas`]: adding `seed` would raise the
-/// estimated opinion of `user` by `delta`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PairDelta {
-    /// Candidate seed node `w`.
-    pub seed: Node,
-    /// Start node `v` whose estimate would rise.
-    pub user: Node,
-    /// Increase in `b̂_qv` if `w` were added to the seed set.
-    pub delta: f64,
-}
-
 /// Reusable buffers for per-candidate delta merging on estimators whose
 /// walks are *not* grouped by start node (the sketch set samples starts
 /// with replacement): walk-order contributions are accumulated per user
@@ -86,10 +73,20 @@ impl DeltaScratch {
 /// of `v`'s live walks. Its delta folds the walks' deltas in walk order,
 /// starting from the first walk's term: the fold
 /// [`OpinionEstimator::for_candidate_deltas`] applies per user to `w`'s
-/// occurrences, so both layouts hold the same bits. Lists sit in
-/// per-user slots sized to the list at build time. A commit only kills
-/// walks, so a rebuilt list ([`UserPairs::refresh`]) never outgrows its
-/// slot.
+/// occurrences, so both layouts hold the same bits. Every walk of `v`
+/// starts at `v`, so the own pair (candidate `v`) is slot 0 of every
+/// non-empty list. Lists sit in per-user slots sized to the list at
+/// build time; a commit only kills walks, so a rebuilt list never
+/// outgrows its slot.
+///
+/// Lists are brought up to date lazily. A commit marks the users it
+/// changed *touched* ([`UserPairs::touch`]). A touched list is stale,
+/// but each stale delta bounds the fresh one from above: the fresh fold
+/// adds a subsequence of the same positive terms. [`UserPairs::settle`]
+/// merges a touched user again only if a stale non-own pair can still
+/// cross the user's threshold; otherwise it refolds the own pair alone
+/// and the user turns *cold*, scoring only that pair
+/// ([`UserPairs::scored`]) until it is touched again.
 ///
 /// The estimator names each user's walks and supplies, per walk, its
 /// nodes and delta when it is live. A grouped arena's walks are its
@@ -99,10 +96,15 @@ impl DeltaScratch {
 pub struct UserPairs {
     /// Slot start per user, `n + 1` entries.
     off: Vec<usize>,
-    /// Live length of each user's slot.
+    /// Length of each user's stored list.
     len: Vec<u32>,
+    /// How many leading pairs of each list score: the whole list, or
+    /// the own pair alone for a cold user.
+    scored: Vec<u32>,
     cand: Vec<Node>,
     delta: Vec<f64>,
+    /// Users touched since the last [`UserPairs::settle`].
+    touched: Vec<Node>,
     /// User `v`'s walks are `walk_ids[walk_off[v]..walk_off[v + 1]]`,
     /// or that range itself when `walk_ids` is empty (a grouped arena).
     walk_off: Vec<usize>,
@@ -124,8 +126,10 @@ impl UserPairs {
         let mut pairs = UserPairs {
             off: Vec::with_capacity(n + 1),
             len: Vec::with_capacity(n),
+            scored: Vec::new(),
             cand: Vec::new(),
             delta: Vec::new(),
+            touched: Vec::new(),
             walk_off,
             walk_ids,
             merge: PairMerge::default(),
@@ -154,41 +158,113 @@ impl UserPairs {
         }
         pairs.cand.shrink_to_fit();
         pairs.delta.shrink_to_fit();
+        pairs.scored.clone_from(&pairs.len);
         pairs
     }
 
-    /// Rebuilds the listed users' lists in place after a seed commit
-    /// (pass the commit's changed-users report and the `live` of
-    /// [`UserPairs::build`]). Users not listed keep their lists: a
-    /// commit changes only the walks it truncates, and their start
-    /// users are exactly the report.
-    pub fn refresh<'a, F>(&mut self, users: &[Node], mut live: F)
+    /// Marks the listed users' lists stale after a seed commit (pass the
+    /// commit's changed-users report). Users not listed keep their
+    /// lists: a commit changes only the walks it truncates, and their
+    /// start users are exactly the report.
+    pub fn touch(&mut self, users: impl IntoIterator<Item = Node>) {
+        self.touched.extend(users);
+    }
+
+    /// Brings every touched list up to date before a gain pass, where
+    /// `bounds(v)` gives user `v`'s value and threshold `τ` (pass the
+    /// `live` of [`UserPairs::build`]).
+    ///
+    /// If a stale non-own pair has `value + Δ > τ`, the user's walks are
+    /// merged again and the whole list scores. Otherwise no fresh
+    /// non-own pair can cross either (`Δ_fresh ≤ Δ_stale`, and float
+    /// addition is monotone), so their terms are the exact `+0.0` a pass
+    /// skips: only the own pair is refolded, and the user turns cold. A
+    /// cold user's value, threshold and walks change only when a commit
+    /// touches it again.
+    pub fn settle<'a, F>(&mut self, bounds: impl Fn(Node) -> (f64, f64), mut live: F)
     where
         F: FnMut(Node, usize) -> Option<(&'a [Node], f64)>,
     {
-        for &v in users {
-            self.merge_user(v, &mut live);
-            let s = self.off[v as usize];
-            let m = self.merge.order.len();
-            assert!(
-                s + m <= self.off[v as usize + 1],
-                "a user's pair list only shrinks"
-            );
-            for (j, &w) in self.merge.order.iter().enumerate() {
-                self.cand[s + j] = w;
-                self.delta[s + j] = self.merge.acc[w as usize];
+        let mut touched = std::mem::take(&mut self.touched);
+        touched.sort_unstable();
+        touched.dedup();
+        for &v in &touched {
+            let (value, tau) = bounds(v);
+            let (_, stale) = self.user(v);
+            if stale.iter().skip(1).any(|&d| value + d > tau) {
+                self.rebuild(v, &mut live);
+            } else {
+                self.refold_own(v, &mut live);
             }
-            self.len[v as usize] = m as u32;
         }
+        touched.clear();
+        self.touched = touched;
     }
 
-    /// User `v`'s live pairs: candidates and their deltas, in the order
-    /// the user's walks first reach them.
+    /// User `v`'s pairs that score in a gain pass once touched lists are
+    /// settled: the whole list, or the own pair of a cold user.
+    #[inline]
+    pub fn scored(&self, v: Node) -> (&[Node], &[f64]) {
+        let s = self.off[v as usize];
+        let e = s + self.scored[v as usize] as usize;
+        (&self.cand[s..e], &self.delta[s..e])
+    }
+
+    /// User `v`'s list as stored, in the order the user's walks first
+    /// reach the candidates. A touched user's list is stale, and a cold
+    /// user's is stale past the own pair.
     #[inline]
     pub fn user(&self, v: Node) -> (&[Node], &[f64]) {
         let s = self.off[v as usize];
         let e = s + self.len[v as usize] as usize;
         (&self.cand[s..e], &self.delta[s..e])
+    }
+
+    /// Merges user `v`'s live walks again into its slot.
+    fn rebuild<'a, F>(&mut self, v: Node, live: &mut F)
+    where
+        F: FnMut(Node, usize) -> Option<(&'a [Node], f64)>,
+    {
+        self.merge_user(v, live);
+        let s = self.off[v as usize];
+        let m = self.merge.order.len();
+        assert!(
+            s + m <= self.off[v as usize + 1],
+            "a user's pair list only shrinks"
+        );
+        for (j, &w) in self.merge.order.iter().enumerate() {
+            self.cand[s + j] = w;
+            self.delta[s + j] = self.merge.acc[w as usize];
+        }
+        self.len[v as usize] = m as u32;
+        self.scored[v as usize] = m as u32;
+    }
+
+    /// Refolds user `v`'s own pair over its live walks, in walk order
+    /// from the first walk's term, as the merge folds it (`v` opens
+    /// every walk of `v`). With no live walk left, the list empties.
+    fn refold_own<'a, F>(&mut self, v: Node, live: &mut F)
+    where
+        F: FnMut(Node, usize) -> Option<(&'a [Node], f64)>,
+    {
+        let i = v as usize;
+        let mut own: Option<f64> = None;
+        for walk in user_walks(&self.walk_off, &self.walk_ids, v) {
+            if let Some((_, d)) = live(v, walk) {
+                own = Some(own.map_or(d, |sum| sum + d));
+            }
+        }
+        match own {
+            Some(d) => {
+                debug_assert_eq!(self.cand[self.off[i]], v, "the own pair opens the list");
+                self.delta[self.off[i]] = d;
+                self.scored[i] = 1;
+            }
+            None => {
+                self.len[i] = 0;
+                self.scored[i] = 0;
+            }
+        }
     }
 
     /// Merges user `v`'s live walks into `merge.order` / `merge.acc`, in
@@ -406,19 +482,6 @@ impl<'a> OpinionEstimator<'a> {
             .sum()
     }
 
-    /// [`OpinionEstimator::cumulative_gains`] restricted to walks whose
-    /// start node is in `mask` (used to greedily maximize the sandwich
-    /// lower bound).
-    pub fn cumulative_gains_masked(&self, mask: &[bool]) -> Vec<f64> {
-        let mut gains = vec![0.0f64; self.num_nodes()];
-        self.scan_prefixes(|w, start, per_walk_gain| {
-            if mask[start as usize] {
-                gains[w as usize] += per_walk_gain / self.lambda[start as usize] as f64;
-            }
-        });
-        gains
-    }
-
     /// Adds `u` to the seed set, truncating walks and updating sums.
     /// Returns the start nodes whose estimates changed (deduplicated),
     /// which the γ* heuristic and rank-based gain scans consume.
@@ -462,32 +525,6 @@ impl<'a> OpinionEstimator<'a> {
         gains
     }
 
-    /// Per-(seed, user) opinion deltas, sorted by seed node: everything
-    /// the rank-based scores need to evaluate marginal gains exactly on
-    /// the estimates. Size is bounded by the total live prefix length.
-    pub fn pair_deltas(&self) -> Vec<PairDelta> {
-        let mut deltas = Vec::new();
-        self.scan_prefixes(|w, start, per_walk_gain| {
-            deltas.push(PairDelta {
-                seed: w,
-                user: start,
-                delta: per_walk_gain / self.lambda[start as usize] as f64,
-            });
-        });
-        // Group by seed, then merge duplicate (seed, user) pairs from
-        // different walks of the same start.
-        deltas.sort_unstable_by_key(|d| (d.seed, d.user));
-        deltas.dedup_by(|b, a| {
-            if a.seed == b.seed && a.user == b.user {
-                a.delta += b.delta;
-                true
-            } else {
-                false
-            }
-        });
-        deltas
-    }
-
     /// Visits `(walk, start, walk-level gain)` for every **live** walk
     /// whose live prefix contains candidate `w`, in ascending walk
     /// order — the occurrence-index dual of [`Self::scan_prefixes`]:
@@ -520,14 +557,9 @@ impl<'a> OpinionEstimator<'a> {
         UserPairs::build(groups, Vec::new(), |v, i| self.live_walk(v, i))
     }
 
-    /// Rebuilds the listed users' pairs in place after a seed commit
-    /// (pass the commit's changed-users report).
-    pub fn refresh_user_pairs(&self, pairs: &mut UserPairs, users: &[Node]) {
-        pairs.refresh(users, |v, i| self.live_walk(v, i));
-    }
-
-    /// Walk `i` of user `v` and its delta `gain/λ_v`, while it is live.
-    fn live_walk(&self, v: Node, i: usize) -> Option<(&'a [Node], f64)> {
+    /// Walk `i` of user `v` and its delta `gain/λ_v`, while it is live:
+    /// the `live` of [`UserPairs`].
+    pub fn live_walk(&self, v: Node, i: usize) -> Option<(&'a [Node], f64)> {
         let gain = self.walk_gain[i];
         if gain <= 0.0 {
             return None;
@@ -569,8 +601,7 @@ impl<'a> OpinionEstimator<'a> {
     }
 
     /// Visits the merged per-user estimate deltas of one candidate seed
-    /// `w` — `(user, Δb̂_qv)` pairs in ascending user order, exactly the
-    /// `seed == w` run of [`OpinionEstimator::pair_deltas`] — without
+    /// `w` — `(user, Δb̂_qv)` pairs in ascending user order — without
     /// scanning any other candidate's walks. Grouped arenas emit
     /// straight off the occurrence list (walk order is start order);
     /// `scratch` is only for API parity with the sketch estimator.
@@ -639,6 +670,39 @@ mod tests {
         let b0 = vec![0.40, 0.80, 0.60, 0.90];
         let d = vec![0.0, 0.0, 0.5, 0.5];
         (g, b0, d)
+    }
+
+    /// The reference for the per-candidate merges: per-(seed, user)
+    /// opinion deltas `(w, v, Δb̂_qv)` from one scan over every live
+    /// prefix, sorted by seed and user, with a user's walks merged.
+    fn pair_deltas(est: &OpinionEstimator<'_>) -> Vec<(Node, Node, f64)> {
+        let mut deltas = Vec::new();
+        est.scan_prefixes(|w, start, gain| {
+            deltas.push((w, start, gain / est.lambda[start as usize] as f64));
+        });
+        deltas.sort_unstable_by_key(|&(w, v, _)| (w, v));
+        deltas.dedup_by(|b, a| {
+            if (a.0, a.1) == (b.0, b.1) {
+                a.2 += b.2;
+                true
+            } else {
+                false
+            }
+        });
+        deltas
+    }
+
+    /// The reference for `cumulative_gain_of_masked`: the
+    /// [`OpinionEstimator::cumulative_gains`] scan restricted to walks
+    /// whose start is in `mask`.
+    fn cumulative_gains_masked(est: &OpinionEstimator<'_>, mask: &[bool]) -> Vec<f64> {
+        let mut gains = vec![0.0f64; est.num_nodes()];
+        est.scan_prefixes(|w, start, gain| {
+            if mask[start as usize] {
+                gains[w as usize] += gain / est.lambda[start as usize] as f64;
+            }
+        });
+        gains
     }
 
     #[test]
@@ -722,8 +786,8 @@ mod tests {
         let est = OpinionEstimator::new(&arena, &b0);
         let gains = est.cumulative_gains();
         let mut agg = [0.0f64; 4];
-        for pd in est.pair_deltas() {
-            agg[pd.seed as usize] += pd.delta;
+        for (w, _, delta) in pair_deltas(&est) {
+            agg[w as usize] += delta;
         }
         for v in 0..4 {
             assert!((agg[v] - gains[v]).abs() < 1e-9, "node {v}");
@@ -736,14 +800,14 @@ mod tests {
         let gen = WalkGenerator::new(&g, &d, 3);
         let arena = gen.generate_per_node(&Lambda::Uniform(100), 43);
         let est = OpinionEstimator::new(&arena, &b0);
-        let deltas = est.pair_deltas();
+        let deltas = pair_deltas(&est);
         for pair in deltas.windows(2) {
             assert!(
-                (pair[0].seed, pair[0].user) < (pair[1].seed, pair[1].user),
+                (pair[0].0, pair[0].1) < (pair[1].0, pair[1].1),
                 "must be strictly sorted (deduplicated)"
             );
         }
-        assert!(deltas.iter().all(|d| d.delta > 0.0));
+        assert!(deltas.iter().all(|d| d.2 > 0.0));
     }
 
     #[test]
@@ -755,7 +819,7 @@ mod tests {
         let mask = [true, false, true, true];
         for step in 0..2 {
             let gains = est.cumulative_gains();
-            let masked = est.cumulative_gains_masked(&mask);
+            let masked = cumulative_gains_masked(&est, &mask);
             for w in 0..4u32 {
                 if est.is_seed(w) {
                     continue;
@@ -783,7 +847,7 @@ mod tests {
         let arena = gen.generate_per_node(&Lambda::Uniform(300), 53);
         let mut est = OpinionEstimator::new(&arena, &b0);
         est.add_seed(1);
-        let all = est.pair_deltas();
+        let all = pair_deltas(&est);
         let mut scratch = DeltaScratch::default();
         for w in 0..4u32 {
             if est.is_seed(w) {
@@ -793,8 +857,8 @@ mod tests {
             est.for_candidate_deltas(w, &mut scratch, |user, delta| got.push((user, delta)));
             let want: Vec<(Node, f64)> = all
                 .iter()
-                .filter(|d| d.seed == w)
-                .map(|d| (d.user, d.delta))
+                .filter(|d| d.0 == w)
+                .map(|d| (d.1, d.2))
                 .collect();
             assert_eq!(got.len(), want.len(), "node {w}");
             for (g, w_) in got.iter().zip(&want) {

@@ -354,6 +354,41 @@ fn resealed_snapshots_with_inconsistent_sketch_parts_fail_closed() {
         matches!(err, PersistError::BadValue { .. }),
         "unexpected error for a forged start sum: {err}"
     );
+
+    // One forged initial opinion, at the end node of the first sketch,
+    // with every start sum folded again over the forged opinions: the
+    // sums agree with the file, but not with the target candidate.
+    let mut file = pristine.clone();
+    let b0 = section_bytes(&file, kind::SK_B0, 0).start;
+    let nodes = section_bytes(&file, kind::SK_NODES, 0).start;
+    let offsets = section_bytes(&file, kind::SK_OFFSETS, 0);
+    let node = |file: &[u8], i: u64| u32_at(file, nodes + 4 * i as usize) as usize;
+    let opinion = |file: &[u8], v: usize| f64::from_bits(u64_at(file, b0 + 8 * v));
+    let start_and_end: Vec<(usize, usize)> = (0..offsets.len() / 8 - 1)
+        .map(|j| {
+            let at = offsets.start + 8 * j;
+            (
+                node(&file, u64_at(&file, at)),
+                node(&file, u64_at(&file, at + 8) - 1),
+            )
+        })
+        .collect();
+    let u = start_and_end[0].1;
+    let forged = 0.123_456_789f64;
+    assert_ne!(opinion(&file, u).to_bits(), forged.to_bits());
+    file[b0 + 8 * u..b0 + 8 * u + 8].copy_from_slice(&forged.to_le_bytes());
+    let mut sums_now = vec![0.0f64; inst.num_nodes()];
+    for &(start, end) in &start_and_end {
+        sums_now[start] += opinion(&file, end);
+    }
+    for (v, sum) in sums_now.iter().enumerate() {
+        file[sums + 8 * v..sums + 8 * v + 8].copy_from_slice(&sum.to_le_bytes());
+    }
+    let err = load_resealed(file).expect("a forged initial opinion must not load");
+    assert!(
+        matches!(err, PersistError::BadValue { .. }),
+        "unexpected error for a forged initial opinion: {err}"
+    );
     std::fs::remove_file(&path).ok();
 }
 

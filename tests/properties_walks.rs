@@ -2,9 +2,10 @@
 //! generators shard through: `Lambda` count/total consistency, and
 //! `WalkArenaBuilder` push/append/build round-trips under arbitrary
 //! shard interleavings — the exact merge pattern the rayon pool drives.
-//! Also: a truncation reset to pristine is a fresh truncation, and the
+//! Also: a truncation reset to pristine is a fresh truncation, the
 //! shared occurrence index (compacted over grouped arenas) truncates
-//! exactly like the full first-occurrence lists.
+//! exactly like the full first-occurrence lists, and the rank greedy's
+//! pair lists only lose weight as seeds are committed.
 //!
 //! This suite is what surfaced the derived-`Default` bug in
 //! `WalkArenaBuilder` (an empty default builder lacked the leading 0
@@ -12,9 +13,12 @@
 
 use proptest::prelude::*;
 use std::sync::Arc;
+use vom::core::estimate::OpinionEstimate;
+use vom::graph::builder::graph_from_edges;
 use vom::graph::Node;
+use vom::sketch::SketchSet;
 use vom::walks::{
-    Lambda, OccurrenceIndex, OpinionEstimator, Truncation, WalkArena, WalkArenaBuilder,
+    Lambda, OccurrenceIndex, OpinionEstimator, Truncation, UserPairs, WalkArena, WalkArenaBuilder,
 };
 
 /// Arbitrary non-empty walks (each at least its start node).
@@ -324,6 +328,85 @@ proptest! {
         seeds in proptest::collection::vec(0u32..60, 0..12),
     ) {
         check_against_flat_reference(&build_chunked(&walks, 3, None), 60, &seeds);
+    }
+}
+
+/// Checks pair lists built before more seeds were committed (`stale`)
+/// against a build after them (`fresh`): the own pair opens every
+/// non-empty list, and every fresh pair is listed stale with a delta at
+/// least as large. The rank greedy's lazy rebuild rests on the second:
+/// walks only die, and a left fold of positive terms over a subsequence
+/// never exceeds the fold over the whole sequence.
+fn check_stale_bounds_fresh(stale: &UserPairs, fresh: &UserPairs, n: usize) {
+    for v in 0..n as Node {
+        let (stale_cands, stale_deltas) = stale.user(v);
+        let (cands, deltas) = fresh.user(v);
+        for list in [stale_cands, cands] {
+            assert!(
+                list.first().is_none_or(|&w| w == v),
+                "user {v}: own pair not first"
+            );
+        }
+        for (&w, &d) in cands.iter().zip(deltas) {
+            let at = stale_cands
+                .iter()
+                .position(|&c| c == w)
+                .unwrap_or_else(|| panic!("user {v}: fresh candidate {w} not listed stale"));
+            assert!(
+                stale_deltas[at] >= d,
+                "user {v}, candidate {w}: stale < fresh"
+            );
+        }
+    }
+}
+
+/// Commits `commits` one at a time into an estimator, checking each
+/// fresh build of its pair lists against every earlier one.
+fn check_commit_sequence<E: OpinionEstimate>(est: &mut E, commits: &[Node]) {
+    let n = est.num_nodes();
+    let mut builds = vec![est.user_pairs()];
+    for &s in commits {
+        est.add_seed_into(s % n as Node, &mut Vec::new());
+        let fresh = est.user_pairs();
+        for stale in &builds {
+            check_stale_bounds_fresh(stale, &fresh, n);
+        }
+        builds.push(fresh);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Stale pair lists bound fresh ones over grouped arenas (empty
+    /// groups and repeated nodes included) and random commit sequences.
+    #[test]
+    fn stale_pair_deltas_bound_fresh_ones_over_grouped_arenas(
+        grouped in arb_grouped_walks(),
+        cells in proptest::collection::vec(0u32..21, 6),
+        commits in proptest::collection::vec(0u32..6, 0..6),
+    ) {
+        let arena = grouped_arena(&grouped);
+        let b0: Vec<f64> = (0..grouped.len()).map(|v| f64::from(cells[v]) / 20.0).collect();
+        check_commit_sequence(&mut OpinionEstimator::new(&arena, &b0), &commits);
+    }
+
+    /// The same over sketch sets on random 12-node graphs, whose starts
+    /// repeat and scatter. Opinions sit on a 1/20 grid, so some walks
+    /// start dead at value 1.
+    #[test]
+    fn stale_pair_deltas_bound_fresh_ones_over_sketch_sets(
+        edges in proptest::collection::vec((0u32..12, 0u32..12, 0.1f64..5.0), 0..36),
+        stubbornness in proptest::collection::vec(0.0f64..=1.0, 12),
+        cells in proptest::collection::vec(0u32..21, 12),
+        walks in (0usize..5, 1usize..60, 0u64..1_000),
+        commits in proptest::collection::vec(0u32..12, 0..6),
+    ) {
+        let (t, theta, seed) = walks;
+        let graph = graph_from_edges(12, &edges).unwrap();
+        let b0: Vec<f64> = cells.iter().map(|&c| f64::from(c) / 20.0).collect();
+        let mut sketch = SketchSet::generate(&graph, &stubbornness, &b0, t, theta, seed);
+        check_commit_sequence(&mut sketch, &commits);
     }
 }
 
