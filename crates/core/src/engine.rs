@@ -552,27 +552,23 @@ impl PreparedIndex {
     /// Reassembles an index from snapshot-loaded parts (the
     /// [`crate::persist`] load path). The exact-matrix caches and the
     /// sandwich upper-bound orders are pre-seeded with whatever the
-    /// snapshot carried; anything absent is lazily rebuilt on first use
-    /// exactly as on a freshly prepared index. `build_time` is the load
-    /// wall time, so [`BuildStats::build_time`] uniformly means "time to
-    /// readiness" for built and loaded indexes alike.
-    #[allow(clippy::too_many_arguments)]
+    /// snapshot carried; anything absent, the rank index included, is
+    /// lazily built on first use exactly as on a freshly prepared index.
+    /// `build_time` is the load wall time, so [`BuildStats::build_time`]
+    /// uniformly means "time to readiness" for built and loaded indexes
+    /// alike.
     pub(crate) fn from_loaded(
         spec: ProblemSpec,
         id: MethodId,
         backend: Box<dyn IndexBackend>,
         build_time: Duration,
         others: Option<OpinionMatrix>,
-        ranks: Option<RankIndex>,
         seedless: Option<OpinionMatrix>,
         upper: Vec<(usize, Vec<Node>)>,
     ) -> PreparedIndex {
         let index = PreparedIndex::new(spec, id, backend, build_time);
         if let Some(m) = others {
             let _ = index.others.set(m);
-        }
-        if let Some(r) = ranks {
-            let _ = index.ranks.set(r);
         }
         if let Some(m) = seedless {
             let _ = index.seedless.set(m);
@@ -596,11 +592,6 @@ impl PreparedIndex {
     /// The cached exact competitor-opinion matrix, if computed.
     pub(crate) fn cached_others(&self) -> Option<&OpinionMatrix> {
         self.others.get()
-    }
-
-    /// The cached competitor rank index, if built.
-    pub(crate) fn cached_ranks(&self) -> Option<&RankIndex> {
-        self.ranks.get()
     }
 
     /// The cached exact seedless opinions, if computed.

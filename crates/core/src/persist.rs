@@ -1,29 +1,33 @@
 //! Versioned on-disk snapshots of [`PreparedIndex`] artifacts
 //! (DESIGN.md §3e).
 //!
-//! [`PreparedIndex::save`] serializes the prepared artifacts of the three
-//! core engines — DM's diffusion CSRs and CELF prefix order, RW's walk
-//! arenas and γ*, RS's sketch sets with their truncation and end-value
-//! pools — together with every exact-matrix cache that happens to be
-//! materialized (competitor opinions, the rank index, seedless opinions,
-//! sandwich upper-bound orders). Large arrays are written verbatim in
-//! the `vom-persist` section format, so saving is mostly a straight copy
-//! of the existing flat buffers; a sketch's occurrence positions, which
-//! the index does not keep, are regenerated from its arena.
+//! [`PreparedIndex::save`] serializes what the three core engines spend
+//! their build on — DM's CELF prefix order, RW's walk arenas and γ*,
+//! RS's sketch arenas — together with every exact-matrix cache that
+//! happens to be materialized (competitor opinions, seedless opinions,
+//! sandwich upper-bound orders). Large arrays are written verbatim in the
+//! `vom-persist` section format, so saving is a straight copy of the
+//! existing flat buffers.
+//!
+//! A file stores a section only if rebuilding it costs more than a linear
+//! pass over data the file holds anyway. Everything else is derived on
+//! load: DM runs on the target candidate's own diffusion system, each RW
+//! arena and RS sketch set builds its occurrence index, and an RS slot
+//! folds its start counts and sums over the target's opinions. The rank
+//! index is not stored either: the first competitive query sorts it from
+//! the competitor opinions, as on a fresh index.
 //!
 //! [`PreparedIndex::load`] reconstructs an index that answers queries
-//! **bit-identically** to a freshly built one: the artifacts are the
-//! actual build outputs, not re-derived approximations, and everything
-//! the snapshot does not carry (a rule class never queried before the
-//! save, say) is lazily built on first use exactly as on a fresh index.
-//! What the file stores but the instance or an arena determines is
-//! checked against it, or derived: DM's system must equal the target
-//! candidate's own, and RW occurrence indexes are built from the loaded
-//! arenas.
-//! The file's graph digest must match the instance the caller supplies —
-//! a snapshot can never be silently applied to a different graph — and
-//! any corruption fails closed with a typed [`PersistError`], leaving
-//! the caller to fall back to a rebuild.
+//! **bit-identically** to a freshly built one: the stored sections are
+//! the actual build outputs, and everything the snapshot does not carry
+//! (a rule class never queried before the save, say) is lazily built on
+//! first use exactly as on a fresh index. The stored sections are trusted
+//! caches: loads check their shapes and node ranges, so a forged one can
+//! make its own index answer wrongly but never panic, and no section
+//! reaches another index. The file's graph digest must match the instance
+//! the caller supplies — a snapshot can never be silently applied to a
+//! different graph — and any corruption fails closed with a typed
+//! [`PersistError`], leaving the caller to fall back to a rebuild.
 
 use crate::engine::{DmIndex, IndexBackend, PreparedIndex, RsIndex, RwArena, RwIndex};
 use crate::problem::ProblemSpec;
@@ -36,14 +40,22 @@ use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 use vom_diffusion::{Instance, OpinionMatrix};
 use vom_graph::Node;
-use vom_persist::{Digest, LoadMode, PersistError, Result, Snapshot, SnapshotWriter};
+use vom_persist::{Digest, FlatBuf, LoadMode, PersistError, Result, Snapshot, SnapshotWriter};
 use vom_sketch::SketchSet;
-use vom_voting::{RankIndex, ScoringFunction};
-use vom_walks::{Truncation, WalkArena};
+use vom_voting::ScoringFunction;
+use vom_walks::WalkArena;
 
 /// Section kinds of the index snapshot format (`(kind, id)` addresses a
 /// section; `id` is a rule class, sketch slot, or order position where
 /// noted). Kept `pub` so external tooling can inspect snapshots.
+///
+/// Format version 4 keeps only these sixteen kinds. Numbers that earlier
+/// versions used are retired and never reused: 5–6 (the rank index, now
+/// sorted from `OTHERS` on first use), 16–23 (DM's diffusion system,
+/// which is the target candidate's own), 50 and 53–60 (an RS slot's θ,
+/// group table, truncation, occurrence index, `B⁰` and pooled start
+/// arrays, all derived from its arena and the target's opinions) and 61
+/// (per-walk gains). A loader ignores kinds it does not read.
 pub mod kind {
     /// `u64` scalars: `[n, r, target, k, horizon, score kind, score p,
     /// build-time nanos, build threads]`.
@@ -55,29 +67,12 @@ pub mod kind {
     pub const OTHERS: u32 = 3;
     /// `f64` `r·n` exact seedless opinions, if cached.
     pub const SEEDLESS: u32 = 4;
-    /// `f64` `n·(r−1)` rank-index values, if built.
-    pub const RANK_VALUES: u32 = 5;
-    /// `usize` `n·(r−1)` rank-index owners, paired with `RANK_VALUES`.
-    pub const RANK_OWNERS: u32 = 6;
     /// `u64` favorable-base keys of the cached sandwich upper orders.
     pub const UPPER_KEYS: u32 = 7;
     /// `u32` node order; `id` = position in `UPPER_KEYS`.
     pub const UPPER_ORDER: u32 = 8;
 
-    /// `usize` `n+1` in-edge CSR offsets (DM diffusion system).
-    pub const DM_IN_OFF: u32 = 16;
-    /// `u32` in-edge sources.
-    pub const DM_IN_SRC: u32 = 17;
-    /// `f64` in-edge weights.
-    pub const DM_IN_W: u32 = 18;
-    // Kinds 19–21 held the DM system's out-edge CSR and has-in-edges
-    // flags up to format version 2; only the warm-start frontier read
-    // them, so they are neither written nor read.
-    /// `f64` initial opinions `B⁰` of the target candidate.
-    pub const DM_B0: u32 = 22;
-    /// `f64` stubbornness diagonal `D`.
-    pub const DM_D: u32 = 23;
-    /// `u32` memoized cumulative CELF order, if materialized.
+    /// `u32` memoized cumulative CELF order of DM, if materialized.
     pub const DM_CUM_ORDER: u32 = 24;
 
     /// `u64` RW config scalars: `[ρ bits, δ bits, γ-floor bits,
@@ -89,40 +84,19 @@ pub mod kind {
     pub const ARENA_NODES: u32 = 34;
     /// `usize` walk-arena offsets; `id` = rule class.
     pub const ARENA_OFFSETS: u32 = 35;
-    /// `usize` walk-arena per-node group offsets; `id` = rule class
-    /// (absent when the arena is ungrouped).
+    /// `usize` walk-arena per-node group offsets; `id` = rule class.
     pub const ARENA_GROUPS: u32 = 36;
 
     /// `u64` RS config scalars: `[ε bits, l bits, θ override
     /// (`u64::MAX` = derived), max θ, seed]`.
     pub const RS_CFG: u32 = 48;
-    /// `u64` `[3]` memoized θ per rule class (`u64::MAX` = unset).
+    /// `u64` `[3]` memoized θ per rule class (`u64::MAX` = unset); a set
+    /// θ is the walk count of one sketch slot.
     pub const RS_THETAS: u32 = 49;
-    /// `u64` `[θ]` per sketch slot; `id` = slot index.
-    pub const SK_META: u32 = 50;
     /// `u32` sketch walk-arena nodes; `id` = slot.
     pub const SK_NODES: u32 = 51;
     /// `usize` sketch walk-arena offsets; `id` = slot.
     pub const SK_OFFSETS: u32 = 52;
-    /// `usize` sketch walk-arena group offsets; `id` = slot (optional).
-    pub const SK_GROUPS: u32 = 53;
-    /// `u32` per-walk end positions (pristine); `id` = slot.
-    pub const SK_END_POS: u32 = 54;
-    /// `usize` first-occurrence CSR offsets; `id` = slot.
-    pub const SK_OCC_OFF: u32 = 55;
-    /// `u32` first-occurrence walk ids; `id` = slot.
-    pub const SK_OCC_WALK: u32 = 56;
-    /// `u32` first-occurrence positions; `id` = slot.
-    pub const SK_OCC_POS: u32 = 57;
-    /// `f64` per-node `b0` targets; `id` = slot.
-    pub const SK_B0: u32 = 58;
-    /// `f64` pooled start sums; `id` = slot.
-    pub const SK_START_SUM: u32 = 59;
-    /// `u32` pooled start counts; `id` = slot.
-    pub const SK_START_COUNT: u32 = 60;
-    // Kind 61 was the per-walk gain section of format version 1; gains
-    // are now derived from the truncation end values, so the section is
-    // neither written nor read.
 }
 
 /// Where a snapshot's bytes come from and how long they live.
@@ -303,11 +277,6 @@ pub fn snapshot_writer(index: &PreparedIndex) -> Result<SnapshotWriter> {
     if let Some(m) = index.cached_seedless() {
         w.section::<f64>(kind::SEEDLESS, 0, m.flat_data());
     }
-    if let Some(ranks) = index.cached_ranks() {
-        let (values, owners) = ranks.parts();
-        w.section::<f64>(kind::RANK_VALUES, 0, values);
-        w.section::<usize>(kind::RANK_OWNERS, 0, owners);
-    }
     let upper = index.cached_upper_orders();
     if !upper.is_empty() {
         let keys: Vec<u64> = upper.iter().map(|(k, _)| *k as u64).collect();
@@ -324,7 +293,9 @@ pub fn snapshot_writer(index: &PreparedIndex) -> Result<SnapshotWriter> {
             method: index.method_id().name().to_string(),
         })?;
     if let Some(dm) = backend.downcast_ref::<DmIndex>() {
-        save_dm(&mut w, spec, dm);
+        if let Some(order) = dm.cum_order.get() {
+            w.section::<u32>(kind::DM_CUM_ORDER, 0, order);
+        }
     } else if let Some(rw) = backend.downcast_ref::<RwIndex>() {
         save_rw(&mut w, rw);
     } else if let Some(rs) = backend.downcast_ref::<RsIndex>() {
@@ -335,21 +306,6 @@ pub fn snapshot_writer(index: &PreparedIndex) -> Result<SnapshotWriter> {
         });
     }
     Ok(w)
-}
-
-/// DM's system sections are the target candidate's graph and inputs,
-/// the data its [`vom_diffusion::DiffusionSystem`] is built from.
-fn save_dm(w: &mut SnapshotWriter, spec: &ProblemSpec, dm: &DmIndex) {
-    let cand = spec.instance.candidate(spec.target);
-    let (in_off, in_src, in_w) = cand.graph.in_csr();
-    w.section::<usize>(kind::DM_IN_OFF, 0, in_off);
-    w.section::<u32>(kind::DM_IN_SRC, 0, in_src);
-    w.section::<f64>(kind::DM_IN_W, 0, in_w);
-    w.section::<f64>(kind::DM_B0, 0, &cand.initial);
-    w.section::<f64>(kind::DM_D, 0, &cand.stubbornness);
-    if let Some(order) = dm.cum_order.get() {
-        w.section::<u32>(kind::DM_CUM_ORDER, 0, order);
-    }
 }
 
 fn rw_cfg_words(cfg: &RwConfig) -> [u64; 6] {
@@ -392,31 +348,23 @@ fn rs_cfg_words(cfg: &RsConfig) -> [u64; 5] {
 
 fn save_rs(w: &mut SnapshotWriter, rs: &RsIndex) {
     w.section::<u64>(kind::RS_CFG, 0, &rs_cfg_words(&rs.cfg));
+    let sketches = rs.sketches.lock().expect("sketch cache lock");
+    // A class memoizes its θ before the sketch lock is taken, so a save
+    // racing its first query can see θ without the sketch: write a θ only
+    // with its slot.
     let thetas: Vec<u64> = rs
         .thetas
         .iter()
-        .map(|t| t.get().map_or(u64::MAX, |&t| t as u64))
+        .map(|t| match t.get() {
+            Some(&t) if sketches.iter().any(|(s, _)| *s == t) => t as u64,
+            _ => u64::MAX,
+        })
         .collect();
     w.section::<u64>(kind::RS_THETAS, 0, &thetas);
-    let sketches = rs.sketches.lock().expect("sketch cache lock");
-    for (slot, (theta, sketch)) in sketches.iter().enumerate() {
-        let slot = slot as u64;
-        let (arena, trunc, b0, start_sum, start_count) = sketch.parts();
-        w.section::<u64>(kind::SK_META, slot, &[*theta as u64]);
-        let (nodes, offsets, groups) = arena.parts();
-        w.section::<u32>(kind::SK_NODES, slot, nodes);
-        w.section::<usize>(kind::SK_OFFSETS, slot, offsets);
-        if let Some(groups) = groups {
-            w.section::<usize>(kind::SK_GROUPS, slot, groups);
-        }
-        let (end_pos, occ_off, occ_walk) = trunc.parts();
-        w.section::<u32>(kind::SK_END_POS, slot, end_pos);
-        w.section::<usize>(kind::SK_OCC_OFF, slot, occ_off);
-        w.section::<u32>(kind::SK_OCC_WALK, slot, occ_walk);
-        w.section::<u32>(kind::SK_OCC_POS, slot, &trunc.index().positions(arena));
-        w.section::<f64>(kind::SK_B0, slot, b0);
-        w.section::<f64>(kind::SK_START_SUM, slot, start_sum);
-        w.section::<u32>(kind::SK_START_COUNT, slot, start_count);
+    for (slot, (_, sketch)) in sketches.iter().enumerate() {
+        let (nodes, offsets, _) = sketch.arena().parts();
+        w.section::<u32>(kind::SK_NODES, slot as u64, nodes);
+        w.section::<usize>(kind::SK_OFFSETS, slot as u64, offsets);
     }
 }
 
@@ -493,16 +441,6 @@ pub fn load_snapshot(instance: Arc<Instance>, snap: &Snapshot) -> Result<Prepare
             what: "seedless opinions",
             detail: e.to_string(),
         })?;
-    let ranks = match snap.maybe_section::<f64>(kind::RANK_VALUES, 0)? {
-        Some(values) => {
-            let owners = snap.section::<usize>(kind::RANK_OWNERS, 0)?;
-            Some(
-                RankIndex::from_parts(spec.target, r, n, values, owners)
-                    .map_err(bad("rank index"))?,
-            )
-        }
-        None => None,
-    };
     let mut upper = Vec::new();
     if let Some(keys) = snap.maybe_section::<u64>(kind::UPPER_KEYS, 0)? {
         for (i, &key) in keys.iter().enumerate() {
@@ -517,13 +455,9 @@ pub fn load_snapshot(instance: Arc<Instance>, snap: &Snapshot) -> Result<Prepare
         detail: format!("unknown method {}", snap.method()),
     })?;
     let backend: Box<dyn IndexBackend> = match method {
-        MethodId::Dm => Box::new(load_dm(snap, &spec, n)?),
-        MethodId::Rw => Box::new(load_rw(snap, n)?),
-        MethodId::Rs => Box::new(load_rs(
-            snap,
-            &spec.instance.candidate(spec.target).initial,
-            n,
-        )?),
+        MethodId::Dm => Box::new(load_dm(snap, &spec)?),
+        MethodId::Rw => Box::new(load_rw(snap, &spec)?),
+        MethodId::Rs => Box::new(load_rs(snap, &spec)?),
         other => {
             return Err(PersistError::UnsupportedMethod {
                 method: other.name().to_string(),
@@ -536,64 +470,44 @@ pub fn load_snapshot(instance: Arc<Instance>, snap: &Snapshot) -> Result<Prepare
         backend,
         start.elapsed(),
         others,
-        ranks,
         seedless,
         upper,
     ))
 }
 
-/// Whether two float arrays hold the same bits.
-fn same_bits(a: &[f64], b: &[f64]) -> bool {
-    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
-}
-
-fn load_dm(snap: &Snapshot, spec: &ProblemSpec, n: usize) -> Result<DmIndex> {
-    // The index runs on the candidate's own system, which every other
-    // index over the instance shares. The file's sections are only
-    // compared with the graph and inputs that system is built from, so
-    // a forged file can never change another index's answers.
-    let cand = spec.instance.candidate(spec.target);
-    let (in_off, in_src, in_w) = cand.graph.in_csr();
-    let same = *snap.section::<usize>(kind::DM_IN_OFF, 0)? == *in_off
-        && *snap.section::<u32>(kind::DM_IN_SRC, 0)? == *in_src
-        && same_bits(&snap.section::<f64>(kind::DM_IN_W, 0)?, in_w)
-        && same_bits(&snap.section::<f64>(kind::DM_B0, 0)?, &cand.initial)
-        && same_bits(&snap.section::<f64>(kind::DM_D, 0)?, &cand.stubbornness);
-    if !same {
-        return Err(PersistError::BadValue {
-            what: "diffusion system",
-            detail: "differs from the target candidate's graph and inputs".to_string(),
-        });
-    }
-    let system = Arc::clone(cand.system());
+/// DM runs on the target candidate's own system, which every other index
+/// over the instance shares; the file holds only the CELF order.
+fn load_dm(snap: &Snapshot, spec: &ProblemSpec) -> Result<DmIndex> {
     let cum_order = OnceLock::new();
     if let Some(order) = snap.maybe_section::<u32>(kind::DM_CUM_ORDER, 0)? {
-        check_nodes("cumulative CELF order", &order, n)?;
+        check_nodes("cumulative CELF order", &order, spec.instance.num_nodes())?;
         let _ = cum_order.set(Arc::new(order.as_slice().to_vec()));
     }
     Ok(DmIndex {
-        system,
+        system: Arc::clone(spec.instance.candidate(spec.target).system()),
         budget: spec.k,
         cum_order,
     })
 }
 
+/// Loads the arena of sections `(nodes_kind, id)` and `(offsets_kind,
+/// id)` with the group table `groups`, every node below `n`.
 fn load_arena(
     snap: &Snapshot,
     nodes_kind: u32,
     offsets_kind: u32,
-    groups_kind: u32,
+    groups: Option<FlatBuf<usize>>,
     id: u64,
     n: usize,
 ) -> Result<WalkArena> {
     let nodes = snap.section::<u32>(nodes_kind, id)?;
     check_nodes("walk arena", &nodes, n)?;
     let offsets = snap.section::<usize>(offsets_kind, id)?;
-    let groups = snap.maybe_section::<usize>(groups_kind, id)?;
     WalkArena::from_parts(nodes, offsets, groups).map_err(bad("walk arena"))
 }
 
-fn load_rw(snap: &Snapshot, n: usize) -> Result<RwIndex> {
+fn load_rw(snap: &Snapshot, spec: &ProblemSpec) -> Result<RwIndex> {
+    let n = spec.instance.num_nodes();
     let cfgw = snap.scalars(kind::RW_CFG, 0)?;
     if cfgw.len() != 6 {
         return Err(PersistError::BadValue {
@@ -609,12 +523,20 @@ fn load_rw(snap: &Snapshot, n: usize) -> Result<RwIndex> {
         seed: cfgw[4],
         gamma_pilot: (cfgw[5] != u64::MAX).then_some(cfgw[5] as usize),
     };
+    // The bounds the λ schedules assert on: a rule class missing from
+    // the file builds its arena from these words.
+    if !((0.0..1.0).contains(&cfg.rho) && cfg.delta > 0.0 && cfg.gamma_floor > 0.0) {
+        return Err(PersistError::BadValue {
+            what: "rw config",
+            detail: "ρ must lie in [0, 1), and δ and the γ floor must be positive".to_string(),
+        });
+    }
     let gammas = OnceLock::new();
     if let Some(g) = snap.maybe_section::<f64>(kind::RW_GAMMAS, 0)? {
-        if g.len() != n {
+        if g.len() != n || g.iter().any(|x| x.is_nan() || *x <= 0.0) {
             return Err(PersistError::BadValue {
                 what: "rw gammas",
-                detail: format!("{} values, need {n}", g.len()),
+                detail: format!("{} values, need {n} positive ones", g.len()),
             });
         }
         let _ = gammas.set(g.as_slice().to_vec());
@@ -623,14 +545,9 @@ fn load_rw(snap: &Snapshot, n: usize) -> Result<RwIndex> {
     let mut loaded = 0;
     for (class, cell) in arenas.iter().enumerate() {
         if snap.has_section(kind::ARENA_NODES, class as u64) {
-            let arena = load_arena(
-                snap,
-                kind::ARENA_NODES,
-                kind::ARENA_OFFSETS,
-                kind::ARENA_GROUPS,
-                class as u64,
-                n,
-            )?;
+            let id = class as u64;
+            let groups = snap.maybe_section::<usize>(kind::ARENA_GROUPS, id)?;
+            let arena = load_arena(snap, kind::ARENA_NODES, kind::ARENA_OFFSETS, groups, id, n)?;
             if arena.num_groups() != Some(n) {
                 return Err(PersistError::BadValue {
                     what: "walk arena",
@@ -643,10 +560,9 @@ fn load_rw(snap: &Snapshot, n: usize) -> Result<RwIndex> {
             loaded += 1;
         }
     }
-    let meta = snap.scalars(kind::META, 0)?;
     Ok(RwIndex {
         cfg,
-        budget: meta[3] as usize,
+        budget: spec.k,
         gammas,
         arenas,
         // Loaded artifacts count as present builds so the lazy-build
@@ -655,10 +571,12 @@ fn load_rw(snap: &Snapshot, n: usize) -> Result<RwIndex> {
     })
 }
 
-/// Loads the RS sketches. Every sketch set folds the target candidate's
-/// own opinions `initial`, so a file whose `SK_B0` differs from them in
-/// any bit fails closed.
-fn load_rs(snap: &Snapshot, initial: &[f64], n: usize) -> Result<RsIndex> {
+/// Loads the RS sketch slots. Each slot is an arena of θ sketches; its
+/// occurrence index and pooled start arrays fold the target candidate's
+/// own opinions, as a fresh build does. A set θ word must name a loaded
+/// slot, or a query of its class would sample that many sketches.
+fn load_rs(snap: &Snapshot, spec: &ProblemSpec) -> Result<RsIndex> {
+    let initial = &spec.instance.candidate(spec.target).initial;
     let cfgw = snap.scalars(kind::RS_CFG, 0)?;
     if cfgw.len() != 5 {
         return Err(PersistError::BadValue {
@@ -673,6 +591,29 @@ fn load_rs(snap: &Snapshot, initial: &[f64], n: usize) -> Result<RsIndex> {
         max_theta: cfgw[3] as usize,
         seed: cfgw[4],
     };
+    // The bounds θ's derivation asserts on, for a class without a θ.
+    if !(cfg.epsilon > 0.0 && cfg.max_theta > 0) {
+        return Err(PersistError::BadValue {
+            what: "rs config",
+            detail: "ε and the θ cap must be positive".to_string(),
+        });
+    }
+    let mut sketches = Vec::new();
+    let mut slot = 0u64;
+    while snap.has_section(kind::SK_NODES, slot) {
+        // Sketch arenas are never grouped.
+        let arena = load_arena(
+            snap,
+            kind::SK_NODES,
+            kind::SK_OFFSETS,
+            None,
+            slot,
+            initial.len(),
+        )?;
+        let sketch = SketchSet::from_arena(arena, initial);
+        sketches.push((sketch.theta(), Arc::new(sketch)));
+        slot += 1;
+    }
     let theta_words = snap.scalars(kind::RS_THETAS, 0)?;
     if theta_words.len() != 3 {
         return Err(PersistError::BadValue {
@@ -682,67 +623,21 @@ fn load_rs(snap: &Snapshot, initial: &[f64], n: usize) -> Result<RsIndex> {
     }
     let thetas = [OnceLock::new(), OnceLock::new(), OnceLock::new()];
     for (cell, &word) in thetas.iter().zip(&theta_words) {
-        if word != u64::MAX {
-            let _ = cell.set(word as usize);
+        if word == u64::MAX {
+            continue;
         }
-    }
-    let mut sketches = Vec::new();
-    let mut slot = 0u64;
-    while snap.has_section(kind::SK_META, slot) {
-        let meta = snap.scalars(kind::SK_META, slot)?;
-        let theta = meta.first().copied().unwrap_or(0) as usize;
-        let arena = Arc::new(load_arena(
-            snap,
-            kind::SK_NODES,
-            kind::SK_OFFSETS,
-            kind::SK_GROUPS,
-            slot,
-            n,
-        )?);
-        if arena.num_walks() != theta {
+        if !sketches.iter().any(|(theta, _)| *theta as u64 == word) {
             return Err(PersistError::BadValue {
-                what: "sketch set",
-                detail: format!("θ = {theta} but arena has {} walks", arena.num_walks()),
+                what: "rs thetas",
+                detail: format!("θ = {word} names no loaded sketch slot"),
             });
         }
-        let trunc = Truncation::from_parts(
-            &arena,
-            n,
-            snap.section::<u32>(kind::SK_END_POS, slot)?
-                .as_slice()
-                .to_vec(),
-            snap.section::<usize>(kind::SK_OCC_OFF, slot)?,
-            snap.section::<u32>(kind::SK_OCC_WALK, slot)?,
-            snap.section::<u32>(kind::SK_OCC_POS, slot)?,
-        )
-        .map_err(bad("sketch truncation"))?;
-        if !same_bits(&snap.section::<f64>(kind::SK_B0, slot)?, initial) {
-            return Err(PersistError::BadValue {
-                what: "sketch set",
-                detail: "initial opinions differ from the target candidate's".to_string(),
-            });
-        }
-        let sketch = SketchSet::from_parts(
-            arena,
-            trunc,
-            initial.to_vec(),
-            n,
-            snap.section::<f64>(kind::SK_START_SUM, slot)?
-                .as_slice()
-                .to_vec(),
-            snap.section::<u32>(kind::SK_START_COUNT, slot)?
-                .as_slice()
-                .to_vec(),
-        )
-        .map_err(bad("sketch set"))?;
-        sketches.push((theta, Arc::new(sketch)));
-        slot += 1;
+        let _ = cell.set(word as usize);
     }
     let loaded = sketches.len();
-    let meta = snap.scalars(kind::META, 0)?;
     Ok(RsIndex {
         cfg,
-        budget: meta[3] as usize,
+        budget: spec.k,
         thetas,
         sketches: Mutex::new(sketches),
         builds: AtomicUsize::new(loaded),
@@ -936,20 +831,31 @@ mod tests {
     }
 
     #[test]
-    fn version_2_dm_snapshots_fail_closed() {
-        // Version 2 still carried the DM system's out-edge CSR and
-        // has-in flags. A v2 file must be rejected with the typed
+    fn snapshots_of_versions_1_to_3_fail_closed_for_every_engine() {
+        // Versions 1–3 stored sections that version 4 derives on load
+        // (the rank index, DM's system, each RS slot's truncation and
+        // pooled arrays). An old file must be rejected with the typed
         // version error (the service then rebuilds), never parsed.
         let inst = Arc::new(instance());
         let spec =
             ProblemSpec::new(Arc::clone(&inst), 0, 1, 1, ScoringFunction::Cumulative).unwrap();
-        let built = Engine::Dm.prepare_spec(spec).unwrap();
-        let mut bytes = snapshot_writer(&built).unwrap().to_bytes();
-        bytes[8..16].copy_from_slice(&2u64.to_le_bytes());
-        assert_eq!(
-            Snapshot::from_bytes(bytes, LoadMode::Copy).unwrap_err(),
-            PersistError::UnsupportedVersion { got: 2, want: 3 }
-        );
+        for engine in [Engine::Dm, Engine::rw_default(), Engine::rs_default()] {
+            let built = engine.prepare_spec(spec.clone()).unwrap();
+            let bytes = snapshot_writer(&built).unwrap().to_bytes();
+            for version in 1..=3u64 {
+                let mut old = bytes.clone();
+                old[8..16].copy_from_slice(&version.to_le_bytes());
+                assert_eq!(
+                    Snapshot::from_bytes(old, LoadMode::Copy).unwrap_err(),
+                    PersistError::UnsupportedVersion {
+                        got: version,
+                        want: 4
+                    },
+                    "{} version {version}",
+                    engine.name()
+                );
+            }
+        }
     }
 
     #[test]

@@ -90,12 +90,6 @@ impl Csr {
             .zip(self.weights[s..e].iter().copied())
     }
 
-    /// The flat arrays: `n + 1` offsets, then every node's neighbors
-    /// and weights back to back.
-    pub(crate) fn parts(&self) -> (&[usize], &[Node], &[f64]) {
-        (&self.offsets, &self.targets, &self.weights)
-    }
-
     #[inline]
     fn range(&self, v: Node) -> (usize, usize) {
         let v = v as usize;

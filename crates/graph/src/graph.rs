@@ -80,13 +80,6 @@ impl SocialGraph {
         self.in_csr.entries(v)
     }
 
-    /// The in-edge CSR as flat arrays `(offsets, sources, weights)`:
-    /// node `v`'s [`SocialGraph::in_entries`] are entries
-    /// `offsets[v]..offsets[v + 1]`.
-    pub fn in_csr(&self) -> (&[usize], &[Node], &[f64]) {
-        self.in_csr.parts()
-    }
-
     /// Out-neighbors of `u` (destinations of edges out of `u`).
     #[inline]
     pub fn out_neighbors(&self, u: Node) -> &[Node] {

@@ -49,8 +49,12 @@ pub const MAGIC: u64 = u64::from_le_bytes(*b"VOMPIDX1");
 /// table or section encodings bumps this. Version 2 dropped the
 /// redundant RS `walk_gain` section (gains are derived from the
 /// truncation end values on load); version 3 dropped the DM diffusion
-/// system's out-edge CSR and has-in-edges flags.
-pub const FORMAT_VERSION: u64 = 3;
+/// system's out-edge CSR and has-in-edges flags; version 4 stores only
+/// the sections that cost more than a linear pass to rebuild (the
+/// rank index, DM's system and each RS slot's derived arrays are
+/// rebuilt on load). Files of any other version fail closed with
+/// [`PersistError::UnsupportedVersion`].
+pub const FORMAT_VERSION: u64 = 4;
 
 /// Header size in bytes (7 little-endian `u64` slots).
 pub const HEADER_BYTES: usize = 7 * 8;
@@ -748,14 +752,16 @@ impl Snapshot {
             });
         }
         let n_sections = word(6) as usize;
-        let table_end = HEADER_BYTES
-            .checked_add(n_sections.saturating_mul(ENTRY_BYTES))
-            .filter(|&end| end <= bytes.len())
-            .ok_or(PersistError::Truncated {
+        let table_end = n_sections
+            .saturating_mul(ENTRY_BYTES)
+            .saturating_add(HEADER_BYTES);
+        if table_end > bytes.len() {
+            return Err(PersistError::Truncated {
                 what: "section table",
-                needed: HEADER_BYTES + n_sections * ENTRY_BYTES,
+                needed: table_end,
                 got: bytes.len(),
-            })?;
+            });
+        }
         // Whole-tail digest before trusting any entry contents.
         let digest = fnv1a(&bytes[HEADER_BYTES..]);
         if digest != word(2) {

@@ -1576,6 +1576,53 @@ mod tests {
     }
 
     #[test]
+    fn warm_from_dir_skips_a_version_3_snapshot_and_serves_the_rest() {
+        let dir = std::env::temp_dir().join(format!(
+            "vom-service-v3-{}-{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        std::fs::create_dir_all(&dir).unwrap();
+        let saver = service();
+        let rs = ServiceRequest::new(
+            "toy",
+            MethodId::Rs,
+            1,
+            Query::new(2, ScoringFunction::Plurality, 0),
+        );
+        let dm = ServiceRequest::new(
+            "toy",
+            MethodId::Dm,
+            1,
+            Query::new(1, ScoringFunction::Cumulative, 0),
+        );
+        let fresh = saver.run(&rs).unwrap();
+        saver.save_index(&rs, &dir).unwrap();
+        let old = saver.save_index(&dm, &dir).unwrap();
+        // The format-version header word, patched back to version 3.
+        let mut bytes = std::fs::read(&old).unwrap();
+        bytes[8..16].copy_from_slice(&3u64.to_le_bytes());
+        std::fs::write(&old, &bytes).unwrap();
+
+        let warm = service();
+        let summary = warm.warm_from_dir(&dir).unwrap();
+        assert_eq!(summary.loaded, 1);
+        assert_eq!(summary.skipped.len(), 1);
+        assert_eq!(summary.skipped[0].path, old);
+        assert!(matches!(
+            summary.skipped[0].reason,
+            SkipReason::Unreadable(PersistError::UnsupportedVersion { got: 3, want: 4 })
+        ));
+        // The RS snapshot serves without a build, as the index that
+        // wrote it answered.
+        let served = warm.run(&rs).unwrap();
+        assert_eq!(warm.index_stats()[0].artifact_builds, 1);
+        assert_eq!(served.seeds, fresh.seeds);
+        assert_eq!(served.exact_score.to_bits(), fresh.exact_score.to_bits());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn load_index_fails_closed_on_wrong_graph_and_unknown_name() {
         let dir = std::env::temp_dir().join(format!(
             "vom-service-closed-{}-{:?}",

@@ -76,7 +76,19 @@ impl SketchSet {
         let mut rng = SmallRng::seed_from_u64(seed);
         let starts: Vec<Node> = (0..theta).map(|_| rng.gen_range(0..n) as Node).collect();
         let gen = WalkGenerator::new(graph, stubbornness, t);
-        let arena = gen.generate_for_starts(&starts, seed.wrapping_add(1));
+        Self::from_arena(
+            gen.generate_for_starts(&starts, seed.wrapping_add(1)),
+            b0_target,
+        )
+    }
+
+    /// A pristine (seedless) sketch set over `arena`, whose walks are the
+    /// sketches, for the target opinions `b0_target` (one per node): the
+    /// occurrence index, the start counts and the pooled start sums are
+    /// derived from the walks. Every node of `arena` must be below
+    /// `b0_target.len()`, and the arena must be ungrouped.
+    pub fn from_arena(arena: WalkArena, b0_target: &[f64]) -> Self {
+        let n = b0_target.len();
         let trunc = Truncation::new(&arena, Arc::new(OccurrenceIndex::new(&arena, n)));
         // End values are independent per sketch, so they run on the
         // pool; the pooled accumulation folds sequentially in sketch
@@ -103,70 +115,9 @@ impl SketchSet {
         }
     }
 
-    /// Reassembles a *pristine* (seedless) sketch set from persisted
-    /// parts: the shared walk arena, its truncation state, and the pooled
-    /// end-value arrays (snapshot load). Shapes, start counts and pooled
-    /// sums are validated against the arena: each start's sum must be
-    /// bit for bit the sketch-order fold of its pristine end values, as
-    /// [`SketchSet::generate`] folds it.
-    pub fn from_parts(
-        arena: Arc<WalkArena>,
-        trunc: Truncation,
-        b0: Vec<f64>,
-        n: usize,
-        start_sum: Vec<f64>,
-        start_count: Vec<u32>,
-    ) -> Result<Self, &'static str> {
-        if b0.len() != n || start_sum.len() != n || start_count.len() != n {
-            return Err("per-node sketch arrays must have length n");
-        }
-        if !trunc.seeds().is_empty() {
-            return Err("a persisted sketch set must be pristine");
-        }
-        if arena.walks().any(|w| w.iter().any(|&v| (v as usize) >= n)) {
-            return Err("sketch walk node out of range");
-        }
-        // The rank greedy groups sketches by start with these counts.
-        let mut counts = vec![0u32; n];
-        for j in 0..arena.num_walks() {
-            counts[arena.start(j) as usize] += 1;
-        }
-        if counts != start_count {
-            return Err("start counts must count the sketches at each start");
-        }
-        let mut sums = vec![0.0f64; n];
-        for j in 0..arena.num_walks() {
-            sums[arena.start(j) as usize] += trunc.end_value(&arena, &b0, j);
-        }
-        if sums
-            .iter()
-            .zip(&start_sum)
-            .any(|(a, b)| a.to_bits() != b.to_bits())
-        {
-            return Err("start sums must fold the sketches' pristine end values");
-        }
-        Ok(SketchSet {
-            arena,
-            trunc,
-            b0,
-            n,
-            start_sum,
-            start_count,
-        })
-    }
-
-    /// The persisted pieces: the shared arena, the truncation, and the
-    /// pooled arrays `(b0, start_sum, start_count)` — exactly the
-    /// buffers a snapshot writer serializes verbatim. (Per-sketch gains
-    /// are not stored: `1 − end_value` is derived from the truncation.)
-    pub fn parts(&self) -> (&Arc<WalkArena>, &Truncation, &[f64], &[f64], &[u32]) {
-        (
-            &self.arena,
-            &self.trunc,
-            &self.b0,
-            &self.start_sum,
-            &self.start_count,
-        )
+    /// The shared walk arena holding the sketches.
+    pub fn arena(&self) -> &WalkArena {
+        &self.arena
     }
 
     /// Number of sketches `θ`.
@@ -732,18 +683,17 @@ mod tests {
         let s = SketchSet::generate(&g, &d, &b0, 2, 100, 37);
         // The accounting is the sum of its parts — arena, truncation, and
         // the three pooled per-node arrays (all built exact-size).
-        let (arena, trunc, b0s, sums, counts) = s.parts();
         assert_eq!(
             s.heap_bytes(),
-            arena.heap_bytes()
-                + trunc.heap_bytes()
-                + (b0s.len() + sums.len()) * std::mem::size_of::<f64>()
-                + std::mem::size_of_val(counts)
+            s.arena.heap_bytes()
+                + s.trunc.heap_bytes()
+                + (s.b0.len() + s.start_sum.len()) * std::mem::size_of::<f64>()
+                + std::mem::size_of_val(&s.start_count[..])
         );
         // No θ-sized gain cache rides along: the footprint beyond arena +
         // truncation is exactly the 3 per-node arrays (20 bytes/node).
         assert_eq!(
-            s.heap_bytes() - arena.heap_bytes() - trunc.heap_bytes(),
+            s.heap_bytes() - s.arena.heap_bytes() - s.trunc.heap_bytes(),
             s.num_nodes() * 20
         );
     }

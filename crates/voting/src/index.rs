@@ -34,7 +34,6 @@ use crate::rank::beta_with_target;
 use crate::score::ScoringFunction;
 use vom_diffusion::OpinionMatrix;
 use vom_graph::{Candidate, Node};
-use vom_persist::FlatBuf;
 
 /// Per-user competitor opinions, sorted ascending — the index behind
 /// `O(log r)` rank queries.
@@ -49,13 +48,12 @@ pub struct RankIndex {
     r: usize,
     n: usize,
     /// `r − 1` competitor opinions per user, ascending; user `v`'s slice
-    /// is `values[v·(r−1) .. (v+1)·(r−1)]`. Held in a [`FlatBuf`] so a
-    /// snapshot load can borrow the array zero-copy.
-    values: FlatBuf<f64>,
+    /// is `values[v·(r−1) .. (v+1)·(r−1)]`.
+    values: Vec<f64>,
     /// The competitor candidate owning each sorted value (parallel to
     /// `values`) — what the Copeland accumulator needs to know *which*
     /// duel a crossed value belongs to.
-    owners: FlatBuf<Candidate>,
+    owners: Vec<Candidate>,
 }
 
 impl RankIndex {
@@ -88,57 +86,16 @@ impl RankIndex {
             q,
             r,
             n,
-            values: values.into(),
-            owners: owners.into(),
-        }
-    }
-
-    /// Reassembles an index from its persisted arrays (snapshot load).
-    /// Validates shape and per-user sort order, so a corrupt snapshot
-    /// fails closed instead of silently mis-ranking.
-    pub fn from_parts(
-        q: Candidate,
-        r: usize,
-        n: usize,
-        values: FlatBuf<f64>,
-        owners: FlatBuf<Candidate>,
-    ) -> Result<RankIndex, &'static str> {
-        let width = r.saturating_sub(1);
-        if q >= r {
-            return Err("target out of range");
-        }
-        if values.len() != n * width || owners.len() != values.len() {
-            return Err("rank-index arrays must be n·(r−1) wide");
-        }
-        if owners.iter().any(|&x| x >= r || x == q) {
-            return Err("owner out of range");
-        }
-        for v in 0..n {
-            let vals = &values[v * width..(v + 1) * width];
-            if vals.windows(2).any(|w| w[0].total_cmp(&w[1]).is_gt()) {
-                return Err("per-user values must be sorted ascending");
-            }
-        }
-        Ok(RankIndex {
-            q,
-            r,
-            n,
             values,
             owners,
-        })
-    }
-
-    /// The persisted arrays `(values, owners)` — the exact buffers a
-    /// snapshot writer serializes verbatim.
-    pub fn parts(&self) -> (&[f64], &[Candidate]) {
-        (&self.values, &self.owners)
+        }
     }
 
     /// Exact owned heap footprint in bytes: the two `n·(r−1)` arrays at
-    /// full `Vec` capacity when owned, zero when borrowed zero-copy from
-    /// a snapshot.
+    /// full `Vec` capacity.
     pub fn heap_bytes(&self) -> usize {
-        self.values.heap_bytes() + self.owners.heap_bytes()
+        self.values.capacity() * std::mem::size_of::<f64>()
+            + self.owners.capacity() * std::mem::size_of::<Candidate>()
     }
 
     /// The target candidate the index was built for.

@@ -407,7 +407,7 @@ impl<'a> OpinionEstimator<'a> {
         assert_eq!(b0.len(), n, "b0 length must equal node count");
         assert!(trunc.seeds().is_empty(), "the truncation must be pristine");
         assert_eq!(
-            trunc.parts().0.len(),
+            trunc.num_walks(),
             arena.num_walks(),
             "the truncation must be built over this arena"
         );

@@ -4,7 +4,6 @@
 use crate::arena::WalkArena;
 use std::sync::Arc;
 use vom_graph::Node;
-use vom_persist::FlatBuf;
 
 /// Incremental truncation state over a [`WalkArena`].
 ///
@@ -67,13 +66,10 @@ impl Clone for Truncation {
 /// [`OccurrenceIndex::for_each_walk`] splices the group range back in at
 /// its place in walk order. Every list then yields the same walks in the
 /// same order as the full one, so sums taken over it keep their bits.
-///
-/// The arrays sit in [`FlatBuf`]s so a sketch snapshot load can borrow
-/// them from the mapped file region instead of copying.
 #[derive(Debug)]
 pub struct OccurrenceIndex {
-    occ_off: FlatBuf<usize>,
-    occ_walk: FlatBuf<u32>,
+    occ_off: Vec<usize>,
+    occ_walk: Vec<u32>,
     /// Whether each node's own start group is left out of its list.
     implicit_groups: bool,
 }
@@ -89,20 +85,20 @@ impl OccurrenceIndex {
         // Position 0 of a grouped arena's walk is its group's node.
         let first = usize::from(implicit_groups);
         let mut counts = vec![0usize; n + 1];
-        each_first_occurrence(arena, first, |_, _, v| counts[v as usize + 1] += 1);
+        each_first_occurrence(arena, first, |_, v| counts[v as usize + 1] += 1);
         for i in 0..n {
             counts[i + 1] += counts[i];
         }
         let occ_off = counts;
         let mut cursor = occ_off.clone();
         let mut occ_walk = vec![0u32; occ_off[n]];
-        each_first_occurrence(arena, first, |i, _, v| {
+        each_first_occurrence(arena, first, |i, v| {
             occ_walk[cursor[v as usize]] = i as u32;
             cursor[v as usize] += 1;
         });
         OccurrenceIndex {
-            occ_off: occ_off.into(),
-            occ_walk: occ_walk.into(),
+            occ_off,
+            occ_walk,
             implicit_groups,
         }
     }
@@ -130,34 +126,10 @@ impl OccurrenceIndex {
         stored[split..].iter().for_each(|&i| visit(i as usize));
     }
 
-    /// The stored CSR `(offsets, walks)`. Over a grouped arena the lists
-    /// leave out each node's own start group; otherwise they are the
-    /// snapshot's `SK_OCC_OFF` and `SK_OCC_WALK` sections verbatim.
-    pub fn parts(&self) -> (&[usize], &[u32]) {
-        (&self.occ_off, &self.occ_walk)
-    }
-
-    /// The position of each stored entry's node in its walk (its first
-    /// occurrence), parallel to the walks of [`OccurrenceIndex::parts`]:
-    /// regenerated from `arena` for a snapshot writer, never kept.
-    pub fn positions(&self, arena: &WalkArena) -> Vec<u32> {
-        let mut positions = Vec::with_capacity(self.occ_walk.len());
-        for u in 0..self.num_nodes() {
-            let stored = &self.occ_walk[self.occ_off[u]..self.occ_off[u + 1]];
-            positions.extend(stored.iter().map(|&i| {
-                let walk = arena.walk(i as usize);
-                walk.iter()
-                    .position(|&v| v as usize == u)
-                    .expect("an indexed walk holds its node") as u32
-            }));
-        }
-        positions
-    }
-
-    /// Exact owned heap footprint in bytes: the [`FlatBuf`] capacities,
-    /// zero for buffers borrowed from a snapshot.
+    /// Exact owned heap footprint in bytes: the full `Vec` capacities.
     pub fn heap_bytes(&self) -> usize {
-        self.occ_off.heap_bytes() + self.occ_walk.heap_bytes()
+        self.occ_off.capacity() * std::mem::size_of::<usize>()
+            + self.occ_walk.capacity() * std::mem::size_of::<u32>()
     }
 }
 
@@ -177,71 +149,9 @@ impl Truncation {
         }
     }
 
-    /// Reassembles a *pristine* (seedless) truncation from its persisted
-    /// arrays: per-walk end positions plus the full first-occurrence CSR
-    /// of `arena` (no implicit groups) with each entry's position. The
-    /// arrays are checked entry by entry against `arena`, without
-    /// building them, so a corrupt-but-digest-valid snapshot fails closed
-    /// here instead of panicking or truncating at the wrong node inside a
-    /// later query. The positions are checked, then dropped: the loaded
-    /// index keeps the offsets and walks only.
-    pub fn from_parts(
-        arena: &WalkArena,
-        n: usize,
-        end_pos: Vec<u32>,
-        occ_off: FlatBuf<usize>,
-        occ_walk: FlatBuf<u32>,
-        occ_pos: FlatBuf<u32>,
-    ) -> Result<Self, &'static str> {
-        let walks = arena.num_walks();
-        if end_pos.len() != walks {
-            return Err("end positions must cover every walk");
-        }
-        if (0..walks).any(|i| end_pos[i] as usize + 1 != arena.walk(i).len()) {
-            return Err("a pristine end position is its walk's last node");
-        }
-        if occ_off.len() != n + 1 || occ_off[0] != 0 {
-            return Err("occurrence offsets must span every node");
-        }
-        if occ_off.windows(2).any(|w| w[1] < w[0]) {
-            return Err("occurrence offsets must be non-decreasing");
-        }
-        let total = *occ_off.last().unwrap();
-        if occ_walk.len() != total || occ_pos.len() != total {
-            return Err("occurrence arrays must match their offsets");
-        }
-        // Replay the fill: each first occurrence, in walk order, must be
-        // the next entry of its node's list, and every list must end
-        // where its offsets say.
-        let mut cursor = occ_off.to_vec();
-        let mut matches = true;
-        each_first_occurrence(arena, 0, |i, pos, v| {
-            let v = v as usize;
-            matches = matches
-                && v < n
-                && cursor[v] < occ_off[v + 1]
-                && occ_walk[cursor[v]] as usize == i
-                && occ_pos[cursor[v]] as usize == pos;
-            if matches {
-                cursor[v] += 1;
-            }
-        });
-        if !matches || (0..n).any(|v| cursor[v] != occ_off[v + 1]) {
-            return Err("occurrence index differs from the arena's first occurrences");
-        }
-        let index = OccurrenceIndex {
-            occ_off,
-            occ_walk,
-            implicit_groups: false,
-        };
-        Ok(Truncation::new(arena, Arc::new(index)))
-    }
-
-    /// The per-walk end positions and the stored occurrence CSR
-    /// `(end_pos, occ_off, occ_walk)`; see [`OccurrenceIndex::parts`].
-    pub fn parts(&self) -> (&[u32], &[usize], &[u32]) {
-        let (occ_off, occ_walk) = self.index.parts();
-        (&self.end_pos, occ_off, occ_walk)
+    /// Number of walks truncated (the arena's walk count).
+    pub fn num_walks(&self) -> usize {
+        self.end_pos.len()
     }
 
     /// The shared occurrence index this truncation reads.
@@ -367,19 +277,15 @@ impl Truncation {
     }
 }
 
-/// Calls `visit(walk, pos, node)` for the first occurrence of every node
-/// in every walk at position `first` or later, in walk order and then
+/// Calls `visit(walk, node)` for the first occurrence of every node in
+/// every walk at position `first` or later, in walk order and then
 /// position order.
-fn each_first_occurrence(
-    arena: &WalkArena,
-    first: usize,
-    mut visit: impl FnMut(usize, usize, Node),
-) {
+fn each_first_occurrence(arena: &WalkArena, first: usize, mut visit: impl FnMut(usize, Node)) {
     for i in 0..arena.num_walks() {
         let w = arena.walk(i);
         for (pos, &v) in w.iter().enumerate().skip(first) {
             if !w[..pos].contains(&v) {
-                visit(i, pos, v);
+                visit(i, v);
             }
         }
     }
@@ -478,46 +384,6 @@ mod tests {
     }
 
     #[test]
-    fn from_parts_accepts_only_the_built_index() {
-        let a = arena();
-        let built = fresh(&a);
-        let (end_pos, occ_off, occ_walk) = built.parts();
-        let occ_pos = built.index().positions(&a);
-        let load = |walk: Vec<u32>, pos: Vec<u32>| {
-            Truncation::from_parts(
-                &a,
-                4,
-                end_pos.to_vec(),
-                occ_off.to_vec().into(),
-                walk.into(),
-                pos.into(),
-            )
-        };
-        let loaded = load(occ_walk.to_vec(), occ_pos.clone()).unwrap();
-        assert_eq!(loaded.parts(), built.parts());
-        assert_eq!(loaded.index().positions(&a), occ_pos);
-        // Node 2 occurs in walks 0, 1, 2 at positions 1, 0, 1.
-        let s = occ_off[2];
-        assert_eq!(
-            (&occ_walk[s..s + 3], &occ_pos[s..s + 3]),
-            (&[0, 1, 2][..], &[1, 0, 1][..])
-        );
-        // In bounds, but another node's position (walk 0 holds 0 there).
-        let mut pos = occ_pos.clone();
-        pos[s] = 2;
-        assert!(load(occ_walk.to_vec(), pos).is_err());
-        // Node 2's later occurrence in walk 2.
-        let mut pos = occ_pos.clone();
-        pos[s + 2] = 3;
-        assert!(load(occ_walk.to_vec(), pos).is_err());
-        // Node 2's walks out of order.
-        let (mut walk, mut pos) = (occ_walk.to_vec(), occ_pos.clone());
-        walk.swap(s, s + 1);
-        pos.swap(s, s + 1);
-        assert!(load(walk, pos).is_err());
-    }
-
-    #[test]
     fn grouped_index_leaves_own_groups_implicit() {
         // Node 0 starts walks 0..2, node 1 none, node 2 walk 2.
         let mut b = WalkArenaBuilder::with_capacity(3, 3);
@@ -529,10 +395,11 @@ mod tests {
         }
         let a = b.build(Some(vec![0, 2, 2, 3]));
         let index = OccurrenceIndex::new(&a, 3);
-        let (off, walks) = index.parts();
         // Stored: node 0 in walk 2, node 1 in walk 1, node 2 in walk 0.
-        assert_eq!((off, walks), (&[0, 1, 2, 3][..], &[2, 1, 0][..]));
-        assert_eq!(index.positions(&a), vec![1, 2, 1]);
+        assert_eq!(
+            (&index.occ_off[..], &index.occ_walk[..]),
+            (&[0, 1, 2, 3][..], &[2, 1, 0][..])
+        );
         let visit = |u: Node| {
             let mut seen = Vec::new();
             index.for_each_walk(&a, u, |i| seen.push(i));

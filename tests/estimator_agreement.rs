@@ -134,17 +134,16 @@ fn selection_is_deterministic_given_seed() {
     }
 }
 
-/// Pins the RW and RS rank-greedy selections on a small Yelp replica
-/// (n = 386, t = 20): one FNV-1a 64 digest over the seeds of sixteen
-/// queries per index (plurality and 2-approval, k = 5 and 8, auto and
-/// plain), each seed as a `u64` LE and each query closed by `u64::MAX`.
-#[test]
-fn rank_selections_are_pinned() {
+/// FNV-1a 64 digest over the seeds that RW and RS indexes, prepared on a
+/// small Yelp replica (n = 386, t = 20) for `prepared` at k = 8, select
+/// for every rule of `rules` at k = 5 and 8, auto and plain: each seed
+/// as a `u64` LE and each query closed by `u64::MAX`.
+fn replica_selection_digest(prepared: ScoringFunction, rules: &[ScoringFunction]) -> String {
     use std::sync::Arc;
     use vom::core::{Query, QuerySession};
     let ds = yelp_like(&ReplicaParams::at_scale(0.0004, 2023));
     let target = ds.default_target;
-    let p = Problem::new(&ds.instance, target, 8, 20, ScoringFunction::Plurality).unwrap();
+    let p = Problem::new(&ds.instance, target, 8, 20, prepared).unwrap();
     let engines = [
         Engine::Rw(RwConfig {
             seed: 2023,
@@ -160,10 +159,7 @@ fn rank_selections_are_pinned() {
     let mut digest = vom::persist::Digest::new();
     for engine in engines {
         let mut session = QuerySession::new(Arc::new(engine.prepare_index(&p).unwrap()));
-        for rule in [
-            ScoringFunction::Plurality,
-            ScoringFunction::PApproval { p: 2 },
-        ] {
+        for rule in rules {
             for k in [5, 8] {
                 for query in [
                     Query::new(k, rule.clone(), target),
@@ -177,5 +173,29 @@ fn rank_selections_are_pinned() {
             }
         }
     }
-    assert_eq!(format!("{:016x}", digest.finish()), "466a755c5e29775e");
+    format!("{:016x}", digest.finish())
+}
+
+/// Pins the RW and RS rank-greedy selections: plurality and 2-approval,
+/// sixteen queries per index.
+#[test]
+fn rank_selections_are_pinned() {
+    let rules = [
+        ScoringFunction::Plurality,
+        ScoringFunction::PApproval { p: 2 },
+    ];
+    assert_eq!(
+        replica_selection_digest(ScoringFunction::Plurality, &rules),
+        "466a755c5e29775e"
+    );
+}
+
+/// Pins the RW and RS Copeland-greedy selections on the same replica,
+/// prepared for Copeland: eight queries per index.
+#[test]
+fn copeland_selections_are_pinned() {
+    assert_eq!(
+        replica_selection_digest(ScoringFunction::Copeland, &[ScoringFunction::Copeland]),
+        "0116621daf5854a5"
+    );
 }

@@ -246,47 +246,126 @@ fn assert_bad_value(loaded: Result<PreparedIndex, PersistError>, what: &str) {
     }
 }
 
-#[test]
-fn dm_sections_are_the_target_candidates_graph_and_inputs() {
-    use vom::core::persist::kind;
-    let _guard = pool_lock();
-    let inst = instance();
-    let spec = Problem::new(&inst, 0, K_MAX, HORIZON, ScoringFunction::Cumulative).unwrap();
-    let path = scratch("dm-sections");
-    Engine::Dm
-        .prepare_index(&spec)
-        .unwrap()
-        .save(&path)
-        .unwrap();
-    let file = std::fs::read(&path).unwrap();
-    std::fs::remove_file(&path).ok();
-    let section = |kind: u32, width: usize| -> Vec<u64> {
-        file[section_bytes(&file, kind, 0)]
-            .chunks_exact(width)
-            .map(|b| b.iter().rev().fold(0u64, |acc, &x| acc << 8 | x as u64))
-            .collect()
-    };
-    // The system sweeps in its own node order; the file keeps the
-    // graph's in-CSR in node order, as `in_entries` reads it.
-    let cand = inst.candidate(0);
-    let (mut offsets, mut sources, mut weights) = (vec![0u64], Vec::new(), Vec::new());
-    for v in cand.graph.nodes() {
-        for (j, w) in cand.graph.in_entries(v) {
-            sources.push(j as u64);
-            weights.push(w.to_bits());
-        }
-        offsets.push(sources.len() as u64);
+/// The sixteen section kinds of format version 4.
+fn kept_kinds() -> [u32; 16] {
+    use vom::core::persist::kind::*;
+    [
+        META,
+        SCORE_WEIGHTS,
+        OTHERS,
+        SEEDLESS,
+        UPPER_KEYS,
+        UPPER_ORDER,
+        DM_CUM_ORDER,
+        RW_CFG,
+        RW_GAMMAS,
+        ARENA_NODES,
+        ARENA_OFFSETS,
+        ARENA_GROUPS,
+        RS_CFG,
+        RS_THETAS,
+        SK_NODES,
+        SK_OFFSETS,
+    ]
+}
+
+/// An index of `engine` prepared for `rule`, queried once per rule class
+/// so that every lazy artifact is materialized.
+fn queried_index(inst: &Arc<Instance>, engine: &Engine, rule: &ScoringFunction) -> PreparedIndex {
+    let spec = Problem::new(inst, 0, K_MAX, HORIZON, rule.clone()).unwrap();
+    let index = Arc::new(engine.prepare_index(&spec).unwrap());
+    for rule in rules() {
+        QuerySession::new(Arc::clone(&index))
+            .select(&Query::new(K_MAX, rule, 0))
+            .unwrap();
     }
-    let bits = |xs: &[f64]| -> Vec<u64> { xs.iter().map(|x| x.to_bits()).collect() };
-    assert_eq!(section(kind::DM_IN_OFF, 8), offsets);
-    assert_eq!(section(kind::DM_IN_SRC, 4), sources);
-    assert_eq!(section(kind::DM_IN_W, 8), weights);
-    assert_eq!(section(kind::DM_B0, 8), bits(&cand.initial));
-    assert_eq!(section(kind::DM_D, 8), bits(&cand.stubbornness));
+    Arc::into_inner(index).expect("no session outlives its query")
+}
+
+/// Every `k ≤ K_MAX` selection of an index under each of the three rules.
+fn all_selections(index: &Arc<PreparedIndex>) -> Vec<Vec<(Vec<Node>, u64)>> {
+    rules().iter().map(|rule| selections(index, rule)).collect()
 }
 
 #[test]
-fn resealed_snapshots_with_inconsistent_sketch_parts_fail_closed() {
+fn snapshots_hold_only_the_kept_section_kinds() {
+    use vom::core::persist::{kind, snapshot_writer};
+    use vom::core::MethodId;
+    let _guard = pool_lock();
+    let inst = instance();
+    for engine in engines() {
+        for rule in [ScoringFunction::Cumulative, ScoringFunction::Plurality] {
+            let index = queried_index(&inst, &engine, &rule);
+            let file = snapshot_writer(&index).unwrap().to_bytes();
+            let kinds: Vec<u64> = (0..u64_at(&file, 48) as usize)
+                .map(|i| {
+                    u64_at(
+                        &file,
+                        vom::persist::HEADER_BYTES + i * vom::persist::ENTRY_BYTES,
+                    )
+                })
+                .collect();
+            let label = format!("{} {rule}", engine.name());
+            for &k in &kinds {
+                assert!(
+                    kept_kinds().iter().any(|&kept| u64::from(kept) == k),
+                    "{label}: kind {k} is not kept"
+                );
+            }
+            // Each engine still writes what it spends its build on.
+            let backend = match engine.id() {
+                MethodId::Dm => kind::DM_CUM_ORDER,
+                MethodId::Rw => kind::ARENA_NODES,
+                _ => kind::SK_NODES,
+            };
+            for k in [kind::META, kind::OTHERS, kind::UPPER_KEYS, backend] {
+                assert!(kinds.contains(&u64::from(k)), "{label}: kind {k} missing");
+            }
+        }
+    }
+}
+
+#[test]
+fn retired_section_kinds_are_ignored_on_load() {
+    use vom::core::persist::{load_snapshot, snapshot_writer};
+    use vom::persist::{LoadMode, Snapshot};
+    let _guard = pool_lock();
+    let inst = instance();
+    let retired: Vec<u32> = [5, 6, 50, 61]
+        .into_iter()
+        .chain(16..=23)
+        .chain(53..=60)
+        .collect();
+    for engine in engines() {
+        for rule in [ScoringFunction::Cumulative, ScoringFunction::Plurality] {
+            let index = queried_index(&inst, &engine, &rule);
+            let load = |bytes: Vec<u8>| {
+                let snap = Snapshot::from_bytes(bytes, LoadMode::Copy).unwrap();
+                Arc::new(load_snapshot(Arc::clone(&inst), &snap).unwrap())
+            };
+            let clean = load(snapshot_writer(&index).unwrap().to_bytes());
+            // Garbage that no loader could parse, under every retired
+            // kind and the first slot ids: huge words, ragged widths and
+            // out-of-range nodes.
+            let mut w = snapshot_writer(&index).unwrap();
+            for &k in &retired {
+                w.section::<u64>(k, 0, &[u64::MAX, 1 << 40, 7]);
+                w.section::<u32>(k, 1, &[u32::MAX, 5, 9]);
+                w.section::<u8>(k, 2, &[0xEE]);
+            }
+            let dirty = load(w.to_bytes());
+            assert_eq!(
+                all_selections(&dirty),
+                all_selections(&clean),
+                "{} {rule}",
+                engine.name()
+            );
+        }
+    }
+}
+
+#[test]
+fn a_memoized_theta_without_its_sketch_fails_closed() {
     use vom::core::persist::kind;
     let _guard = pool_lock();
     let inst = instance();
@@ -298,98 +377,78 @@ fn resealed_snapshots_with_inconsistent_sketch_parts_fail_closed() {
     let spec = Problem::new(&inst, 0, K_MAX, HORIZON, rule.clone()).unwrap();
     let index = Arc::new(engine.prepare_index(&spec).unwrap());
     selections(&index, &rule);
-    let path = scratch("inconsistent-sketch");
+    let path = scratch("forged-theta");
     index.save(&path).unwrap();
     let pristine = std::fs::read(&path).unwrap();
-    let u32_at = |file: &[u8], at: usize| u32::from_le_bytes(file[at..at + 4].try_into().unwrap());
-    let load_resealed = |file: Vec<u8>| load_resealed(&inst, &path, file).err();
-
-    // Move the first occurrence entry whose walk has two or more nodes to
-    // the walk's next position: still inside the walk, but not where its
-    // node first occurs.
-    let mut file = pristine.clone();
-    let walks = section_bytes(&file, kind::SK_OCC_WALK, 0);
-    let positions = section_bytes(&file, kind::SK_OCC_POS, 0);
-    let offsets = section_bytes(&file, kind::SK_OFFSETS, 0).start;
-    let walk_len = |file: &[u8], slot: usize| {
-        let w = u32_at(file, walks.start + 4 * slot) as usize;
-        (u64_at(file, offsets + 8 * (w + 1)) - u64_at(file, offsets + 8 * w)) as u32
-    };
-    let slot = (0..walks.len() / 4)
-        .find(|&s| walk_len(&file, s) >= 2)
-        .expect("a walk of two or more nodes");
-    let at = positions.start + 4 * slot;
-    let moved = (u32_at(&file, at) + 1) % walk_len(&file, slot);
-    file[at..at + 4].copy_from_slice(&moved.to_le_bytes());
-    let err = load_resealed(file).expect("a moved occurrence must not load");
-    assert!(
-        matches!(err, PersistError::BadValue { .. }),
-        "unexpected error for a moved occurrence: {err}"
-    );
-
-    // Move one sketch from the first sampled start's count to the next
-    // user's: the total stays θ, but the counts no longer match the starts.
-    let mut file = pristine.clone();
-    let counts = section_bytes(&file, kind::SK_START_COUNT, 0).start;
-    let v = (0..inst.num_nodes())
-        .find(|&v| u32_at(&file, counts + 4 * v) > 0)
-        .expect("a sampled start");
-    let w = (v + 1) % inst.num_nodes();
-    for (user, step) in [(v, -1i64), (w, 1)] {
-        let c = (i64::from(u32_at(&file, counts + 4 * user)) + step) as u32;
-        file[counts + 4 * user..counts + 4 * user + 4].copy_from_slice(&c.to_le_bytes());
+    // The rank class's θ word with its top bit flipped: a θ that no
+    // loaded slot holds, which the class's first query would sample.
+    let at = section_bytes(&pristine, kind::RS_THETAS, 0).start + 8;
+    let theta = u64_at(&pristine, at);
+    assert_ne!(theta, u64::MAX, "the rank class's θ is memoized");
+    for forged in [theta ^ 1 << 63, theta + 1, 0] {
+        let mut file = pristine.clone();
+        file[at..at + 8].copy_from_slice(&forged.to_le_bytes());
+        assert_bad_value(load_resealed(&inst, &path, file), "a θ without its sketch");
     }
-    let err = load_resealed(file).expect("miscounted starts must not load");
-    assert!(
-        matches!(err, PersistError::BadValue { .. }),
-        "unexpected error for miscounted starts: {err}"
-    );
-
-    // One pooled start sum that is not the fold of its sketches' values.
+    // An unset θ is derived again on the first query, as on a fresh
+    // index, and finds its slot.
     let mut file = pristine.clone();
-    let sums = section_bytes(&file, kind::SK_START_SUM, 0).start;
-    file[sums..sums + 8].copy_from_slice(&123.5f64.to_le_bytes());
-    let err = load_resealed(file).expect("a forged start sum must not load");
-    assert!(
-        matches!(err, PersistError::BadValue { .. }),
-        "unexpected error for a forged start sum: {err}"
-    );
-
-    // One forged initial opinion, at the end node of the first sketch,
-    // with every start sum folded again over the forged opinions: the
-    // sums agree with the file, but not with the target candidate.
-    let mut file = pristine.clone();
-    let b0 = section_bytes(&file, kind::SK_B0, 0).start;
-    let nodes = section_bytes(&file, kind::SK_NODES, 0).start;
-    let offsets = section_bytes(&file, kind::SK_OFFSETS, 0);
-    let node = |file: &[u8], i: u64| u32_at(file, nodes + 4 * i as usize) as usize;
-    let opinion = |file: &[u8], v: usize| f64::from_bits(u64_at(file, b0 + 8 * v));
-    let start_and_end: Vec<(usize, usize)> = (0..offsets.len() / 8 - 1)
-        .map(|j| {
-            let at = offsets.start + 8 * j;
-            (
-                node(&file, u64_at(&file, at)),
-                node(&file, u64_at(&file, at + 8) - 1),
-            )
-        })
-        .collect();
-    let u = start_and_end[0].1;
-    let forged = 0.123_456_789f64;
-    assert_ne!(opinion(&file, u).to_bits(), forged.to_bits());
-    file[b0 + 8 * u..b0 + 8 * u + 8].copy_from_slice(&forged.to_le_bytes());
-    let mut sums_now = vec![0.0f64; inst.num_nodes()];
-    for &(start, end) in &start_and_end {
-        sums_now[start] += opinion(&file, end);
-    }
-    for (v, sum) in sums_now.iter().enumerate() {
-        file[sums + 8 * v..sums + 8 * v + 8].copy_from_slice(&sum.to_le_bytes());
-    }
-    let err = load_resealed(file).expect("a forged initial opinion must not load");
-    assert!(
-        matches!(err, PersistError::BadValue { .. }),
-        "unexpected error for a forged initial opinion: {err}"
-    );
+    file[at..at + 8].copy_from_slice(&u64::MAX.to_le_bytes());
+    let loaded = Arc::new(load_resealed(&inst, &path, file).unwrap());
+    assert_eq!(selections(&loaded, &rule), selections(&index, &rule));
+    assert_eq!(loaded.build_stats().artifact_builds, 1);
     std::fs::remove_file(&path).ok();
+}
+
+#[test]
+fn config_words_a_lazy_build_would_assert_on_fail_closed() {
+    use vom::core::persist::kind;
+    let _guard = pool_lock();
+    let inst = instance();
+    let rule = ScoringFunction::Plurality;
+    // Prepared and queried for plurality only: a cumulative or Copeland
+    // query on the loaded index builds its artifact from the config.
+    for (engine, cfg_kind, forged) in [
+        (
+            engines().remove(1),
+            kind::RW_CFG,
+            [(0, 1.5f64), (1, 0.0), (2, -1.0)],
+        ),
+        (
+            engines().remove(2),
+            kind::RS_CFG,
+            [(0, 0.0), (0, f64::NAN), (0, -0.5)],
+        ),
+    ] {
+        let spec = Problem::new(&inst, 0, K_MAX, HORIZON, rule.clone()).unwrap();
+        let index = Arc::new(engine.prepare_index(&spec).unwrap());
+        selections(&index, &rule);
+        let path = scratch(&format!("forged-config-{}", engine.name()));
+        index.save(&path).unwrap();
+        let pristine = std::fs::read(&path).unwrap();
+        let words = section_bytes(&pristine, cfg_kind, 0).start;
+        for (i, value) in forged {
+            let mut file = pristine.clone();
+            file[words + 8 * i..words + 8 * i + 8].copy_from_slice(&value.to_le_bytes());
+            assert_bad_value(
+                load_resealed(&inst, &path, file),
+                "a config word out of range",
+            );
+        }
+        if cfg_kind == kind::RS_CFG {
+            // A θ cap of zero.
+            let mut file = pristine.clone();
+            file[words + 24..words + 32].copy_from_slice(&0u64.to_le_bytes());
+            assert_bad_value(load_resealed(&inst, &path, file), "a zero θ cap");
+        } else {
+            // A γ* of zero, which the Copeland λ schedule asserts on.
+            let mut file = pristine.clone();
+            let gammas = section_bytes(&file, kind::RW_GAMMAS, 0).start;
+            file[gammas..gammas + 8].copy_from_slice(&0.0f64.to_le_bytes());
+            assert_bad_value(load_resealed(&inst, &path, file), "a zero γ*");
+        }
+        std::fs::remove_file(&path).ok();
+    }
 }
 
 #[test]
@@ -468,14 +527,25 @@ fn loading_any_snapshot_leaves_the_instance_opinions_unchanged() {
         }
     }
 
-    // A DM snapshot whose in-edge weights are all halved, resealed.
+    // A DM snapshot whose CELF order is reversed, resealed. The order is
+    // a trusted cache: the file loads, and its own index answers from it.
     let mut file = dm_file.expect("a DM cumulative snapshot");
-    for at in section_bytes(&file, kind::DM_IN_W, 0).step_by(8) {
-        let w = f64::from_le_bytes(file[at..at + 8].try_into().unwrap());
-        file[at..at + 8].copy_from_slice(&(w / 2.0).to_le_bytes());
+    let range = section_bytes(&file, kind::DM_CUM_ORDER, 0);
+    let mut order: Vec<u32> = file[range.clone()]
+        .chunks_exact(4)
+        .map(|b| u32::from_le_bytes(b.try_into().unwrap()))
+        .collect();
+    order.reverse();
+    for (at, v) in range.step_by(4).zip(&order) {
+        file[at..at + 4].copy_from_slice(&v.to_le_bytes());
     }
     let fresh = instance();
-    assert_bad_value(load_resealed(&fresh, &path, file), "a forged DM system");
+    let forged = Arc::new(load_resealed(&fresh, &path, file).expect("a trusted cache loads"));
+    let seeds = QuerySession::new(forged)
+        .select(&Query::new(K_MAX, ScoringFunction::Cumulative, 0))
+        .unwrap()
+        .seeds;
+    assert_eq!(seeds, order[..K_MAX]);
     assert_eq!(opinions(&fresh), want);
     // Another index over the same instance still answers as on a clean one.
     let rs = Engine::Rs(RsConfig {
