@@ -1275,14 +1275,8 @@ impl IndexBackend for RwIndex {
     ) -> Result<Vec<Node>> {
         let arena = self.ensure_arena(problem, comp.map(|c| c.matrix));
         let mut est = self.estimator(arena, problem, scratch);
-        let seeds = crate::greedy::greedy_on_estimate(
-            &mut est,
-            problem.k,
-            &problem.score,
-            comp,
-            problem.target,
-            meter,
-        );
+        let seeds =
+            crate::greedy::greedy_on_estimate(&mut est, problem.k, &problem.score, comp, meter);
         scratch.return_truncation(est.into_truncation());
         Ok(seeds)
     }
@@ -1391,14 +1385,8 @@ impl IndexBackend for RsIndex {
         for &s in &cand.fixed_seeds {
             sketch.add_seed(s);
         }
-        let seeds = crate::greedy::greedy_on_estimate(
-            &mut sketch,
-            problem.k,
-            &problem.score,
-            comp,
-            problem.target,
-            meter,
-        );
+        let seeds =
+            crate::greedy::greedy_on_estimate(&mut sketch, problem.k, &problem.score, comp, meter);
         scratch.return_sketch(theta, sketch);
         Ok(seeds)
     }

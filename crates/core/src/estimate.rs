@@ -7,7 +7,7 @@
 
 use vom_graph::Node;
 use vom_sketch::SketchSet;
-use vom_walks::{DeltaScratch, OpinionEstimator, UserPairs};
+use vom_walks::{OpinionEstimator, UserPairs};
 
 /// An incremental estimate of the target candidate's opinions under a
 /// growing seed set.
@@ -42,22 +42,12 @@ pub trait OpinionEstimate {
     }
 
     /// Every user's merged `(candidate, Δ)` pairs over the live walks or
-    /// sketches, for the user-major rank greedy.
+    /// sketches, for the user-major competitive greedy.
     fn user_pairs(&self) -> UserPairs;
 
     /// Walk or sketch `i` of user `v` and its delta, while it is live:
     /// the `live` that brings [`UserPairs`] up to date.
     fn live_walk(&self, v: Node, i: usize) -> Option<(&[Node], f64)>;
-
-    /// Visits the merged per-user estimate deltas of one candidate seed,
-    /// in ascending user order, without scanning any other candidate's
-    /// walks.
-    fn for_candidate_deltas<F: FnMut(Node, f64)>(
-        &self,
-        w: Node,
-        scratch: &mut DeltaScratch,
-        visit: F,
-    );
 
     /// Commits `u` as a seed, writing the users whose estimates changed
     /// into `touched` (cleared first; sorted, deduplicated).
@@ -104,14 +94,6 @@ impl OpinionEstimate for OpinionEstimator<'_> {
     fn live_walk(&self, v: Node, i: usize) -> Option<(&[Node], f64)> {
         OpinionEstimator::live_walk(self, v, i)
     }
-    fn for_candidate_deltas<F: FnMut(Node, f64)>(
-        &self,
-        w: Node,
-        scratch: &mut DeltaScratch,
-        visit: F,
-    ) {
-        OpinionEstimator::for_candidate_deltas(self, w, scratch, visit)
-    }
     fn add_seed_into(&mut self, u: Node, touched: &mut Vec<Node>) {
         OpinionEstimator::add_seed_into(self, u, touched)
     }
@@ -156,14 +138,6 @@ impl OpinionEstimate for SketchSet {
     }
     fn live_walk(&self, v: Node, i: usize) -> Option<(&[Node], f64)> {
         SketchSet::live_sketch(self, v, i)
-    }
-    fn for_candidate_deltas<F: FnMut(Node, f64)>(
-        &self,
-        w: Node,
-        scratch: &mut DeltaScratch,
-        visit: F,
-    ) {
-        SketchSet::for_candidate_deltas(self, w, scratch, visit)
     }
     fn add_seed_into(&mut self, u: Node, touched: &mut Vec<Node>) {
         SketchSet::add_seed_into(self, u, touched)

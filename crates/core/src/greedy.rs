@@ -11,29 +11,28 @@
 //! * competitor ranks go through a [`RankIndex`] (per-user sorted
 //!   competitor opinions) — `O(log r)` per lookup instead of the
 //!   `O(r)` scan of [`vom_voting::rank::beta_with_target`];
-//! * the per-user estimate/contribution state of the rank-based scores
-//!   lives in a [`PositionalAccumulator`] that persists across greedy
-//!   iterations; after a seed commits, only the users named in the
-//!   estimator's changed-users delta report are refreshed (`O(Δ·log r)`
-//!   instead of `O(n·r)`). Each user's threshold `τ` bounds the moves
-//!   that cannot change its contribution, so the rank greedy skips those
-//!   previews;
-//! * the rank greedy runs **user-major** over RW and RS alike: once per
-//!   run it merges each user's live walks or sketches into
-//!   `(candidate, Δ)` pairs ([`vom_walks::UserPairs`]; sampled sketch
-//!   starts are grouped by one counting sort), and each iteration is one
-//!   pass over those pairs adding `preview − contribution` into the
-//!   candidates' gains in ascending user order. A commit only marks the
-//!   changed users' lists touched; the next pass merges a touched list
-//!   again only if a stale pair can still cross the user's threshold,
-//!   and otherwise refolds the user's own pair and lets it score that
-//!   pair alone (a stale delta bounds the fresh one, as in Minoux's lazy
-//!   greedy). The cumulative tie-break is computed only for the
-//!   candidates tied at the maximum gain;
-//! * Copeland stays **candidate-major**: each candidate's per-user
-//!   deltas are merged from its occurrence list
-//!   ([`OpinionEstimate::for_candidate_deltas`]) into `r − 1` duel nets,
-//!   where a user-major pass would hold `n·(r − 1)`;
+//! * the per-user estimate state of the competitive scores lives in an
+//!   accumulator that persists across greedy iterations — a
+//!   [`PositionalAccumulator`] for the plurality variants, a
+//!   [`WeightedCopeland`] for Copeland; after a seed commits, only the
+//!   users named in the estimator's changed-users delta report are
+//!   refreshed (`O(Δ·log r)` instead of `O(n·r)`). Each user's threshold
+//!   `τ` bounds the moves that cannot change its score terms, so the
+//!   greedy skips those moves;
+//! * one greedy serves every competitive score, **user-major** over RW
+//!   and RS alike: once per run it merges each user's live walks or
+//!   sketches into `(candidate, Δ)` pairs ([`vom_walks::UserPairs`];
+//!   sampled sketch starts are grouped by one counting sort), and each
+//!   iteration is one pass over those pairs adding each move past `τ`
+//!   into its candidate's terms in ascending user order
+//!   (`preview − contribution` for the positional rules, the changed
+//!   duels' nets for Copeland). A commit only marks the changed users'
+//!   lists touched; the next pass merges a touched list again only if a
+//!   stale pair can still cross the user's threshold, and otherwise
+//!   refolds the user's own pair and lets it score that pair alone (a
+//!   stale delta bounds the fresh one, as in Minoux's lazy greedy). The
+//!   tie-break is computed only for the candidates tied at the maximum
+//!   gain;
 //! * the submodular cumulative objectives run a lazy (CELF-style)
 //!   greedy over per-candidate gains
 //!   ([`OpinionEstimate::cumulative_gains_of`]): a candidate is only
@@ -41,14 +40,14 @@
 //!
 //! Everything is arranged to stay **bit-identical** to the historical
 //! full-rescan loops: per-candidate gains sum the same terms in the same
-//! order as the old whole-arena scans (a skipped preview's term is
-//! exactly `+0.0`, and adding `+0.0` to a sum that started at `+0.0`
-//! changes no bits), accumulator contributions are the same `w·ω[β]`
-//! products, and the lazy greedy's correctness rests on the truncation
-//! estimates' gains being non-increasing (terms are non-negative and
-//! seeds only remove them; an IEEE left-to-right sum of non-negative
-//! terms is monotone under subset removal). DESIGN.md §2b gives the
-//! argument for each step.
+//! order as the old whole-arena scans (a skipped move's term is exactly
+//! `+0.0`, and adding `+0.0` to a sum that started at `+0.0` changes no
+//! bits), accumulator contributions are the same `w·ω[β]` products, and
+//! the lazy greedy's correctness rests on the truncation estimates'
+//! gains being non-increasing (terms are non-negative and seeds only
+//! remove them; an IEEE left-to-right sum of non-negative terms is
+//! monotone under subset removal). DESIGN.md §2b gives the argument for
+//! each step.
 
 use crate::estimate::OpinionEstimate;
 use crate::phases::{self, CostMeter, Phase};
@@ -56,8 +55,8 @@ use std::time::{Duration, Instant};
 use vom_diffusion::OpinionMatrix;
 use vom_graph::{Candidate, Node};
 use vom_voting::rank::beta_with_target;
-use vom_voting::{PositionalAccumulator, RankIndex, ScoringFunction};
-use vom_walks::{DeltaScratch, UserPairs};
+use vom_voting::{PositionalAccumulator, RankIndex, ScoringFunction, WeightedCopeland};
+use vom_walks::UserPairs;
 
 /// The competitor-opinion artifacts a competitive-score greedy consumes:
 /// the exact non-target opinion matrix and its rank index. Built once
@@ -123,8 +122,8 @@ pub fn score_with_target_row(
 
 /// Greedy seed selection on an incremental opinion estimate, for any of
 /// the five scores. `comp` (exact non-target opinions plus their rank
-/// index) is required for the competitive scores and ignored for
-/// cumulative.
+/// index, which names the target) is required for the competitive scores
+/// and ignored for cumulative.
 ///
 /// Selects until `k` seeds are committed (estimated marginal gains can be
 /// zero — the paper's Problem 1 asks for exactly `k` seeds, and real
@@ -143,23 +142,27 @@ pub fn greedy_on_estimate<E: OpinionEstimate>(
     k: usize,
     score: &ScoringFunction,
     comp: Option<Competitors<'_>>,
-    q: Candidate,
     meter: Option<&CostMeter>,
 ) -> Vec<Node> {
-    match score {
-        ScoringFunction::Cumulative => lazy_greedy_fill(est, k, None, meter),
+    let picks = match score {
+        ScoringFunction::Cumulative => return lazy_greedy_fill(est, k, None, meter),
         ScoringFunction::Plurality
         | ScoringFunction::PApproval { .. }
         | ScoringFunction::PositionalPApproval { .. } => {
-            let comp = comp.expect("competitive score needs competitor opinions");
-            let picks = rank_greedy(est, k, score, comp.ranks, meter);
-            picks.into_iter().map(|(w, _, _)| w).collect()
+            let index = comp
+                .expect("competitive score needs competitor opinions")
+                .ranks;
+            let acc = PositionalGains::new(score, est.num_nodes());
+            rank_greedy(est, k, acc, index, meter)
         }
         ScoringFunction::Copeland => {
-            let comp = comp.expect("competitive score needs competitor opinions");
-            copeland_greedy(est, k, comp.matrix, q, meter)
+            let index = comp
+                .expect("competitive score needs competitor opinions")
+                .ranks;
+            rank_greedy(est, k, WeightedCopeland::new(index), index, meter)
         }
-    }
+    };
+    picks.into_iter().map(|(w, _, _)| w).collect()
 }
 
 /// Greedy maximization of the **restricted cumulative** estimate
@@ -225,15 +228,119 @@ fn lazy_greedy_fill<E: OpinionEstimate>(
 }
 
 // ---------------------------------------------------------------------
-// Rank-based scores: delta-driven accumulator greedy
+// Competitive scores: the user-major accumulator greedy
 // ---------------------------------------------------------------------
+
+/// A rule's side of [`rank_greedy`]: each user's value, weight and
+/// threshold `τ` (a move to `x ≤ τ` would add exactly `+0.0`), the terms
+/// of the moves past `τ`, and each candidate's gain and tie-break after a
+/// pass. Implemented by [`PositionalGains`] for the plurality variants
+/// and by [`WeightedCopeland`] for Copeland; the greedy is monomorphized
+/// for each.
+trait RuleAccumulator {
+    /// Sets user `v`'s estimate and weight (`O(log r)`).
+    fn set_user(&mut self, index: &RankIndex, v: Node, value: f64, weight: f64);
+    /// User `v`'s current estimate.
+    fn value(&self, v: Node) -> f64;
+    /// User `v`'s weight; users of weight 0 never score.
+    fn weight(&self, v: Node) -> f64;
+    /// User `v`'s threshold `τ`.
+    fn threshold(&self, v: Node) -> f64;
+    /// Clears the candidates' terms before a pass.
+    fn begin_pass(&mut self, index: &RankIndex);
+    /// Adds the terms of candidate `w` moving user `v` to `x > τ(v)`.
+    fn add_move(&mut self, index: &RankIndex, v: Node, w: Node, x: f64);
+    /// Candidate `w`'s gain after a pass.
+    fn gain(&self, w: Node) -> f64;
+    /// Candidate `w`'s tie-break after a pass.
+    fn tie_break<E: OpinionEstimate>(&self, est: &E, w: Node) -> f64;
+}
+
+/// The plurality variants' accumulator and each candidate's rank gain,
+/// summed `preview − contribution` over its moves. Ties break by the
+/// estimated-cumulative gain: the discrete score is flat almost
+/// everywhere, and moving opinions toward the target still helps later
+/// iterations and the true objective.
+struct PositionalGains {
+    acc: PositionalAccumulator,
+    gains: Vec<f64>,
+}
+
+impl PositionalGains {
+    fn new(score: &ScoringFunction, n: usize) -> PositionalGains {
+        PositionalGains {
+            acc: PositionalAccumulator::new(score, n),
+            gains: vec![0.0; n],
+        }
+    }
+}
+
+impl RuleAccumulator for PositionalGains {
+    fn set_user(&mut self, index: &RankIndex, v: Node, value: f64, weight: f64) {
+        self.acc.set_user(index, v, value, weight);
+    }
+    fn value(&self, v: Node) -> f64 {
+        self.acc.value(v)
+    }
+    fn weight(&self, v: Node) -> f64 {
+        self.acc.weight(v)
+    }
+    fn threshold(&self, v: Node) -> f64 {
+        self.acc.threshold(v)
+    }
+    fn begin_pass(&mut self, _index: &RankIndex) {
+        self.gains.iter_mut().for_each(|g| *g = 0.0);
+    }
+    #[inline]
+    fn add_move(&mut self, index: &RankIndex, v: Node, w: Node, x: f64) {
+        self.gains[w as usize] += self.acc.preview(index, v, x) - self.acc.contribution(v);
+    }
+    fn gain(&self, w: Node) -> f64 {
+        self.gains[w as usize]
+    }
+    fn tie_break<E: OpinionEstimate>(&self, est: &E, w: Node) -> f64 {
+        est.cumulative_gain_of(w)
+    }
+}
+
+/// Copeland: the gain is the change in duels won, and ties break by the
+/// total net margin gained across the duels. Near a majority tie the
+/// win count is a coin flip on estimates, but the margin still points at
+/// the seed that moves the most users past their duel thresholds.
+impl RuleAccumulator for WeightedCopeland {
+    fn set_user(&mut self, index: &RankIndex, v: Node, value: f64, weight: f64) {
+        WeightedCopeland::set_user(self, index, v, value, weight);
+    }
+    fn value(&self, v: Node) -> f64 {
+        WeightedCopeland::value(self, v)
+    }
+    fn weight(&self, v: Node) -> f64 {
+        WeightedCopeland::weight(self, v)
+    }
+    fn threshold(&self, v: Node) -> f64 {
+        WeightedCopeland::threshold(self, v)
+    }
+    fn begin_pass(&mut self, index: &RankIndex) {
+        WeightedCopeland::begin_pass(self, index);
+    }
+    #[inline]
+    fn add_move(&mut self, index: &RankIndex, v: Node, w: Node, x: f64) {
+        WeightedCopeland::add_move(self, index, v, w, x);
+    }
+    fn gain(&self, w: Node) -> f64 {
+        WeightedCopeland::gain(self, w)
+    }
+    fn tie_break<E: OpinionEstimate>(&self, _est: &E, w: Node) -> f64 {
+        self.margin(w)
+    }
+}
 
 /// Sets the listed users' current estimates in `acc` (`O(log r)` each):
 /// every user once per greedy run, then the changed-users report after
 /// each commit.
-fn refresh_users<E: OpinionEstimate>(
+fn refresh_users<E: OpinionEstimate, A: RuleAccumulator>(
     est: &E,
-    acc: &mut PositionalAccumulator,
+    acc: &mut A,
     index: &RankIndex,
     users: impl Iterator<Item = Node>,
 ) {
@@ -247,28 +354,25 @@ fn refresh_users<E: OpinionEstimate>(
     }
 }
 
-/// One committed seed of a rank greedy with its winning rank gain and
-/// cumulative tie-break gain.
+/// One committed seed of a competitive greedy with its winning gain and
+/// tie-break.
 type Pick = (Node, f64, f64);
 
-/// Greedy for the plurality variants, returning each pick with its
-/// winning gains. The discrete score is flat almost everywhere, so ties
-/// break by the estimated-cumulative gain (still moving opinions toward
-/// the target helps later iterations and the true objective).
+/// The greedy for the competitive scores, returning each pick with its
+/// winning gain and tie-break.
 ///
 /// It runs user-major over the estimator's
 /// [`OpinionEstimate::user_pairs`]: each iteration is one
 /// [`gain_pass`], then an argmax that takes the largest gain and
-/// computes the cumulative tie-break only for the candidates tied at
-/// it, lowest id first: the node a sequential scan keeping the first
-/// largest `(gain, cum)` picks. A [`commit`] refreshes the changed
-/// users' accumulator entries and marks their pair lists touched; the
-/// next pass brings a touched list up to date only as far as its
-/// threshold needs.
-fn rank_greedy<E: OpinionEstimate>(
+/// computes the tie-break only for the candidates tied at it, lowest id
+/// first: the node a sequential scan keeping the first largest
+/// `(gain, tie-break)` picks. A [`commit`] refreshes the changed users'
+/// accumulator entries and marks their pair lists touched; the next pass
+/// brings a touched list up to date only as far as its threshold needs.
+fn rank_greedy<E: OpinionEstimate, A: RuleAccumulator>(
     est: &mut E,
     k: usize,
-    score: &ScoringFunction,
+    mut acc: A,
     index: &RankIndex,
     meter: Option<&CostMeter>,
 ) -> Vec<Pick> {
@@ -276,12 +380,10 @@ fn rank_greedy<E: OpinionEstimate>(
     let started = Instant::now();
     let mut truncating = Duration::ZERO;
     let n = est.num_nodes();
-    let mut acc = PositionalAccumulator::new(score, n);
     refresh_users(est, &mut acc, index, 0..n as Node);
     let mut pairs = est.user_pairs();
     let mut picks = Vec::with_capacity(k);
     let mut touched: Vec<Node> = Vec::new();
-    let mut gains = vec![0.0f64; n];
     let mut tied: Vec<Node> = Vec::new();
     for _ in 0..k {
         // Sequential checkpoint: per-iteration commits mean stopping here
@@ -289,7 +391,7 @@ fn rank_greedy<E: OpinionEstimate>(
         if meter.is_some_and(|m| m.exhausted()) {
             break;
         }
-        gain_pass(est, &mut pairs, &acc, index, &mut gains);
+        gain_pass(est, &mut pairs, &mut acc, index);
         let mut top = 0.0;
         let mut scanned = 0u64;
         tied.clear();
@@ -298,7 +400,7 @@ fn rank_greedy<E: OpinionEstimate>(
                 continue;
             }
             scanned += 1;
-            let g = gains[w as usize];
+            let g = acc.gain(w);
             if tied.is_empty() || g > top {
                 top = g;
                 tied.clear();
@@ -313,11 +415,11 @@ fn rank_greedy<E: OpinionEstimate>(
         let Some((&first, rest)) = tied.split_first() else {
             break;
         };
-        let mut pick = (first, gains[first as usize], est.cumulative_gain_of(first));
+        let mut pick = (first, acc.gain(first), acc.tie_break(est, first));
         for &w in rest {
-            let cum = est.cumulative_gain_of(w);
-            if cum > pick.2 {
-                pick = (w, gains[w as usize], cum);
+            let tie_break = acc.tie_break(est, w);
+            if tie_break > pick.2 {
+                pick = (w, acc.gain(w), tie_break);
             }
         }
         truncating += commit(est, &mut acc, &mut pairs, index, pick.0, &mut touched);
@@ -328,35 +430,33 @@ fn rank_greedy<E: OpinionEstimate>(
     picks
 }
 
-/// One scoring pass of the rank greedy: settles the touched pair lists
-/// ([`UserPairs::settle`]), then overwrites `gains` with each
-/// candidate's rank gain. The users go in ascending order, and each adds
-/// `preview − contribution` for every scored pair whose move passes the
-/// user's threshold. Per candidate, these are the terms and order of a
-/// merge over its occurrences, minus exact `+0.0` terms: moves within
-/// the threshold, and the stale pairs of cold users.
-fn gain_pass<E: OpinionEstimate>(
+/// One scoring pass: settles the touched pair lists
+/// ([`UserPairs::settle`]), then adds every scored pair whose move passes
+/// its user's threshold into the candidates' terms, users in ascending
+/// order. Per candidate, these are the terms and order of a merge over
+/// its occurrences, minus exact `+0.0` terms: moves within the
+/// threshold, and the stale pairs of cold users.
+fn gain_pass<E: OpinionEstimate, A: RuleAccumulator>(
     est: &E,
     pairs: &mut UserPairs,
-    acc: &PositionalAccumulator,
+    acc: &mut A,
     index: &RankIndex,
-    gains: &mut [f64],
 ) {
     pairs.settle(
         |v| (acc.value(v), acc.threshold(v)),
         |v, i| est.live_walk(v, i),
     );
-    gains.iter_mut().for_each(|g| *g = 0.0);
+    acc.begin_pass(index);
     for v in 0..est.num_nodes() as Node {
         if acc.weight(v) <= 0.0 {
             continue;
         }
-        let (value, tau, contrib) = (acc.value(v), acc.threshold(v), acc.contribution(v));
+        let (value, tau) = (acc.value(v), acc.threshold(v));
         let (cands, deltas) = pairs.scored(v);
         for (&w, &delta) in cands.iter().zip(deltas) {
             let x = value + delta;
             if x > tau {
-                gains[w as usize] += acc.preview(index, v, x) - contrib;
+                acc.add_move(index, v, w, x);
             }
         }
     }
@@ -366,9 +466,9 @@ fn gain_pass<E: OpinionEstimate>(
 /// users whose estimates changed (the changed-users report and the pick)
 /// and marks their pair lists touched. Returns the time spent
 /// truncating.
-fn commit<E: OpinionEstimate>(
+fn commit<E: OpinionEstimate, A: RuleAccumulator>(
     est: &mut E,
-    acc: &mut PositionalAccumulator,
+    acc: &mut A,
     pairs: &mut UserPairs,
     index: &RankIndex,
     pick: Node,
@@ -382,174 +482,6 @@ fn commit<E: OpinionEstimate>(
     refresh_users(est, acc, index, changed());
     pairs.touch(changed());
     truncating
-}
-
-// ---------------------------------------------------------------------
-// Copeland: incremental estimates, per-candidate duel deltas
-// ---------------------------------------------------------------------
-
-/// Greedy for the Copeland score. The per-user estimates persist across
-/// iterations (refreshed from the changed-users report); the weighted
-/// per-opponent nets are rebuilt per iteration in fixed user order so
-/// the float majorities match the historical evaluation bit for bit,
-/// and each candidate's effect is evaluated from its own merged deltas.
-/// Secondary criterion: total net-margin gained across the one-on-one
-/// duels — near a majority tie the discrete win count is a coin flip on
-/// estimates, but the margin still points at the seed that moves the
-/// most users past their duel thresholds.
-fn copeland_greedy<E: OpinionEstimate>(
-    est: &mut E,
-    k: usize,
-    others: &OpinionMatrix,
-    q: Candidate,
-    meter: Option<&CostMeter>,
-) -> Vec<Node> {
-    // audit:allow(d-wall-clock, "phase timer: elapsed feeds reported timings, never selection order")
-    let started = Instant::now();
-    let mut truncating = Duration::ZERO;
-    let n = est.num_nodes();
-    let r = others.num_candidates();
-    let opponents: Vec<Candidate> = (0..r).filter(|&x| x != q).collect();
-
-    // Persistent per-user estimate state.
-    let mut cur_est = vec![0.0f64; n];
-    let mut weight = vec![0.0f64; n];
-    let mut sampled = vec![false; n];
-    for v in 0..n as Node {
-        if let Some(e) = est.estimate(v) {
-            let w = est.user_weight(v);
-            if w > 0.0 {
-                cur_est[v as usize] = e;
-                weight[v as usize] = w;
-                sampled[v as usize] = true;
-            }
-        }
-    }
-
-    let mut selected = Vec::with_capacity(k);
-    let mut touched: Vec<Node> = Vec::new();
-    let mut scratch = DeltaScratch::default();
-    let mut net = vec![0.0f64; opponents.len()];
-    let mut net_change = vec![0.0f64; opponents.len()];
-    let mut gains = vec![0.0f64; n];
-    let mut margins = vec![0.0f64; n];
-    for _ in 0..k {
-        // Sequential checkpoint: per-iteration commits mean stopping here
-        // leaves `selected` a prefix of the full-budget selection.
-        if meter.is_some_and(|m| m.exhausted()) {
-            break;
-        }
-        // Current weighted majorities, re-summed in fixed user order
-        // (incremental float nets would drift from the reference bits).
-        net.iter_mut().for_each(|s| *s = 0.0);
-        for v in 0..n {
-            if sampled[v] {
-                let e = cur_est[v];
-                let w = weight[v];
-                for (xi, &x) in opponents.iter().enumerate() {
-                    let bx = others.get(x, v as Node);
-                    if e > bx {
-                        net[xi] += w;
-                    } else if e < bx {
-                        net[xi] -= w;
-                    }
-                }
-            }
-        }
-        let current_wins = net.iter().filter(|&&s| s > 0.0).count() as f64;
-
-        gains.iter_mut().for_each(|g| *g = 0.0);
-        margins.iter_mut().for_each(|m| *m = 0.0);
-        let mut scanned = 0u64;
-        for w in 0..n as Node {
-            if est.is_seed(w) {
-                continue;
-            }
-            scanned += 1;
-            net_change.iter_mut().for_each(|c| *c = 0.0);
-            est.for_candidate_deltas(w, &mut scratch, |user, delta| {
-                let v = user as usize;
-                if sampled[v] {
-                    let uw = weight[v];
-                    let old = cur_est[v];
-                    let new = old + delta;
-                    for (xi, &x) in opponents.iter().enumerate() {
-                        let bx = others.get(x, user);
-                        net_change[xi] +=
-                            uw * (sign_contribution(new, bx) - sign_contribution(old, bx));
-                    }
-                }
-            });
-            let new_wins = net
-                .iter()
-                .zip(&net_change)
-                .filter(|(&s, &c)| s + c > 0.0)
-                .count() as f64;
-            gains[w as usize] = new_wins - current_wins;
-            margins[w as usize] = net_change.iter().sum();
-        }
-        if let Some(m) = meter {
-            m.charge(scanned); // one tick per scored candidate
-        }
-        let Some(bw) = argmax_non_seed(est, &gains, Some(&margins)) else {
-            break;
-        };
-        // audit:allow(d-wall-clock, "phase timer: elapsed feeds reported timings, never selection order")
-        let t = Instant::now();
-        est.add_seed_into(bw, &mut touched);
-        truncating += t.elapsed();
-        selected.push(bw);
-        for v in touched.iter().copied().chain([bw]) {
-            if let Some(e) = est.estimate(v) {
-                let w = est.user_weight(v);
-                if w > 0.0 {
-                    cur_est[v as usize] = e;
-                    weight[v as usize] = w;
-                    sampled[v as usize] = true;
-                }
-            }
-        }
-    }
-    phases::record(Phase::Truncation, truncating);
-    phases::record(Phase::Scoring, started.elapsed().saturating_sub(truncating));
-    selected
-}
-
-/// Argmax over non-seed nodes, with an optional secondary criterion for
-/// ties; remaining ties go to the smaller id. Returns `None` only when
-/// every node is already a seed.
-fn argmax_non_seed<E: OpinionEstimate>(
-    est: &E,
-    gains: &[f64],
-    secondary: Option<&[f64]>,
-) -> Option<Node> {
-    let mut best: Option<(Node, f64, f64)> = None;
-    for (v, &g) in gains.iter().enumerate() {
-        let v = v as Node;
-        if est.is_seed(v) {
-            continue;
-        }
-        let s = secondary.map_or(0.0, |sec| sec[v as usize]);
-        let better = match best {
-            None => true,
-            Some((_, bg, bs)) => g > bg || (g == bg && s > bs),
-        };
-        if better {
-            best = Some((v, g, s));
-        }
-    }
-    best.map(|(v, _, _)| v)
-}
-
-#[inline]
-fn sign_contribution(b: f64, bx: f64) -> f64 {
-    if b > bx {
-        1.0
-    } else if b < bx {
-        -1.0
-    } else {
-        0.0
-    }
 }
 
 #[cfg(test)]
@@ -573,37 +505,45 @@ mod tests {
         (RankIndex::build(others, 0), ())
     }
 
-    /// A fresh accumulator over the estimator's current estimates.
-    fn accumulator<E: OpinionEstimate>(
-        est: &E,
-        score: &ScoringFunction,
-        index: &RankIndex,
-    ) -> PositionalAccumulator {
-        let mut acc = PositionalAccumulator::new(score, est.num_nodes());
+    /// `acc` set to the estimator's current estimates.
+    fn fresh<E: OpinionEstimate, A: RuleAccumulator>(est: &E, mut acc: A, index: &RankIndex) -> A {
         refresh_users(est, &mut acc, index, 0..est.num_nodes() as Node);
         acc
     }
 
-    /// Candidate `w`'s rank gain, merged from its occurrences and
-    /// previewing every move, within the user's threshold or not.
-    fn candidate_gain<E: OpinionEstimate>(
-        est: &E,
+    /// Each candidate's `(user, Δ)` pairs in ascending user order, from a
+    /// fresh [`OpinionEstimate::user_pairs`] (checked against a scan over
+    /// every live prefix by the estimators' `user_pairs_match_pair_deltas`).
+    fn candidate_deltas<E: OpinionEstimate>(est: &E) -> Vec<Vec<(Node, f64)>> {
+        let pairs = est.user_pairs();
+        let mut deltas = vec![Vec::new(); est.num_nodes()];
+        for v in 0..est.num_nodes() as Node {
+            let (cands, ds) = pairs.user(v);
+            for (&w, &d) in cands.iter().zip(ds) {
+                deltas[w as usize].push((v, d));
+            }
+        }
+        deltas
+    }
+
+    /// A candidate's rank gain from its `(user, Δ)` pairs, previewing
+    /// every move, within the user's threshold or not.
+    fn candidate_gain(
         acc: &PositionalAccumulator,
         index: &RankIndex,
-        w: Node,
-        scratch: &mut DeltaScratch,
+        deltas: &[(Node, f64)],
     ) -> f64 {
         let mut gain = 0.0;
-        est.for_candidate_deltas(w, scratch, |user, delta| {
+        for &(user, delta) in deltas {
             if acc.weight(user) > 0.0 {
                 gain += acc.preview(index, user, acc.value(user) + delta) - acc.contribution(user);
             }
-        });
+        }
         gain
     }
 
-    /// The candidate-major reference for [`rank_greedy`]: per iteration,
-    /// every non-seed candidate's [`candidate_gain`] and
+    /// The candidate-major reference for the positional rules: per
+    /// iteration, every non-seed candidate's [`candidate_gain`] and
     /// `cumulative_gain_of`, and a sequential argmax keeping the first
     /// largest `(gain, cum)`.
     fn candidate_major_picks<E: OpinionEstimate>(
@@ -612,17 +552,14 @@ mod tests {
         score: &ScoringFunction,
         index: &RankIndex,
     ) -> Vec<Pick> {
-        let mut acc = accumulator(est, score, index);
-        let mut scratch = DeltaScratch::default();
         let mut touched = Vec::new();
         let mut picks = Vec::new();
         for _ in 0..k {
+            let acc = fresh(est, PositionalGains::new(score, est.num_nodes()), index).acc;
+            let deltas = candidate_deltas(est);
             let mut best: Option<Pick> = None;
-            for w in 0..est.num_nodes() as Node {
-                if est.is_seed(w) {
-                    continue;
-                }
-                let gain = candidate_gain(est, &acc, index, w, &mut scratch);
+            for w in (0..est.num_nodes() as Node).filter(|&w| !est.is_seed(w)) {
+                let gain = candidate_gain(&acc, index, &deltas[w as usize]);
                 let cum = est.cumulative_gain_of(w);
                 if best.is_none_or(|(_, bg, bc)| gain > bg || (gain == bg && cum > bc)) {
                     best = Some((w, gain, cum));
@@ -630,12 +567,80 @@ mod tests {
             }
             let Some(pick) = best else { break };
             est.add_seed_into(pick.0, &mut touched);
-            refresh_users(
-                est,
-                &mut acc,
-                index,
-                touched.iter().copied().chain([pick.0]),
-            );
+            picks.push(pick);
+        }
+        picks
+    }
+
+    /// The candidate-major reference for Copeland: per iteration, the
+    /// weighted nets over every user's current estimate in user order,
+    /// then per non-seed candidate the net changes of every duel of every
+    /// one of its deltas, with no threshold and no lazy lists, and a
+    /// sequential argmax keeping the first largest `(gain, margin)`.
+    fn copeland_candidate_major_picks<E: OpinionEstimate>(
+        est: &mut E,
+        k: usize,
+        others: &OpinionMatrix,
+        q: Candidate,
+    ) -> Vec<Pick> {
+        let n = est.num_nodes();
+        let opponents: Vec<Candidate> = (0..others.num_candidates()).filter(|&x| x != q).collect();
+        let sign = |b: f64, bx: f64| {
+            if b > bx {
+                1.0
+            } else if b < bx {
+                -1.0
+            } else {
+                0.0
+            }
+        };
+        let mut touched = Vec::new();
+        let mut picks = Vec::new();
+        for _ in 0..k {
+            // (estimate, weight) per user; weight 0 for users not scored.
+            let users: Vec<(f64, f64)> = (0..n as Node)
+                .map(|v| match est.estimate(v) {
+                    Some(e) if est.user_weight(v) > 0.0 => (e, est.user_weight(v)),
+                    _ => (0.0, 0.0),
+                })
+                .collect();
+            let mut net = vec![0.0f64; opponents.len()];
+            for (v, &(e, uw)) in users.iter().enumerate().filter(|(_, u)| u.1 > 0.0) {
+                for (s, &x) in net.iter_mut().zip(&opponents) {
+                    let bx = others.get(x, v as Node);
+                    if e > bx {
+                        *s += uw;
+                    } else if e < bx {
+                        *s -= uw;
+                    }
+                }
+            }
+            let wins = net.iter().filter(|&&s| s > 0.0).count() as f64;
+            let deltas = candidate_deltas(est);
+            let mut best: Option<Pick> = None;
+            for w in (0..n as Node).filter(|&w| !est.is_seed(w)) {
+                let mut change = vec![0.0f64; opponents.len()];
+                for &(v, delta) in &deltas[w as usize] {
+                    let (old, uw) = users[v as usize];
+                    if uw > 0.0 {
+                        for (c, &x) in change.iter_mut().zip(&opponents) {
+                            let bx = others.get(x, v);
+                            *c += uw * (sign(old + delta, bx) - sign(old, bx));
+                        }
+                    }
+                }
+                let won = net
+                    .iter()
+                    .zip(&change)
+                    .filter(|&(&s, &c)| s + c > 0.0)
+                    .count();
+                let (gain, margin) = (won as f64 - wins, change.iter().sum::<f64>());
+                if best.is_none_or(|(_, bg, bm)| gain > bg || (gain == bg && margin > bm)) {
+                    best = Some((w, gain, margin));
+                }
+            }
+            let Some(pick) = best else { break };
+            est.add_seed_into(pick.0, &mut touched);
             picks.push(pick);
         }
         picks
@@ -668,7 +673,7 @@ mod tests {
         let gen = WalkGenerator::new(&g, &d, 1);
         let arena = gen.generate_per_node(&Lambda::Uniform(20_000), 7);
         let mut est = OpinionEstimator::new(&arena, &b0);
-        let seeds = greedy_on_estimate(&mut est, 1, &ScoringFunction::Cumulative, None, 0, None);
+        let seeds = greedy_on_estimate(&mut est, 1, &ScoringFunction::Cumulative, None, None);
         assert_eq!(seeds, vec![0]);
     }
 
@@ -684,14 +689,7 @@ mod tests {
             matrix: &others,
             ranks: &ranks,
         };
-        let seeds = greedy_on_estimate(
-            &mut est,
-            1,
-            &ScoringFunction::Plurality,
-            Some(comp),
-            0,
-            None,
-        );
+        let seeds = greedy_on_estimate(&mut est, 1, &ScoringFunction::Plurality, Some(comp), None);
         assert_eq!(seeds, vec![2]);
     }
 
@@ -707,8 +705,7 @@ mod tests {
             matrix: &others,
             ranks: &ranks,
         };
-        let seeds =
-            greedy_on_estimate(&mut est, 1, &ScoringFunction::Copeland, Some(comp), 0, None);
+        let seeds = greedy_on_estimate(&mut est, 1, &ScoringFunction::Copeland, Some(comp), None);
         assert_eq!(seeds.len(), 1);
         assert!(seeds[0] == 2 || seeds[0] == 3, "got {seeds:?}");
     }
@@ -720,7 +717,7 @@ mod tests {
         let gen = WalkGenerator::new(&g, &d, 1);
         let arena = gen.generate_per_node(&Lambda::Uniform(100), 17);
         let mut est = OpinionEstimator::new(&arena, &b0);
-        let seeds = greedy_on_estimate(&mut est, 2, &ScoringFunction::Cumulative, None, 0, None);
+        let seeds = greedy_on_estimate(&mut est, 2, &ScoringFunction::Cumulative, None, None);
         assert_eq!(seeds.len(), 2);
         assert_eq!(seeds, vec![0, 1], "deterministic smallest-id fill");
     }
@@ -735,7 +732,7 @@ mod tests {
         let mut est_a = OpinionEstimator::new(&arena, &b0);
         let mut est_b = OpinionEstimator::new(&arena, &b0);
         let a = greedy_masked_cumulative(&mut est_a, 3, &mask);
-        let b = greedy_on_estimate(&mut est_b, 3, &ScoringFunction::Cumulative, None, 0, None);
+        let b = greedy_on_estimate(&mut est_b, 3, &ScoringFunction::Cumulative, None, None);
         assert_eq!(a, b);
     }
 
@@ -750,16 +747,18 @@ mod tests {
         let index = RankIndex::build(&others, 0);
 
         // Gain of node 1 on the empty set: 0.
-        let mut scratch = DeltaScratch::default();
         let est0 = OpinionEstimator::new(&arena, &b0);
-        let acc0 = accumulator(&est0, &score, &index);
-        assert_eq!(candidate_gain(&est0, &acc0, &index, 1, &mut scratch), 0.0);
+        let acc0 = fresh(&est0, PositionalGains::new(&score, 4), &index).acc;
+        assert_eq!(
+            candidate_gain(&acc0, &index, &candidate_deltas(&est0)[1]),
+            0.0
+        );
 
         // Gain of node 1 once node 0 is seeded: 1 (user 2 flips).
         let mut est1 = OpinionEstimator::new(&arena, &b0);
         est1.add_seed(0);
-        let acc1 = accumulator(&est1, &score, &index);
-        let g1 = candidate_gain(&est1, &acc1, &index, 1, &mut scratch);
+        let acc1 = fresh(&est1, PositionalGains::new(&score, 4), &index).acc;
+        let g1 = candidate_gain(&acc1, &index, &candidate_deltas(&est1)[1]);
         assert!((g1 - 1.0).abs() < 0.1, "gain {g1}");
     }
 
@@ -819,7 +818,7 @@ mod tests {
             matrix: &others,
             ranks: &index,
         };
-        let seeds = greedy_on_estimate(&mut est, 3, &score, Some(comp), 0, None);
+        let seeds = greedy_on_estimate(&mut est, 3, &score, Some(comp), None);
         assert_eq!(seeds, ref_seeds);
     }
 
@@ -887,19 +886,22 @@ mod tests {
         })
     }
 
-    /// Each user's `(candidate, Δ bits)` pairs as the per-candidate
-    /// merge ([`OpinionEstimate::for_candidate_deltas`]) finds them over
-    /// the live walks, in ascending candidate order.
+    /// Each user's `(candidate, Δ bits)` pairs over the live walks, from
+    /// a fresh merge, in ascending candidate order.
     fn merged_pairs<E: OpinionEstimate>(est: &E) -> Vec<Vec<(Node, u64)>> {
-        let n = est.num_nodes() as Node;
-        let mut merged = vec![Vec::new(); n as usize];
-        let mut scratch = DeltaScratch::default();
-        for w in (0..n).filter(|&w| !est.is_seed(w)) {
-            est.for_candidate_deltas(w, &mut scratch, |v, d| {
-                merged[v as usize].push((w, d.to_bits()))
-            });
-        }
-        merged
+        let pairs = est.user_pairs();
+        (0..est.num_nodes() as Node)
+            .map(|v| {
+                let (cands, deltas) = pairs.user(v);
+                let mut list: Vec<(Node, u64)> = cands
+                    .iter()
+                    .zip(deltas)
+                    .map(|(&w, d)| (w, d.to_bits()))
+                    .collect();
+                list.sort_unstable();
+                list
+            })
+            .collect()
     }
 
     /// How often the replays in [`check_rank_loops`] met each state.
@@ -915,9 +917,9 @@ mod tests {
     /// The reference for the lazy rule: the changed users whose stale
     /// lists hold a non-own pair past the threshold, so the next pass
     /// must merge them again.
-    fn crossing_users(
+    fn crossing_users<A: RuleAccumulator>(
         pairs: &UserPairs,
-        acc: &PositionalAccumulator,
+        acc: &A,
         changed: impl Iterator<Item = Node>,
     ) -> Vec<Node> {
         let mut users: Vec<Node> = changed
@@ -932,17 +934,17 @@ mod tests {
         users
     }
 
-    /// After a gain pass, every user's list is fresh (bit-equal to the
-    /// per-candidate merge) or cold: the own pair opens the list with its
-    /// fresh delta, every fresh pair is listed with a stale delta at
-    /// least as large, and every fresh non-own move stays within the
-    /// user's threshold, so skipping it adds only `+0.0`. The users in
+    /// After a gain pass, every user's list is fresh (bit-equal to a
+    /// fresh merge) or cold: the own pair opens the list with its fresh
+    /// delta, every fresh pair is listed with a stale delta at least as
+    /// large, and every fresh non-own move stays within the user's
+    /// threshold, so skipping it adds only `+0.0`. The users in
     /// `crossing` must be fresh. Either way, the pairs the pass scores
     /// that cross the threshold are exactly the fresh ones that do.
-    fn check_fresh_or_cold<E: OpinionEstimate>(
+    fn check_fresh_or_cold<E: OpinionEstimate, A: RuleAccumulator>(
         est: &E,
         pairs: &UserPairs,
-        acc: &PositionalAccumulator,
+        acc: &A,
         crossing: &[Node],
         tally: &mut LazyTally,
     ) {
@@ -992,17 +994,54 @@ mod tests {
         }
     }
 
-    /// The user-major loop against the candidate-major reference on
-    /// estimators from `make` (fixed seeds applied): the same seeds and
-    /// per-iteration winning `(gain, cum)` bits. A replay of the loop's
-    /// passes and commits then checks every user fresh or cold after
+    /// `got` picks the seeds of `want` with the same `(gain, tie-break)`
+    /// bits per iteration.
+    fn assert_same_picks(rule: &str, got: &[Pick], want: &[Pick]) {
+        assert_eq!(got.len(), want.len(), "{rule}");
+        for (i, (g, w)) in got.iter().zip(want).enumerate() {
+            assert_eq!(g.0, w.0, "{rule} iteration {i}");
+            assert_eq!(g.1.to_bits(), w.1.to_bits(), "{rule} gain at {i}");
+            assert_eq!(g.2.to_bits(), w.2.to_bits(), "{rule} tie-break at {i}");
+        }
+    }
+
+    /// Replays the passes and commits of a greedy that picked `picks`
+    /// from `est` with `acc`, checking every user fresh or cold after
     /// each pass ([`check_fresh_or_cold`]).
-    fn check_rank_loops<E: OpinionEstimate>(
-        make: impl Fn() -> E,
+    fn replay_lazy_lists<E: OpinionEstimate, A: RuleAccumulator>(
+        mut est: E,
+        acc: A,
         index: &RankIndex,
+        picks: &[Pick],
         tally: &mut LazyTally,
     ) {
-        let k = make().num_nodes().min(8);
+        let mut acc = fresh(&est, acc, index);
+        let mut pairs = est.user_pairs();
+        let mut touched = Vec::new();
+        let mut crossing = Vec::new();
+        for &(w, _, _) in picks {
+            gain_pass(&est, &mut pairs, &mut acc, index);
+            check_fresh_or_cold(&est, &pairs, &acc, &crossing, tally);
+            commit(&mut est, &mut acc, &mut pairs, index, w, &mut touched);
+            crossing = crossing_users(&pairs, &acc, touched.iter().copied().chain([w]));
+        }
+        gain_pass(&est, &mut pairs, &mut acc, index);
+        check_fresh_or_cold(&est, &pairs, &acc, &crossing, tally);
+    }
+
+    /// The user-major loop against the candidate-major references on
+    /// estimators from `make` (fixed seeds applied), for the positional
+    /// rules (tallied in `tallies[0]`) and Copeland (`tallies[1]`): the
+    /// same seeds and per-iteration winning `(gain, tie-break)` bits,
+    /// then [`replay_lazy_lists`].
+    fn check_rank_loops<E: OpinionEstimate>(
+        make: impl Fn() -> E,
+        others: &OpinionMatrix,
+        index: &RankIndex,
+        tallies: &mut [LazyTally; 2],
+    ) {
+        let n = make().num_nodes();
+        let k = n.min(8);
         for score in [
             ScoringFunction::Plurality,
             ScoringFunction::PApproval { p: 2 },
@@ -1012,40 +1051,35 @@ mod tests {
             },
         ] {
             let want = candidate_major_picks(&mut make(), k, &score, index);
-            let got = rank_greedy(&mut make(), k, &score, index, None);
-            assert_eq!(got.len(), want.len(), "{score}");
-            for (i, (g, w)) in got.iter().zip(&want).enumerate() {
-                assert_eq!(g.0, w.0, "{score} iteration {i}");
-                assert_eq!(g.1.to_bits(), w.1.to_bits(), "{score} gain at {i}");
-                assert_eq!(g.2.to_bits(), w.2.to_bits(), "{score} cum at {i}");
-            }
-            let mut est = make();
-            let mut acc = accumulator(&est, &score, index);
-            let mut pairs = est.user_pairs();
-            let mut gains = vec![0.0; est.num_nodes()];
-            let mut touched = Vec::new();
-            let mut crossing = Vec::new();
-            for &(w, _, _) in &got {
-                gain_pass(&est, &mut pairs, &acc, index, &mut gains);
-                check_fresh_or_cold(&est, &pairs, &acc, &crossing, tally);
-                commit(&mut est, &mut acc, &mut pairs, index, w, &mut touched);
-                crossing = crossing_users(&pairs, &acc, touched.iter().copied().chain([w]));
-            }
-            gain_pass(&est, &mut pairs, &acc, index, &mut gains);
-            check_fresh_or_cold(&est, &pairs, &acc, &crossing, tally);
+            let got = rank_greedy(&mut make(), k, PositionalGains::new(&score, n), index, None);
+            assert_same_picks(&score.to_string(), &got, &want);
+            let acc = PositionalGains::new(&score, n);
+            replay_lazy_lists(make(), acc, index, &got, &mut tallies[0]);
         }
+        let want = copeland_candidate_major_picks(&mut make(), k, others, index.target());
+        let got = rank_greedy(&mut make(), k, WeightedCopeland::new(index), index, None);
+        assert_same_picks("Copeland", &got, &want);
+        replay_lazy_lists(
+            make(),
+            WeightedCopeland::new(index),
+            index,
+            &got,
+            &mut tallies[1],
+        );
     }
 
-    /// The user-major rank greedy picks the candidate-major loop's
-    /// seeds, with the same winning `(gain, cum)` bits per iteration,
-    /// over RW walks and RS sketches, and leaves every user fresh or
-    /// cold after each pass. 64 deterministic cases of
-    /// [`arb_rank_case`]; both estimators must reach the cold state and
-    /// the lazy rebuild somewhere among them.
+    /// The user-major greedy picks the candidate-major loops' seeds, with
+    /// the same winning `(gain, tie-break)` bits per iteration, for the
+    /// positional rules and Copeland over RW walks and RS sketches, and
+    /// leaves every user fresh or cold after each pass. 64 deterministic
+    /// cases of [`arb_rank_case`]; under each rule family, both
+    /// estimators must reach the cold state and the lazy rebuild
+    /// somewhere among them.
     #[test]
     fn user_major_rank_greedy_matches_candidate_major() {
         const NAME: &str = "user_major_rank_greedy_matches_candidate_major";
-        let (mut walks, mut sketches) = (LazyTally::default(), LazyTally::default());
+        let mut walks: [LazyTally; 2] = Default::default();
+        let mut sketches: [LazyTally; 2] = Default::default();
         for i in 0..64 {
             let case = arb_rank_case().generate(&mut proptest::TestRng::for_case(NAME, i));
             let guard = proptest::CaseGuard::new(NAME, i);
@@ -1060,6 +1094,7 @@ mod tests {
                     }
                     est
                 },
+                &case.others,
                 &index,
                 &mut walks,
             );
@@ -1079,15 +1114,21 @@ mod tests {
                     }
                     est
                 },
+                &case.others,
                 &index,
                 &mut sketches,
             );
             guard.disarm();
         }
-        eprintln!("lazy pair lists: walks {walks:?}, sketches {sketches:?}");
-        for (name, tally) in [("walks", &walks), ("sketches", &sketches)] {
-            assert!(tally.cold > 0, "{name}: no case reached the cold state");
-            assert!(tally.rebuilds > 0, "{name}: no case rebuilt a list");
+        eprintln!("lazy pair lists (positional, Copeland): walks {walks:?}, sketches {sketches:?}");
+        for (name, tallies) in [("walks", &walks), ("sketches", &sketches)] {
+            for (rule, tally) in ["positional", "Copeland"].iter().zip(tallies) {
+                assert!(
+                    tally.cold > 0,
+                    "{name}, {rule}: no case reached the cold state"
+                );
+                assert!(tally.rebuilds > 0, "{name}, {rule}: no case rebuilt a list");
+            }
         }
     }
 }

@@ -8,7 +8,7 @@ use vom_diffusion::OpinionMatrix;
 use vom_graph::{Candidate, Node, SocialGraph};
 use vom_voting::rank::beta_with_target;
 use vom_voting::ScoringFunction;
-use vom_walks::{DeltaScratch, OccurrenceIndex, Truncation, UserPairs, WalkArena, WalkGenerator};
+use vom_walks::{OccurrenceIndex, Truncation, UserPairs, WalkArena, WalkGenerator};
 
 /// θ reverse random walks from uniformly sampled starts, with incremental
 /// seed truncation (Algorithm 5 state).
@@ -345,32 +345,11 @@ impl SketchSet {
         gain
     }
 
-    /// Visits the merged per-user **pooled-estimate** deltas of one
-    /// candidate seed `w` — `(user, Δb̂_qv)` pairs in ascending user
-    /// order — without scanning any other candidate's sketches. Sketch
-    /// starts are sampled with replacement (not grouped), so the merge
-    /// goes through the caller's reusable [`DeltaScratch`].
-    pub fn for_candidate_deltas<F: FnMut(Node, f64)>(
-        &self,
-        w: Node,
-        scratch: &mut DeltaScratch,
-        mut visit: F,
-    ) {
-        if self.trunc.is_seed(w) {
-            return;
-        }
-        scratch.begin(self.n);
-        self.visit_candidate_walks(w, |_, start, g| {
-            scratch.add(start, g / self.start_count[start as usize] as f64);
-        });
-        scratch.drain_sorted(&mut visit);
-    }
-
     /// The merged pairs of every user over the current live sketches,
-    /// for the user-major rank greedy. One counting sort groups the
-    /// sketches by start, in sketch order within each start, so a pair
-    /// folds `gain/count_v` in the order [`SketchSet::for_candidate_deltas`]
-    /// merges it.
+    /// for the user-major competitive greedy. One counting sort groups
+    /// the sketches by start, in sketch order within each start, so a
+    /// pair folds `gain/count_v` in sketch order, as a scan over every
+    /// live prefix meets its terms.
     pub fn user_pairs(&self) -> UserPairs {
         let mut walk_off = vec![0usize; self.n + 1];
         for v in 0..self.n {
@@ -465,16 +444,16 @@ mod tests {
         (g, b0, d, exact)
     }
 
-    /// The reference for the per-candidate merges: per-(seed, user)
+    /// The reference for [`SketchSet::user_pairs`]: per-(seed, user)
     /// pooled-estimate deltas `(w, v, Δb̂_qv)` from one scan over every
     /// live prefix, sorted by seed and user, with a start's sketches
-    /// merged.
+    /// folded in sketch order (the sort is stable).
     fn pair_deltas(s: &SketchSet) -> Vec<(Node, Node, f64)> {
         let mut deltas = Vec::new();
         s.scan_prefixes(|w, start, gain| {
             deltas.push((w, start, gain / s.start_count[start as usize] as f64));
         });
-        deltas.sort_unstable_by_key(|&(w, v, _)| (w, v));
+        deltas.sort_by_key(|&(w, v, _)| (w, v));
         deltas.dedup_by(|b, a| {
             if (a.0, a.1) == (b.0, b.1) {
                 a.2 += b.2;
@@ -651,29 +630,25 @@ mod tests {
     }
 
     #[test]
-    fn per_candidate_deltas_match_pair_deltas() {
+    fn user_pairs_match_pair_deltas() {
         let (g, b0, d, _) = running_example();
         let mut s = SketchSet::generate(&g, &d, &b0, 3, 2_000, 67);
-        s.add_seed(0);
-        let all = pair_deltas(&s);
-        let mut scratch = DeltaScratch::default();
-        for w in 0..4u32 {
-            if s.is_seed(w) {
-                continue;
-            }
-            let mut got: Vec<(Node, f64)> = Vec::new();
-            s.for_candidate_deltas(w, &mut scratch, |user, delta| got.push((user, delta)));
-            let want: Vec<(Node, f64)> = all
-                .iter()
-                .filter(|d| d.0 == w)
-                .map(|d| (d.1, d.2))
+        for seed in [0, 2] {
+            let pairs = s.user_pairs();
+            let mut listed: Vec<(Node, Node, u64)> = (0..4)
+                .flat_map(|v| {
+                    let (cands, deltas) = pairs.user(v);
+                    let bits = deltas.iter().map(|d| d.to_bits());
+                    cands.iter().zip(bits).map(move |(&w, d)| (w, v, d))
+                })
                 .collect();
-            assert_eq!(got.len(), want.len(), "node {w}");
-            for (g, w_) in got.iter().zip(&want) {
-                assert_eq!(g.0, w_.0, "node {w}");
-                assert!((g.1 - w_.1).abs() < 1e-12, "{} vs {}", g.1, w_.1);
-            }
-            assert!(got.windows(2).all(|p| p[0].0 < p[1].0), "ascending users");
+            listed.sort_unstable();
+            let want: Vec<(Node, Node, u64)> = pair_deltas(&s)
+                .into_iter()
+                .map(|(w, v, d)| (w, v, d.to_bits()))
+                .collect();
+            assert_eq!(listed, want, "before seeding {seed}");
+            s.add_seed(seed);
         }
     }
 

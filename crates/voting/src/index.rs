@@ -20,9 +20,12 @@
 //! * [`CopelandAccumulator`] — the per-opponent pairwise nets of the
 //!   Copeland score as exact integers, updated per changed user in
 //!   `O(log r + crossed)` where `crossed` counts the competitor opinions
-//!   the user's new value moved past.
+//!   the user's new value moved past ([`RankIndex::for_each_crossed`]);
+//! * [`WeightedCopeland`] — the Copeland score of a weighted estimate
+//!   for the user-major greedy: per-duel weighted nets, and per candidate
+//!   the net changes its moves would make.
 //!
-//! Both accumulators reproduce the from-scratch evaluations bit for bit:
+//! The accumulators reproduce the from-scratch evaluations bit for bit:
 //! ranks are exact integer counts (a binary search counts the same set a
 //! linear scan does), positional contributions are the same
 //! `ω[β]·1[β ≤ p]` lookups, and the Copeland nets are integer sums the
@@ -30,7 +33,6 @@
 //! suite in `tests/properties_voting_index.rs` asserts this equivalence
 //! on random opinion matrices and arbitrary update sequences.
 
-use crate::rank::beta_with_target;
 use crate::score::ScoringFunction;
 use vom_diffusion::OpinionMatrix;
 use vom_graph::{Candidate, Node};
@@ -40,8 +42,9 @@ use vom_graph::{Candidate, Node};
 ///
 /// Built from the exact non-target opinion matrix for one target
 /// candidate `q` (the target's own row is ignored, as in
-/// [`beta_with_target`]). Immutable after construction; the prepared
-/// engines cache one per index and share it across query sessions.
+/// [`beta_with_target`](crate::rank::beta_with_target)). Immutable after
+/// construction; the prepared engines cache one per index and share it
+/// across query sessions.
 #[derive(Debug, Clone)]
 pub struct RankIndex {
     q: Candidate,
@@ -51,7 +54,7 @@ pub struct RankIndex {
     /// is `values[v·(r−1) .. (v+1)·(r−1)]`.
     values: Vec<f64>,
     /// The competitor candidate owning each sorted value (parallel to
-    /// `values`) — what the Copeland accumulator needs to know *which*
+    /// `values`) — what the Copeland accumulators need to know *which*
     /// duel a crossed value belongs to.
     owners: Vec<Candidate>,
 }
@@ -130,7 +133,8 @@ impl RankIndex {
 
     /// The rank `β` of the target for user `v` if the target's opinion
     /// were `value`: `1 + |{x ≠ q : b_xv ≥ value}|`, exactly as
-    /// [`beta_with_target`] counts it, in `O(log r)`.
+    /// [`beta_with_target`](crate::rank::beta_with_target) counts it, in
+    /// `O(log r)`.
     #[inline]
     pub fn rank(&self, v: Node, value: f64) -> usize {
         let vals = self.user_values(v);
@@ -158,9 +162,28 @@ impl RankIndex {
         }
     }
 
-    /// Sanity helper for tests: the linear-scan rank of the same query.
-    pub fn rank_linear(&self, others: &OpinionMatrix, v: Node, value: f64) -> usize {
-        beta_with_target(others, self.q, v, value)
+    /// The duel slot of opponent `x`: the opponents in ascending id
+    /// order, the target skipped.
+    #[inline]
+    fn duel(&self, x: Candidate) -> usize {
+        x - usize::from(x > self.q)
+    }
+
+    /// Visits the duels that user `v` changes when the target's opinion
+    /// moves from `old` to `new`: each duel's slot (the opponents in
+    /// ascending id order, the target skipped) and its non-zero change
+    /// `sign(new − b_xv) − sign(old − b_xv)`, ascending by competitor
+    /// value. `O(log r + crossed)`.
+    #[inline]
+    pub fn for_each_crossed(&self, v: Node, old: f64, new: f64, mut visit: impl FnMut(usize, i64)) {
+        let (vals, owners) = (self.user_values(v), self.user_owners(v));
+        let (lo, hi) = crossing_range(vals, old, new);
+        for i in lo..hi {
+            let change = sign(new, vals[i]) - sign(old, vals[i]);
+            if change != 0 {
+                visit(self.duel(owners[i]), change);
+            }
+        }
     }
 }
 
@@ -296,10 +319,7 @@ impl PositionalAccumulator {
 /// duels those values belong to change their net.
 #[derive(Debug, Clone)]
 pub struct CopelandAccumulator {
-    /// Dense opponent slot per candidate id (`usize::MAX` for the target).
-    slot: Vec<usize>,
-    /// Opponent candidate per slot.
-    opponents: Vec<Candidate>,
+    /// Net per duel slot ([`RankIndex::duel`]).
     nets: Vec<i64>,
     wins: usize,
     value: Vec<f64>,
@@ -321,38 +341,20 @@ impl CopelandAccumulator {
     /// target opinion (`values.len() == n`), in `O(n·r)`.
     pub fn new(index: &RankIndex, values: &[f64]) -> CopelandAccumulator {
         assert_eq!(values.len(), index.num_users(), "one value per user");
-        let r = index.num_candidates();
-        let opponents: Vec<Candidate> = (0..r).filter(|&x| x != index.target()).collect();
-        let mut slot = vec![usize::MAX; r];
-        for (i, &x) in opponents.iter().enumerate() {
-            slot[x] = i;
-        }
-        let mut nets = vec![0i64; opponents.len()];
+        let mut nets = vec![0i64; index.num_candidates() - 1];
         for v in 0..index.num_users() as Node {
             let b = values[v as usize];
             let owners = index.user_owners(v);
             for (&bx, &x) in index.user_values(v).iter().zip(owners) {
-                nets[slot[x]] += sign(b, bx);
+                nets[index.duel(x)] += sign(b, bx);
             }
         }
         let wins = nets.iter().filter(|&&s| s > 0).count();
         CopelandAccumulator {
-            slot,
-            opponents,
             nets,
             wins,
             value: values.to_vec(),
         }
-    }
-
-    /// The opponents, in duel-slot order.
-    pub fn opponents(&self) -> &[Candidate] {
-        &self.opponents
-    }
-
-    /// The exact integer net of duel slot `i`.
-    pub fn net(&self, i: usize) -> i64 {
-        self.nets[i]
     }
 
     /// The current Copeland score `|{x : net_x > 0}|`.
@@ -374,22 +376,16 @@ impl CopelandAccumulator {
             return;
         }
         self.value[v as usize] = new_value;
-        let (vals, owners) = (index.user_values(v), index.user_owners(v));
-        let (lo, hi) = crossing_range(vals, old, new_value);
-        for i in lo..hi {
-            let change = sign(new_value, vals[i]) - sign(old, vals[i]);
-            if change != 0 {
-                let s = self.slot[owners[i]];
-                let before = self.nets[s] > 0;
-                self.nets[s] += change;
-                let after = self.nets[s] > 0;
-                match (before, after) {
-                    (false, true) => self.wins += 1,
-                    (true, false) => self.wins -= 1,
-                    _ => {}
-                }
+        let (nets, wins) = (&mut self.nets, &mut self.wins);
+        index.for_each_crossed(v, old, new_value, |s, change| {
+            let before = nets[s] > 0;
+            nets[s] += change;
+            match (before, nets[s] > 0) {
+                (false, true) => *wins += 1,
+                (true, false) => *wins -= 1,
+                _ => {}
             }
-        }
+        });
     }
 
     /// The Copeland score if the users in `moves` (pairs of user and
@@ -408,22 +404,16 @@ impl CopelandAccumulator {
             if old == new_value {
                 continue;
             }
-            let (vals, owners) = (index.user_values(v), index.user_owners(v));
-            let (lo, hi) = crossing_range(vals, old, new_value);
-            for i in lo..hi {
-                let change = sign(new_value, vals[i]) - sign(old, vals[i]);
-                if change != 0 {
-                    let s = self.slot[owners[i]];
-                    // Membership must not key off `delta[s] == 0`: a
-                    // slot whose changes cancel mid-batch would be
-                    // re-pushed and double-counted in the tally.
-                    if !scratch.touched[s] {
-                        scratch.touched[s] = true;
-                        scratch.dirty.push(s);
-                    }
-                    scratch.delta[s] += change;
+            index.for_each_crossed(v, old, new_value, |s, change| {
+                // Membership must not key off `delta[s] == 0`: a slot
+                // whose changes cancel mid-batch would be re-pushed and
+                // double-counted in the tally.
+                if !scratch.touched[s] {
+                    scratch.touched[s] = true;
+                    scratch.dirty.push(s);
                 }
-            }
+                scratch.delta[s] += change;
+            });
         }
         let mut wins = self.wins as i64;
         for &s in &scratch.dirty {
@@ -433,6 +423,147 @@ impl CopelandAccumulator {
             }
         }
         wins as usize
+    }
+}
+
+/// The Copeland score of a weighted estimate, as the user-major greedy
+/// scores it: per user the target's estimated opinion, the user's weight
+/// and a threshold `τ`; per duel the weighted net
+/// `Σ_v w_v·sign(b_qv − b_xv)`; and per candidate a row of the net changes
+/// its moves make, one per duel.
+///
+/// `τ` marks exactly the moves that change a duel: a move of user `v` to
+/// `x ≥ value` crosses one iff `x > τ`. It is `+∞` when no competitor
+/// value is at or above the user's value, the value itself when one ties
+/// it, and otherwise the largest double below the nearest competitor value
+/// above it.
+#[derive(Debug, Clone)]
+pub struct WeightedCopeland {
+    /// Duels per user, `r − 1`.
+    width: usize,
+    value: Vec<f64>,
+    weight: Vec<f64>,
+    tau: Vec<f64>,
+    /// Weighted net per duel slot ([`RankIndex::duel`]).
+    nets: Vec<f64>,
+    /// How many nets are positive.
+    wins: usize,
+    /// `width` net changes per candidate.
+    rows: Vec<f64>,
+}
+
+impl WeightedCopeland {
+    /// An accumulator over `index`'s users and duels with every user at
+    /// weight 0.
+    pub fn new(index: &RankIndex) -> WeightedCopeland {
+        let (n, width) = (index.num_users(), index.num_candidates() - 1);
+        WeightedCopeland {
+            width,
+            value: vec![0.0; n],
+            weight: vec![0.0; n],
+            // A user never set has weight 0 and changes no net.
+            tau: vec![f64::INFINITY; n],
+            nets: vec![0.0; width],
+            wins: 0,
+            rows: vec![0.0; n * width],
+        }
+    }
+
+    /// Sets user `v`'s target opinion, weight and threshold (`O(log r)`).
+    pub fn set_user(&mut self, index: &RankIndex, v: Node, value: f64, weight: f64) {
+        let vals = index.user_values(v);
+        let i = v as usize;
+        self.value[i] = value;
+        self.weight[i] = weight;
+        self.tau[i] = match vals.get(vals.partition_point(|&x| x < value)) {
+            None => f64::INFINITY,
+            Some(&c) if c == value => value,
+            Some(&c) => next_down(c),
+        };
+    }
+
+    /// User `v`'s current target opinion.
+    #[inline]
+    pub fn value(&self, v: Node) -> f64 {
+        self.value[v as usize]
+    }
+
+    /// User `v`'s weight.
+    #[inline]
+    pub fn weight(&self, v: Node) -> f64 {
+        self.weight[v as usize]
+    }
+
+    /// User `v`'s threshold `τ`: a move to `x ≥ value(v)` changes a duel
+    /// iff `x > τ`.
+    #[inline]
+    pub fn threshold(&self, v: Node) -> f64 {
+        self.tau[v as usize]
+    }
+
+    /// Starts a pass: sums the nets afresh over the weighted users in
+    /// ascending user order, so their bits never depend on the update
+    /// history, and clears every row. `O(n·r)`.
+    pub fn begin_pass(&mut self, index: &RankIndex) {
+        self.nets.iter_mut().for_each(|s| *s = 0.0);
+        for v in 0..self.value.len() as Node {
+            let (b, w) = (self.value[v as usize], self.weight[v as usize]);
+            if w > 0.0 {
+                for (&bx, &x) in index.user_values(v).iter().zip(index.user_owners(v)) {
+                    let s = &mut self.nets[index.duel(x)];
+                    if b > bx {
+                        *s += w;
+                    } else if b < bx {
+                        *s -= w;
+                    }
+                }
+            }
+        }
+        self.wins = self.nets.iter().filter(|&&s| s > 0.0).count();
+        self.rows.iter_mut().for_each(|c| *c = 0.0);
+    }
+
+    /// Adds candidate `w`'s move of user `v` to `x ≥ value(v)` into `w`'s
+    /// row: `weight·(sign(x − b_xv) − sign(value − b_xv))` for each duel
+    /// it crosses.
+    #[inline]
+    pub fn add_move(&mut self, index: &RankIndex, v: Node, w: Node, x: f64) {
+        let (value, weight) = (self.value[v as usize], self.weight[v as usize]);
+        let row = &mut self.rows[w as usize * self.width..][..self.width];
+        index.for_each_crossed(v, value, x, |s, change| row[s] += weight * change as f64);
+    }
+
+    /// Candidate `w`'s net changes, in duel order.
+    fn row(&self, w: Node) -> &[f64] {
+        &self.rows[w as usize * self.width..][..self.width]
+    }
+
+    /// Candidate `w`'s gain in duels won after a pass:
+    /// `|{x : net_x + row_x > 0}| − wins`.
+    pub fn gain(&self, w: Node) -> f64 {
+        let nets = self.nets.iter().zip(self.row(w));
+        let won = nets.filter(|&(&s, &c)| s + c > 0.0).count();
+        won as f64 - self.wins as f64
+    }
+
+    /// Candidate `w`'s total net change, summed in duel order.
+    pub fn margin(&self, w: Node) -> f64 {
+        self.row(w).iter().sum()
+    }
+}
+
+/// The largest double below `x`, as `f64::next_down` (Rust 1.86) computes
+/// it: NaN and `−∞` map to themselves. A loaded snapshot can hold NaN
+/// competitor values.
+fn next_down(x: f64) -> f64 {
+    if x.is_nan() || x == f64::NEG_INFINITY {
+        x
+    } else if x == 0.0 {
+        -f64::from_bits(1)
+    } else if x > 0.0 {
+        f64::from_bits(x.to_bits() - 1)
+    } else {
+        f64::from_bits(x.to_bits() + 1)
     }
 }
 
@@ -556,7 +687,6 @@ mod tests {
             full.set(0, v, val);
             assert_eq!(acc.wins(), copeland_score(&full, 0), "after ({v}, {val})");
         }
-        assert_eq!(acc.opponents(), &[1, 2]);
     }
 
     #[test]
@@ -577,6 +707,24 @@ mod tests {
         let mut one = b.clone();
         one.set(0, 0, 1.0);
         assert_eq!(again, copeland_score(&one, 0));
+    }
+
+    #[test]
+    fn next_down_steps_one_double_down() {
+        let tiny = f64::from_bits(1);
+        for (x, below) in [
+            (1.0, 1.0 - f64::EPSILON / 2.0),
+            (-1.0, -1.0 - f64::EPSILON),
+            (0.0, -tiny),
+            (-0.0, -tiny),
+            (tiny, 0.0),
+            (f64::INFINITY, f64::MAX),
+            (f64::NEG_INFINITY, f64::NEG_INFINITY),
+        ] {
+            assert_eq!(next_down(x).to_bits(), below.to_bits(), "{x}");
+        }
+        assert!(next_down(f64::NAN).is_nan());
+        assert!(next_down(f64::from_bits(u64::MAX)).is_nan());
     }
 
     #[test]

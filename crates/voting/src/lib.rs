@@ -26,7 +26,9 @@ pub mod score;
 pub mod tally;
 
 pub use ext::{ext_winner, ExtendedRule, OpinionScore};
-pub use index::{CopelandAccumulator, CopelandScratch, PositionalAccumulator, RankIndex};
+pub use index::{
+    CopelandAccumulator, CopelandScratch, PositionalAccumulator, RankIndex, WeightedCopeland,
+};
 pub use rank::{beta, position_histogram};
 pub use score::{ScoreError, ScoringFunction};
 pub use tally::{condorcet_winner, tally, ElectionResult};

@@ -5,79 +5,18 @@ use crate::truncation::{OccurrenceIndex, Truncation};
 use std::sync::Arc;
 use vom_graph::Node;
 
-/// Reusable buffers for per-candidate delta merging on estimators whose
-/// walks are *not* grouped by start node (the sketch set samples starts
-/// with replacement): walk-order contributions are accumulated per user
-/// and then emitted in ascending user order. Per-node (grouped) arenas
-/// never touch it. Keep one per greedy loop and pass it to every
-/// `for_candidate_deltas` call — the buffers are epoch-reset, not
-/// reallocated.
-#[derive(Debug, Default)]
-pub struct DeltaScratch {
-    /// Per-user accumulated delta for the current candidate.
-    acc: Vec<f64>,
-    /// Epoch marks: `mark[v] == epoch` means `acc[v]` is live.
-    mark: Vec<u32>,
-    epoch: u32,
-    /// Users touched by the current candidate, in first-visit order.
-    dirty: Vec<Node>,
-}
-
-impl DeltaScratch {
-    /// Starts a new candidate evaluation over `n` users.
-    pub fn begin(&mut self, n: usize) {
-        if self.mark.len() != n {
-            self.acc.clear();
-            self.acc.resize(n, 0.0);
-            self.mark.clear();
-            self.mark.resize(n, 0);
-            self.epoch = 0;
-        }
-        self.dirty.clear();
-        self.epoch = self.epoch.wrapping_add(1);
-        if self.epoch == 0 {
-            // One lap of the u32 epoch: clear the marks and restart.
-            self.mark.iter_mut().for_each(|m| *m = 0);
-            self.epoch = 1;
-        }
-    }
-
-    /// Accumulates one walk's delta for `user` (walk order preserved
-    /// within a user).
-    #[inline]
-    pub fn add(&mut self, user: Node, delta: f64) {
-        let i = user as usize;
-        if self.mark[i] == self.epoch {
-            self.acc[i] += delta;
-        } else {
-            self.mark[i] = self.epoch;
-            self.acc[i] = delta;
-            self.dirty.push(user);
-        }
-    }
-
-    /// Emits the merged `(user, delta)` pairs in ascending user order.
-    pub fn drain_sorted(&mut self, mut visit: impl FnMut(Node, f64)) {
-        self.dirty.sort_unstable();
-        for &user in &self.dirty {
-            visit(user, self.acc[user as usize]);
-        }
-    }
-}
-
 /// Per-user merged `(candidate, Δb̂_qv)` pairs over an estimator's live
-/// walks: the user-major layout of the rank greedy
+/// walks: the user-major layout of the competitive greedy
 /// ([`OpinionEstimator::user_pairs`] and `SketchSet::user_pairs`).
 ///
 /// User `v`'s list holds one pair per candidate `w` that occurs in one
 /// of `v`'s live walks. Its delta folds the walks' deltas in walk order,
-/// starting from the first walk's term: the fold
-/// [`OpinionEstimator::for_candidate_deltas`] applies per user to `w`'s
-/// occurrences, so both layouts hold the same bits. Every walk of `v`
-/// starts at `v`, so the own pair (candidate `v`) is slot 0 of every
-/// non-empty list. Lists sit in per-user slots sized to the list at
-/// build time; a commit only kills walks, so a rebuilt list never
-/// outgrows its slot.
+/// starting from the first walk's term: the fold a scan over every live
+/// prefix makes per `(w, v)` in walk order, bit for bit (the unit tests'
+/// `pair_deltas`). Every walk of `v` starts at `v`, so the own pair
+/// (candidate `v`) is slot 0 of every non-empty list. Lists sit in
+/// per-user slots sized to the list at build time; a commit only kills
+/// walks, so a rebuilt list never outgrows its slot.
 ///
 /// Lists are brought up to date lazily. A commit marks the users it
 /// changed *touched* ([`UserPairs::touch`]). A touched list is stale,
@@ -550,7 +489,8 @@ impl<'a> OpinionEstimator<'a> {
     }
 
     /// The merged pairs of every user over the current live walks, for
-    /// the user-major rank greedy. A user's walks are its start group.
+    /// the user-major competitive greedy. A user's walks are its start
+    /// group.
     pub fn user_pairs(&self) -> UserPairs {
         let (_, _, groups) = self.arena.parts();
         let groups = groups.expect("grouped arena").to_vec();
@@ -600,40 +540,6 @@ impl<'a> OpinionEstimator<'a> {
         gain
     }
 
-    /// Visits the merged per-user estimate deltas of one candidate seed
-    /// `w` — `(user, Δb̂_qv)` pairs in ascending user order — without
-    /// scanning any other candidate's walks. Grouped arenas emit
-    /// straight off the occurrence list (walk order is start order);
-    /// `scratch` is only for API parity with the sketch estimator.
-    pub fn for_candidate_deltas<F: FnMut(Node, f64)>(
-        &self,
-        w: Node,
-        _scratch: &mut DeltaScratch,
-        mut visit: F,
-    ) {
-        if self.trunc.is_seed(w) {
-            return;
-        }
-        // Walks are grouped by start node in ascending node order, so
-        // occurrences arrive user-major: merge adjacent runs in place.
-        let mut current: Option<(Node, f64)> = None;
-        self.visit_candidate_walks(w, |_, start, g| {
-            let delta = g / self.lambda[start as usize] as f64;
-            match &mut current {
-                Some((user, acc)) if *user == start => *acc += delta,
-                _ => {
-                    if let Some((user, acc)) = current.take() {
-                        visit(user, acc);
-                    }
-                    current = Some((start, delta));
-                }
-            }
-        });
-        if let Some((user, acc)) = current {
-            visit(user, acc);
-        }
-    }
-
     /// Visits `(candidate seed w, walk start, walk-level gain)` for the
     /// first occurrence of every non-seed node `w` in every live prefix,
     /// where the walk-level gain is `1 − end_value` (what truncating that
@@ -672,15 +578,16 @@ mod tests {
         (g, b0, d)
     }
 
-    /// The reference for the per-candidate merges: per-(seed, user)
-    /// opinion deltas `(w, v, Δb̂_qv)` from one scan over every live
-    /// prefix, sorted by seed and user, with a user's walks merged.
+    /// The reference for [`OpinionEstimator::user_pairs`]: per-(seed,
+    /// user) opinion deltas `(w, v, Δb̂_qv)` from one scan over every live
+    /// prefix, sorted by seed and user, with a user's walks folded in walk
+    /// order (the sort is stable).
     fn pair_deltas(est: &OpinionEstimator<'_>) -> Vec<(Node, Node, f64)> {
         let mut deltas = Vec::new();
         est.scan_prefixes(|w, start, gain| {
             deltas.push((w, start, gain / est.lambda[start as usize] as f64));
         });
-        deltas.sort_unstable_by_key(|&(w, v, _)| (w, v));
+        deltas.sort_by_key(|&(w, v, _)| (w, v));
         deltas.dedup_by(|b, a| {
             if (a.0, a.1) == (b.0, b.1) {
                 a.2 += b.2;
@@ -841,31 +748,27 @@ mod tests {
     }
 
     #[test]
-    fn per_candidate_deltas_match_pair_deltas() {
+    fn user_pairs_match_pair_deltas() {
         let (g, b0, d) = running_example();
         let gen = WalkGenerator::new(&g, &d, 3);
         let arena = gen.generate_per_node(&Lambda::Uniform(300), 53);
         let mut est = OpinionEstimator::new(&arena, &b0);
-        est.add_seed(1);
-        let all = pair_deltas(&est);
-        let mut scratch = DeltaScratch::default();
-        for w in 0..4u32 {
-            if est.is_seed(w) {
-                continue;
-            }
-            let mut got: Vec<(Node, f64)> = Vec::new();
-            est.for_candidate_deltas(w, &mut scratch, |user, delta| got.push((user, delta)));
-            let want: Vec<(Node, f64)> = all
-                .iter()
-                .filter(|d| d.0 == w)
-                .map(|d| (d.1, d.2))
+        for seed in [1, 3] {
+            let pairs = est.user_pairs();
+            let mut listed: Vec<(Node, Node, u64)> = (0..4)
+                .flat_map(|v| {
+                    let (cands, deltas) = pairs.user(v);
+                    let bits = deltas.iter().map(|d| d.to_bits());
+                    cands.iter().zip(bits).map(move |(&w, d)| (w, v, d))
+                })
                 .collect();
-            assert_eq!(got.len(), want.len(), "node {w}");
-            for (g, w_) in got.iter().zip(&want) {
-                assert_eq!(g.0, w_.0);
-                assert!((g.1 - w_.1).abs() < 1e-12, "{} vs {}", g.1, w_.1);
-            }
-            assert!(got.windows(2).all(|p| p[0].0 < p[1].0), "ascending users");
+            listed.sort_unstable();
+            let want: Vec<(Node, Node, u64)> = pair_deltas(&est)
+                .into_iter()
+                .map(|(w, v, d)| (w, v, d.to_bits()))
+                .collect();
+            assert_eq!(listed, want, "before seeding {seed}");
+            est.add_seed(seed);
         }
     }
 

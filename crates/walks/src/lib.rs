@@ -60,7 +60,7 @@ pub mod lambda;
 pub mod truncation;
 
 pub use arena::{WalkArena, WalkArenaBuilder};
-pub use estimator::{DeltaScratch, OpinionEstimator, UserPairs};
+pub use estimator::{OpinionEstimator, UserPairs};
 pub use generator::{Lambda, WalkGenerator};
 pub use truncation::{OccurrenceIndex, Truncation};
 

@@ -4,8 +4,9 @@
 //! reproduce from-scratch `score_with_target_row` evaluations after
 //! arbitrary update sequences, for all four competitive scoring
 //! functions (plurality, p-approval, positional-p-approval, Copeland),
-//! and a positional accumulator's threshold `τ` must bound exactly the
-//! moves that leave a user's contribution unchanged.
+//! a positional accumulator's threshold `τ` must bound exactly the
+//! moves that leave a user's contribution unchanged, and the weighted
+//! Copeland accumulator's `τ` exactly the moves that cross a duel.
 
 use proptest::prelude::*;
 use vom::core::greedy::score_with_target_row;
@@ -14,6 +15,7 @@ use vom::graph::Node;
 use vom::voting::rank::beta_with_target;
 use vom::voting::{
     CopelandAccumulator, CopelandScratch, PositionalAccumulator, RankIndex, ScoringFunction,
+    WeightedCopeland,
 };
 
 /// Strategy: a random opinion matrix (r candidates × n users) plus a
@@ -192,5 +194,53 @@ proptest! {
                 }
             }
         }
+    }
+
+    #[test]
+    fn weighted_copeland_scores_exactly_the_crossing_moves(
+        (b, q) in arb_matrix(),
+        raw_moves in arb_updates(16),
+    ) {
+        let n = b.num_users();
+        let index = RankIndex::build(&b, q);
+        let mut acc = WeightedCopeland::new(&index);
+        for v in 0..n as Node {
+            acc.set_user(&index, v, b.get(q, v), 1.0);
+        }
+        // Whether moving user `v` from its own value to `x` changes a duel.
+        let crosses = |v: Node, x: f64| {
+            let mut crossed = false;
+            index.for_each_crossed(v, b.get(q, v), x, |_, _| crossed = true);
+            crossed
+        };
+        for v in 0..n as Node {
+            let (value, tau) = (acc.value(v), acc.threshold(v));
+            prop_assert!(tau >= value, "v={} τ={} below value {}", v, tau, value);
+            prop_assert!(!crosses(v, value));
+            if tau.is_finite() {
+                let above = f64::from_bits(tau.to_bits() + 1);
+                prop_assert!(!crosses(v, tau), "v={} τ={} crosses", v, tau);
+                prop_assert!(crosses(v, above), "v={} one ulp above τ={} does not cross", v, tau);
+            }
+        }
+        // Candidate 0 moves each listed user up once; a pass scores the
+        // moves past τ, and the gain is the exact rescore's change.
+        acc.begin_pass(&index);
+        let mut row: Vec<f64> = b.row(q).to_vec();
+        let mut seen = vec![false; n];
+        for (v, x) in raw_moves {
+            let v = v % n as Node;
+            let x = x.max(row[v as usize]);
+            if std::mem::replace(&mut seen[v as usize], true) {
+                continue;
+            }
+            prop_assert_eq!(x > acc.threshold(v), crosses(v, x), "v={} x={}", v, x);
+            if x > acc.threshold(v) {
+                acc.add_move(&index, v, 0, x);
+            }
+            row[v as usize] = x;
+        }
+        let copeland = |row: &[f64]| score_with_target_row(&ScoringFunction::Copeland, &b, q, row);
+        prop_assert_eq!(acc.gain(0), copeland(&row) - copeland(b.row(q)));
     }
 }
