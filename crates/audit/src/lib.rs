@@ -11,11 +11,11 @@
 //!   break that: partial float orderings (`partial_cmp`), hash-order
 //!   iteration (`HashMap`/`HashSet`), and ambient reads (`Instant`,
 //!   `SystemTime`, `std::env`) in result-producing code.
-//! * **Unsafe safety** — the zero-copy snapshot path (`vom-persist`)
-//!   holds the workspace's only `unsafe` code. The S-lints require a
-//!   `SAFETY:` proof at every site, strict crate-level hygiene
-//!   attributes, and confine `unsafe impl Pod` to provably padding-free
-//!   primitives.
+//! * **Unsafe safety** — the workspace holds no `unsafe` code. The
+//!   S-lints require `#![forbid(unsafe_code)]` at every unsafe-free
+//!   crate root, strict hygiene attributes and a `SAFETY:` proof at
+//!   every site wherever `unsafe` appears, and confine `unsafe impl Pod`
+//!   to provably padding-free primitives.
 //!
 //! The scanner is a hand-rolled, comment/string-aware token lexer (no
 //! crates.io access, so no `syn`); it runs in milliseconds over the

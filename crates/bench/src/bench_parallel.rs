@@ -36,7 +36,7 @@ use std::sync::Arc;
 use std::time::Duration;
 use vom_core::engine::{BuildCounters, PreparedIndex, Query, RuleClass, SelectionMode};
 use vom_core::phases::{self, PhaseTimes, SolverCounters};
-use vom_core::{IndexSource, MethodId, Problem};
+use vom_core::{MethodId, Problem};
 use vom_datasets::Dataset;
 use vom_graph::Node;
 use vom_service::{ServiceRequest, VomService};
@@ -171,7 +171,7 @@ fn prepare_method(
 ) -> Result<crate::PreparedMethod> {
     if let Some(dir) = &cfg.load_index {
         let path = snapshot_path(dir, ds.name, m, score, k_max, cfg.default_t());
-        match PreparedIndex::load(Arc::new(ds.instance.clone()), IndexSource::File(&path)) {
+        match PreparedIndex::load(Arc::new(ds.instance.clone()), &path) {
             Ok(index) => return Ok(crate::PreparedMethod::from_index(m, Arc::new(index))),
             Err(e) => {
                 eprintln!(

@@ -66,7 +66,7 @@ pub use engine::{
     RuleClass, SeedSelector, SelectionMode, SelectionResult, SessionScratch,
 };
 pub use error::CoreError;
-pub use persist::{graph_digest, spec_digest, IndexSource};
+pub use persist::{graph_digest, spec_digest};
 pub use phases::{CostBudget, CostMeter};
 pub use problem::{Problem, ProblemSpec};
 pub use registry::{MethodDescriptor, MethodId, METHOD_REGISTRY};

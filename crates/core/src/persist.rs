@@ -5,9 +5,9 @@
 //! their build on — DM's CELF prefix order, RW's walk arenas and γ*,
 //! RS's sketch arenas — together with every exact-matrix cache that
 //! happens to be materialized (competitor opinions, seedless opinions,
-//! sandwich upper-bound orders). Large arrays are written verbatim in the
-//! `vom-persist` section format, so saving is a straight copy of the
-//! existing flat buffers.
+//! sandwich upper-bound orders). Large arrays are written as flat
+//! little-endian sections of the `vom-persist` format, and a load moves
+//! each decoded section into the index it rebuilds.
 //!
 //! A file stores a section only if rebuilding it costs more than a linear
 //! pass over data the file holds anyway. Everything else is derived on
@@ -22,12 +22,12 @@
 //! the actual build outputs, and everything the snapshot does not carry
 //! (a rule class never queried before the save, say) is lazily built on
 //! first use exactly as on a fresh index. The stored sections are trusted
-//! caches: loads check their shapes and node ranges, so a forged one can
-//! make its own index answer wrongly but never panic, and no section
-//! reaches another index. The file's graph digest must match the instance
-//! the caller supplies — a snapshot can never be silently applied to a
-//! different graph — and any corruption fails closed with a typed
-//! [`PersistError`], leaving the caller to fall back to a rebuild.
+//! caches: loads check their shapes, node ranges and opinion ranges, so a
+//! forged one can make its own index answer wrongly but never panic, and
+//! no section reaches another index. The file's graph digest must match
+//! the instance the caller supplies — a snapshot can never be silently
+//! applied to a different graph — and any corruption fails closed with a
+//! typed [`PersistError`], leaving the caller to fall back to a rebuild.
 
 use crate::engine::{DmIndex, IndexBackend, PreparedIndex, RsIndex, RwArena, RwIndex};
 use crate::problem::ProblemSpec;
@@ -40,7 +40,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 use vom_diffusion::{Instance, OpinionMatrix};
 use vom_graph::Node;
-use vom_persist::{Digest, FlatBuf, LoadMode, PersistError, Result, Snapshot, SnapshotWriter};
+use vom_persist::{Digest, PersistError, Result, Snapshot, SnapshotWriter};
 use vom_sketch::SketchSet;
 use vom_voting::ScoringFunction;
 use vom_walks::WalkArena;
@@ -97,27 +97,6 @@ pub mod kind {
     pub const SK_NODES: u32 = 51;
     /// `usize` sketch walk-arena offsets; `id` = slot.
     pub const SK_OFFSETS: u32 = 52;
-}
-
-/// Where a snapshot's bytes come from and how long they live.
-#[derive(Debug, Clone, Copy)]
-pub enum IndexSource<'a> {
-    /// One contiguous read into an owned buffer; sections are decoded
-    /// into owned arrays and the buffer is freed after the load.
-    File(&'a Path),
-    /// One contiguous read into a buffer kept for the process lifetime
-    /// (the mmap-ready mode): sections are borrowed zero-copy where the
-    /// target's memory layout matches the disk layout.
-    Mapped(&'a Path),
-}
-
-impl<'a> IndexSource<'a> {
-    fn open(self) -> Result<Snapshot> {
-        match self {
-            IndexSource::File(path) => Snapshot::open(path, LoadMode::Copy),
-            IndexSource::Mapped(path) => Snapshot::open(path, LoadMode::MapStatic),
-        }
-    }
 }
 
 /// Fingerprint of everything a snapshot's artifacts depend on in the
@@ -385,7 +364,7 @@ pub fn load_snapshot(instance: Arc<Instance>, snap: &Snapshot) -> Result<Prepare
             got: snap.graph_digest(),
         });
     }
-    let meta = snap.scalars(kind::META, 0)?;
+    let meta = snap.section::<u64>(kind::META, 0)?;
     if meta.len() < 9 {
         return Err(PersistError::BadValue {
             what: "meta section",
@@ -401,9 +380,7 @@ pub fn load_snapshot(instance: Arc<Instance>, snap: &Snapshot) -> Result<Prepare
             what: "candidate count",
         });
     }
-    let weights = snap
-        .maybe_section::<f64>(kind::SCORE_WEIGHTS, 0)?
-        .map(|w| w.as_slice().to_vec());
+    let weights = snap.maybe_section::<f64>(kind::SCORE_WEIGHTS, 0)?;
     let score = decode_score(meta[5], meta[6], weights)?;
     let spec = ProblemSpec::new(
         instance,
@@ -425,28 +402,14 @@ pub fn load_snapshot(instance: Arc<Instance>, snap: &Snapshot) -> Result<Prepare
         });
     }
 
-    let others = snap
-        .maybe_section::<f64>(kind::OTHERS, 0)?
-        .map(|m| OpinionMatrix::from_flat(r, n, m.as_slice().to_vec()))
-        .transpose()
-        .map_err(|e| PersistError::BadValue {
-            what: "competitor opinions",
-            detail: e.to_string(),
-        })?;
-    let seedless = snap
-        .maybe_section::<f64>(kind::SEEDLESS, 0)?
-        .map(|m| OpinionMatrix::from_flat(r, n, m.as_slice().to_vec()))
-        .transpose()
-        .map_err(|e| PersistError::BadValue {
-            what: "seedless opinions",
-            detail: e.to_string(),
-        })?;
+    let others = load_opinions(snap, kind::OTHERS, "competitor opinions", r, n)?;
+    let seedless = load_opinions(snap, kind::SEEDLESS, "seedless opinions", r, n)?;
     let mut upper = Vec::new();
     if let Some(keys) = snap.maybe_section::<u64>(kind::UPPER_KEYS, 0)? {
         for (i, &key) in keys.iter().enumerate() {
             let order = snap.section::<u32>(kind::UPPER_ORDER, i as u64)?;
             check_nodes("sandwich upper order", &order, n)?;
-            upper.push((key as usize, order.as_slice().to_vec()));
+            upper.push((key as usize, order));
         }
     }
 
@@ -475,13 +438,33 @@ pub fn load_snapshot(instance: Arc<Instance>, snap: &Snapshot) -> Result<Prepare
     ))
 }
 
+/// Loads an `r × n` opinion matrix section, if present; every opinion
+/// must lie in `[0, 1]`, as every rule's tally assumes.
+fn load_opinions(
+    snap: &Snapshot,
+    kind: u32,
+    what: &'static str,
+    r: usize,
+    n: usize,
+) -> Result<Option<OpinionMatrix>> {
+    let Some(data) = snap.maybe_section::<f64>(kind, 0)? else {
+        return Ok(None);
+    };
+    OpinionMatrix::from_flat(r, n, data)
+        .and_then(|m| m.validate().map(|()| Some(m)))
+        .map_err(|e| PersistError::BadValue {
+            what,
+            detail: e.to_string(),
+        })
+}
+
 /// DM runs on the target candidate's own system, which every other index
 /// over the instance shares; the file holds only the CELF order.
 fn load_dm(snap: &Snapshot, spec: &ProblemSpec) -> Result<DmIndex> {
     let cum_order = OnceLock::new();
     if let Some(order) = snap.maybe_section::<u32>(kind::DM_CUM_ORDER, 0)? {
         check_nodes("cumulative CELF order", &order, spec.instance.num_nodes())?;
-        let _ = cum_order.set(Arc::new(order.as_slice().to_vec()));
+        let _ = cum_order.set(Arc::new(order));
     }
     Ok(DmIndex {
         system: Arc::clone(spec.instance.candidate(spec.target).system()),
@@ -496,7 +479,7 @@ fn load_arena(
     snap: &Snapshot,
     nodes_kind: u32,
     offsets_kind: u32,
-    groups: Option<FlatBuf<usize>>,
+    groups: Option<Vec<usize>>,
     id: u64,
     n: usize,
 ) -> Result<WalkArena> {
@@ -508,7 +491,7 @@ fn load_arena(
 
 fn load_rw(snap: &Snapshot, spec: &ProblemSpec) -> Result<RwIndex> {
     let n = spec.instance.num_nodes();
-    let cfgw = snap.scalars(kind::RW_CFG, 0)?;
+    let cfgw = snap.section::<u64>(kind::RW_CFG, 0)?;
     if cfgw.len() != 6 {
         return Err(PersistError::BadValue {
             what: "rw config",
@@ -539,7 +522,7 @@ fn load_rw(snap: &Snapshot, spec: &ProblemSpec) -> Result<RwIndex> {
                 detail: format!("{} values, need {n} positive ones", g.len()),
             });
         }
-        let _ = gammas.set(g.as_slice().to_vec());
+        let _ = gammas.set(g);
     }
     let arenas = [OnceLock::new(), OnceLock::new(), OnceLock::new()];
     let mut loaded = 0;
@@ -577,7 +560,7 @@ fn load_rw(snap: &Snapshot, spec: &ProblemSpec) -> Result<RwIndex> {
 /// slot, or a query of its class would sample that many sketches.
 fn load_rs(snap: &Snapshot, spec: &ProblemSpec) -> Result<RsIndex> {
     let initial = &spec.instance.candidate(spec.target).initial;
-    let cfgw = snap.scalars(kind::RS_CFG, 0)?;
+    let cfgw = snap.section::<u64>(kind::RS_CFG, 0)?;
     if cfgw.len() != 5 {
         return Err(PersistError::BadValue {
             what: "rs config",
@@ -614,7 +597,7 @@ fn load_rs(snap: &Snapshot, spec: &ProblemSpec) -> Result<RsIndex> {
         sketches.push((sketch.theta(), Arc::new(sketch)));
         slot += 1;
     }
-    let theta_words = snap.scalars(kind::RS_THETAS, 0)?;
+    let theta_words = snap.section::<u64>(kind::RS_THETAS, 0)?;
     if theta_words.len() != 3 {
         return Err(PersistError::BadValue {
             what: "rs thetas",
@@ -654,14 +637,15 @@ impl PreparedIndex {
         snapshot_writer(self)?.write_to(path)
     }
 
-    /// Loads an index snapshot against `instance`, which must
-    /// digest-match the instance the snapshot was saved from. The loaded
-    /// index is a full [`PreparedIndex`] — `Send + Sync`, queryable from
-    /// any number of sessions — and answers every query bit-identically
-    /// to the index it was saved from.
-    pub fn load(instance: Arc<Instance>, source: IndexSource<'_>) -> Result<PreparedIndex> {
-        let snap = source.open()?;
-        load_snapshot(instance, &snap)
+    /// Loads the index snapshot file at `path` against `instance`, which
+    /// must digest-match the instance the snapshot was saved from. The
+    /// loaded index is a full [`PreparedIndex`] — `Send + Sync`, queryable
+    /// from any number of sessions — and answers every query
+    /// bit-identically to the index it was saved from. A caller that has
+    /// already opened the file passes its [`Snapshot`] to
+    /// [`load_snapshot`].
+    pub fn load(instance: Arc<Instance>, path: &Path) -> Result<PreparedIndex> {
+        load_snapshot(instance, &Snapshot::open(path)?)
     }
 }
 
@@ -691,7 +675,7 @@ mod tests {
 
     fn round_trip(index: &PreparedIndex, instance: Arc<Instance>) -> PreparedIndex {
         let bytes = snapshot_writer(index).unwrap().to_bytes();
-        let snap = Snapshot::from_bytes(bytes, LoadMode::Copy).unwrap();
+        let snap = Snapshot::from_bytes(bytes).unwrap();
         load_snapshot(instance, &snap).unwrap()
     }
 
@@ -759,7 +743,7 @@ mod tests {
             ProblemSpec::new(Arc::clone(&inst), 0, 1, 1, ScoringFunction::Cumulative).unwrap();
         let built = Engine::Dm.prepare_spec(spec).unwrap();
         let bytes = snapshot_writer(&built).unwrap().to_bytes();
-        let snap = Snapshot::from_bytes(bytes, LoadMode::Copy).unwrap();
+        let snap = Snapshot::from_bytes(bytes).unwrap();
         let other = {
             let g =
                 Arc::new(graph_from_edges(4, &[(0, 2, 1.0), (1, 2, 0.5), (2, 3, 1.0)]).unwrap());
@@ -787,13 +771,11 @@ mod tests {
         let built = Arc::new(Engine::Dm.prepare_spec(spec).unwrap());
         let want = QuerySession::new(Arc::clone(&built)).select_k(2).unwrap();
         built.save(&path).unwrap();
-        for source in [IndexSource::File(&path), IndexSource::Mapped(&path)] {
-            let loaded = Arc::new(PreparedIndex::load(Arc::clone(&inst), source).unwrap());
-            assert_eq!(loaded.method_id(), MethodId::Dm);
-            let got = QuerySession::new(Arc::clone(&loaded)).select_k(2).unwrap();
-            assert_eq!(want.seeds, got.seeds);
-            assert_eq!(want.exact_score.to_bits(), got.exact_score.to_bits());
-        }
+        let loaded = Arc::new(PreparedIndex::load(Arc::clone(&inst), &path).unwrap());
+        assert_eq!(loaded.method_id(), MethodId::Dm);
+        let got = QuerySession::new(Arc::clone(&loaded)).select_k(2).unwrap();
+        assert_eq!(want.seeds, got.seeds);
+        assert_eq!(want.exact_score.to_bits(), got.exact_score.to_bits());
         std::fs::remove_file(&path).unwrap();
     }
 
@@ -810,7 +792,7 @@ mod tests {
         let at = bytes.len() - 9;
         flipped[at] ^= 0x01;
         assert!(matches!(
-            Snapshot::from_bytes(flipped, LoadMode::Copy).unwrap_err(),
+            Snapshot::from_bytes(flipped).unwrap_err(),
             PersistError::DigestMismatch {
                 what: "payload",
                 ..
@@ -818,14 +800,14 @@ mod tests {
         ));
         // Truncated file.
         assert!(matches!(
-            Snapshot::from_bytes(bytes[..bytes.len() / 2].to_vec(), LoadMode::Copy).unwrap_err(),
+            Snapshot::from_bytes(bytes[..bytes.len() / 2].to_vec()).unwrap_err(),
             PersistError::Truncated { .. } | PersistError::DigestMismatch { .. }
         ));
         // Version bump.
         let mut bumped = bytes.clone();
         bumped[8..16].copy_from_slice(&(vom_persist::FORMAT_VERSION + 1).to_le_bytes());
         assert!(matches!(
-            Snapshot::from_bytes(bumped, LoadMode::Copy).unwrap_err(),
+            Snapshot::from_bytes(bumped).unwrap_err(),
             PersistError::UnsupportedVersion { .. }
         ));
     }
@@ -846,7 +828,7 @@ mod tests {
                 let mut old = bytes.clone();
                 old[8..16].copy_from_slice(&version.to_le_bytes());
                 assert_eq!(
-                    Snapshot::from_bytes(old, LoadMode::Copy).unwrap_err(),
+                    Snapshot::from_bytes(old).unwrap_err(),
                     PersistError::UnsupportedVersion {
                         got: version,
                         want: 4
@@ -893,7 +875,7 @@ mod tests {
         bytes[horizon_at..horizon_at + 8].copy_from_slice(&7u64.to_le_bytes());
         let digest = vom_persist::fnv1a(&bytes[vom_persist::HEADER_BYTES..]);
         bytes[16..24].copy_from_slice(&digest.to_le_bytes());
-        let snap = Snapshot::from_bytes(bytes, LoadMode::Copy).unwrap();
+        let snap = Snapshot::from_bytes(bytes).unwrap();
         assert!(matches!(
             err_of(load_snapshot(Arc::clone(&inst), &snap)),
             PersistError::DigestMismatch { what: "spec", .. }

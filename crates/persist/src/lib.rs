@@ -1,8 +1,8 @@
-#![deny(unsafe_op_in_unsafe_fn)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 //! # vom-persist
 //!
-//! Versioned, digest-validated, zero-copy on-disk snapshot format for
+//! Versioned, digest-validated on-disk snapshot format for
 //! prepared-index artifacts (DESIGN.md §3e).
 //!
 //! A snapshot file is:
@@ -20,16 +20,13 @@
 //! payload: 8-byte-aligned flat sections, zero-padded between sections
 //! ```
 //!
-//! Sections hold plain element arrays ([`Pod`] types) written verbatim in
-//! little-endian order — saving an index serializes its existing flat
-//! buffers with no per-element transformation, and loading on a
-//! little-endian 64-bit target can borrow the file region directly
-//! ([`FlatBuf::Static`]) instead of copying. The whole file is read with
-//! one contiguous `read_exact` into an 8-byte-aligned buffer
-//! ([`AlignedBuf`]); under [`LoadMode::MapStatic`] that buffer is leaked
-//! (the `std`-only stand-in for an `mmap` region — the borrow seam is the
-//! same, so a real mapping can be swapped in behind [`Snapshot`] without
-//! touching callers).
+//! Sections hold plain element arrays ([`Pod`] types), each element in
+//! its fixed-width little-endian encoding. A save encodes each of an
+//! index's flat buffers into one pre-sized byte buffer. A load reads the
+//! whole file into one owned buffer, validates it, and decodes each
+//! section it asks for into an owned `Vec`. Every section starts on an
+//! 8-byte boundary: that is part of the format, and an entry off it is
+//! rejected as malformed input.
 //!
 //! Every load validates the magic, format version, section bounds and the
 //! payload digest before any section is handed out: corruption fails
@@ -39,7 +36,6 @@
 use std::fmt;
 use std::fs::File;
 use std::io::{Read, Write};
-use std::ops::Deref;
 use std::path::Path;
 
 /// `"VOMPIDX1"` interpreted as a little-endian `u64`.
@@ -252,307 +248,72 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
 // Pod element types
 // ---------------------------------------------------------------------------
 
-/// A plain element type a snapshot section can hold.
-///
-/// On-disk encoding is little-endian with a fixed per-element width. When
-/// the in-memory representation matches the disk representation on this
-/// target (`cast_compatible`), whole sections are written with one
-/// `memcpy` and loaded zero-copy; otherwise a per-element convert-copy
-/// fallback runs (big-endian or 32-bit targets).
-///
-/// # Safety
-///
-/// Implementors must be `Copy` types with no padding and no invalid bit
-/// patterns, so that casting an aligned byte region to `&[Self]` is sound
-/// whenever `cast_compatible()` returns true.
-pub unsafe trait Pod: Copy + Send + Sync + 'static {
+/// A plain element type a snapshot section can hold, encoded on disk
+/// little-endian with a fixed per-element width.
+pub trait Pod: Copy + Send + Sync + 'static {
     /// Bytes per element on disk.
     const WIDTH: usize;
     /// Element name for error messages.
     const NAME: &'static str;
-    /// Whether `&[u8] -> &[Self]` casting is sound on this target
-    /// (little-endian and matching element width).
-    fn cast_compatible() -> bool;
-    /// Appends `values` to `out` in the on-disk encoding.
-    fn append_le(values: &[Self], out: &mut Vec<u8>);
-    /// Decodes a byte region (length already validated as a multiple of
-    /// [`Pod::WIDTH`]) into owned elements.
-    fn decode_le(bytes: &[u8]) -> Vec<Self>;
+    /// Writes `self` into `out` (exactly [`Pod::WIDTH`] bytes).
+    fn write_le(self, out: &mut [u8]);
+    /// Reads one element from `bytes` (exactly [`Pod::WIDTH`] bytes).
+    fn read_le(bytes: &[u8]) -> Self;
 }
 
-/// Casts an aligned little-endian byte region to `&[T]`.
-///
-/// # Safety
-///
-/// The caller must check `T::cast_compatible()` (in-memory layout equals
-/// the on-disk little-endian layout), that `bytes.len()` is a multiple
-/// of `T::WIDTH`, and that `bytes.as_ptr()` is aligned to
-/// `align_of::<T>()`.
-unsafe fn cast_slice<T: Pod>(bytes: &[u8]) -> &[T] {
-    // SAFETY: caller upholds alignment, length divisibility and layout
-    // compatibility (see this function's `# Safety` contract); every
-    // `Pod` type additionally guarantees no padding and no invalid bit
-    // patterns, so any byte content is a valid `[T]`.
-    unsafe { std::slice::from_raw_parts(bytes.as_ptr() as *const T, bytes.len() / T::WIDTH) }
-}
-
-macro_rules! pod_numeric {
-    ($t:ty, $name:literal) => {
-        // SAFETY: instantiated only for fixed-width unsigned integer
-        // primitives (u8/u32/u64) — Copy, no padding, every bit pattern
-        // valid — so casting aligned bytes to `&[$t]` is sound whenever
-        // `cast_compatible()` (little-endian target) holds.
-        unsafe impl Pod for $t {
+// The encode and decode methods are `#[inline]`: sections run them once
+// per element, in loops that the calling crates instantiate.
+macro_rules! pod_int {
+    ($t:ty) => {
+        impl Pod for $t {
             const WIDTH: usize = std::mem::size_of::<$t>();
-            const NAME: &'static str = $name;
+            const NAME: &'static str = stringify!($t);
 
-            fn cast_compatible() -> bool {
-                cfg!(target_endian = "little")
+            #[inline]
+            fn write_le(self, out: &mut [u8]) {
+                out.copy_from_slice(&self.to_le_bytes());
             }
 
-            fn append_le(values: &[Self], out: &mut Vec<u8>) {
-                if Self::cast_compatible() {
-                    // One memcpy: in-memory layout equals disk layout.
-                    // SAFETY: `values` is a live, initialized slice; a
-                    // `*const u8` view of it is always aligned, and
-                    // `len * WIDTH` equals its exact byte length.
-                    out.extend_from_slice(unsafe {
-                        std::slice::from_raw_parts(
-                            values.as_ptr() as *const u8,
-                            values.len() * Self::WIDTH,
-                        )
-                    });
-                } else {
-                    for v in values {
-                        out.extend_from_slice(&v.to_le_bytes());
-                    }
-                }
-            }
-
-            fn decode_le(bytes: &[u8]) -> Vec<Self> {
-                bytes
-                    .chunks_exact(Self::WIDTH)
-                    .map(|c| Self::from_le_bytes(c.try_into().expect("chunk width")))
-                    .collect()
+            #[inline]
+            fn read_le(bytes: &[u8]) -> Self {
+                Self::from_le_bytes(bytes.try_into().expect("element width"))
             }
         }
     };
 }
 
-pod_numeric!(u8, "u8");
-pod_numeric!(u32, "u32");
-pod_numeric!(u64, "u64");
+pod_int!(u8);
+pod_int!(u32);
+pod_int!(u64);
 
-// SAFETY: `f64` is a Copy primitive with no padding and no invalid bit
-// patterns (every 64-bit pattern is some float, NaNs included), so the
-// aligned byte→slice cast is sound on little-endian targets.
-unsafe impl Pod for f64 {
+impl Pod for f64 {
     const WIDTH: usize = 8;
     const NAME: &'static str = "f64";
 
-    fn cast_compatible() -> bool {
-        cfg!(target_endian = "little")
+    #[inline]
+    fn write_le(self, out: &mut [u8]) {
+        self.to_bits().write_le(out);
     }
 
-    fn append_le(values: &[Self], out: &mut Vec<u8>) {
-        if Self::cast_compatible() {
-            // SAFETY: live initialized slice viewed as bytes; `u8` has
-            // alignment 1 and `len * 8` is the slice's exact byte length.
-            out.extend_from_slice(unsafe {
-                std::slice::from_raw_parts(values.as_ptr() as *const u8, values.len() * 8)
-            });
-        } else {
-            for v in values {
-                out.extend_from_slice(&v.to_bits().to_le_bytes());
-            }
-        }
-    }
-
-    fn decode_le(bytes: &[u8]) -> Vec<Self> {
-        bytes
-            .chunks_exact(8)
-            .map(|c| f64::from_bits(u64::from_le_bytes(c.try_into().expect("chunk width"))))
-            .collect()
+    #[inline]
+    fn read_le(bytes: &[u8]) -> Self {
+        f64::from_bits(u64::read_le(bytes))
     }
 }
 
-// `usize` is stored on disk as `u64`; zero-copy only on 64-bit LE targets.
-// SAFETY: `usize` is a Copy integer primitive (no padding, all bit
-// patterns valid); `cast_compatible()` additionally requires
-// `size_of::<usize>() == 8` so the in-memory width matches the on-disk
-// `u64` width before any cast happens.
-unsafe impl Pod for usize {
+/// `usize` travels as a `u64`.
+impl Pod for usize {
     const WIDTH: usize = 8;
     const NAME: &'static str = "usize";
 
-    fn cast_compatible() -> bool {
-        cfg!(target_endian = "little") && std::mem::size_of::<usize>() == 8
-    }
-
-    fn append_le(values: &[Self], out: &mut Vec<u8>) {
-        if Self::cast_compatible() {
-            // SAFETY: live initialized slice viewed as bytes; `u8` has
-            // alignment 1 and `len * 8` is the slice's exact byte length
-            // (WIDTH == size_of::<usize>() guaranteed by cast_compatible).
-            out.extend_from_slice(unsafe {
-                std::slice::from_raw_parts(values.as_ptr() as *const u8, values.len() * 8)
-            });
-        } else {
-            for v in values {
-                out.extend_from_slice(&(*v as u64).to_le_bytes());
-            }
-        }
-    }
-
-    fn decode_le(bytes: &[u8]) -> Vec<Self> {
-        bytes
-            .chunks_exact(8)
-            .map(|c| u64::from_le_bytes(c.try_into().expect("chunk width")) as usize)
-            .collect()
-    }
-}
-
-// ---------------------------------------------------------------------------
-// FlatBuf
-// ---------------------------------------------------------------------------
-
-/// An immutable flat buffer that is either owned or borrowed from a
-/// leaked/mapped snapshot region.
-///
-/// This is the seam that makes loaded and built indexes interchangeable:
-/// artifact types store their large immutable arrays as `FlatBuf<T>`, a
-/// fresh build produces [`FlatBuf::Owned`], and a zero-copy load produces
-/// [`FlatBuf::Static`] slices pointing into the snapshot buffer. Both
-/// variants deref to `&[T]` and are `Send + Sync`.
-#[derive(Debug)]
-pub enum FlatBuf<T: 'static> {
-    /// Heap-owned storage (the result of a fresh build or a copying load).
-    Owned(Vec<T>),
-    /// A borrow of a `'static` snapshot region (zero-copy load).
-    Static(&'static [T]),
-}
-
-impl<T> FlatBuf<T> {
-    /// The elements as a slice.
     #[inline]
-    pub fn as_slice(&self) -> &[T] {
-        match self {
-            FlatBuf::Owned(v) => v,
-            FlatBuf::Static(s) => s,
-        }
+    fn write_le(self, out: &mut [u8]) {
+        (self as u64).write_le(out);
     }
-
-    /// Whether this buffer borrows a snapshot region (no owned heap).
-    pub fn is_static(&self) -> bool {
-        matches!(self, FlatBuf::Static(_))
-    }
-
-    /// Heap bytes owned by this buffer: the full `Vec` **capacity** for
-    /// [`FlatBuf::Owned`] (post-build slack counts — it is resident), and
-    /// zero for [`FlatBuf::Static`] (the snapshot region is shared, not
-    /// owned). Every artifact `heap_bytes` impl sums these, so the
-    /// accounting contract is capacity-exact by construction.
-    pub fn heap_bytes(&self) -> usize {
-        match self {
-            FlatBuf::Owned(v) => v.capacity() * std::mem::size_of::<T>(),
-            FlatBuf::Static(_) => 0,
-        }
-    }
-}
-
-impl<T> Deref for FlatBuf<T> {
-    type Target = [T];
 
     #[inline]
-    fn deref(&self) -> &[T] {
-        self.as_slice()
-    }
-}
-
-impl<T> From<Vec<T>> for FlatBuf<T> {
-    fn from(v: Vec<T>) -> Self {
-        FlatBuf::Owned(v)
-    }
-}
-
-impl<T> Default for FlatBuf<T> {
-    fn default() -> Self {
-        FlatBuf::Owned(Vec::new())
-    }
-}
-
-impl<T: Clone> Clone for FlatBuf<T> {
-    fn clone(&self) -> Self {
-        match self {
-            FlatBuf::Owned(v) => FlatBuf::Owned(v.clone()),
-            // A static borrow is free to share.
-            FlatBuf::Static(s) => FlatBuf::Static(s),
-        }
-    }
-}
-
-impl<T: PartialEq> PartialEq for FlatBuf<T> {
-    fn eq(&self, other: &Self) -> bool {
-        self.as_slice() == other.as_slice()
-    }
-}
-
-impl<T: Eq> Eq for FlatBuf<T> {}
-
-// ---------------------------------------------------------------------------
-// Aligned buffer
-// ---------------------------------------------------------------------------
-
-/// A byte buffer whose base address is 8-byte aligned (backed by
-/// `Vec<u64>`), so every 8-aligned section inside a snapshot file can be
-/// cast in place.
-#[derive(Debug)]
-pub struct AlignedBuf {
-    words: Vec<u64>,
-    len: usize,
-}
-
-impl AlignedBuf {
-    /// A zeroed buffer of `len` bytes.
-    pub fn with_len(len: usize) -> Self {
-        AlignedBuf {
-            words: vec![0u64; len.div_ceil(8)],
-            len,
-        }
-    }
-
-    /// Copies a plain byte vector into aligned storage.
-    pub fn from_vec(bytes: Vec<u8>) -> Self {
-        let mut buf = Self::with_len(bytes.len());
-        buf.bytes_mut().copy_from_slice(&bytes);
-        buf
-    }
-
-    /// The buffer contents.
-    pub fn bytes(&self) -> &[u8] {
-        // SAFETY: `words` owns at least `len.div_ceil(8) * 8 >= len`
-        // initialized bytes; a `u8` view needs alignment 1; the borrow
-        // of `self` keeps the allocation alive for the slice lifetime.
-        unsafe { std::slice::from_raw_parts(self.words.as_ptr() as *const u8, self.len) }
-    }
-
-    /// Mutable contents (used by the one-shot file read).
-    pub fn bytes_mut(&mut self) -> &mut [u8] {
-        // SAFETY: same bounds as `bytes()`; `&mut self` guarantees the
-        // view is the only live reference into `words`.
-        unsafe { std::slice::from_raw_parts_mut(self.words.as_mut_ptr() as *mut u8, self.len) }
-    }
-
-    /// Leaks the buffer, returning a `'static` view of its bytes. This is
-    /// the `std`-only stand-in for keeping an `mmap` region alive for the
-    /// process lifetime; one leak per [`LoadMode::MapStatic`] load.
-    pub fn leak(self) -> &'static [u8] {
-        let len = self.len;
-        let words: &'static mut [u64] = Vec::leak(self.words);
-        // SAFETY: `Vec::leak` just promoted the allocation to 'static,
-        // so the pointer stays valid forever; `len <= words.len() * 8`
-        // by construction and `u8` views are always aligned.
-        unsafe { std::slice::from_raw_parts(words.as_ptr() as *const u8, len) }
+    fn read_le(bytes: &[u8]) -> Self {
+        u64::read_le(bytes) as usize
     }
 }
 
@@ -586,8 +347,10 @@ impl SnapshotWriter {
             !self.sections.iter().any(|(k, i, _)| *k == kind && *i == id),
             "duplicate section kind {kind} id {id}"
         );
-        let mut bytes = Vec::with_capacity(values.len() * T::WIDTH);
-        T::append_le(values, &mut bytes);
+        let mut bytes = vec![0u8; values.len() * T::WIDTH];
+        for (&v, out) in values.iter().zip(bytes.chunks_exact_mut(T::WIDTH)) {
+            v.write_le(out);
+        }
         self.sections.push((kind, id, bytes));
     }
 
@@ -647,18 +410,6 @@ impl SnapshotWriter {
 // Reader
 // ---------------------------------------------------------------------------
 
-/// How a snapshot's sections are materialized.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LoadMode {
-    /// Copy every requested section into owned `Vec`s; the file buffer is
-    /// freed when the [`Snapshot`] drops.
-    Copy,
-    /// Keep the file buffer alive for the process lifetime (leaked; the
-    /// mmap stand-in) and hand out zero-copy `&'static` section slices
-    /// where the target's layout allows it.
-    MapStatic,
-}
-
 #[derive(Debug, Clone, Copy)]
 struct SectionEntry {
     kind: u32,
@@ -667,25 +418,10 @@ struct SectionEntry {
     len: usize,
 }
 
-#[derive(Debug)]
-enum SnapshotData {
-    Owned(AlignedBuf),
-    Leaked(&'static [u8]),
-}
-
-impl SnapshotData {
-    fn bytes(&self) -> &[u8] {
-        match self {
-            SnapshotData::Owned(buf) => buf.bytes(),
-            SnapshotData::Leaked(s) => s,
-        }
-    }
-}
-
 /// A parsed, digest-validated snapshot file.
 #[derive(Debug)]
 pub struct Snapshot {
-    data: SnapshotData,
+    bytes: Vec<u8>,
     entries: Vec<SectionEntry>,
     method: u64,
     graph_digest: u64,
@@ -693,39 +429,22 @@ pub struct Snapshot {
 }
 
 impl Snapshot {
-    /// Opens and fully validates a snapshot file: one contiguous read
-    /// into an aligned buffer, then magic / version / bounds / digest
-    /// checks before any section is reachable.
-    pub fn open(path: &Path, mode: LoadMode) -> Result<Snapshot> {
+    /// Opens and fully validates a snapshot file: one contiguous read,
+    /// then magic / version / bounds / digest checks before any section
+    /// is reachable.
+    pub fn open(path: &Path) -> Result<Snapshot> {
         let mut file = File::open(path).map_err(|e| io_err("open", e))?;
-        let len = file
-            .metadata()
-            .map_err(|e| io_err("stat", e))?
-            .len()
-            .try_into()
-            .map_err(|_| PersistError::BadValue {
-                what: "file length",
-                detail: "exceeds addressable memory".into(),
-            })?;
-        let mut buf = AlignedBuf::with_len(len);
-        file.read_exact(buf.bytes_mut())
+        let mut bytes = Vec::new();
+        file.read_to_end(&mut bytes)
             .map_err(|e| io_err("read", e))?;
-        Self::from_aligned(buf, mode)
+        Self::from_bytes(bytes)
     }
 
     /// Parses an in-memory image (used by tests and corruption probes).
-    pub fn from_bytes(bytes: Vec<u8>, mode: LoadMode) -> Result<Snapshot> {
-        Self::from_aligned(AlignedBuf::from_vec(bytes), mode)
-    }
-
-    fn from_aligned(buf: AlignedBuf, mode: LoadMode) -> Result<Snapshot> {
-        let (entries, method, graph_digest, spec_digest) = Self::validate(buf.bytes())?;
-        let data = match mode {
-            LoadMode::Copy => SnapshotData::Owned(buf),
-            LoadMode::MapStatic => SnapshotData::Leaked(buf.leak()),
-        };
+    pub fn from_bytes(bytes: Vec<u8>) -> Result<Snapshot> {
+        let (entries, method, graph_digest, spec_digest) = Self::validate(&bytes)?;
         Ok(Snapshot {
-            data,
+            bytes,
             entries,
             method,
             graph_digest,
@@ -825,16 +544,9 @@ impl Snapshot {
         self.entries.iter().any(|e| e.kind == kind && e.id == id)
     }
 
-    /// Loads a section, or `None` if absent. Zero-copy when the snapshot
-    /// was opened [`LoadMode::MapStatic`] and the target's in-memory
-    /// layout matches the disk layout; an owned convert-copy otherwise.
-    pub fn maybe_section<T: Pod>(&self, kind: u32, id: u64) -> Result<Option<FlatBuf<T>>> {
-        let Some(entry) = self
-            .entries
-            .iter()
-            .find(|e| e.kind == kind && e.id == id)
-            .copied()
-        else {
+    /// Decodes a section into owned elements, or `None` if absent.
+    pub fn maybe_section<T: Pod>(&self, kind: u32, id: u64) -> Result<Option<Vec<T>>> {
+        let Some(entry) = self.entries.iter().find(|e| e.kind == kind && e.id == id) else {
             return Ok(None);
         };
         if entry.len % T::WIDTH != 0 {
@@ -846,31 +558,16 @@ impl Snapshot {
                 ),
             });
         }
-        let region = &self.data.bytes()[entry.offset..entry.offset + entry.len];
-        if let SnapshotData::Leaked(all) = &self.data {
-            if T::cast_compatible() && region.as_ptr() as usize % std::mem::align_of::<T>() == 0 {
-                // Reborrow out of the leaked ('static) image.
-                let start = entry.offset;
-                let stat: &'static [u8] = &all[start..start + entry.len];
-                // SAFETY: `cast_compatible()` and pointer alignment were
-                // checked just above, and `entry.len % T::WIDTH == 0` was
-                // rejected earlier — exactly the `cast_slice` contract.
-                return Ok(Some(FlatBuf::Static(unsafe { cast_slice::<T>(stat) })));
-            }
-        }
-        Ok(Some(FlatBuf::Owned(T::decode_le(region))))
+        let region = &self.bytes[entry.offset..entry.offset + entry.len];
+        let values = region.chunks_exact(T::WIDTH).map(T::read_le).collect();
+        Ok(Some(values))
     }
 
-    /// Loads a required section ([`PersistError::SectionMissing`] if absent).
-    pub fn section<T: Pod>(&self, kind: u32, id: u64) -> Result<FlatBuf<T>> {
+    /// Decodes a required section ([`PersistError::SectionMissing`] if
+    /// absent).
+    pub fn section<T: Pod>(&self, kind: u32, id: u64) -> Result<Vec<T>> {
         self.maybe_section(kind, id)?
             .ok_or(PersistError::SectionMissing { kind, id })
-    }
-
-    /// Loads a required section as owned scalars (convenience for small
-    /// metadata sections).
-    pub fn scalars(&self, kind: u32, id: u64) -> Result<Vec<u64>> {
-        Ok(self.section::<u64>(kind, id)?.as_slice().to_vec())
     }
 }
 
@@ -888,51 +585,43 @@ mod tests {
         w
     }
 
-    fn open(bytes: Vec<u8>, mode: LoadMode) -> Result<Snapshot> {
-        Snapshot::from_bytes(bytes, mode)
-    }
-
     #[test]
     fn round_trips_all_pod_types() {
-        for mode in [LoadMode::Copy, LoadMode::MapStatic] {
-            let snap = open(sample().to_bytes(), mode).unwrap();
-            assert_eq!(snap.method(), 2);
-            assert_eq!(snap.graph_digest(), 0xAAAA);
-            assert_eq!(snap.spec_digest(), 0xBBBB);
-            assert_eq!(snap.section::<u64>(1, 0).unwrap().as_slice(), &[7, 8, 9]);
-            assert_eq!(
-                snap.section::<u32>(2, 3).unwrap().as_slice(),
-                &[1, 2, 3, 4, 5]
-            );
-            let floats = snap.section::<f64>(3, 0).unwrap();
-            assert_eq!(floats[0].to_bits(), 0.5f64.to_bits());
-            assert_eq!(floats[1].to_bits(), (-0.0f64).to_bits());
-            assert_eq!(snap.section::<u8>(4, 1).unwrap().as_slice(), &[1, 0, 1]);
-            assert_eq!(
-                snap.section::<usize>(5, 0).unwrap().as_slice(),
-                &[usize::MAX, 0, 42]
-            );
-            assert_eq!(snap.sections().count(), 5);
-        }
+        let snap = Snapshot::from_bytes(sample().to_bytes()).unwrap();
+        assert_eq!(snap.method(), 2);
+        assert_eq!(snap.graph_digest(), 0xAAAA);
+        assert_eq!(snap.spec_digest(), 0xBBBB);
+        assert_eq!(snap.section::<u64>(1, 0).unwrap(), [7, 8, 9]);
+        assert_eq!(snap.section::<u32>(2, 3).unwrap(), [1, 2, 3, 4, 5]);
+        let floats = snap.section::<f64>(3, 0).unwrap();
+        assert_eq!(floats[0].to_bits(), 0.5f64.to_bits());
+        assert_eq!(floats[1].to_bits(), (-0.0f64).to_bits());
+        assert_eq!(floats[2].to_bits(), std::f64::consts::PI.to_bits());
+        assert_eq!(snap.section::<u8>(4, 1).unwrap(), [1, 0, 1]);
+        assert_eq!(snap.section::<usize>(5, 0).unwrap(), [usize::MAX, 0, 42]);
+        assert_eq!(snap.sections().count(), 5);
     }
 
     #[test]
-    fn map_static_borrows_sections_zero_copy() {
-        let snap = open(sample().to_bytes(), LoadMode::MapStatic).unwrap();
-        if <u64 as Pod>::cast_compatible() {
-            assert!(snap.section::<u64>(1, 0).unwrap().is_static());
-            assert!(snap.section::<f64>(3, 0).unwrap().is_static());
-        }
-        // Copy mode never borrows.
-        let snap = open(sample().to_bytes(), LoadMode::Copy).unwrap();
-        assert!(!snap.section::<u64>(1, 0).unwrap().is_static());
+    fn sections_encode_little_endian() {
+        // The payload is the format, byte for byte: the u32 section's
+        // first element, then the f64 section's first, on disk.
+        let bytes = sample().to_bytes();
+        let snap = Snapshot::from_bytes(bytes.clone()).unwrap();
+        let offset = |kind| snap.entries.iter().find(|e| e.kind == kind).unwrap().offset;
+        assert_eq!(bytes[offset(2)..offset(2) + 4], 1u32.to_le_bytes());
+        assert_eq!(
+            bytes[offset(3)..offset(3) + 8],
+            0.5f64.to_bits().to_le_bytes()
+        );
+        assert_eq!(bytes[offset(5)..offset(5) + 8], u64::MAX.to_le_bytes());
     }
 
     #[test]
     fn sections_are_eight_aligned_on_disk() {
         // The 3-byte u8 section sits between 8-wide ones, forcing the
         // writer to pad; every recorded offset must still be 8-aligned.
-        let snap = open(sample().to_bytes(), LoadMode::Copy).unwrap();
+        let snap = Snapshot::from_bytes(sample().to_bytes()).unwrap();
         for e in &snap.entries {
             assert_eq!(e.offset % 8, 0, "kind {} misaligned", e.kind);
         }
@@ -940,7 +629,7 @@ mod tests {
 
     #[test]
     fn missing_section_is_typed() {
-        let snap = open(sample().to_bytes(), LoadMode::Copy).unwrap();
+        let snap = Snapshot::from_bytes(sample().to_bytes()).unwrap();
         assert_eq!(snap.maybe_section::<u64>(99, 0).unwrap(), None);
         assert_eq!(
             snap.section::<u64>(99, 0).unwrap_err(),
@@ -954,7 +643,7 @@ mod tests {
         for at in [HEADER_BYTES, HEADER_BYTES + 17, bytes.len() - 1] {
             let mut bad = bytes.clone();
             bad[at] ^= 0x40;
-            match open(bad, LoadMode::Copy).unwrap_err() {
+            match Snapshot::from_bytes(bad).unwrap_err() {
                 PersistError::DigestMismatch {
                     what: "payload", ..
                 } => {}
@@ -967,7 +656,7 @@ mod tests {
     fn truncation_fails_closed() {
         let bytes = sample().to_bytes();
         for keep in [0, 8, HEADER_BYTES - 1, HEADER_BYTES + 5, bytes.len() - 1] {
-            let err = open(bytes[..keep].to_vec(), LoadMode::Copy).unwrap_err();
+            let err = Snapshot::from_bytes(bytes[..keep].to_vec()).unwrap_err();
             assert!(
                 matches!(
                     err,
@@ -983,7 +672,7 @@ mod tests {
         let mut bytes = sample().to_bytes();
         bytes[8..16].copy_from_slice(&(FORMAT_VERSION + 1).to_le_bytes());
         assert_eq!(
-            open(bytes, LoadMode::Copy).unwrap_err(),
+            Snapshot::from_bytes(bytes).unwrap_err(),
             PersistError::UnsupportedVersion {
                 got: FORMAT_VERSION + 1,
                 want: FORMAT_VERSION
@@ -996,7 +685,7 @@ mod tests {
         let mut bytes = sample().to_bytes();
         bytes[0] = b'X';
         assert!(matches!(
-            open(bytes, LoadMode::Copy).unwrap_err(),
+            Snapshot::from_bytes(bytes).unwrap_err(),
             PersistError::BadMagic { .. }
         ));
     }
@@ -1011,55 +700,32 @@ mod tests {
         let digest = fnv1a(&bytes[HEADER_BYTES..]);
         bytes[16..24].copy_from_slice(&digest.to_le_bytes());
         assert_eq!(
-            open(bytes, LoadMode::Copy).unwrap_err(),
+            Snapshot::from_bytes(bytes).unwrap_err(),
             PersistError::SectionBounds { kind: 1, id: 0 }
         );
     }
 
     #[test]
-    fn misaligned_entry_fails_closed_before_any_cast() {
+    fn misaligned_entry_fails_closed() {
         // Nudge the first entry's offset off 8-alignment (still in
         // bounds) and re-seal the digest so only the alignment check can
-        // object. Under `MapStatic` an accepted entry would be cast
-        // zero-copy — validation must reject it before any cast runs.
+        // object: sections start 8-aligned by format.
         let mut bytes = sample().to_bytes();
         let at = HEADER_BYTES + 16; // first entry's offset cell
         let offset = u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap());
         bytes[at..at + 8].copy_from_slice(&(offset + 1).to_le_bytes());
         let digest = fnv1a(&bytes[HEADER_BYTES..]);
         bytes[16..24].copy_from_slice(&digest.to_le_bytes());
-        for mode in [LoadMode::Copy, LoadMode::MapStatic] {
-            assert_eq!(
-                open(bytes.clone(), mode).unwrap_err(),
-                PersistError::SectionBounds { kind: 1, id: 0 },
-                "misaligned entry must fail closed under {mode:?}"
-            );
-        }
+        assert_eq!(
+            Snapshot::from_bytes(bytes).unwrap_err(),
+            PersistError::SectionBounds { kind: 1, id: 0 }
+        );
     }
 
     #[test]
-    fn truncated_static_load_fails_closed() {
-        // Same truncation points as the Copy-mode test, but under
-        // `MapStatic`: validation runs before the image is leaked, so a
-        // short file is a typed error, never a short-lived cast.
-        let bytes = sample().to_bytes();
-        for keep in [0, 8, HEADER_BYTES - 1, HEADER_BYTES + 5, bytes.len() - 1] {
-            let err = open(bytes[..keep].to_vec(), LoadMode::MapStatic).unwrap_err();
-            assert!(
-                matches!(
-                    err,
-                    PersistError::Truncated { .. } | PersistError::DigestMismatch { .. }
-                ),
-                "keep {keep}: got {err:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn ragged_static_load_is_an_error_not_a_cast() {
-        // A 3-byte u8 section read as u64 under `MapStatic` must be a
-        // typed width error; the zero-copy path may not round the length.
-        let snap = open(sample().to_bytes(), LoadMode::MapStatic).unwrap();
+    fn ragged_element_width_fails_closed() {
+        let snap = Snapshot::from_bytes(sample().to_bytes()).unwrap();
+        // The 3-byte u8 section is not a whole number of u64s.
         assert!(matches!(
             snap.section::<u64>(4, 1).unwrap_err(),
             PersistError::BadValue { .. }
@@ -1072,30 +738,20 @@ mod tests {
     }
 
     #[test]
-    fn ragged_element_width_fails_closed() {
-        let snap = open(sample().to_bytes(), LoadMode::Copy).unwrap();
-        // The 3-byte u8 section is not a whole number of u64s.
-        assert!(matches!(
-            snap.section::<u64>(4, 1).unwrap_err(),
-            PersistError::BadValue { .. }
-        ));
-    }
-
-    #[test]
     fn file_round_trip_and_atomic_write() {
         let dir = std::env::temp_dir().join("vom-persist-test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("sample.vpi");
         sample().write_to(&path).unwrap();
-        let snap = Snapshot::open(&path, LoadMode::Copy).unwrap();
-        assert_eq!(snap.section::<u64>(1, 0).unwrap().as_slice(), &[7, 8, 9]);
+        let snap = Snapshot::open(&path).unwrap();
+        assert_eq!(snap.section::<u64>(1, 0).unwrap(), [7, 8, 9]);
         assert!(
             !dir.join("sample.vpi.tmp").exists(),
             "temp file left behind"
         );
         std::fs::remove_file(&path).unwrap();
         assert!(matches!(
-            Snapshot::open(&path, LoadMode::Copy).unwrap_err(),
+            Snapshot::open(&path).unwrap_err(),
             PersistError::Io { op: "open", .. }
         ));
     }
@@ -1112,16 +768,5 @@ mod tests {
         manual.update(&7u64.to_le_bytes());
         manual.update(&(-0.0f64).to_bits().to_le_bytes());
         assert_eq!(d.finish(), manual.finish());
-    }
-
-    #[test]
-    fn flatbuf_semantics() {
-        let owned: FlatBuf<u32> = vec![1, 2, 3].into();
-        let leaked: &'static [u32] = Vec::leak(vec![1, 2, 3]);
-        let stat = FlatBuf::Static(leaked);
-        assert_eq!(owned, stat);
-        assert!(!owned.is_static() && stat.is_static());
-        assert_eq!(&*owned.clone(), &[1, 2, 3]);
-        assert_eq!(FlatBuf::<u32>::default().len(), 0);
     }
 }

@@ -81,7 +81,7 @@ use vom_baselines::AnyEngine;
 use vom_core::engine::{
     Outcome, PreparedIndex, Query, QuerySession, RuleClass, SeedSelector, SelectionResult,
 };
-use vom_core::persist::{graph_digest, IndexSource};
+use vom_core::persist::{graph_digest, load_snapshot};
 use vom_core::{CoreError, CostBudget, CostMeter, MethodId, ProblemSpec};
 use vom_diffusion::Instance;
 use vom_graph::{Candidate, Node};
@@ -519,7 +519,8 @@ pub enum SkipReason {
         /// The snapshot's graph digest.
         digest: u64,
     },
-    /// A graph digest-matched but reconstructing the index failed.
+    /// A graph digest-matched but reconstructing the index failed, or
+    /// the memory budget denied it admission.
     LoadFailed(ServiceError),
 }
 
@@ -791,11 +792,11 @@ impl VomService {
         }
     }
 
-    /// Admission control for a just-built index: evicts cold cached
-    /// indexes (LRU) until the newcomer fits the memory budget, or
-    /// denies it when it can never fit. Only the thread that ran the
-    /// build calls this, so admission order equals build order —
-    /// deterministic for any serial request sequence.
+    /// Admission control for a just-built or just-loaded index: evicts
+    /// cold cached indexes (LRU) until the newcomer fits the memory
+    /// budget, or denies it when it can never fit. Only the thread that
+    /// ran the build or load calls this, so admission order equals build
+    /// order — deterministic for any serial request sequence.
     fn admit(&self, key: &IndexKey, index: &Arc<PreparedIndex>) -> Result<(), ServiceError> {
         let mut cache = self.indexes.lock().expect("index lock");
         let Some(budget) = cache.memory_budget else {
@@ -898,16 +899,23 @@ impl VomService {
 
     /// Loads one index snapshot against the named registered graph and
     /// memoizes it. The snapshot's graph digest must match the
-    /// registered instance — loading fails closed otherwise. If the key
-    /// is already cached (e.g. a racing build won), the existing index
-    /// is kept; both are bit-identical by the determinism contract.
+    /// registered instance — loading fails closed otherwise. A loaded
+    /// index passes the same memory-budget admission as a build
+    /// ([`ServiceError::AdmissionDenied`] when it alone exceeds the
+    /// budget). If the key is already cached (e.g. a racing build won),
+    /// the existing index is kept; both are bit-identical by the
+    /// determinism contract.
     pub fn load_index(&self, graph: &str, path: &Path) -> Result<(), ServiceError> {
         let instance = self
             .instance(graph)
             .ok_or_else(|| ServiceError::UnknownGraph {
                 name: graph.to_string(),
             })?;
-        let index = Arc::new(PreparedIndex::load(instance, IndexSource::Mapped(path))?);
+        self.memoize_loaded(graph, PreparedIndex::load(instance, path)?)
+    }
+
+    /// Memoizes a loaded index under its key and admits it.
+    fn memoize_loaded(&self, graph: &str, index: PreparedIndex) -> Result<(), ServiceError> {
         let key = IndexKey {
             graph: graph.to_string(),
             method: index.method_id(),
@@ -916,16 +924,24 @@ impl VomService {
             class: RuleClass::of(index.rule()),
             budget: index.budget(),
         };
+        let index = Arc::new(index);
         let cell = self.cell_for(&key);
-        let _ = cell.set(Ok(index));
+        if cell.set(Ok(Arc::clone(&index))).is_ok() {
+            if let Err(denied) = self.admit(&key, &index) {
+                self.remove_cell(&key, &cell);
+                return Err(denied);
+            }
+        }
         Ok(())
     }
 
     /// Warm restart: scans `dir` for `.vpi` snapshots, matches each to a
     /// registered graph **by graph digest** (no filename convention
-    /// required), and memoizes every match. Snapshots that fail to load
-    /// — corruption, version drift, no matching graph — are skipped, not
-    /// fatal: the corresponding indexes are simply rebuilt on first use.
+    /// required), and memoizes every match under the memory budget, as
+    /// [`VomService::load_index`] does; each file is read once. Snapshots
+    /// that fail to load — corruption, version drift, no matching graph,
+    /// a denied admission — are skipped, not fatal: the corresponding
+    /// indexes are simply rebuilt on first use.
     /// Every skip is reported with its file and typed reason in the
     /// returned [`WarmSummary`], so operators can tell a clean restart
     /// from one that silently fell back to rebuilds. Transient IO
@@ -948,11 +964,11 @@ impl VomService {
         scheduler: &dyn WarmScheduler,
     ) -> Result<WarmSummary, ServiceError> {
         let plan = self.fault_plan();
-        let digests: Vec<(String, u64)> = {
+        let digests: Vec<(String, Arc<Instance>, u64)> = {
             let graphs = self.graphs.read().expect("graphs lock");
             graphs
                 .iter()
-                .map(|(name, inst)| (name.clone(), graph_digest(inst)))
+                .map(|(name, inst)| (name.clone(), Arc::clone(inst), graph_digest(inst)))
                 .collect()
         };
         let entries = std::fs::read_dir(dir).map_err(|e| {
@@ -988,7 +1004,7 @@ impl VomService {
                         message: format!("injected transient fault ({file_name})"),
                     })
                 } else {
-                    vom_persist::Snapshot::open(&path, vom_persist::LoadMode::Copy)
+                    vom_persist::Snapshot::open(&path)
                 };
                 match opened {
                     Ok(snap) => break Some(snap),
@@ -1017,7 +1033,9 @@ impl VomService {
                 });
             }
             let Some(snap) = snap else { continue };
-            let Some((graph, _)) = digests.iter().find(|(_, d)| *d == snap.graph_digest()) else {
+            let Some((graph, instance, _)) =
+                digests.iter().find(|(_, _, d)| *d == snap.graph_digest())
+            else {
                 summary.skipped.push(SkippedSnapshot {
                     path,
                     reason: SkipReason::NoMatchingGraph {
@@ -1026,7 +1044,12 @@ impl VomService {
                 });
                 continue;
             };
-            match self.load_index(graph, &path) {
+            // The snapshot is already open and digested: build the index
+            // from it rather than reading the file again.
+            let loaded = load_snapshot(Arc::clone(instance), &snap)
+                .map_err(ServiceError::from)
+                .and_then(|index| self.memoize_loaded(graph, index));
+            match loaded {
                 Ok(()) => summary.loaded += 1,
                 Err(e) => summary.skipped.push(SkippedSnapshot {
                     path,
@@ -1485,6 +1508,11 @@ mod tests {
         assert_eq!(second.index_count(), 2);
         let stats = second.index_stats();
         assert_eq!(stats.len(), 2);
+        // A loaded index owns what the built one does, arena included.
+        let built = first.index_stats();
+        for (b, w) in built.iter().zip(&stats) {
+            assert_eq!((b.method, b.heap_bytes), (w.method, w.heap_bytes));
+        }
         let rs = stats.iter().find(|s| s.method == MethodId::Rs).unwrap();
         // The RS sketch set was loaded, not rebuilt.
         assert_eq!(rs.artifact_builds, 1);
@@ -1862,6 +1890,45 @@ mod tests {
         assert_eq!(a.exact_score.to_bits(), a2.exact_score.to_bits());
         let b2 = sizer.run(&plu).unwrap();
         assert_eq!(b.seeds, b2.seeds);
+
+        // Loads pass the same admission as builds.
+        let dir = std::env::temp_dir().join(format!(
+            "vom-service-budget-{}-{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        std::fs::create_dir_all(&dir).unwrap();
+        let cum_file = sizer.save_index(&cum, &dir).unwrap();
+        sizer.save_index(&plu, &dir).unwrap();
+        assert!(matches!(
+            tiny.load_index("toy", &cum_file),
+            Err(ServiceError::AdmissionDenied {
+                budget_bytes: 1,
+                ..
+            })
+        ));
+        assert_eq!(tiny.index_count(), 0);
+        // A warm restart reports each denied load and caches nothing.
+        let summary = tiny.warm_from_dir(&dir).unwrap();
+        assert_eq!(summary.loaded, 0);
+        assert_eq!(summary.skipped.len(), 2);
+        for skipped in &summary.skipped {
+            assert!(matches!(
+                skipped.reason,
+                SkipReason::LoadFailed(ServiceError::AdmissionDenied { .. })
+            ));
+        }
+        assert_eq!(tiny.index_count(), 0);
+        // One index at a time: the rank-class file loads last (files
+        // load in name order) and evicts the cumulative one.
+        let lean = VomService::new().with_memory_budget(largest);
+        lean.register("toy", instance()).unwrap();
+        assert_eq!(lean.warm_from_dir(&dir).unwrap().loaded, 2);
+        let kept: Vec<RuleClass> = lean.index_stats().iter().map(|s| s.class).collect();
+        assert_eq!(kept, vec![RuleClass::Rank]);
+        assert_eq!(lean.run(&plu).unwrap().seeds, b.seeds);
+        assert_eq!(lean.index_stats()[0].artifact_builds, 1);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -1,7 +1,6 @@
 //! Flat storage for reverse random walks.
 
 use vom_graph::Node;
-use vom_persist::FlatBuf;
 
 /// An arena of walks, each a short sequence of node ids.
 ///
@@ -17,32 +16,24 @@ use vom_persist::FlatBuf;
 /// Equality is structural (same walks in the same order with the same
 /// groups) — the cross-thread determinism suite compares arenas built
 /// under different `VOM_THREADS` settings with `==`.
-/// The three flat arrays live in [`FlatBuf`]s so a snapshot load
-/// (`vom-persist`) can borrow them zero-copy from the mapped file region;
-/// a fresh build owns them as plain `Vec`s. Either way the arena is
-/// immutable once constructed.
+/// The arena is immutable once constructed.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WalkArena {
-    nodes: FlatBuf<Node>,
-    offsets: FlatBuf<usize>,
-    groups: Option<FlatBuf<usize>>,
+    nodes: Vec<Node>,
+    offsets: Vec<usize>,
+    groups: Option<Vec<usize>>,
 }
 
 impl WalkArena {
-    pub(crate) fn new(nodes: Vec<Node>, offsets: Vec<usize>, groups: Option<Vec<usize>>) -> Self {
-        Self::from_parts(nodes.into(), offsets.into(), groups.map(FlatBuf::from))
-            .expect("builder invariants hold")
-    }
-
     /// Reassembles an arena from flat buffers (a fresh build or a
     /// snapshot load); validates the offsets invariant the accessors
     /// index by and that every walk of group `v` starts at `v`, so a
     /// corrupt-but-digest-valid snapshot cannot panic or misattribute
     /// walks later.
     pub fn from_parts(
-        nodes: FlatBuf<Node>,
-        offsets: FlatBuf<usize>,
-        groups: Option<FlatBuf<usize>>,
+        nodes: Vec<Node>,
+        offsets: Vec<usize>,
+        groups: Option<Vec<usize>>,
     ) -> Result<Self, &'static str> {
         if offsets.is_empty() {
             return Err("offsets must carry a leading 0");
@@ -132,12 +123,11 @@ impl WalkArena {
 
     /// Exact owned heap footprint in bytes (reported by the Figure 17
     /// memory experiment and the scale-stress workload): full `Vec`
-    /// **capacity** for owned buffers — slack is resident memory and must
-    /// be visible — and zero for zero-copy snapshot borrows.
+    /// **capacity** — slack is resident memory and must be visible.
     pub fn heap_bytes(&self) -> usize {
-        self.nodes.heap_bytes()
-            + self.offsets.heap_bytes()
-            + self.groups.as_ref().map_or(0, FlatBuf::heap_bytes)
+        self.nodes.capacity() * std::mem::size_of::<Node>()
+            + (self.offsets.capacity() + self.groups.as_ref().map_or(0, Vec::capacity))
+                * std::mem::size_of::<usize>()
     }
 }
 
@@ -207,7 +197,7 @@ impl WalkArenaBuilder {
     pub fn build(mut self, groups: Option<Vec<usize>>) -> WalkArena {
         self.nodes.shrink_to_fit();
         self.offsets.shrink_to_fit();
-        WalkArena::new(self.nodes, self.offsets, groups)
+        WalkArena::from_parts(self.nodes, self.offsets, groups).expect("builder invariants hold")
     }
 }
 
@@ -285,11 +275,7 @@ mod tests {
     fn from_parts_rejects_walks_outside_their_start_group() {
         let (nodes, offsets) = (vec![0 as Node, 0, 1], vec![0usize, 1, 2, 3]);
         let load = |groups: Vec<usize>| {
-            WalkArena::from_parts(
-                nodes.clone().into(),
-                offsets.clone().into(),
-                Some(groups.into()),
-            )
+            WalkArena::from_parts(nodes.clone(), offsets.clone(), Some(groups))
         };
         assert!(load(vec![0, 2, 3]).is_ok());
         // A boundary moved by one walk, either way.
@@ -315,18 +301,10 @@ mod tests {
         let mut nodes = Vec::with_capacity(64);
         nodes.extend_from_slice(&[0 as Node, 1]);
         let node_cap = nodes.capacity();
-        let slack = WalkArena::from_parts(nodes.into(), vec![0usize, 2].into(), None).unwrap();
+        let slack = WalkArena::from_parts(nodes, vec![0usize, 2], None).unwrap();
         assert_eq!(
             slack.heap_bytes(),
             node_cap * std::mem::size_of::<Node>() + 2 * std::mem::size_of::<usize>()
         );
-
-        // Static (zero-copy loaded) buffers own no heap at all.
-        static NODES: [Node; 2] = [0, 1];
-        static OFFSETS: [usize; 2] = [0, 2];
-        let mapped =
-            WalkArena::from_parts(FlatBuf::Static(&NODES), FlatBuf::Static(&OFFSETS), None)
-                .unwrap();
-        assert_eq!(mapped.heap_bytes(), 0);
     }
 }

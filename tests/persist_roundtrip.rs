@@ -1,9 +1,9 @@
 //! Snapshot round-trip suite: a `PreparedIndex` written with
 //! `vom-persist` and loaded back must answer **bit-identically** to the
-//! freshly built index — every engine, every rule class, at 1/2/8 pool
-//! threads, through both load paths (owned read and the mmap-ready
-//! borrowed region) — and corrupted snapshots must fail closed with a
-//! typed error that leaves the rebuild fallback intact.
+//! freshly built index, and report the same heap bytes — every engine,
+//! every rule class, at 1/2/8 pool threads — and corrupted snapshots
+//! must fail closed with a typed error that leaves the rebuild fallback
+//! intact.
 //!
 //! The pool override is process-global, so every test takes `pool_lock`
 //! before touching it (same discipline as `parallel_determinism.rs`).
@@ -14,7 +14,7 @@ use std::sync::{Arc, Mutex};
 use vom::core::engine::SeedSelector;
 use vom::core::rs::RsConfig;
 use vom::core::rw::RwConfig;
-use vom::core::{Engine, IndexSource, PreparedIndex, Problem, Query, QuerySession};
+use vom::core::{Engine, PreparedIndex, Problem, Query, QuerySession};
 use vom::diffusion::{Instance, OpinionMatrix};
 use vom::graph::builder::graph_from_edges;
 use vom::graph::{generators, Node};
@@ -111,7 +111,7 @@ fn round_trip_is_bit_identical_for_every_engine_rule_and_width() {
         for rule in rules() {
             for threads in THREADS {
                 let label = format!("{}-{rule}-{threads}", engine.name());
-                let (fresh, loaded_file, loaded_map) = with_threads(threads, || {
+                let (fresh, loaded) = with_threads(threads, || {
                     let spec = Problem::new(&inst, 0, K_MAX, HORIZON, rule.clone()).unwrap();
                     let index = Arc::new(engine.prepare_index(&spec).unwrap());
                     let fresh = selections(&index, &rule);
@@ -120,21 +120,16 @@ fn round_trip_is_bit_identical_for_every_engine_rule_and_width() {
                     // exercises every section kind.
                     let path = scratch(&label);
                     index.save(&path).unwrap();
-                    let by_file = Arc::new(
-                        PreparedIndex::load(Arc::clone(&inst), IndexSource::File(&path)).unwrap(),
-                    );
-                    let by_map = Arc::new(
-                        PreparedIndex::load(Arc::clone(&inst), IndexSource::Mapped(&path)).unwrap(),
-                    );
+                    let loaded = Arc::new(PreparedIndex::load(Arc::clone(&inst), &path).unwrap());
                     std::fs::remove_file(&path).ok();
-                    (
-                        fresh,
-                        selections(&by_file, &rule),
-                        selections(&by_map, &rule),
-                    )
+                    assert_eq!(
+                        loaded.build_stats().heap_bytes,
+                        index.build_stats().heap_bytes,
+                        "{label}: a loaded index owns what the built one does"
+                    );
+                    (fresh, selections(&loaded, &rule))
                 });
-                assert_eq!(fresh, loaded_file, "{label}: file load diverged");
-                assert_eq!(fresh, loaded_map, "{label}: mapped load diverged");
+                assert_eq!(fresh, loaded, "{label}: load diverged");
             }
         }
     }
@@ -162,7 +157,7 @@ fn corrupted_snapshots_fail_closed_and_the_rebuild_fallback_matches() {
     let mid = flipped.len() / 2;
     flipped[mid] ^= 0x01;
     std::fs::write(&path, &flipped).unwrap();
-    let err = PreparedIndex::load(Arc::clone(&inst), IndexSource::File(&path))
+    let err = PreparedIndex::load(Arc::clone(&inst), &path)
         .err()
         .expect("flipped byte must not load");
     assert!(
@@ -171,7 +166,7 @@ fn corrupted_snapshots_fail_closed_and_the_rebuild_fallback_matches() {
     );
 
     std::fs::write(&path, &pristine[..pristine.len() - 7]).unwrap();
-    let err = PreparedIndex::load(Arc::clone(&inst), IndexSource::File(&path))
+    let err = PreparedIndex::load(Arc::clone(&inst), &path)
         .err()
         .expect("truncated file must not load");
     assert!(
@@ -185,7 +180,7 @@ fn corrupted_snapshots_fail_closed_and_the_rebuild_fallback_matches() {
     let mut future = pristine.clone();
     future[8] = 0xEE; // the format-version header word
     std::fs::write(&path, &future).unwrap();
-    let err = PreparedIndex::load(Arc::clone(&inst), IndexSource::File(&path))
+    let err = PreparedIndex::load(Arc::clone(&inst), &path)
         .err()
         .expect("future version must not load");
     assert!(
@@ -232,7 +227,7 @@ fn load_resealed(
     let digest = vom::persist::fnv1a(&file[vom::persist::HEADER_BYTES..]);
     file[16..24].copy_from_slice(&digest.to_le_bytes());
     std::fs::write(path, &file).unwrap();
-    PreparedIndex::load(Arc::clone(inst), IndexSource::File(path))
+    PreparedIndex::load(Arc::clone(inst), path)
 }
 
 /// Asserts that a load failed with `PersistError::BadValue`.
@@ -328,7 +323,7 @@ fn snapshots_hold_only_the_kept_section_kinds() {
 #[test]
 fn retired_section_kinds_are_ignored_on_load() {
     use vom::core::persist::{load_snapshot, snapshot_writer};
-    use vom::persist::{LoadMode, Snapshot};
+    use vom::persist::Snapshot;
     let _guard = pool_lock();
     let inst = instance();
     let retired: Vec<u32> = [5, 6, 50, 61]
@@ -340,7 +335,7 @@ fn retired_section_kinds_are_ignored_on_load() {
         for rule in [ScoringFunction::Cumulative, ScoringFunction::Plurality] {
             let index = queried_index(&inst, &engine, &rule);
             let load = |bytes: Vec<u8>| {
-                let snap = Snapshot::from_bytes(bytes, LoadMode::Copy).unwrap();
+                let snap = Snapshot::from_bytes(bytes).unwrap();
                 Arc::new(load_snapshot(Arc::clone(&inst), &snap).unwrap())
             };
             let clean = load(snapshot_writer(&index).unwrap().to_bytes());
@@ -452,6 +447,38 @@ fn config_words_a_lazy_build_would_assert_on_fail_closed() {
 }
 
 #[test]
+fn out_of_range_cached_opinions_fail_closed() {
+    use vom::core::persist::kind;
+    let _guard = pool_lock();
+    let inst = instance();
+    let rule = ScoringFunction::Plurality;
+    for engine in [engines().remove(1), engines().remove(2)] {
+        // Auto plurality queries cache both opinion matrices.
+        let index = queried_index(&inst, &engine, &rule);
+        let path = scratch(&format!("opinion-range-{}", engine.name()));
+        index.save(&path).unwrap();
+        let pristine = std::fs::read(&path).unwrap();
+        for section in [kind::OTHERS, kind::SEEDLESS] {
+            let at = section_bytes(&pristine, section, 0).start;
+            let forge = |value: f64| {
+                let mut file = pristine.clone();
+                file[at..at + 8].copy_from_slice(&value.to_le_bytes());
+                load_resealed(&inst, &path, file)
+            };
+            for value in [f64::NAN, 2.0, -1.0] {
+                let what = format!("{} section {section} holding {value}", engine.name());
+                assert_bad_value(forge(value), &what);
+            }
+            // The bounds are opinions.
+            for value in [0.0, 1.0] {
+                assert!(forge(value).is_ok(), "{} {section}: {value}", engine.name());
+            }
+        }
+        std::fs::remove_file(&path).ok();
+    }
+}
+
+#[test]
 fn resealed_rw_snapshots_with_a_bad_group_table_fail_closed() {
     use vom::core::persist::kind;
     let _guard = pool_lock();
@@ -519,7 +546,7 @@ fn loading_any_snapshot_leaves_the_instance_opinions_unchanged() {
             // A fresh instance has built no candidate system yet, so a
             // load that installed the file's system would go unnoticed.
             let fresh = instance();
-            PreparedIndex::load(Arc::clone(&fresh), IndexSource::File(&path)).unwrap();
+            PreparedIndex::load(Arc::clone(&fresh), &path).unwrap();
             assert_eq!(opinions(&fresh), want, "{} {rule}", engine.name());
             if engine.name() == "DM" && rule == ScoringFunction::Cumulative {
                 dm_file = Some(std::fs::read(&path).unwrap());
@@ -603,7 +630,7 @@ proptest! {
         let path = scratch(&format!("prop-{edge_seed}-{engine_ix}-{rule_ix}"));
         index.save(&path).unwrap();
         let loaded = Arc::new(
-            PreparedIndex::load(Arc::clone(&inst), IndexSource::File(&path)).unwrap(),
+            PreparedIndex::load(Arc::clone(&inst), &path).unwrap(),
         );
         std::fs::remove_file(&path).ok();
         let mut session = QuerySession::new(Arc::clone(&loaded));

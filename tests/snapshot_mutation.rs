@@ -22,7 +22,7 @@ use vom::core::{Engine, PreparedIndex, Problem, Query, QuerySession};
 use vom::diffusion::{Instance, OpinionMatrix};
 use vom::graph::builder::graph_from_edges;
 use vom::graph::generators;
-use vom::persist::{fnv1a, LoadMode, PersistError, Snapshot, ENTRY_BYTES, HEADER_BYTES};
+use vom::persist::{fnv1a, PersistError, Snapshot, ENTRY_BYTES, HEADER_BYTES};
 use vom::voting::ScoringFunction;
 
 const K: usize = 2;
@@ -210,7 +210,7 @@ fn mutations(file: &[u8], rng: &mut u64) -> Vec<(String, Vec<u8>)> {
 fn load(inst: &Arc<Instance>, mut file: Vec<u8>) -> Result<PreparedIndex, PersistError> {
     let digest = fnv1a(&file[HEADER_BYTES..]);
     set_word(&mut file, 16, digest);
-    let snap = Snapshot::from_bytes(file, LoadMode::Copy)?;
+    let snap = Snapshot::from_bytes(file)?;
     load_snapshot(Arc::clone(inst), &snap)
 }
 
